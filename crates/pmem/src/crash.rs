@@ -289,7 +289,52 @@ mod tests {
         assert_eq!(sub.media().read_vec(192, 1), vec![0x33]);
         // The empty subset is the base image, byte-for-byte.
         let empty = img.with_persisted_subset(&maybe, 0);
-        assert_eq!(empty.media().as_bytes(), img.media().as_bytes());
+        assert_eq!(empty.media(), img.media());
+    }
+
+    #[test]
+    fn images_and_engines_are_isolated_both_ways() {
+        let e = PmEngine::new(MachineConfig::default(), 1 << 20);
+        let mut ctx = Ctx::new(e.config());
+        let pages = [0u64, 3 * 4096, 9 * 4096];
+        for &off in &pages {
+            e.write(&mut ctx, off, b"before");
+            e.persist(&mut ctx, off, 6);
+        }
+        let img = e.crash_image();
+        // Taking the image copied nothing; the engine's next writes to the
+        // k pages it had touched copy at most those k.
+        assert_eq!(e.with_media(|m| m.private_pages(img.media())), 0);
+        for &off in &pages {
+            e.write(&mut ctx, off, b"after!");
+            e.persist(&mut ctx, off, 6);
+        }
+        assert!(e.with_media(|m| m.private_pages(img.media())) <= pages.len());
+        assert_eq!(e.crash_image().media().read_vec(0, 6), b"after!");
+        // Engine stores after the image never show in it.
+        for &off in &pages {
+            assert_eq!(img.media().read_vec(off, 6), b"before");
+        }
+        // Subset materialization writes show neither in the base image nor
+        // in the live engine.
+        let maybe = MaybeSet::new(vec![maybe_entry(3, 0x77, Some((8, 1 << 5)))]);
+        let sub = img.with_persisted_subset(&maybe, 1);
+        assert_eq!(sub.media().read_vec(192, 1), vec![0x77]);
+        assert_eq!(sub.media().private_pages(img.media()), 1);
+        assert_eq!(img.media().read_vec(192, 1), vec![0]);
+        assert_eq!(img.media().read_u64(8), 0);
+        assert_eq!(
+            e.with_media(|m| (m.read_vec(192, 1), m.read_u64(8))),
+            (vec![0], 0)
+        );
+        // Nor do a restarted machine's writes.
+        let e2 = img.restart();
+        let mut ctx2 = Ctx::new(e2.config());
+        e2.write(&mut ctx2, 0, b"reboot");
+        e2.persist(&mut ctx2, 0, 6);
+        assert_eq!(e2.crash_image().media().read_vec(0, 6), b"reboot");
+        assert_eq!(img.media().read_vec(0, 6), b"before");
+        assert_eq!(e.crash_image().media().read_vec(0, 6), b"after!");
     }
 
     #[test]

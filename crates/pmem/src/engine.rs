@@ -1723,8 +1723,8 @@ mod maybe_tests {
         assert_eq!(cap.maybe.len(), 3, "three dirty lines at site 2");
         let empty = cap.image.with_persisted_subset(&cap.maybe, 0);
         assert_eq!(
-            empty.media().as_bytes(),
-            cap.image.media().as_bytes(),
+            empty.media(),
+            cap.image.media(),
             "mask 0 reproduces the captured base image byte-for-byte"
         );
         // Dirty residents are ordered newest-first.

@@ -1,6 +1,14 @@
 //! The persistent media: the only state that survives a crash.
 
+use std::sync::Arc;
+
 use crate::addr::{Line, CACHELINE_BYTES};
+
+/// Copy-on-write granule. A multiple of the line size, so a cacheline never
+/// straddles two pages.
+const PAGE_BYTES: usize = 4096;
+
+type Page = [u8; PAGE_BYTES];
 
 /// Raw persistent-memory media contents.
 ///
@@ -8,20 +16,27 @@ use crate::addr::{Line, CACHELINE_BYTES};
 /// charge no cycles. The engine uses `Media` as the durable backing store;
 /// recovery validators and crash images use it to inspect post-crash state.
 ///
+/// The bytes live in reference-counted fixed-size pages. `clone` shares
+/// every page (fresh media share one zero page) and a write first makes
+/// its page private, so a crash image costs the pages written afterwards,
+/// not the pool. A clone therefore never observes later writes to its
+/// source, nor the source writes to the clone. A final partial page is
+/// allocated whole; bytes past [`Media::len`] are unreachable and stay zero.
+///
 /// # Panics
 ///
 /// All accessors panic on out-of-range offsets — an out-of-range access is a
 /// bug in the simulation, not a recoverable condition.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Media {
-    bytes: Vec<u8>,
+    /// Compared by bytes; `Arc`'s equality short-cuts pages that are shared.
+    pages: Vec<Arc<Page>>,
+    len: u64,
 }
 
 impl std::fmt::Debug for Media {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Media")
-            .field("len", &self.bytes.len())
-            .finish()
+        f.debug_struct("Media").field("len", &self.len).finish()
     }
 }
 
@@ -29,33 +44,50 @@ impl Media {
     /// Creates zero-initialized media of `len` bytes (rounded up to a line).
     pub fn new(len: u64) -> Self {
         let len = len.div_ceil(CACHELINE_BYTES) * CACHELINE_BYTES;
+        let zero = Arc::new([0u8; PAGE_BYTES]);
         Media {
-            bytes: vec![0u8; len as usize],
+            pages: vec![zero; (len as usize).div_ceil(PAGE_BYTES)],
+            len,
         }
     }
 
     /// Total capacity in bytes.
     pub fn len(&self) -> u64 {
-        self.bytes.len() as u64
+        self.len
     }
 
     /// Whether the media has zero capacity.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
     }
 
-    fn check(&self, off: u64, len: u64) {
+    /// Bounds-checks `[off, off + len)` and splits it into per-page
+    /// `(page index, offset in page, offset in the access, length)` pieces.
+    fn pieces(&self, off: u64, len: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
         assert!(
-            off + len <= self.len(),
+            off.checked_add(len as u64)
+                .is_some_and(|end| end <= self.len),
             "media access out of range: off={off:#x} len={len} capacity={:#x}",
-            self.len()
+            self.len
         );
+        let off = off as usize;
+        let mut done = 0;
+        std::iter::from_fn(move || {
+            (done < len).then(|| {
+                let at = (off + done) % PAGE_BYTES;
+                let n = (PAGE_BYTES - at).min(len - done);
+                let piece = ((off + done) / PAGE_BYTES, at, done, n);
+                done += n;
+                piece
+            })
+        })
     }
 
     /// Reads `buf.len()` bytes starting at `off`.
     pub fn read(&self, off: u64, buf: &mut [u8]) {
-        self.check(off, buf.len() as u64);
-        buf.copy_from_slice(&self.bytes[off as usize..off as usize + buf.len()]);
+        for (page, at, done, n) in self.pieces(off, buf.len()) {
+            buf[done..done + n].copy_from_slice(&self.pages[page][at..at + n]);
+        }
     }
 
     /// Reads `len` bytes starting at `off` into a fresh vector.
@@ -65,10 +97,11 @@ impl Media {
         v
     }
 
-    /// Writes `data` starting at `off`.
+    /// Writes `data` starting at `off`, un-sharing the pages it touches.
     pub fn write(&mut self, off: u64, data: &[u8]) {
-        self.check(off, data.len() as u64);
-        self.bytes[off as usize..off as usize + data.len()].copy_from_slice(data);
+        for (page, at, done, n) in self.pieces(off, data.len()) {
+            Arc::make_mut(&mut self.pages[page])[at..at + n].copy_from_slice(&data[done..done + n]);
+        }
     }
 
     /// Reads a little-endian `u64` at `off`.
@@ -95,9 +128,21 @@ impl Media {
         self.write(line.start(), data);
     }
 
-    /// View of the raw bytes (for checksum-style validation in tests).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+    /// Number of pages not shared with `base` (what copy-on-write copied).
+    #[cfg(test)]
+    pub(crate) fn private_pages(&self, base: &Media) -> usize {
+        let pairs = self.pages.iter().zip(&base.pages);
+        pairs.filter(|(a, b)| !Arc::ptr_eq(a, b)).count()
+    }
+
+    /// The raw bytes as consecutive chunks in address order (for
+    /// checksum-style validation in tests); their concatenation is the
+    /// whole media, exactly [`Media::len`] bytes.
+    pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
+        self.pages.iter().enumerate().map(|(i, page)| {
+            let rest = self.len as usize - i * PAGE_BYTES;
+            &page[..rest.min(PAGE_BYTES)]
+        })
     }
 }
 
@@ -146,12 +191,100 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_write_past_partial_last_page_panics() {
+        // The last page is allocated whole; its tail is still out of range.
+        let mut m = Media::new(PAGE_BYTES as u64 + 64);
+        m.write(PAGE_BYTES as u64 + 60, &[1; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn offset_overflow_panics() {
+        let m = Media::new(64);
+        m.read(u64::MAX - 3, &mut [0u8; 8]);
+    }
+
+    #[test]
     fn clone_is_independent() {
         let mut a = Media::new(128);
         a.write(0, &[9]);
         let mut b = a.clone();
         b.write(0, &[5]);
-        assert_eq!(a.read_vec(0, 1), vec![9]);
-        assert_eq!(b.read_vec(0, 1), vec![5]);
+        a.write(1, &[7]);
+        assert_eq!(a.read_vec(0, 2), vec![9, 7]);
+        assert_eq!(b.read_vec(0, 2), vec![5, 0]);
+    }
+
+    #[test]
+    fn fresh_media_shares_one_zero_page() {
+        let m = Media::new(64 << 20);
+        assert_eq!(m.pages.len(), (64 << 20) / PAGE_BYTES);
+        assert!(m.pages.iter().all(|p| Arc::ptr_eq(p, &m.pages[0])));
+        assert_eq!(Arc::strong_count(&m.pages[0]), m.pages.len());
+    }
+
+    #[test]
+    fn write_after_clone_copies_only_the_touched_pages() {
+        let mut live = Media::new(1 << 20);
+        let touched = [0u64, 5, 6, 200];
+        for &p in &touched {
+            live.write(p * PAGE_BYTES as u64, &[1]);
+        }
+        let snap = live.clone();
+        assert_eq!(live.private_pages(&snap), 0, "a clone copies nothing");
+        // Re-writing the k touched pages un-shares exactly those k pages,
+        // once each.
+        for round in 0..2 {
+            for &p in &touched {
+                live.write(p * PAGE_BYTES as u64 + 8, &[2 + round]);
+            }
+            assert_eq!(live.private_pages(&snap), touched.len());
+        }
+        assert_eq!(snap.read_vec(8, 1), vec![0], "the snapshot kept its bytes");
+        assert_ne!(live, snap);
+    }
+
+    #[test]
+    fn access_straddling_a_page_edge() {
+        let mut m = Media::new(3 * PAGE_BYTES as u64);
+        let base = m.clone();
+        let data: Vec<u8> = (1..=16).collect();
+        m.write(4090, &data);
+        assert_eq!(m.read_vec(4090, 16), data);
+        assert_eq!(m.read_vec(4095, 2), vec![6, 7]);
+        assert_eq!(m.read_vec(4089, 1), vec![0]);
+        assert_eq!(m.read_vec(4106, 1), vec![0]);
+        assert_eq!(m.private_pages(&base), 2);
+        // A span over a whole middle page plus both neighbours' edges.
+        let big = vec![0xEE; PAGE_BYTES + 20];
+        m.write(PAGE_BYTES as u64 - 10, &big);
+        assert_eq!(m.read_vec(PAGE_BYTES as u64 - 10, big.len() as u64), big);
+    }
+
+    #[test]
+    fn length_not_a_page_multiple() {
+        let len = PAGE_BYTES as u64 + 3 * 64;
+        let mut m = Media::new(len);
+        assert_eq!(m.len(), len);
+        m.write_line(Line(len / 64 - 1), &[0xAB; 64]);
+        assert_eq!(m.read_vec(len - 64, 64), vec![0xAB; 64]);
+        // Chunks concatenate to exactly `len` bytes, in address order.
+        let bytes: Vec<u8> = m.chunks().flatten().copied().collect();
+        assert_eq!(bytes.len() as u64, len);
+        assert_eq!(bytes, m.read_vec(0, len));
+        assert_eq!(Media::new(0).chunks().count(), 0);
+    }
+
+    #[test]
+    fn equality_is_by_bytes() {
+        let mut a = Media::new(2 * PAGE_BYTES as u64);
+        let mut b = Media::new(2 * PAGE_BYTES as u64);
+        assert_eq!(a, b);
+        a.write(5000, &[1]);
+        assert_ne!(a, b);
+        b.write(5000, &[1]); // equal bytes in distinct private pages
+        assert_eq!(a, b);
+        assert_ne!(a, Media::new(PAGE_BYTES as u64));
     }
 }

@@ -64,6 +64,6 @@ mod tests {
         let mut m = Media::new(128);
         obs.pending_line_persisted(&mut m, Line(0));
         obs.crash_flush(&mut m, &[Line(1)]);
-        assert!(m.as_bytes().iter().all(|&b| b == 0));
+        assert!(m.chunks().flatten().all(|&b| b == 0));
     }
 }

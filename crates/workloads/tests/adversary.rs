@@ -4,7 +4,7 @@
 //! `(seed, site_id, subset_bitmask)` triple.
 
 use ffccd::Scheme;
-use ffccd_pmem::MachineConfig;
+use ffccd_pmem::{MachineConfig, Media};
 use ffccd_workloads::adversary::{
     replay_adversary_subset_full, run_adversary_sweep, run_adversary_sweep_jobs, AdversaryPlan,
 };
@@ -28,11 +28,13 @@ fn make_ll() -> Box<dyn Workload> {
     Box::new(LinkedList::new())
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(media: &Media) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+    for chunk in media.chunks() {
+        for &b in chunk {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
     }
     h
 }
@@ -116,8 +118,8 @@ fn subset_replay_is_deterministic_and_mask_zero_is_base_image() {
         replay_adversary_subset_full(&make_ll, scheme, seed, site_id, 0, &cfg).expect("site fires");
     assert_eq!(r0.op, base.op);
     assert_eq!(
-        fnv1a(r0.image.media().as_bytes()),
-        fnv1a(base.image.media().as_bytes()),
+        fnv1a(r0.image.media()),
+        fnv1a(base.image.media()),
         "mask 0 must materialize the base (nothing-persisted) image"
     );
 
@@ -135,16 +137,16 @@ fn subset_replay_is_deterministic_and_mask_zero_is_base_image() {
     assert_eq!(a.op, b.op);
     assert_eq!(a.maybe_len, b.maybe_len);
     assert_eq!(
-        fnv1a(a.image.media().as_bytes()),
-        fnv1a(b.image.media().as_bytes()),
+        fnv1a(a.image.media()),
+        fnv1a(b.image.media()),
         "subset image bytes must be reproducible from the triple"
     );
     assert_eq!(a.outcome.is_ok(), b.outcome.is_ok());
     assert!(a.outcome.is_ok(), "subset recovery failed: {:?}", a.outcome);
     if mask != 0 {
         assert_ne!(
-            fnv1a(a.image.media().as_bytes()),
-            fnv1a(base.image.media().as_bytes()),
+            fnv1a(a.image.media()),
+            fnv1a(base.image.media()),
             "full-window subset must differ from the base image (maybe_len {})",
             a.maybe_len
         );

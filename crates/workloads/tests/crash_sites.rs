@@ -5,7 +5,7 @@
 //! restart seeds.
 
 use ffccd::{DefragHeap, Scheme};
-use ffccd_pmem::MachineConfig;
+use ffccd_pmem::{MachineConfig, Media};
 use ffccd_workloads::adversary::replay_adversary_subset_full;
 use ffccd_workloads::driver::{DriverConfig, MtConfig, MtSchedule, PhaseMix};
 use ffccd_workloads::faults::{
@@ -185,11 +185,13 @@ fn avl_crash_sites_recover() {
     assert_site_recovers(make_avl, Scheme::FfccdFenceFree, 0x517e13, 683398);
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(media: &Media) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+    for chunk in media.chunks() {
+        for &b in chunk {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
     }
     h
 }
@@ -246,7 +248,7 @@ fn pinned_triples_replay_byte_identically() {
                 "{name} {scheme:?} ({seed:#x}, {site}) banks={banks} mt={mt_knobs}: firing op moved"
             );
             assert_eq!(
-                fnv1a(r.image.media().as_bytes()),
+                fnv1a(r.image.media()),
                 hash,
                 "{name} {scheme:?} ({seed:#x}, {site}) banks={banks} mt={mt_knobs}: crash image bytes moved"
             );
@@ -299,7 +301,7 @@ fn pinned_adversarial_triples_replay_byte_identically() {
             "{name} {scheme:?} ({seed:#x}, {site}, {mask:#x}): firing op moved"
         );
         assert_eq!(
-            fnv1a(r.image.media().as_bytes()),
+            fnv1a(r.image.media()),
             hash,
             "{name} {scheme:?} ({seed:#x}, {site}, {mask:#x}): subset image bytes moved"
         );
@@ -425,7 +427,7 @@ fn pinned_nested_triples_replay_byte_identically() {
             "{name} {scheme:?} ({seed:#x}, {outer}/{rec_site}, {mask:#x}): maybe-set size moved"
         );
         assert_eq!(
-            fnv1a(r.image.media().as_bytes()),
+            fnv1a(r.image.media()),
             hash,
             "{name} {scheme:?} ({seed:#x}, {outer}/{rec_site}, {mask:#x}): nested image bytes moved"
         );
