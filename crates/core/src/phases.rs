@@ -19,7 +19,7 @@ use ffccd_pmem::Ctx;
 use ffccd_pmop::{FrameKind, PmPtr, FRAME_BYTES, OBJ_HEADER_BYTES, SLOT_BYTES};
 
 use crate::heap::{CycleMirror, CycleState, DefragHeap};
-use crate::walk::walk_refs;
+use crate::walk::{walk_refs, MarkSet};
 
 /// Compacting no more than this fraction of a page's capacity is worthwhile;
 /// fuller pages cost more copies than the footprint they release.
@@ -121,7 +121,7 @@ impl DefragHeap {
         started
     }
 
-    fn sweep(&self, ctx: &mut Ctx, marked: &HashSet<u64>) {
+    fn sweep(&self, ctx: &mut Ctx, marked: &MarkSet) {
         let pool = &self.inner.pool;
         let mut dead: Vec<PmPtr> = Vec::new();
         for frame in 0..pool.layout().num_frames {
@@ -132,7 +132,7 @@ impl DefragHeap {
                 continue;
             }
             for obj in pool.frame_objects(ctx, frame) {
-                if !marked.contains(&obj.ptr.offset()) {
+                if !marked.contains(obj.ptr.offset()) {
                     dead.push(obj.ptr);
                 }
             }

@@ -1,12 +1,54 @@
 //! Reference-graph walker shared by marking, termination fixup and recovery.
 
-use std::collections::HashSet;
-
 use ffccd_pmem::{Ctx, PmEngine};
-use ffccd_pmop::{PmPtr, PoolLayout, TypeRegistry, OBJ_HEADER_BYTES};
+use ffccd_pmop::{PmPtr, PoolLayout, TypeRegistry, OBJ_HEADER_BYTES, SLOT_BYTES};
 
 /// Pool offset of the root reference slot (the pool header's root word).
 pub(crate) const ROOT_SLOT: u64 = ffccd_pmop::HDR_ROOT;
+
+/// A set of payload offsets: one bit per slot of the pool. Objects start
+/// on slot boundaries and so do their payloads (the header is one slot),
+/// so a slot index names a payload exactly; 64 MiB of pool is 512 KiB of
+/// bits, against a hash set regrown from empty by every whole-heap walk.
+pub(crate) struct MarkSet {
+    bits: Vec<u64>,
+}
+
+impl MarkSet {
+    fn new(layout: &PoolLayout) -> Self {
+        MarkSet {
+            bits: vec![0; (layout.total_bytes / SLOT_BYTES).div_ceil(64) as usize],
+        }
+    }
+
+    fn bit(off: u64) -> (usize, u64) {
+        debug_assert!(
+            off.is_multiple_of(SLOT_BYTES),
+            "payload offset {off:#x} is off the slot grid"
+        );
+        let slot = off / SLOT_BYTES;
+        ((slot / 64) as usize, 1 << (slot % 64))
+    }
+
+    /// Adds `off`, returning whether it was new.
+    fn insert(&mut self, off: u64) -> bool {
+        let (word, mask) = Self::bit(off);
+        let new = self.bits[word] & mask == 0;
+        self.bits[word] |= mask;
+        new
+    }
+
+    /// Whether payload offset `off` was visited.
+    pub(crate) fn contains(&self, off: u64) -> bool {
+        let (word, mask) = Self::bit(off);
+        self.bits[word] & mask != 0
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
 
 /// Walks every reference slot reachable from the root, depth-first.
 ///
@@ -16,14 +58,18 @@ pub(crate) const ROOT_SLOT: u64 = ffccd_pmop::HDR_ROOT;
 /// it. Cycles are handled with a visited set keyed by final payload offset.
 ///
 /// Returns the set of visited (live) payload offsets — the mark set.
+///
+/// # Panics
+///
+/// Panics when a reachable pointer lies outside the pool.
 pub(crate) fn walk_refs(
     ctx: &mut Ctx,
     engine: &PmEngine,
     registry: &TypeRegistry,
     layout: &PoolLayout,
     mut visit: impl FnMut(&mut Ctx, u64, PmPtr) -> Option<PmPtr>,
-) -> HashSet<u64> {
-    let mut visited: HashSet<u64> = HashSet::new();
+) -> MarkSet {
+    let mut visited = MarkSet::new(layout);
     let mut stack: Vec<u64> = vec![ROOT_SLOT];
     while let Some(slot_off) = stack.pop() {
         let raw = engine.read_u64(ctx, slot_off);
@@ -72,6 +118,23 @@ mod tests {
     }
 
     #[test]
+    fn mark_set_is_one_bit_per_slot() {
+        let (pool, _, _) = build();
+        let layout = pool.layout();
+        let mut m = MarkSet::new(layout);
+        let last = layout.total_bytes - SLOT_BYTES;
+        // Neighbouring slots, both sides of a word edge, the pool's last.
+        for off in [16, 32, 63 * 16, 64 * 16, last] {
+            assert!(!m.contains(off));
+            assert!(m.insert(off), "first insert of {off:#x}");
+            assert!(!m.insert(off), "second insert of {off:#x}");
+            assert!(m.contains(off));
+        }
+        assert!(!m.contains(48) && !m.contains(65 * 16) && !m.contains(last - 16));
+        assert_eq!(m.len(), 5);
+    }
+
+    #[test]
     fn marks_reachable_not_dead() {
         let (pool, mut ctx, [a, b, dead]) = build();
         let marked = walk_refs(
@@ -81,9 +144,9 @@ mod tests {
             pool.layout(),
             |_, _, _| None,
         );
-        assert!(marked.contains(&a.offset()));
-        assert!(marked.contains(&b.offset()));
-        assert!(!marked.contains(&dead.offset()));
+        assert!(marked.contains(a.offset()));
+        assert!(marked.contains(b.offset()));
+        assert!(!marked.contains(dead.offset()));
     }
 
     #[test]
@@ -120,8 +183,8 @@ mod tests {
                 }
             },
         );
-        assert!(marked.contains(&dead.offset()));
-        assert!(!marked.contains(&b.offset()));
+        assert!(marked.contains(dead.offset()));
+        assert!(!marked.contains(b.offset()));
         // The stored next pointer of `a` changed.
         assert_eq!(pool.read_u64(&mut ctx, a, 8), dead.raw());
     }
@@ -137,6 +200,6 @@ mod tests {
             pool.layout(),
             |_, _, _| None,
         );
-        assert!(marked.is_empty());
+        assert_eq!(marked.len(), 0);
     }
 }

@@ -6,7 +6,7 @@
 //! `relocate` instruction (paper §4.2, Figure 10: "Tagged Normal Cache").
 
 use crate::addr::{Line, CACHELINE_BYTES};
-use crate::fxhash::FxHashMap;
+use crate::directory::Directory;
 
 /// One cached line: 64 data bytes plus dirty/pending state.
 #[derive(Clone, Debug)]
@@ -23,16 +23,22 @@ pub struct CacheLine {
 /// The volatile cache: a map from [`Line`] to [`CacheLine`] with bounded
 /// capacity and deterministic pseudo-random victim selection.
 ///
-/// Residents live in a dense `entries` vector with a hash index into it
-/// (FxHash — the index sits on every simulated access, and line numbers
-/// are trusted internal keys). Victims are chosen by position in the
-/// vector, never by map iteration order — any behaviour depending on
-/// bucket order would differ between engines and break crash-site replay.
-/// A positional [`DirtyIndex`] over the same vector answers "first dirty
-/// position at or after `p`" without walking the residents.
+/// Residents live in a dense `entries` vector; a radix [`Directory`]
+/// keyed by the bank-local line number (`line / stride`) maps a line to
+/// its position, so the per-access lookup is two array indexings. Victims
+/// are chosen by position in the vector, never through the directory —
+/// crash-site replay depends on the victim sequence, and the directory
+/// only ever answers where the vector already put a line. A positional
+/// [`DirtyIndex`] over the same vector answers "first dirty position at or
+/// after `p`" without walking the residents.
 #[derive(Debug)]
 pub struct CacheSim {
-    index: FxHashMap<Line, usize>,
+    index: Directory,
+    /// Line-number stride between this cache's lines: a bank of an
+    /// `n`-bank engine only ever sees lines congruent to its index modulo
+    /// `n`, so `line / n` is dense and the banks' directories together
+    /// cost what one unbanked directory would.
+    stride: u64,
     entries: Vec<(Line, CacheLine)>,
     /// Invariant: bit `p` is set iff `entries[p].1.dirty`. Written only by
     /// [`CacheSim::write_at`], [`CacheSim::clean`], `remove_at` and
@@ -117,8 +123,15 @@ pub struct Evicted {
 impl CacheSim {
     /// Creates an empty cache of `capacity` lines.
     pub fn new(capacity: usize, seed: u64) -> Self {
+        Self::for_bank(capacity, seed, 1)
+    }
+
+    /// Creates the cache of one bank of an `nbanks`-bank engine: every
+    /// line it will hold has the same residue modulo `nbanks`.
+    pub fn for_bank(capacity: usize, seed: u64, nbanks: usize) -> Self {
         CacheSim {
-            index: FxHashMap::default(),
+            index: Directory::default(),
+            stride: nbanks.max(1) as u64,
             entries: Vec::with_capacity(capacity.min(1 << 16)),
             capacity: capacity.max(1),
             dirty: DirtyIndex::default(),
@@ -131,15 +144,20 @@ impl CacheSim {
         self.capacity
     }
 
-    /// Removes the resident at `pos`, fixing up the hash-index entry and
+    #[inline]
+    fn key(&self, line: Line) -> u64 {
+        line.0 / self.stride
+    }
+
+    /// Removes the resident at `pos`, fixing up the directory entry and
     /// the dirty bit of the tail entry that swap-remove moves into `pos`.
     fn remove_at(&mut self, pos: usize) -> (Line, CacheLine) {
         let (line, cl) = self.entries.swap_remove(pos);
-        self.index.remove(&line);
+        self.index.remove(self.key(line));
         let tail = self.entries.len();
         let tail_dirty = self.dirty.clear(tail);
-        if let Some((moved, _)) = self.entries.get(pos) {
-            self.index.insert(*moved, pos);
+        if let Some(&(moved, _)) = self.entries.get(pos) {
+            self.index.insert(self.key(moved), pos);
             if tail_dirty {
                 self.dirty.set(pos);
             } else {
@@ -158,6 +176,12 @@ impl CacheSim {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
+    /// Directory leaves this cache has allocated so far.
+    #[cfg(test)]
+    pub(crate) fn directory_leaves(&self) -> usize {
+        self.index.leaves_allocated()
+    }
+
     /// Number of lines currently resident.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -172,11 +196,14 @@ impl CacheSim {
     /// accessors below. The position is invalidated by any insert, removal
     /// or eviction — use it only for an immediately-following access.
     pub fn pos_of(&self, line: Line) -> Option<usize> {
-        self.index.get(&line).copied()
+        let pos = self.index.get(self.key(line))?;
+        // `stride` lines share each key. The engine only asks a bank for
+        // its own residue, but a by-line query must not alias the others.
+        (self.entries[pos].0 == line).then_some(pos)
     }
 
     /// Reads from the resident line at `pos` (from [`CacheSim::pos_of`] or
-    /// [`CacheSim::insert_at`]) — skips the hash probe a by-line read pays.
+    /// [`CacheSim::insert_at`]) — skips the lookup a by-line read pays.
     pub fn read_at(&self, pos: usize, offset_in_line: usize, buf: &mut [u8]) {
         let cl = &self.entries[pos].1;
         buf.copy_from_slice(&cl.data[offset_in_line..offset_in_line + buf.len()]);
@@ -205,10 +232,13 @@ impl CacheSim {
         data: [u8; CACHELINE_BYTES as usize],
         evicted_out: &mut Vec<Evicted>,
     ) -> usize {
-        debug_assert!(!self.index.contains_key(&line));
+        debug_assert!(
+            self.index.get(self.key(line)).is_none(),
+            "{line:?} (or a line of another bank sharing its key) is already resident"
+        );
         self.make_room(evicted_out);
         let pos = self.entries.len();
-        self.index.insert(line, pos);
+        self.index.insert(self.key(line), pos);
         self.entries.push((
             line,
             CacheLine {
@@ -222,14 +252,14 @@ impl CacheSim {
 
     /// Immutable view of a resident line.
     pub fn peek(&self, line: Line) -> Option<&CacheLine> {
-        self.index.get(&line).map(|&i| &self.entries[i].1)
+        self.pos_of(line).map(|i| &self.entries[i].1)
     }
 
     /// Removes the line's dirty/pending status, returning the writeback data
     /// if it was dirty. The line stays resident but clean (clwb semantics:
     /// write back, do not invalidate).
     pub fn clean(&mut self, line: Line) -> Option<Evicted> {
-        let i = *self.index.get(&line)?;
+        let i = self.pos_of(line)?;
         let cl = &mut self.entries[i].1;
         if !cl.dirty {
             return None;

@@ -152,9 +152,10 @@ impl PmEngine {
         let banks: Vec<RwLock<Bank>> = (0..nbanks)
             .map(|b| {
                 RwLock::new(Bank {
-                    cache: CacheSim::new(
+                    cache: CacheSim::for_bank(
                         bank_share(cfg.cache_capacity_lines, nbanks, b),
                         (cfg.seed ^ 0xcafe) ^ bank_salt(b),
+                        nbanks,
                     ),
                     wpq: Wpq::new(bank_share(cfg.wpq_capacity, nbanks, b)),
                     inflight: VecDeque::new(),
@@ -672,36 +673,50 @@ impl PmEngine {
 
     /// Direct (unsimulated, uncharged) read used by validation tooling.
     pub fn peek_vec(&self, off: u64, len: u64) -> Vec<u8> {
-        // A validator must see the *current logical* contents: cache first,
-        // then the newest in-flight writeback, then WPQ, then media.
         let mut v = vec![0u8; len as usize];
         let mut cursor = 0usize;
         for line in lines_spanning(off, len) {
             let start = off.max(line.start());
             let end = (off + len).min(line.end());
-            let within = (start - line.start()) as usize;
             let n = (end - start) as usize;
-            let bank = self.banks[self.bank_of(line)].read();
-            let data: [u8; CACHELINE_BYTES as usize] = if let Some(cl) = bank.cache.peek(line) {
-                cl.data
-            } else if let Some((_, e)) = bank.inflight.iter().rev().find(|(_, e)| e.line == line) {
-                e.data
-            } else if let Some(e) = bank.wpq.entries().find(|e| e.line == line) {
-                e.data
-            } else {
-                self.shared.media.read().read_line(line)
-            };
-            drop(bank);
-            v[cursor..cursor + n].copy_from_slice(&data[within..within + n]);
+            self.peek_in_line(start, &mut v[cursor..cursor + n]);
             cursor += n;
         }
         v
     }
 
-    /// Direct logical `u64` read (see [`PmEngine::peek_vec`]).
+    /// Direct logical `u64` read (see [`PmEngine::peek_vec`]). Validators
+    /// and the collector's frame enumeration peek one header word per live
+    /// object, so the common case — the word sits inside one line — reads
+    /// the 8 bytes in place, with no buffer.
     pub fn peek_u64(&self, off: u64) -> u64 {
-        let v = self.peek_vec(off, 8);
-        u64::from_le_bytes(v.try_into().expect("8 bytes"))
+        let mut b = [0u8; 8];
+        if line_of(off) == line_of(off + 7) {
+            self.peek_in_line(off, &mut b);
+        } else {
+            b.copy_from_slice(&self.peek_vec(off, 8));
+        }
+        u64::from_le_bytes(b)
+    }
+
+    /// Copies the *current logical* contents of `[off, off + dst.len())`,
+    /// which must lie within one line: cache first, then the newest
+    /// in-flight writeback, then the WPQ (`push` coalesces, so a line has
+    /// at most one queued entry), then media.
+    fn peek_in_line(&self, off: u64, dst: &mut [u8]) {
+        let line = line_of(off);
+        let within = (off - line.start()) as usize;
+        let span = within..within + dst.len();
+        let bank = self.banks[self.bank_of(line)].read();
+        if let Some(cl) = bank.cache.peek(line) {
+            dst.copy_from_slice(&cl.data[span]);
+        } else if let Some((_, e)) = bank.inflight.iter().rev().find(|(_, e)| e.line == line) {
+            dst.copy_from_slice(&e.data[span]);
+        } else if let Some(e) = bank.wpq.get(line) {
+            dst.copy_from_slice(&e.data[span]);
+        } else {
+            self.shared.media.read().read(off, dst);
+        }
     }
 }
 
@@ -854,7 +869,7 @@ impl Bank {
     /// Ensures `line` is resident and charges hit/miss cost, returning the
     /// line's position in the cache's dense entry vector (valid until the
     /// next insert/removal) so the caller's data access skips a second
-    /// hash probe. `missed` carries miss state across the lines of one
+    /// lookup. `missed` carries miss state across the lines of one
     /// access: overlapped misses after the first pay only the bandwidth
     /// cost.
     fn access_line(
@@ -1236,6 +1251,79 @@ mod tests {
         assert_eq!(e.peek_u64(64), 42);
     }
 
+    /// `peek_u64` reads in place what `peek_vec` assembles, wherever the
+    /// newest copy of the line lives.
+    #[test]
+    fn peek_u64_matches_peek_vec_at_every_stage() {
+        let cfg = MachineConfig {
+            cache_capacity_lines: 2,
+            wpq_capacity: 64,
+            evict_denom: u32::MAX,
+            ..MachineConfig::default()
+        };
+        let e = PmEngine::new(cfg, 1 << 20);
+        let mut a = Ctx::new(e.config());
+        let mut b = Ctx::new(e.config());
+        let same = |off: u64, want: u64, stage: &str| {
+            let v = e.peek_vec(off, 8);
+            assert_eq!(e.peek_u64(off), want, "{stage}");
+            assert_eq!(
+                u64::from_le_bytes(v.try_into().expect("8 bytes")),
+                want,
+                "{stage}"
+            );
+        };
+        let resident = |line: u64| e.banks[0].read().cache.peek(Line(line)).is_some();
+        let queued = |line: u64| e.banks[0].read().wpq.get(Line(line)).is_some();
+        // Core B's stores push other lines out of the two-line cache; its
+        // per-op retirement skips core A's in-flight writebacks.
+        let mut scratch = 4096;
+        let mut b_evicts = |b: &mut Ctx, line: u64| {
+            while resident(line) {
+                scratch += CACHELINE_BYTES;
+                e.write_u64(b, scratch, 0);
+            }
+        };
+
+        // In cache (dirty, nothing behind it).
+        e.write_u64(&mut a, 72, 0x1111);
+        assert!(resident(1));
+        same(72, 0x1111, "cache");
+
+        // In flight: two lines clwb'd by core A (a clwb retires nothing),
+        // then dropped from the cache clean, so only the in-flight stage
+        // holds the word.
+        e.write_u64(&mut a, 200, 0x3333);
+        e.clwb(&mut a, 200);
+        e.clwb(&mut a, 72);
+        b_evicts(&mut b, 1);
+        assert!(!queued(1));
+        assert_eq!(e.banks[0].read().inflight.len(), 2);
+        same(72, 0x1111, "in flight");
+
+        // In the WPQ: A's fence accepts both writebacks and drains only
+        // the older one.
+        e.sfence(&mut a);
+        assert!(!resident(1) && queued(1));
+        same(72, 0x1111, "wpq");
+
+        // On media: every store retires one queued entry.
+        while queued(1) {
+            e.write_u64(&mut b, 512, 0);
+        }
+        assert!(!resident(1));
+        assert_eq!(e.with_media(|m| m.read_u64(72)), 0x1111);
+        same(72, 0x1111, "media");
+
+        // Straddling a line: low half in the cache, high half behind it.
+        e.write_u64(&mut b, 124, 0x1122_3344_AABB_CCDD);
+        e.persist(&mut b, 124, 8);
+        b_evicts(&mut b, 2);
+        e.write(&mut b, 120, &[0xEE; 4]);
+        assert!(resident(1) && !resident(2));
+        same(124, 0x1122_3344_AABB_CCDD, "straddle");
+    }
+
     #[test]
     fn write_pending_counts_in_stats() {
         let e = engine();
@@ -1363,6 +1451,35 @@ mod banked_tests {
             let img = e.crash_image();
             assert_eq!(img.media().read_vec(3 * 64, 8), vec![0xA1; 8]);
             assert_eq!(img.media().read_vec(4 * 64, 8), vec![0xB2; 8]);
+        }
+    }
+
+    /// Every line of a 1 MiB region, written then read back at 1 and 8
+    /// banks: same bytes, and each bank's directory holds no more leaves
+    /// than its share of the lines needs — the key is the bank-local line
+    /// number, so banking does not multiply the directory.
+    #[test]
+    fn banked_directories_split_the_lines_not_copy_them() {
+        const LEN: u64 = 1 << 20;
+        const LEAF: u64 = 1024;
+        let lines = LEN / CACHELINE_BYTES;
+        for banks in [1usize, 8] {
+            let e = PmEngine::new(banked_cfg(banks), LEN);
+            let mut ctx = Ctx::new(e.config());
+            for l in 0..lines {
+                e.write_u64(&mut ctx, l * CACHELINE_BYTES + 8, l ^ 0x5a5a);
+            }
+            for l in (0..lines).rev() {
+                assert_eq!(e.read_u64(&mut ctx, l * CACHELINE_BYTES + 8), l ^ 0x5a5a);
+            }
+            let per_bank = lines.div_ceil(banks as u64).div_ceil(LEAF) as usize;
+            for (b, bank) in e.banks.iter().enumerate() {
+                let leaves = bank.read().cache.directory_leaves();
+                assert!(
+                    (1..=per_bank).contains(&leaves),
+                    "banks={banks}: bank {b} allocated {leaves} leaves, share is {per_bank}"
+                );
+            }
         }
     }
 

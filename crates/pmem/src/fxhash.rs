@@ -1,14 +1,15 @@
-//! Deterministic multiply-rotate hasher for hot-path maps.
+//! Deterministic multiply-rotate hasher for the WPQ's line index.
 //!
 //! The std `HashMap` defaults to SipHash with per-instance random keys —
 //! robust against adversarial keys, but an order of magnitude slower than
-//! needed for the engine's line/page-keyed index maps, which sit on every
-//! simulated memory access. Keys here are trusted internal integers
-//! (cacheline numbers, page numbers), so an FxHash-style word multiply is
-//! enough. The hasher carries no random state: hashing is identical across
-//! instances and runs, which is *stronger* determinism than the std
-//! default (no code may depend on map iteration order either way — see
-//! `CacheSim`'s dense-vector victim selection).
+//! needed for [`crate::Wpq`]'s line → queue-slot map (at most 64 entries,
+//! probed when a miss fills and when a writeback is accepted). Keys are
+//! trusted internal integers (cacheline numbers), so an FxHash-style word
+//! multiply is enough. The hasher carries no random state: hashing is
+//! identical across instances and runs, which is *stronger* determinism
+//! than the std default (no code may depend on map iteration order either
+//! way). The per-access lookups — cache residency, TLB membership — do
+//! not hash at all: see `directory.rs`.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

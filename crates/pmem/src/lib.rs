@@ -42,6 +42,7 @@ mod addr;
 mod cache;
 mod crash;
 mod ctx;
+mod directory;
 mod engine;
 mod fxhash;
 mod media;

@@ -7,45 +7,44 @@
 //! locality"). The model is a two-level, fully-associative-with-random-
 //! replacement TLB; sizes and latencies come from Table 2.
 
-use crate::fxhash::FxHashMap;
+use crate::directory::Directory;
 use crate::stats::ThreadStats;
 use crate::timing::MachineConfig;
 
 /// One TLB level: a dense page vector (victims are chosen *by position*,
-/// so the vector order is load-bearing for determinism) plus a page→index
-/// map so membership checks are O(1) instead of a linear scan — the scan
-/// over the 1536-entry L2 used to run on every simulated access that
-/// missed L1, dominating host time on page-diverse paths like the
-/// first-touch relocation barrier.
+/// so the vector order is load-bearing for determinism) plus a radix
+/// [`Directory`] from page number to position, so a membership check is
+/// two array indexings instead of a scan of the 1536-entry L2 on every
+/// simulated access that misses L1.
 #[derive(Debug, Clone, Default)]
 struct Level {
     pages: Vec<u64>,
-    index: FxHashMap<u64, usize>,
+    index: Directory,
 }
 
 impl Level {
     fn with_capacity(cap: usize) -> Self {
         Level {
             pages: Vec::with_capacity(cap),
-            index: FxHashMap::default(),
+            index: Directory::default(),
         }
     }
 
     #[inline]
     fn contains(&self, page: u64) -> bool {
-        self.index.contains_key(&page)
+        self.index.get(page).is_some()
     }
 
     #[inline]
     fn position(&self, page: u64) -> Option<usize> {
-        self.index.get(&page).copied()
+        self.index.get(page)
     }
 
     /// Mirrors `Vec::swap_remove`: the displaced tail entry takes the
     /// vacated position, and the index follows it.
     fn swap_remove(&mut self, pos: usize) -> u64 {
         let page = self.pages.swap_remove(pos);
-        self.index.remove(&page);
+        self.index.remove(page);
         if let Some(&moved) = self.pages.get(pos) {
             self.index.insert(moved, pos);
         }
@@ -81,7 +80,7 @@ pub struct Tlb {
     // Cheap xorshift state for victim selection (deterministic).
     rng: u64,
     // Last translation (page, cost-class) — repeated accesses to the same
-    // page skip even the map lookup. Purely a host-side memo: the charged
+    // page skip even the directory lookup. Purely a host-side memo: the charged
     // cost and hit/miss counter are replayed from the cached classification,
     // identical to re-running `access`, because an L1 hit never mutates
     // TLB state.
@@ -169,6 +168,7 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn tiny_cfg() -> MachineConfig {
         MachineConfig {
@@ -241,5 +241,133 @@ mod tests {
         tlb.flush();
         tlb.access(0, &mut st);
         assert_eq!(st.tlb_misses, 2);
+    }
+
+    /// `Level` as it was: the page → position index is a hash map.
+    #[derive(Default)]
+    struct HashedLevel {
+        pages: Vec<u64>,
+        index: HashMap<u64, usize>,
+    }
+
+    impl HashedLevel {
+        fn swap_remove(&mut self, pos: usize) -> u64 {
+            let page = self.pages.swap_remove(pos);
+            self.index.remove(&page);
+            if let Some(&moved) = self.pages.get(pos) {
+                self.index.insert(moved, pos);
+            }
+            page
+        }
+
+        fn push(&mut self, page: u64) {
+            self.index.insert(page, self.pages.len());
+            self.pages.push(page);
+        }
+    }
+
+    /// The TLB over hashed levels, kept as the differential oracle for
+    /// the radix-directory one.
+    struct HashedTlb {
+        l1: HashedLevel,
+        l2: HashedLevel,
+        l1_cap: usize,
+        l2_cap: usize,
+        rng: u64,
+    }
+
+    /// What one access did: L1 hit, L2 hit or miss.
+    #[derive(Debug, PartialEq, Clone, Copy)]
+    enum Outcome {
+        L1,
+        L2,
+        Miss,
+    }
+
+    impl HashedTlb {
+        fn next_rand(&mut self) -> u64 {
+            let mut x = self.rng;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.rng = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn access(&mut self, page: u64) -> Outcome {
+            if self.l1.index.contains_key(&page) {
+                return Outcome::L1;
+            }
+            let outcome = match self.l2.index.get(&page).copied() {
+                Some(pos) => {
+                    self.l2.swap_remove(pos);
+                    Outcome::L2
+                }
+                None => Outcome::Miss,
+            };
+            if self.l1.pages.len() == self.l1_cap {
+                let victim_idx = (self.next_rand() as usize) % self.l1.pages.len();
+                let victim = self.l1.swap_remove(victim_idx);
+                if self.l2.pages.len() == self.l2_cap {
+                    let victim_idx = (self.next_rand() as usize) % self.l2.pages.len();
+                    self.l2.swap_remove(victim_idx);
+                }
+                self.l2.push(victim);
+            }
+            self.l1.push(page);
+            outcome
+        }
+    }
+
+    /// A fixed page sequence — a hot set that fits L1, a warm set that
+    /// spills into L2, cold pages spread over several directory leaves and
+    /// a mid-run clone — classifies every access exactly as the hashed
+    /// levels did and leaves the victim rng on the same step each time.
+    #[test]
+    fn directory_levels_replay_hashed_levels() {
+        let cfg = MachineConfig {
+            tlb_l1_entries: 4,
+            tlb_l2_entries: 24,
+            ..MachineConfig::default()
+        };
+        let mut new = Tlb::new(&cfg);
+        let mut old = HashedTlb {
+            l1: HashedLevel::default(),
+            l2: HashedLevel::default(),
+            l1_cap: cfg.tlb_l1_entries,
+            l2_cap: cfg.tlb_l2_entries,
+            rng: cfg.seed | 1,
+        };
+        let mut st = ThreadStats::default();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..20_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = x >> 33;
+            let page = match r % 10 {
+                0..=3 => r % 3,      // hot: stays in L1
+                4..=7 => r % 20,     // warm: L1 + L2
+                8 => 1023 + r % 3,   // a leaf edge
+                _ => r % (16 << 10), // cold: any page of a 64 MiB pool
+            };
+            if i == 9_000 {
+                new = new.clone();
+            }
+            let before = st;
+            new.access(page * cfg.tlb_page_size + r % cfg.tlb_page_size, &mut st);
+            let got = if st.tlb_l1_hits > before.tlb_l1_hits {
+                Outcome::L1
+            } else if st.tlb_l2_hits > before.tlb_l2_hits {
+                Outcome::L2
+            } else {
+                Outcome::Miss
+            };
+            assert_eq!(got, old.access(page), "access {i} to page {page}");
+            assert_eq!(new.rng, old.rng, "rng out of step at access {i}");
+            assert_eq!(new.l1.pages, old.l1.pages);
+            assert_eq!(new.l2.pages, old.l2.pages);
+        }
+        assert!(st.tlb_l2_hits > 0 && st.tlb_misses > 0 && st.tlb_l1_hits > 0);
     }
 }

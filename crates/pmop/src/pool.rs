@@ -108,12 +108,24 @@ struct AllocInner {
 
 impl AllocInner {
     /// Removes every allocator reference to `frame` (lists + active slots).
-    fn purge(&mut self, frame: u32) {
+    /// `was` is the frame's kind before the transition that calls for the
+    /// purge: the free list holds only `Free` frames, so for any other
+    /// kind the scan of it (≈ 16 k entries at 64 MiB, once per relocation
+    /// frame per cycle) is skipped. Order is kept — `pop` order decides
+    /// placement.
+    fn purge(&mut self, frame: u32, was: FrameKind) {
         for v in self.partial.values_mut() {
             v.retain(|&x| x != frame);
         }
         self.active.retain(|_, &mut f| f != frame);
-        self.free_frames.retain(|&x| x != frame);
+        if was == FrameKind::Free {
+            self.free_frames.retain(|&x| x != frame);
+        } else {
+            debug_assert!(
+                !self.free_frames.contains(&frame),
+                "{was:?} frame {frame} found on the free list"
+            );
+        }
     }
 }
 
@@ -964,6 +976,7 @@ impl PmPool {
     fn free_slots_volatile(&self, frame: u32, slot: usize, n: usize, total: u64) -> [u8; 64] {
         let mut inner = self.inner_of_frame(frame as u64).lock();
         let st = &mut inner.frames[frame as usize];
+        let was = st.kind;
         st.mark_freed(slot, n, total as u32);
         let cls = st.class;
         let became_partial = st.kind == FrameKind::Active
@@ -981,7 +994,7 @@ impl PmPool {
             // Page stays committed (PMDK never decommits); the frame is
             // reusable though.
             inner.frames[frame as usize].class = None;
-            inner.purge(frame);
+            inner.purge(frame, was);
             inner.free_frames.push(frame);
             let page = self.layout.os_page_of_frame(frame as u64) as usize;
             inner.os_pages[page].used_frames -= 1;
@@ -1129,10 +1142,10 @@ impl PmPool {
     /// Changes a frame's role (GC: Active↔Relocation/Destination).
     pub fn set_frame_kind(&self, frame: u64, kind: FrameKind) {
         let mut inner = self.inner_of_frame(frame).lock();
-        inner.frames[frame as usize].kind = kind;
+        let was = std::mem::replace(&mut inner.frames[frame as usize].kind, kind);
         if matches!(kind, FrameKind::Relocation | FrameKind::Destination) {
             // Stop the allocator from placing new objects there.
-            inner.purge(frame as u32);
+            inner.purge(frame as u32, was);
         }
     }
 
@@ -1331,7 +1344,7 @@ impl PmPool {
             // were *moved*, not freed; they are still live at their
             // destinations.
             let already_evacuated = st.evacuated;
-            st.kind = FrameKind::Free;
+            let was = std::mem::replace(&mut st.kind, FrameKind::Free);
             st.alloc = [0; 4];
             st.start = [0; 4];
             st.free_slots = SLOTS_PER_FRAME as u16;
@@ -1340,7 +1353,7 @@ impl PmPool {
             st.class = None;
             // Purge stale allocator references (the frame may have been an
             // ordinary Active frame, as under Mesh/STW compaction).
-            inner.purge(frame as u32);
+            inner.purge(frame as u32, was);
             inner.free_frames.push(frame as u32);
             if !already_evacuated {
                 let page = self.layout.os_page_of_frame(frame) as usize;
@@ -1425,14 +1438,30 @@ impl PmPool {
     /// Test oracle: every shard's volatile bookkeeping (free list, partial
     /// lists, active map, page accounting) must reference only frames and
     /// pages that shard owns, and no frame may appear on two shards' lists.
+    /// A free list must hold each of its frames once, and only `Free` ones
+    /// — what lets [`AllocInner::purge`] skip it for every other kind.
     ///
     /// # Panics
     ///
-    /// Panics when a shard references a frame or page it does not own.
+    /// Panics when a shard references a frame or page it does not own, or
+    /// a free list holds a duplicate or a non-`Free` frame.
     pub fn assert_shard_ownership(&self) {
         let mut seen: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
         for (s, m) in self.shards.iter().enumerate() {
             let inner = m.lock();
+            let mut on_free_list = std::collections::HashSet::new();
+            for &f in &inner.free_frames {
+                let kind = inner.frames[f as usize].kind;
+                assert_eq!(
+                    kind,
+                    FrameKind::Free,
+                    "shard {s}: {kind:?} frame {f} is on the free list"
+                );
+                assert!(
+                    on_free_list.insert(f),
+                    "shard {s}: frame {f} is on the free list twice"
+                );
+            }
             let listed = inner
                 .free_frames
                 .iter()
@@ -1779,6 +1808,71 @@ mod tests {
         assert_eq!(pool.frame_state(frame).kind, FrameKind::Free);
         let after = pool.stats().committed_pages;
         assert!(after <= pages_full + 1);
+    }
+
+    /// Every transition that purges — `pfree` emptying a frame, Active →
+    /// Relocation, Relocation → Free and an aborted Destination → Free by
+    /// `release_frame`, and a frame still *on* the list changing kind —
+    /// leaves the free list holding only `Free` frames, once each (the
+    /// audit), in the order it had: `purge` may skip the list only for
+    /// frames that cannot be on it.
+    #[test]
+    fn purge_keeps_the_free_list_to_free_frames_in_order() {
+        let (pool, mut ctx, t) = test_pool();
+        let free_list = |pool: &PmPool| pool.shards[0].lock().free_frames.clone();
+        let frame_of = |p: PmPtr| pool.layout().frame_of(p.offset()).expect("frame");
+        let ptrs: Vec<PmPtr> = (0..100)
+            .map(|_| pool.pmalloc(&mut ctx, t, 128).expect("alloc"))
+            .collect();
+        pool.assert_shard_ownership();
+
+        // pfree empties the first frame: Active → Free, listed last.
+        let first = frame_of(ptrs[0]);
+        let mut want = free_list(&pool);
+        for &p in ptrs.iter().filter(|&&p| frame_of(p) == first) {
+            pool.pfree(&mut ctx, p).expect("free");
+        }
+        want.push(first as u32);
+        assert_eq!(free_list(&pool), want);
+        pool.assert_shard_ownership();
+
+        // A populated frame goes Active → Relocation → Free.
+        let reloc = frame_of(ptrs[99]);
+        pool.set_frame_kind(reloc, FrameKind::Relocation);
+        assert_eq!(free_list(&pool), want);
+        pool.assert_shard_ownership();
+        pool.release_frame(&mut ctx, reloc);
+        want.push(reloc as u32);
+        assert_eq!(free_list(&pool), want);
+        pool.assert_shard_ownership();
+
+        // A destination frame is popped, then released unfilled (an
+        // aborted cycle): Destination → Free puts it back.
+        let dest = pool.take_destination_frame(&mut ctx).expect("dest");
+        assert_eq!(want.pop(), Some(dest as u32), "LIFO reuse");
+        pool.reserve_destination_slots(&mut ctx, dest, 0, 9, 144);
+        pool.assert_shard_ownership();
+        pool.release_frame(&mut ctx, dest);
+        want.push(dest as u32);
+        assert_eq!(free_list(&pool), want);
+        pool.assert_shard_ownership();
+
+        // A frame that *is* listed leaves the list when its kind changes,
+        // and its neighbours keep their order.
+        let listed = want.remove(want.len() / 2);
+        pool.set_frame_kind(listed as u64, FrameKind::Relocation);
+        assert_eq!(free_list(&pool), want);
+        pool.assert_shard_ownership();
+    }
+
+    #[test]
+    #[should_panic(expected = "is on the free list")]
+    fn ownership_audit_rejects_a_listed_non_free_frame() {
+        let (pool, mut ctx, t) = test_pool();
+        let p = pool.pmalloc(&mut ctx, t, 128).expect("alloc");
+        let frame = pool.layout().frame_of(p.offset()).expect("frame") as u32;
+        pool.shards[0].lock().free_frames.push(frame);
+        pool.assert_shard_ownership();
     }
 
     #[test]

@@ -14,7 +14,7 @@ use ffccd::{validate_heap, DefragConfig, DefragHeap, GcStatsSnapshot, Scheme};
 use ffccd_pmem::{MachineConfig, ThreadCrashArm, ThreadCrashUnwind, THREAD_CRASH_OBSERVE};
 use ffccd_pmop::{PmPtr, PoolConfig, TypeDesc, TypeId, TypeRegistry};
 
-use crate::util::KeyGen;
+use crate::util::{KeyGen, LiveKeys};
 use crate::workload::Workload;
 
 /// The §6 op mix: `init` insertions, then `phases` alternating phases
@@ -193,7 +193,7 @@ impl RunResult {
 /// Per-operation hook invoked by [`run_on`] after every operation with the
 /// op index (1-based), the heap and the live key set. Returning `false`
 /// stops the run early (the heap still winds down through `exit()`).
-pub type OpHook<'h> = Option<&'h mut dyn FnMut(u64, &DefragHeap, &BTreeSet<u64>) -> bool>;
+pub type OpHook<'h> = Option<&'h mut dyn FnMut(u64, &DefragHeap, &LiveKeys) -> bool>;
 
 /// Extends a workload's type registry with the multi-threaded driver's
 /// root-directory type: one 8-byte reference slot per thread, registered
@@ -460,7 +460,7 @@ pub fn run_mt_faulted_on(
 struct ThreadOutcome {
     app_cycles: u64,
     gc_cycles: u64,
-    live: BTreeSet<u64>,
+    live: LiveKeys,
     oplog: Vec<OpRecord>,
     samples: Vec<Sample>,
     /// `Some` when the thread died to an injected kill.
@@ -573,7 +573,7 @@ fn run_mt_impl(
             }
             let armed = arm.is_some();
             let mut keys = KeyGen::new(seed);
-            let mut live: BTreeSet<u64> = BTreeSet::new();
+            let mut live = LiveKeys::new();
             let mut oplog: Vec<OpRecord> = Vec::with_capacity(per_thread_ops);
             let mut samples: Vec<Sample> = Vec::new();
             let mut died: Option<VictimReport> = None;
@@ -625,7 +625,7 @@ fn run_mt_impl(
                     let vs = keys.value_size(value_size.0, value_size.1);
                     Some((true, k, vs))
                 } else {
-                    keys.pick(&live).map(|k| (false, k, 0))
+                    keys.pick_live(&live).map(|k| (false, k, 0))
                 };
                 let logged_before = oplog.len();
                 let caught = {
@@ -642,7 +642,7 @@ fn run_mt_impl(
                             }
                             Some((false, k, _)) => {
                                 let found = w.delete(&heap, &mut ctx, k);
-                                live.remove(&k);
+                                live.remove(k);
                                 oplog.push(OpRecord {
                                     insert: false,
                                     key: k,
@@ -774,7 +774,7 @@ fn run_mt_impl(
         if let Some(v) = out.died {
             victims.push(v);
         }
-        shards.push((out.live, out.oplog));
+        shards.push((out.live.to_btree_set(), out.oplog));
     }
     // Reconcile orphaned per-thread state: a victim's context drops routed
     // their batched counters, cycles and stats into the arm's morgue (a
@@ -1053,7 +1053,7 @@ pub fn run_on(
     let mut app_ctx = heap.ctx();
     let mut gc_ctx = heap.ctx();
     let mut keys = KeyGen::new(cfg.seed);
-    let mut live: BTreeSet<u64> = BTreeSet::new();
+    let mut live = LiveKeys::new();
     let mut samples = Vec::new();
     let mut latencies: Vec<u64> = Vec::new();
     let mut op_index = 0u64;
@@ -1065,7 +1065,7 @@ pub fn run_on(
                  app_ctx: &mut ffccd_pmem::Ctx,
                  gc_ctx: &mut ffccd_pmem::Ctx,
                  keys: &mut KeyGen,
-                 live: &mut BTreeSet<u64>,
+                 live: &mut LiveKeys,
                  samples: &mut Vec<Sample>,
                  latencies: &mut Vec<u64>,
                  op_index: &mut u64,
@@ -1077,10 +1077,10 @@ pub fn run_on(
             let vs = keys.value_size(cfg.value_size.0, cfg.value_size.1);
             workload.insert(heap, app_ctx, k, vs);
             live.insert(k);
-        } else if let Some(k) = keys.pick(live) {
+        } else if let Some(k) = keys.pick_live(live) {
             let was = workload.delete(heap, app_ctx, k);
             debug_assert!(was, "driver only deletes live keys");
-            live.remove(&k);
+            live.remove(k);
         }
         latencies.push(app_ctx.cycles() - t0);
         *op_index += 1;

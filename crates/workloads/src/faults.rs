@@ -33,6 +33,7 @@ use ffccd_pmem::{CrashImage, Ctx, MachineConfig};
 use ffccd_pmop::PoolConfig;
 
 use crate::driver::{run_on, DriverConfig, OpHook, PhaseMix};
+use crate::util::LiveKeys;
 use crate::workload::Workload;
 
 /// Outcome of one fault-injection campaign.
@@ -227,9 +228,9 @@ pub fn run_fault_injection(
     let targets = injection_ops(&cfg.mix, injections);
     let mut images: Vec<(CrashImage, BTreeSet<u64>)> = Vec::new();
     {
-        let mut hook = |op: u64, heap: &DefragHeap, live: &BTreeSet<u64>| {
+        let mut hook = |op: u64, heap: &DefragHeap, live: &LiveKeys| {
             if targets.contains(&op) && (images.len() as u64) < injections {
-                images.push((heap.engine().crash_image(), live.clone()));
+                images.push((heap.engine().crash_image(), live.to_btree_set()));
             }
             true
         };
@@ -485,29 +486,33 @@ fn capture_pass(
         DefragHeap::create(pool_cfg.clone(), w.registry(), defrag).expect("sweep capture pool");
     heap.engine().site_tracking_capture(targets);
     let engine = heap.engine().clone();
-    let mut prev_live: BTreeSet<u64> = BTreeSet::new();
+    let mut prev_live = LiveKeys::new();
     {
-        let mut hook = |op: u64, _heap: &DefragHeap, live: &BTreeSet<u64>| {
-            for cap in engine.drain_site_captures() {
-                absorb_capture(
-                    &mut tally,
-                    &cap,
-                    op,
-                    plan,
-                    defrag,
-                    make_workload,
-                    &prev_live,
-                    live,
-                );
+        let mut hook = |op: u64, _heap: &DefragHeap, live: &LiveKeys| {
+            let caps = engine.drain_site_captures();
+            if !caps.is_empty() {
+                let (before, after) = (prev_live.to_btree_set(), live.to_btree_set());
+                for cap in &caps {
+                    absorb_capture(
+                        &mut tally,
+                        cap,
+                        op,
+                        plan,
+                        defrag,
+                        make_workload,
+                        &before,
+                        &after,
+                    );
+                }
             }
-            prev_live = live.clone();
+            prev_live.clone_from(live);
             true
         };
         let mut hook_dyn: OpHook<'_> = Some(&mut hook);
         run_on(&mut *w, cfg, &heap, &mut hook_dyn);
     }
     // Sites firing during wind-down (`exit()`) see the final key set.
-    let final_live = prev_live.clone();
+    let final_live = prev_live.to_btree_set();
     let final_op = (cfg.mix.init + cfg.mix.phase_ops * cfg.mix.phases) as u64;
     for cap in heap.engine().drain_site_captures() {
         absorb_capture(
@@ -621,19 +626,19 @@ pub(crate) fn run_single_site(
     let engine = heap.engine().clone();
 
     let mut outcome: Option<SingleSiteRun> = None;
-    let mut prev_live: BTreeSet<u64> = BTreeSet::new();
+    let mut prev_live = LiveKeys::new();
     {
-        let mut hook = |op: u64, _heap: &DefragHeap, live: &BTreeSet<u64>| {
+        let mut hook = |op: u64, _heap: &DefragHeap, live: &LiveKeys| {
             if let Some(cap) = engine.drain_site_captures().into_iter().next() {
                 outcome = Some(SingleSiteRun {
                     op,
                     cap,
-                    live_before: prev_live.clone(),
-                    live_after: live.clone(),
+                    live_before: prev_live.to_btree_set(),
+                    live_after: live.to_btree_set(),
                 });
                 return false; // shortest reproducing op prefix
             }
-            prev_live = live.clone();
+            prev_live.clone_from(live);
             true
         };
         let mut hook_dyn: OpHook<'_> = Some(&mut hook);
@@ -643,11 +648,12 @@ pub(crate) fn run_single_site(
     if outcome.is_none() {
         if let Some(cap) = heap.engine().drain_site_captures().into_iter().next() {
             let final_op = (cfg.mix.init + cfg.mix.phase_ops * cfg.mix.phases) as u64;
+            let final_live = prev_live.to_btree_set();
             outcome = Some(SingleSiteRun {
                 op: final_op,
                 cap,
-                live_before: prev_live.clone(),
-                live_after: prev_live,
+                live_before: final_live.clone(),
+                live_after: final_live,
             });
         }
     }

@@ -48,6 +48,7 @@ use crate::driver::{run_on, DriverConfig, OpHook};
 use crate::faults::{
     choose_targets, deterministic_pool, fault_defrag, run_single_site, split_round_robin,
 };
+use crate::util::LiveKeys;
 use crate::workload::Workload;
 
 /// How a nested-crash exploration chooses and bounds its work.
@@ -326,29 +327,33 @@ fn nested_pass(
         DefragHeap::create(pool_cfg.clone(), w.registry(), defrag).expect("nested capture pool");
     heap.engine().site_tracking_capture(targets);
     let engine = heap.engine().clone();
-    let mut prev_live: BTreeSet<u64> = BTreeSet::new();
+    let mut prev_live = LiveKeys::new();
     {
-        let mut hook = |op: u64, _heap: &DefragHeap, live: &BTreeSet<u64>| {
-            for cap in engine.drain_site_captures() {
-                explore_outer(
-                    &mut tally,
-                    &cap,
-                    op,
-                    plan,
-                    defrag,
-                    make_workload,
-                    &prev_live,
-                    live,
-                );
+        let mut hook = |op: u64, _heap: &DefragHeap, live: &LiveKeys| {
+            let caps = engine.drain_site_captures();
+            if !caps.is_empty() {
+                let (before, after) = (prev_live.to_btree_set(), live.to_btree_set());
+                for cap in &caps {
+                    explore_outer(
+                        &mut tally,
+                        cap,
+                        op,
+                        plan,
+                        defrag,
+                        make_workload,
+                        &before,
+                        &after,
+                    );
+                }
             }
-            prev_live = live.clone();
+            prev_live.clone_from(live);
             true
         };
         let mut hook_dyn: OpHook<'_> = Some(&mut hook);
         run_on(&mut *w, cfg, &heap, &mut hook_dyn);
     }
     // Sites firing during wind-down (`exit()`) see the final key set.
-    let final_live = prev_live.clone();
+    let final_live = prev_live.to_btree_set();
     let final_op = (cfg.mix.init + cfg.mix.phase_ops * cfg.mix.phases) as u64;
     for cap in heap.engine().drain_site_captures() {
         explore_outer(

@@ -8,6 +8,7 @@ use ffccd_pmem::MachineConfig;
 use ffccd_pmop::PoolConfig;
 use ffccd_workloads::driver::{run, run_on, DriverConfig, PhaseMix};
 use ffccd_workloads::faults::run_fault_injection;
+use ffccd_workloads::util::LiveKeys;
 use ffccd_workloads::{
     AvlTree, BplusTree, BzTree, Echo, FpTree, LinkedList, Pmemkv, RbTree, StringSwap, Workload,
 };
@@ -37,10 +38,10 @@ fn exercise(mut w: Box<dyn Workload>, scheme: Scheme, seed: u64) {
     };
     let heap = ffccd::DefragHeap::create(pool_cfg, w.registry(), cfg.defrag).expect("heap");
     // Track the expected key set through the run with a final-state hook.
-    let mut final_keys: BTreeSet<u64> = BTreeSet::new();
+    let mut last_live = LiveKeys::new();
     {
-        let mut hook = |_op: u64, _h: &ffccd::DefragHeap, live: &BTreeSet<u64>| {
-            final_keys = live.clone();
+        let mut hook = |_op: u64, _h: &ffccd::DefragHeap, live: &LiveKeys| {
+            last_live.clone_from(live);
             true
         };
         let mut hook_dyn: ffccd_workloads::driver::OpHook<'_> = Some(&mut hook);
@@ -48,6 +49,7 @@ fn exercise(mut w: Box<dyn Workload>, scheme: Scheme, seed: u64) {
         assert!(result.ops > 0);
         assert!(result.avg_frag >= 1.0);
     }
+    let final_keys: BTreeSet<u64> = last_live.to_btree_set();
     let mut ctx = heap.ctx();
     w.validate(&heap, &mut ctx, &final_keys)
         .unwrap_or_else(|e| panic!("{} under {scheme}: {e}", w.name()));
