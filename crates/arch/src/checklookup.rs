@@ -5,19 +5,15 @@
 //! so, where is its destination?* — replacing the software page check and
 //! in-memory forwarding-table walk that dominate Espresso's barrier cost.
 //!
-//! The unit is split in two so the common case never takes a host lock:
+//! The unit's state has two parts:
 //!
-//! * [`Armed`]: the per-cycle programming (base address, bloom filter, the
-//!   summary phase's forwarding entries, and — when the relocation fast
-//!   path is enabled — a volatile mirror of the moved bitmap). Immutable
-//!   after [`CheckLookupUnit::begin_cycle`] except for the atomic moved
-//!   bits, and published through an `Arc` snapshot, so lookups that the
-//!   mirror can prove *already moved* resolve lock-free.
+//! * [`Armed`]: the per-cycle programming (base address, bloom filter).
+//!   Immutable once built and published as an `Arc` snapshot, so a lookup
+//!   finishes on the programming it started with while a shard re-arms.
 //! * Hot state (BFC residency flag, PMFTLB, unit stats): mutated on every
-//!   charged lookup, kept behind a mutex exactly as before — the charge
-//!   sequence on this path is pinned by cycle-total regressions.
+//!   charged lookup, kept behind a mutex — the charge sequence on this
+//!   path is pinned by cycle-total regressions.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -26,9 +22,6 @@ use ffccd_pmem::{Ctx, PmEngine};
 
 use crate::bloom::BloomFilter;
 use crate::pmft::{Pmft, PmftEntry};
-
-/// Moved-mirror words per frame (256 slots, one bit each).
-const MOVED_WORDS_PER_FRAME: usize = 256 / 64;
 
 /// Outcome of a `checklookup`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,16 +32,6 @@ pub enum LookupResult {
     /// The object starting at the checked slot relocates to
     /// (`dest_frame`, `dest_slot`).
     Forwarded {
-        /// Destination frame (major distance).
-        dest_frame: u64,
-        /// Destination start slot within the frame (minor distance).
-        dest_slot: u8,
-    },
-    /// Fast path (only when armed with `fastpath`): the unit's volatile
-    /// moved mirror proves the object has already been relocated to
-    /// (`dest_frame`, `dest_slot`) — the barrier may redirect without
-    /// re-reading the moved bitmap from PM or taking a relocation lock.
-    AlreadyMoved {
         /// Destination frame (major distance).
         dest_frame: u64,
         /// Destination start slot within the frame (minor distance).
@@ -77,23 +60,6 @@ struct Armed {
     /// so the BFC holds it resident for the whole cycle and the common-case
     /// check costs 2 cycles. The fill penalty is paid on first use.
     filter: BloomFilter,
-    /// Whether the clean-lookup fast path is armed for this cycle.
-    fastpath: bool,
-    /// Forwarding entries indexed by relocation frame (summary's table;
-    /// immutable for the cycle).
-    entries: Vec<Option<PmftEntry>>,
-    /// Volatile mirror of the moved bitmap, one bit per slot per frame.
-    /// Set (release) by [`CheckLookupUnit::note_moved`] *after* the
-    /// relocation's stores complete; a set bit therefore proves the object
-    /// is relocated and its destination copy is readable.
-    moved: Vec<AtomicU64>,
-}
-
-impl Armed {
-    fn is_moved(&self, frame: u64, slot: usize) -> bool {
-        let w = frame as usize * MOVED_WORDS_PER_FRAME + slot / 64;
-        self.moved[w].load(Ordering::Acquire) >> (slot % 64) & 1 == 1
-    }
 }
 
 #[derive(Debug)]
@@ -113,12 +79,12 @@ pub struct CheckLookupUnit {
     pmft: Pmft,
     armed: RwLock<Option<Arc<Armed>>>,
     hot: Mutex<HotState>,
-    /// Per-GC-shard forwarding entries currently armed. The published
+    /// Per-GC-shard relocation frames currently armed. The published
     /// [`Armed`] programming is always the union of every shard's set —
     /// there is one physical unit, programmed once per change, exactly as
     /// one bloom filter covers all relocation pages in the paper. Guarded
     /// by its own lock because shards arm/disarm concurrently.
-    cycle_sets: Mutex<Vec<Vec<PmftEntry>>>,
+    cycle_sets: Mutex<Vec<Vec<u64>>>,
 }
 
 impl CheckLookupUnit {
@@ -140,32 +106,27 @@ impl CheckLookupUnit {
 
     /// Programs the unit for a compaction cycle: builds the in-memory bloom
     /// filter over the entries' relocation frames and arms the BFC/PMFTLB.
-    /// With `fastpath` the unit additionally keeps the forwarding entries
-    /// and a volatile moved mirror so clean lookups can resolve lock-free
-    /// ([`LookupResult::AlreadyMoved`]).
-    pub fn begin_cycle(&self, engine: &PmEngine, base: u64, entries: &[PmftEntry], fastpath: bool) {
-        self.begin_cycle_shard(engine, base, entries, fastpath, 0, 1);
+    // Shim: the frozen `benchmark/` passes the ignored `bool`; its next PR removes it.
+    #[doc(hidden)]
+    pub fn begin_cycle(&self, engine: &PmEngine, base: u64, entries: &[PmftEntry], _: bool) {
+        self.begin_cycle_shard(engine, base, entries, 0, 1);
     }
 
     /// Per-shard arming: programs shard `shard`'s forwarding entries into
     /// the unit, merging them with every other shard's live set (the unit
     /// is one physical device; the published programming is the union).
     /// When no *other* shard is armed this is exactly [`CheckLookupUnit::
-    /// begin_cycle`] — fresh moved mirror, BFC refetch, stats reset —
-    /// otherwise the surviving shards' moved bits and hot state carry over
-    /// and only the arming shard's frames start from a clean mirror (a
-    /// recycled frame number must not inherit a prior cycle's bits).
+    /// begin_cycle`] — BFC refetch, stats reset — otherwise the surviving
+    /// shards' hot state carries over.
     pub fn begin_cycle_shard(
         &self,
         engine: &PmEngine,
         base: u64,
         entries: &[PmftEntry],
-        fastpath: bool,
         shard: usize,
         nshards: usize,
     ) {
         let cfg = engine.config();
-        let num_frames = self.pmft.meta().num_frames as usize;
         let mut sets = self.cycle_sets.lock();
         if sets.len() != nshards {
             sets.resize(nshards, Vec::new());
@@ -174,37 +135,11 @@ impl CheckLookupUnit {
             .iter()
             .enumerate()
             .all(|(i, s)| i == shard || s.is_empty());
-        sets[shard] = entries.to_vec();
+        sets[shard] = entries.iter().map(|e| e.reloc_frame).collect();
         let mut filter = BloomFilter::new(cfg.bloom_filter_bytes);
-        let mut entvec: Vec<Option<PmftEntry>> = vec![None; num_frames];
-        for e in sets.iter().flatten() {
-            filter.insert(self.vpn_of_frame(base, e.reloc_frame));
-            entvec[e.reloc_frame as usize] = Some(e.clone());
+        for &frame in sets.iter().flatten() {
+            filter.insert(self.vpn_of_frame(base, frame));
         }
-        let moved: Vec<AtomicU64> = if others_idle {
-            (0..num_frames * MOVED_WORDS_PER_FRAME)
-                .map(|_| AtomicU64::new(0))
-                .collect()
-        } else {
-            // Carry the live shards' mirror, then wipe the arming shard's
-            // frames.
-            let prev = self.armed.read().clone();
-            let carried: Vec<AtomicU64> = (0..num_frames * MOVED_WORDS_PER_FRAME)
-                .map(|w| {
-                    AtomicU64::new(
-                        prev.as_ref()
-                            .map_or(0, |a| a.moved[w].load(Ordering::Acquire)),
-                    )
-                })
-                .collect();
-            for e in entries {
-                for w in 0..MOVED_WORDS_PER_FRAME {
-                    carried[e.reloc_frame as usize * MOVED_WORDS_PER_FRAME + w]
-                        .store(0, Ordering::Relaxed);
-                }
-            }
-            carried
-        };
         {
             let mut s = self.hot.lock();
             if others_idle {
@@ -218,9 +153,6 @@ impl CheckLookupUnit {
             base,
             bloom_bytes: cfg.bloom_filter_bytes,
             filter,
-            fastpath,
-            entries: entvec,
-            moved,
         }));
     }
 
@@ -233,8 +165,8 @@ impl CheckLookupUnit {
     /// Per-shard disarming: removes shard `shard`'s entries from the
     /// programming. The last shard out fully disarms the unit (exactly
     /// [`CheckLookupUnit::end_cycle`]); otherwise the merged programming is
-    /// rebuilt from the surviving shards, carrying their moved bits, and
-    /// only the PMFTLB is shot down (its entries may name dead frames).
+    /// rebuilt from the surviving shards and only the PMFTLB is shot down
+    /// (its entries may name dead frames).
     pub fn end_cycle_shard(&self, shard: usize) {
         let mut sets = self.cycle_sets.lock();
         if shard < sets.len() {
@@ -250,23 +182,14 @@ impl CheckLookupUnit {
         let Some(prev) = self.armed.read().clone() else {
             return;
         };
-        let num_frames = self.pmft.meta().num_frames as usize;
         let mut filter = BloomFilter::new(prev.bloom_bytes);
-        let mut entvec: Vec<Option<PmftEntry>> = vec![None; num_frames];
-        for e in sets.iter().flatten() {
-            filter.insert(self.vpn_of_frame(prev.base, e.reloc_frame));
-            entvec[e.reloc_frame as usize] = Some(e.clone());
+        for &frame in sets.iter().flatten() {
+            filter.insert(self.vpn_of_frame(prev.base, frame));
         }
-        let moved: Vec<AtomicU64> = (0..num_frames * MOVED_WORDS_PER_FRAME)
-            .map(|w| AtomicU64::new(prev.moved[w].load(Ordering::Acquire)))
-            .collect();
         *self.armed.write() = Some(Arc::new(Armed {
             base: prev.base,
             bloom_bytes: prev.bloom_bytes,
             filter,
-            fastpath: prev.fastpath,
-            entries: entvec,
-            moved,
         }));
         self.hot.lock().tlb.clear();
     }
@@ -274,19 +197,6 @@ impl CheckLookupUnit {
     /// Whether a cycle is armed.
     pub fn is_active(&self) -> bool {
         self.armed.read().is_some()
-    }
-
-    /// Records in the volatile mirror that the object starting at
-    /// `(frame, slot)` has been relocated. Call *after* the relocation's
-    /// stores complete — a reader observing the bit trusts the destination
-    /// copy. No-op unless the cycle was armed with the fast path.
-    pub fn note_moved(&self, frame: u64, slot: usize) {
-        if let Some(a) = self.armed.read().as_ref() {
-            if a.fastpath {
-                let w = frame as usize * MOVED_WORDS_PER_FRAME + slot / 64;
-                a.moved[w].fetch_or(1 << (slot % 64), Ordering::Release);
-            }
-        }
     }
 
     fn vpn_of_frame(&self, base: u64, frame: u64) -> u64 {
@@ -310,24 +220,6 @@ impl CheckLookupUnit {
         }
         let frame = (off - meta.data_start) / 4096;
         let slot = ((off - meta.data_start) % 4096 / 16) as usize;
-        // Clean-lookup fast path: the volatile mirror proves the object
-        // already moved, so the answer comes straight from the unit's own
-        // state — BFC check plus a PMFTLB-speed hit, no PM traffic, no
-        // shared mutable state touched. (A set bit implies a relocation
-        // already ran, which implies a slow lookup already fetched the
-        // filter — the BFC fill penalty cannot be outstanding here.)
-        if armed.fastpath && armed.is_moved(frame, slot) {
-            if let Some(e) = armed.entries[frame as usize].as_ref() {
-                if let Some(d) = e.lookup(slot) {
-                    ctx.charge(cfg.bloom_check_latency + cfg.pmftlb_latency);
-                    ctx.stats.barrier_fastpath_hits += 1;
-                    return LookupResult::AlreadyMoved {
-                        dest_frame: e.dest_frame,
-                        dest_slot: d,
-                    };
-                }
-            }
-        }
         let mut s = self.hot.lock();
         // 1. BFC: fetch the filter on first use, then it stays resident.
         if !s.loaded {
@@ -401,7 +293,7 @@ mod tests {
 
     const BASE: u64 = 0x5000_0000_0000;
 
-    fn setup_fast(reloc: &[u64], fastpath: bool) -> (PmEngine, CheckLookupUnit, Ctx, GcMetaLayout) {
+    fn setup(reloc: &[u64]) -> (PmEngine, CheckLookupUnit, Ctx, GcMetaLayout) {
         let pool = PoolLayout::compute(1 << 20, 4096);
         let meta = GcMetaLayout::from_pool(&pool);
         let engine = PmEngine::new(MachineConfig::default(), pool.total_bytes);
@@ -416,12 +308,8 @@ mod tests {
             entries.push(e);
         }
         let unit = CheckLookupUnit::new(pmft);
-        unit.begin_cycle(&engine, BASE, &entries, fastpath);
+        unit.begin_cycle(&engine, BASE, &entries, false);
         (engine, unit, ctx, meta)
-    }
-
-    fn setup(reloc: &[u64]) -> (PmEngine, CheckLookupUnit, Ctx, GcMetaLayout) {
-        setup_fast(reloc, false)
     }
 
     fn va(meta: &GcMetaLayout, frame: u64, slot: u64) -> u64 {
@@ -501,62 +389,5 @@ mod tests {
         let (engine, unit, mut ctx, _) = setup(&[3]);
         let r = unit.checklookup(&mut ctx, &engine, 0x1234);
         assert_eq!(r, LookupResult::NotRelocation);
-    }
-
-    #[test]
-    fn note_moved_upgrades_lookup_to_already_moved() {
-        let (engine, unit, mut ctx, meta) = setup_fast(&[3], true);
-        // Before the move: the slow path forwards.
-        let r = unit.checklookup(&mut ctx, &engine, va(&meta, 3, 0));
-        assert_eq!(
-            r,
-            LookupResult::Forwarded {
-                dest_frame: 53,
-                dest_slot: 4
-            }
-        );
-        assert_eq!(ctx.stats.barrier_fastpath_hits, 0);
-        unit.note_moved(3, 0);
-        let c0 = ctx.cycles();
-        let r = unit.checklookup(&mut ctx, &engine, va(&meta, 3, 0));
-        assert_eq!(
-            r,
-            LookupResult::AlreadyMoved {
-                dest_frame: 53,
-                dest_slot: 4
-            }
-        );
-        assert_eq!(ctx.stats.barrier_fastpath_hits, 1);
-        let cfg = engine.config();
-        assert_eq!(
-            ctx.cycles() - c0,
-            cfg.bloom_check_latency + cfg.pmftlb_latency,
-            "fast-path hit must cost a BFC check plus a PMFTLB-speed hit"
-        );
-        // The sibling slot is still unmoved: slow path, exact bit check.
-        let r = unit.checklookup(&mut ctx, &engine, va(&meta, 3, 32));
-        assert_eq!(
-            r,
-            LookupResult::Forwarded {
-                dest_frame: 53,
-                dest_slot: 8
-            }
-        );
-        assert_eq!(ctx.stats.barrier_fastpath_hits, 1);
-    }
-
-    #[test]
-    fn note_moved_is_inert_without_fastpath() {
-        let (engine, unit, mut ctx, meta) = setup(&[3]);
-        unit.note_moved(3, 0);
-        let r = unit.checklookup(&mut ctx, &engine, va(&meta, 3, 0));
-        assert_eq!(
-            r,
-            LookupResult::Forwarded {
-                dest_frame: 53,
-                dest_slot: 4
-            }
-        );
-        assert_eq!(ctx.stats.barrier_fastpath_hits, 0);
     }
 }

@@ -73,7 +73,7 @@ fn armed_heap(scheme: Scheme) -> (DefragHeap, PmPtr) {
     (heap, head)
 }
 
-fn bench_barrier(c: &mut Criterion) {
+fn barrier_walk(c: &mut Criterion) {
     let mut g = c.benchmark_group("barrier");
     g.sample_size(20);
     g.measurement_time(std::time::Duration::from_secs(1));
@@ -118,5 +118,5 @@ fn bench_barrier(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_barrier);
+criterion_group!(benches, barrier_walk);
 criterion_main!(benches);

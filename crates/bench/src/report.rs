@@ -11,7 +11,7 @@ use std::time::Instant;
 
 /// One output record; serialized as one flat JSON object.
 pub struct Record {
-    /// Row label (e.g. `engine_banked8`, `barrier_in_cycle`).
+    /// Row label (e.g. `engine_banked8`, `engine_concurrent`).
     pub name: String,
     /// Threads (or fan-out jobs) the row ran with.
     pub threads: usize,
@@ -277,11 +277,11 @@ mod tests {
 
     #[test]
     fn extra_columns_roundtrip_and_are_enforced() {
-        let mut r = Record::new("barrier_in_cycle", 4, 5e6, 12.0);
-        r.extra.push(("shared_reads_pct", 87.5));
+        let mut r = Record::new("engine_concurrent", 4, 5e6, 12.0);
+        r.extra.push(("shards", 4.0));
         let json = render_json(&[r], "abc1234");
         // Validates with the matching extra key...
-        assert_eq!(validate_schema(&json, &["shared_reads_pct"]), Ok(1));
+        assert_eq!(validate_schema(&json, &["shards"]), Ok(1));
         // ...but is rejected both without it (key count) and with a
         // different one (missing key).
         assert!(validate_schema(&json, &[]).is_err());

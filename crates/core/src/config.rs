@@ -87,23 +87,6 @@ pub struct DefragConfig {
     /// after every cycle, re-relocating the same survivors over and over —
     /// all cost, no extra footprint benefit.
     pub cooldown_ops: u64,
-    /// Number of relocation-lock stripes the §4.5 first-touch critical
-    /// section is sharded over (keyed by the object's moved-bitmap byte, so
-    /// objects sharing a bitmap byte always share a stripe). `1` reproduces
-    /// the old single global relocation lock. Purely a host-side locking
-    /// choice — cycle accounting is identical at every stripe count.
-    pub reloc_stripes: usize,
-    /// Enable the first-touch barrier fast path (§4.4/§4.5 combined):
-    /// the checklookup unit keeps a volatile mirror of the moved bitmap so
-    /// repeat touches of a relocated object resolve lock-free without
-    /// re-reading PM, and a first touch relocates every pending sibling
-    /// sharing the moved-bitmap byte in one critical section, coalescing
-    /// their per-object moved-bit read-modify-write persists into a single
-    /// byte-granularity persist. Changes *simulated accounting* (fewer
-    /// loads/persists per relocation), so it defaults to `false`; every
-    /// pinned fingerprint and cycle total is recorded with it off.
-    #[serde(default)]
-    pub reloc_fastpath: bool,
     /// Number of independent heap shards / GC domains. Each shard owns a
     /// disjoint set of OS pages with its own free-list and fragmentation
     /// accounting, and runs its own concurrent mark/compact cycle (shard A
@@ -127,8 +110,6 @@ impl DefragConfig {
             min_live_bytes: 1 << 16,
             max_pages_per_cycle: 256,
             cooldown_ops: 1024,
-            reloc_stripes: 64,
-            reloc_fastpath: false,
             shards: 1,
         }
     }

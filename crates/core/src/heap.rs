@@ -112,6 +112,9 @@ pub(crate) struct Domain {
     pub last_cycle_start: std::sync::atomic::AtomicU64,
 }
 
+/// Relocation-lock stripes (a power of two; [`DefragHeap::stripe_of`] masks).
+const RELOC_STRIPES: usize = 64;
+
 pub(crate) struct HeapInner {
     pub pool: PmPool,
     pub cfg: DefragConfig,
@@ -138,20 +141,7 @@ pub(crate) struct HeapInner {
     /// byte — objects sharing a bitmap byte share a stripe, keeping the
     /// read-modify-write of that byte exclusive — and the `moved`-bit
     /// double-check under the stripe preserves exactly-once relocation.
-    pub reloc_stripes: Box<[Mutex<()>]>,
-    /// Threads currently registered as mutators ([`DefragHeap::register_mutator`]).
-    /// When exactly one mutator is registered, first-touch relocation skips
-    /// the stripe lock entirely (there is nobody to race) — a pure host-side
-    /// locking choice; the simulated access sequence is unchanged.
-    pub mutators: AtomicUsize,
-    /// Guards the *decision* to skip the stripe lock against concurrent
-    /// registration: `mutators` only changes under the write side, and the
-    /// bypass reads the count under a read guard held across the whole
-    /// unlocked batch. Without it, a thread could observe `mutators == 1`,
-    /// start an unlocked frame-wide batch, and race a second mutator that
-    /// registered in between and is batching under stripe locks —
-    /// double-relocating byte-sharing siblings.
-    pub mutator_gate: RwLock<()>,
+    pub reloc_stripes: [Mutex<()>; RELOC_STRIPES],
     pub stats: Arc<GcStats>,
     /// `stats` as a counter sink (same allocation), pre-coerced once so the
     /// barrier hot path installs it with a pointer compare.
@@ -197,24 +187,9 @@ fn fnv1a(media: &Media) -> u64 {
     h
 }
 
-/// RAII registration of one mutator thread (see
-/// [`DefragHeap::register_mutator`]); dropping it deregisters.
-pub struct MutatorGuard {
-    inner: Arc<HeapInner>,
-}
-
-impl Drop for MutatorGuard {
-    fn drop(&mut self) {
-        let _gate = self.inner.mutator_gate.write();
-        self.inner.mutators.fetch_sub(1, Ordering::Release);
-    }
-}
-
-impl std::fmt::Debug for MutatorGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MutatorGuard").finish()
-    }
-}
+// Shim for the frozen `benchmark/`, which still registers; its next PR removes the guard.
+#[doc(hidden)]
+pub struct MutatorGuard;
 
 /// A persistent heap with crash-consistent concurrent defragmentation.
 ///
@@ -375,9 +350,6 @@ impl DefragHeap {
             .then(|| CheckLookupUnit::new(pmft));
         let stats = Arc::new(GcStats::default());
         let stats_sink: Arc<dyn CounterSink> = stats.clone();
-        let reloc_stripes: Box<[Mutex<()>]> = (0..cfg.reloc_stripes.max(1))
-            .map(|_| Mutex::new(()))
-            .collect();
         // The pool's persisted shard count wins over the config: a heap
         // reopened from media created at a different `shards` must honor
         // the on-media frame ownership.
@@ -402,9 +374,7 @@ impl DefragHeap {
                 domains,
                 active_cycles: AtomicUsize::new(0),
                 pump_cursor: AtomicUsize::new(0),
-                mutator_gate: RwLock::new(()),
-                reloc_stripes,
-                mutators: AtomicUsize::new(0),
+                reloc_stripes: std::array::from_fn(|_| Mutex::new(())),
                 stats,
                 stats_sink,
                 op_counter: std::sync::atomic::AtomicU64::new(0),
@@ -459,30 +429,10 @@ impl DefragHeap {
             .map(|cs| (cs.reloc_frames.clone(), cs.dest_frames.clone()))
     }
 
-    /// Registers the calling thread as a mutator for the guard's lifetime.
-    ///
-    /// Registration is an optimization contract, not a requirement: when
-    /// *exactly one* mutator is registered, first-touch relocation skips
-    /// its stripe lock (nobody can race the moved-bit read-modify-write),
-    /// fixing the single-thread overhead the striped locks add. Threads
-    /// that drive barriers or compaction without registering are always
-    /// safe — the count then never reads 1-and-only-me, so locking stays
-    /// on. If any thread of a multi-threaded run registers, **all** of its
-    /// barrier-running threads must register too.
+    // Shim for the frozen `benchmark/` (registers nothing); its next PR removes the call.
+    #[doc(hidden)]
     pub fn register_mutator(&self) -> MutatorGuard {
-        // Registration synchronizes with in-flight lock-bypassed batches:
-        // the write side waits out any batch still running under a
-        // `mutator_gate` read guard before the count changes.
-        let _gate = self.inner.mutator_gate.write();
-        self.inner.mutators.fetch_add(1, Ordering::AcqRel);
-        MutatorGuard {
-            inner: self.inner.clone(),
-        }
-    }
-
-    /// Number of currently registered mutator threads.
-    pub fn registered_mutators(&self) -> usize {
-        self.inner.mutators.load(Ordering::Acquire)
+        MutatorGuard
     }
 
     /// Snapshot of GC phase statistics.
@@ -816,19 +766,6 @@ impl DefragHeap {
                         dest_frame,
                         dest_slot,
                     } => Some((dest_frame, dest_slot)),
-                    // Clean-lookup fast path: the unit's volatile moved
-                    // mirror proved the relocation already happened, so the
-                    // barrier redirects without re-reading the moved bitmap
-                    // or entering the relocation critical section at all.
-                    LookupResult::AlreadyMoved {
-                        dest_frame,
-                        dest_slot,
-                    } => {
-                        self.bump(ctx, gc_counter::CHECK_LOOKUP_CYCLES, ctx.cycles() - t0);
-                        let new_hdr = inner.pool.layout().frame_start(dest_frame)
-                            + dest_slot as u64 * SLOT_BYTES;
-                        return PmPtr::new(ptr.pool_id(), new_hdr + OBJ_HEADER_BYTES);
-                    }
                 }
             }
             _ => {
@@ -866,13 +803,18 @@ impl DefragHeap {
         };
 
         // 2. relocate on first touch.
-        self.ensure_relocated(ctx, frame, slot, dest_frame, dest_slot);
+        self.ensure_relocated(ctx, frame, slot, dest_frame, dest_slot, true);
         let new_hdr = inner.pool.layout().frame_start(dest_frame) + dest_slot as u64 * SLOT_BYTES;
         PmPtr::new(ptr.pool_id(), new_hdr + OBJ_HEADER_BYTES)
     }
 
     /// Copies the object at (frame, slot) to (dest_frame, dest_slot) if its
     /// moved bit is clear, per the scheme's persistence discipline.
+    /// Cycle termination passes `release = false` (no progressive release):
+    /// its frames are torn down wholesale moments later, even though the
+    /// mirror stays published until the teardown completes (a
+    /// mid-termination thread crash needs it live for re-entry and for the
+    /// surviving mutators' barriers).
     pub(crate) fn ensure_relocated(
         &self,
         ctx: &mut Ctx,
@@ -880,25 +822,7 @@ impl DefragHeap {
         slot: usize,
         dest_frame: u64,
         dest_slot: u8,
-    ) {
-        self.ensure_relocated_inner(ctx, frame, slot, dest_frame, dest_slot, true);
-    }
-
-    /// [`Self::ensure_relocated`] with the mirror-driven paths (batched
-    /// relocation, progressive release) switchable off. Cycle termination
-    /// passes `use_mirror = false`: it drains single-object so the
-    /// termination op stream matches the pre-mirror behaviour even though
-    /// the mirror now stays published until the teardown completes (a
-    /// mid-termination thread crash needs it live for re-entry and for the
-    /// surviving mutators' barriers).
-    pub(crate) fn ensure_relocated_inner(
-        &self,
-        ctx: &mut Ctx,
-        frame: u64,
-        slot: usize,
-        dest_frame: u64,
-        dest_slot: u8,
-        use_mirror: bool,
+        release: bool,
     ) {
         let inner = &*self.inner;
         let t0 = ctx.cycles();
@@ -909,37 +833,13 @@ impl DefragHeap {
         // §4.5 per-object critical section: the stripe covering this
         // object's moved-bitmap byte. Distinct objects (on other stripes)
         // relocate in parallel; the double-checked moved bit below keeps
-        // first-touch relocation exactly-once per object. With exactly one
-        // registered mutator the host lock is skipped — there is nobody to
-        // race — but the simulated double-check sequence still runs, so
-        // cycle accounting is identical with and without the bypass. The
-        // count is read (and, when bypassing, stays pinned) under the
-        // `mutator_gate` read guard: a second mutator registering mid-batch
-        // blocks on the write side until the unlocked batch finishes, so
-        // "single" can never go stale while the stripe lock is skipped.
-        let gate = inner.mutator_gate.read();
-        let single = inner.mutators.load(Ordering::Acquire) == 1;
-        let _gate = single.then_some(gate);
-        let _g = (!single).then(|| inner.reloc_stripes[self.stripe_of(frame, slot)].lock());
+        // first-touch relocation exactly-once per object.
+        let _g = inner.reloc_stripes[Self::stripe_of(frame, slot)].lock();
         if self.read_moved(ctx, frame, slot) {
             self.bump(ctx, gc_counter::STATE_CYCLES, ctx.cycles() - t0);
             return;
         }
         self.bump(ctx, gc_counter::STATE_CYCLES, ctx.cycles() - t0);
-
-        // Batched relocation (fast path): carry every pending sibling that
-        // shares this critical section, coalescing the per-object moved-bit
-        // persists into one. Falls back to single-object relocation when no
-        // mirror entry is available or the caller (`finish_cycle`) asked
-        // for the single-object drain.
-        if use_mirror && inner.cfg.reloc_fastpath {
-            if let Some(m) = self.mirror_for(frame) {
-                if let Some(e) = m.entry(frame) {
-                    self.relocate_batch(ctx, &m, e, frame, slot, single);
-                    return;
-                }
-            }
-        }
 
         let src = inner.pool.layout().frame_start(frame) + slot as u64 * SLOT_BYTES;
         let dst = inner.pool.layout().frame_start(dest_frame) + dest_slot as u64 * SLOT_BYTES;
@@ -951,15 +851,12 @@ impl DefragHeap {
         self.write_moved(ctx, frame, slot);
         self.bump(ctx, gc_counter::STATE_CYCLES, ctx.cycles() - t2);
         self.bump(ctx, gc_counter::OBJECTS_RELOCATED, 1);
-        self.note_clu_moved(frame, slot);
 
         // Progressive release (§5): once every object of the source frame
         // has moved, the frame stops counting toward the footprint — the
         // frame itself is recycled at termination. The count lives in the
         // mirror (atomic), so no cycle-mutex round trip on the hot path.
-        // Skipped during termination (`use_mirror = false`): the frames are
-        // torn down wholesale moments later.
-        if use_mirror {
+        if release {
             if let Some(m) = self.mirror_for(frame) {
                 if m.note_moved(frame) {
                     inner.pool.evacuate_frame(frame);
@@ -969,7 +866,7 @@ impl DefragHeap {
     }
 
     /// `find_object_size(*x)` plus the scheme's copy discipline (the body
-    /// of Figures 6, 7 and 9) — shared by single and batched relocation.
+    /// of Figures 6, 7 and 9).
     fn relocate_copy(&self, ctx: &mut Ctx, src: u64, dst: u64) {
         // Header word of the source object.
         let word = self.engine().read_u64(ctx, src);
@@ -1002,144 +899,14 @@ impl DefragHeap {
         self.bump(ctx, gc_counter::COPY_CYCLES, ctx.cycles() - t1);
     }
 
-    /// The batch path's copy: same per-scheme discipline as
-    /// [`DefragHeap::relocate_copy`], but the header's cacheline is read
-    /// exactly once — the size is parsed from the line-tail read instead of
-    /// a separate header-word load that re-touches the same line. One
-    /// cache-hit charge cheaper per object than the unbatched sequence,
-    /// which is why it only runs under `reloc_fastpath` (the fast path is
-    /// allowed to change simulated accounting; the default path is not).
-    fn relocate_copy_batched(&self, ctx: &mut Ctx, src: u64, dst: u64) {
-        use ffccd_pmem::CACHELINE_BYTES;
-        let first = (CACHELINE_BYTES - src % CACHELINE_BYTES) as usize;
-        let mut buf = ctx.take_buf(first.max(SLOT_BYTES as usize * 256));
-        self.engine().read(ctx, src, &mut buf[..first]);
-        let word = u64::from_le_bytes(buf[..8].try_into().expect("8-byte header word"));
-        let total = ((word & 0xFFFF_FFFF) + OBJ_HEADER_BYTES) as usize;
-
-        let t1 = ctx.cycles();
-        if total > first {
-            self.engine()
-                .read(ctx, src + first as u64, &mut buf[first..total]);
-        }
-        match self.inner.cfg.scheme {
-            Scheme::Baseline => unreachable!("baseline never relocates"),
-            Scheme::Espresso => {
-                self.engine().write(ctx, dst, &buf[..total]);
-                self.engine().persist(ctx, dst, total as u64);
-            }
-            Scheme::Sfccd => {
-                self.engine().write(ctx, dst, &buf[..total]);
-                for line in ffccd_pmem::lines_spanning(dst, total as u64) {
-                    self.engine().clwb(ctx, line.start());
-                }
-            }
-            Scheme::FfccdFenceFree | Scheme::FfccdCheckLookup => {
-                // One relocate instruction: objects never cross their frame.
-                ctx.stats.relocates += 1;
-                ctx.charge(self.engine().config().rbb_latency);
-                self.engine().write_pending(ctx, dst, &buf[..total]);
-            }
-        }
-        ctx.put_buf(buf);
-        self.bump(ctx, gc_counter::COPY_CYCLES, ctx.cycles() - t1);
-    }
-
-    /// Batched first-touch relocation (`reloc_fastpath`): relocates, in one
-    /// critical-section entry, every pending object sharing the triggering
-    /// object's moved-bitmap byte — or the whole frame when `frame_wide`
-    /// (single-mutator bypass; no stripe is held, so only the sole mutator
-    /// may widen past its stripe's byte). The per-object moved-bit RMW
-    /// persists coalesce into one read and one write/persist of the covered
-    /// bytes. Exactly-once: each slot's bit is checked from the just-read
-    /// byte inside the critical section before its copy runs.
-    fn relocate_batch(
-        &self,
-        ctx: &mut Ctx,
-        m: &CycleMirror,
-        e: &PmftEntry,
-        frame: u64,
-        slot: usize,
-        frame_wide: bool,
-    ) {
-        let inner = &*self.inner;
-        let layout = *inner.pool.layout();
-        let moved_base = inner.meta.moved_bitmap(frame);
-        let (first_byte, nbytes) = if frame_wide {
-            (0u64, Self::SLOTS_PER_FRAME / 8)
-        } else {
-            (slot as u64 / 8, 1)
-        };
-        // One read of the covered moved-bitmap bytes for the whole batch.
-        let buf = self
-            .engine()
-            .read_pooled(ctx, moved_base + first_byte, nbytes as u64);
-        let mut bytes = [0u8; 32];
-        bytes[..nbytes].copy_from_slice(&buf);
-        ctx.put_buf(buf);
-
-        let mut newly: Vec<usize> = Vec::new();
-        for s in first_byte as usize * 8..(first_byte as usize + nbytes) * 8 {
-            let b = s / 8 - first_byte as usize;
-            if bytes[b] >> (s % 8) & 1 == 1 {
-                continue; // already moved (double-check inside the section)
-            }
-            let Some(d) = e.lookup(s) else { continue };
-            let src = layout.frame_start(frame) + s as u64 * SLOT_BYTES;
-            let dst = layout.frame_start(e.dest_frame) + d as u64 * SLOT_BYTES;
-            self.relocate_copy_batched(ctx, src, dst);
-            bytes[b] |= 1 << (s % 8);
-            newly.push(s);
-        }
-        debug_assert!(
-            newly.contains(&slot),
-            "the triggering object must be part of its own batch"
-        );
-
-        // One moved-bits write + one persist-discipline application.
-        let t2 = ctx.cycles();
-        self.engine()
-            .write(ctx, moved_base + first_byte, &bytes[..nbytes]);
-        match inner.cfg.scheme {
-            Scheme::Espresso | Scheme::Sfccd => {
-                for line in ffccd_pmem::lines_spanning(moved_base + first_byte, nbytes as u64) {
-                    self.engine().clwb(ctx, line.start());
-                }
-                self.engine().sfence(ctx);
-            }
-            Scheme::FfccdFenceFree | Scheme::FfccdCheckLookup => {}
-            Scheme::Baseline => unreachable!("baseline never relocates"),
-        }
-        self.bump(ctx, gc_counter::STATE_CYCLES, ctx.cycles() - t2);
-        self.bump(ctx, gc_counter::OBJECTS_RELOCATED, newly.len() as u64);
-        for &s in &newly {
-            self.note_clu_moved(frame, s);
-            if m.note_moved(frame) {
-                inner.pool.evacuate_frame(frame);
-            }
-        }
-    }
-
-    /// Mirrors a completed relocation into the checklookup unit's volatile
-    /// moved mirror so later barriers on the object resolve lock-free
-    /// (fast-path cycles only; no-op otherwise).
-    fn note_clu_moved(&self, frame: u64, slot: usize) {
-        if self.inner.cfg.reloc_fastpath {
-            if let Some(clu) = &self.inner.clu {
-                clu.note_moved(frame, slot);
-            }
-        }
-    }
-
     /// Relocation-lock stripe for the object at `(frame, slot)`, keyed by
     /// the object's moved-bitmap *byte* so the byte's read-modify-write in
     /// [`DefragHeap::write_moved`] stays exclusive.
-    fn stripe_of(&self, frame: u64, slot: usize) -> usize {
-        let n = self.inner.reloc_stripes.len() as u64;
+    fn stripe_of(frame: u64, slot: usize) -> usize {
         let key = frame
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add((slot as u64 / 8).wrapping_mul(0xc2b2_ae3d_27d4_eb4f));
-        (key % n) as usize
+        key as usize & (RELOC_STRIPES - 1)
     }
 
     /// Reads the moved bit for (frame, slot).

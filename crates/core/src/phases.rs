@@ -347,14 +347,7 @@ impl DefragHeap {
         }
         if let Some(clu) = &inner.clu {
             let entries: Vec<PmftEntry> = mirror_items.iter().map(|(_, e, _)| e.clone()).collect();
-            clu.begin_cycle_shard(
-                engine,
-                pool.base(),
-                &entries,
-                inner.cfg.reloc_fastpath,
-                shard,
-                nshards,
-            );
+            clu.begin_cycle_shard(engine, pool.base(), &entries, shard, nshards);
         }
         // Mirror first, then cycle state, then the domain flag, then the
         // global active count barrier paths key on — so any thread seeing
@@ -428,7 +421,7 @@ impl DefragHeap {
                 let (frame, slot) = item;
                 let e = mirror.entry(frame).expect("entry for pending frame");
                 let dslot = e.lookup(slot).expect("mapped slot");
-                self.ensure_relocated(ctx, frame, slot, e.dest_frame, dslot);
+                self.ensure_relocated(ctx, frame, slot, e.dest_frame, dslot, true);
                 domain.inflight.lock().retain(|it| *it != item);
             }
         }
@@ -486,8 +479,8 @@ impl DefragHeap {
         let layout = *inner.pool.layout();
         let hdr = inner.meta.cycle_header + 16 * shard as u64;
 
-        // 1. finish pending relocations (single-object drain, mirror paths
-        //    off — see `ensure_relocated_inner`), plus any item a dead
+        // 1. finish pending relocations (progressive release off — see
+        //    `ensure_relocated`), plus any item a dead
         //    pumper popped but never finished. The frame-kind guard skips
         //    frames a previous, interrupted finisher already released.
         for &(frame, slot) in cs.pending.iter().chain(leftover.iter()) {
@@ -496,7 +489,7 @@ impl DefragHeap {
             }
             let e = mirror.entry(frame).expect("entry for pending frame");
             let d = e.lookup(slot).expect("mapped slot");
-            self.ensure_relocated_inner(ctx, frame, slot, e.dest_frame, d, false);
+            self.ensure_relocated(ctx, frame, slot, e.dest_frame, d, false);
         }
 
         // 2. durability: destination data and moved bits must be in PM

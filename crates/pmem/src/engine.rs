@@ -8,7 +8,7 @@
 //! behind its own reader-writer lock. Writes, fills and evictions take a
 //! bank exclusively; clean resident-line *reads* — the read barrier's
 //! dominant case — are served under a **shared** bank acquisition
-//! ([`MachineConfig::shared_reads`], multi-bank engines only), falling back
+//! (multi-bank engines only), falling back
 //! to the exclusive path on a miss. Media stays behind a single `RwLock` — the
 //! persistence observer (FFCCD's Reached Bitmap Buffer) reads and writes
 //! reached-bitmap words at arbitrary media offsets when a pending line
@@ -258,10 +258,16 @@ impl PmEngine {
         // shared bank lock. Restricted to multi-bank engines: the
         // single-bank deterministic mode keeps the one-lock-end-to-end
         // event order crash-site tracking replays against.
-        if self.nbanks > 1 && ctx.dirty_banks == 0 && self.cfg.shared_reads {
+        if self.nbanks > 1 && ctx.dirty_banks == 0 {
             self.read_shared(ctx, off, buf);
-            return;
+        } else {
+            self.read_exclusive(ctx, off, buf);
         }
+    }
+
+    /// The exclusive-acquisition read path: single-bank engines, and any
+    /// read issued with a clwb outstanding (`ctx.dirty_banks != 0`).
+    fn read_exclusive(&self, ctx: &mut Ctx, off: u64, buf: &mut [u8]) {
         let mut cur = self.bank_of(line_of(off));
         let mut bank = self.banks[cur].write();
         // One outstanding writeback retires per memory operation (the WPQ
@@ -1494,13 +1500,8 @@ mod banked_tests {
     /// instead of exclusive bank locks — and it must actually engage.
     #[test]
     fn shared_read_path_matches_exclusive_accounting() {
-        let run = |shared: bool| {
-            let cfg = MachineConfig {
-                banks: 8,
-                shared_reads: shared,
-                ..MachineConfig::default()
-            };
-            let e = PmEngine::new(cfg, 1 << 20);
+        let run = |read: fn(&PmEngine, &mut Ctx, u64, &mut [u8])| {
+            let e = engine_with(8);
             let mut ctx = Ctx::new(e.config());
             let data: Vec<u8> = (0..4096u32).map(|i| i as u8).collect();
             e.write(&mut ctx, 0, &data);
@@ -1511,10 +1512,10 @@ mod banked_tests {
             // reads spanning line boundaries.
             let mut buf = vec![0u8; 300];
             for i in 0..32u64 {
-                e.read(&mut ctx, i * 100, &mut buf);
+                read(&e, &mut ctx, i * 100, &mut buf);
             }
             for i in 0..8u64 {
-                e.read(&mut ctx, 512 * 1024 + i * 300, &mut buf);
+                read(&e, &mut ctx, 512 * 1024 + i * 300, &mut buf);
             }
             assert_eq!(&buf[..4], &[0u8; 4], "cold region reads back zeroes");
             let mut s = ctx.stats;
@@ -1525,12 +1526,12 @@ mod banked_tests {
             s.shared_line_reads = 0;
             (cycles, s.cache_hits, s.cache_misses, shared_lines)
         };
-        let (cy_ex, hit_ex, miss_ex, shared_ex) = run(false);
-        let (cy_sh, hit_sh, miss_sh, shared_sh) = run(true);
+        let (cy_ex, hit_ex, miss_ex, shared_ex) = run(PmEngine::read_exclusive);
+        let (cy_sh, hit_sh, miss_sh, shared_sh) = run(PmEngine::read);
         assert_eq!(cy_ex, cy_sh, "cycle charges must not depend on lock mode");
         assert_eq!(hit_ex, hit_sh);
         assert_eq!(miss_ex, miss_sh);
-        assert_eq!(shared_ex, 0, "exclusive mode never counts shared reads");
+        assert_eq!(shared_ex, 0, "exclusive path never counts shared reads");
         assert!(
             shared_sh > 0,
             "the fast path must engage on resident re-reads"

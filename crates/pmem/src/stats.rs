@@ -36,10 +36,8 @@ pub struct ThreadStats {
     /// lock-light read fast path); a subset of `cache_hits`. Purely a
     /// host-side contention metric — it never affects cycle accounting.
     pub shared_line_reads: u64,
-    /// Relocation barriers resolved by the clean-lookup fast path (the
-    /// checklookup unit proved the object already moved, or batched
-    /// relocation had already carried it) without taking a relocation
-    /// stripe lock or re-reading the moved bitmap.
+    // Shim: never incremented; the frozen `benchmark/` reads it, its next PR removes it.
+    #[doc(hidden)]
     pub barrier_fastpath_hits: u64,
 }
 
@@ -59,7 +57,6 @@ impl ThreadStats {
         self.relocates += other.relocates;
         self.checklookups += other.checklookups;
         self.shared_line_reads += other.shared_line_reads;
-        self.barrier_fastpath_hits += other.barrier_fastpath_hits;
     }
 }
 
@@ -90,14 +87,12 @@ mod tests {
         let b = ThreadStats {
             cache_hits: 10,
             tlb_misses: 3,
-            barrier_fastpath_hits: 4,
             ..ThreadStats::default()
         };
         a.merge(&b);
         assert_eq!(a.cache_hits, 11);
         assert_eq!(a.sfences, 2);
         assert_eq!(a.tlb_misses, 3);
-        assert_eq!(a.barrier_fastpath_hits, 4);
     }
 
     #[test]

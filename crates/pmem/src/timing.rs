@@ -78,14 +78,10 @@ pub struct MachineConfig {
     /// — the **deterministic mode** whose event order is byte-identical to
     /// the original global-lock engine and the only mode crash-site
     /// tracking accepts. Multi-threaded throughput runs opt into more banks
-    /// explicitly (see [`MachineConfig::resolved_banks`]).
+    /// explicitly (see [`MachineConfig::resolved_banks`]); with more than
+    /// one bank, clean resident-line reads are always served under a
+    /// *shared* bank acquisition (same cycle charges, host locking only).
     pub banks: usize,
-    /// Serve clean resident-line reads under a *shared* bank acquisition on
-    /// multi-bank engines (single-bank deterministic mode always uses the
-    /// exclusive path). Purely a host-side locking choice — cycle charges
-    /// and hit/miss classification are identical either way — so it is on
-    /// by default; benchmarks turn it off to measure the before/after.
-    pub shared_reads: bool,
     /// eADR platform: the persistence domain extends over the whole cache
     /// hierarchy, so dirty cache lines survive power failure (paper §4.4
     /// weighs this against FFCCD's RBB: eADR needs ~300 mm³ of battery to
@@ -123,7 +119,6 @@ impl Default for MachineConfig {
             bloom_filter_bytes: 1024,
             seed: 0x5eed_f0cc_d000_0001,
             banks: 0,
-            shared_reads: true,
             eadr: false,
         }
     }

@@ -562,9 +562,6 @@ fn run_mt_impl(
         let trigger_owner = trigger_owner.clone();
         let arm = arms[tid].clone();
         handles.push(std::thread::spawn(move || {
-            // Register so the heap knows how many threads can race
-            // first-touch relocation (a sole mutator skips stripe locks).
-            let _mutator = heap.register_mutator();
             let mut gc_ctx = heap.ctx();
             if let Some(a) = &arm {
                 // The kill ordinal counts the thread's *combined* app + GC
@@ -803,15 +800,6 @@ fn run_mt_impl(
                 });
             }
         }
-        // Every mutator registration must have unwound with its thread: a
-        // leaked registration would permanently disable (or, at a stale
-        // count of 1, wrongly enable) the single-mutator relocation bypass
-        // for the survivors.
-        assert_eq!(
-            heap.registered_mutators(),
-            0,
-            "mutator registration leaked across a thread crash"
-        );
     }
     samples.sort_unstable_by_key(|s| s.op);
     {
@@ -1045,11 +1033,6 @@ pub fn run_on(
     heap: &DefragHeap,
     hook: &mut OpHook<'_>,
 ) -> RunResult {
-    // The single-threaded driver is its own sole mutator: registering lets
-    // first-touch relocation skip the stripe lock (host-side only — the
-    // simulated access sequence, and thus every pinned replay, is
-    // unchanged).
-    let _mutator = heap.register_mutator();
     let mut app_ctx = heap.ctx();
     let mut gc_ctx = heap.ctx();
     let mut keys = KeyGen::new(cfg.seed);

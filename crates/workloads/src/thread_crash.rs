@@ -5,8 +5,8 @@
 //! ordinals ([`crate::driver::run_mt_faulted`]) while the survivors keep
 //! running — the fault model of the detectable-persistent-object
 //! literature, and the one that actually exercises the concurrent mutator
-//! paths: orphaned arenas, orphaned counter state, the single-mutator
-//! relocation bypass, and GC-trigger duty all outlive their thread.
+//! paths: orphaned arenas, orphaned counter state and GC-trigger duty
+//! all outlive their thread.
 //!
 //! Discipline mirrors the crash-site sweeps: runs use the seeded turn
 //! scheduler plus the engine's single-bank deterministic mode, so each

@@ -4,9 +4,9 @@
 //! ordinals while survivors drain, then runs the full checker suite and a
 //! whole-machine restart. These tests pin the model's contracts: kills
 //! fire and replay deterministically under the seeded schedule, orphaned
-//! counter state conserves, mutator registration never leaks, a dead
-//! thread's arena returns to service, and the sharded heap's persisted
-//! shard count survives a victim dying inside the collector.
+//! counter state conserves, a dead thread's arena returns to service, and
+//! the sharded heap's persisted shard count survives a victim dying
+//! inside the collector.
 
 use ffccd::{DefragHeap, Scheme};
 use ffccd_pmem::MachineConfig;
