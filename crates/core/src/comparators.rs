@@ -32,7 +32,7 @@ impl DefragHeap {
     pub fn mesh_compact(&self, ctx: &mut Ctx) -> (u64, u64) {
         assert!(!self.in_cycle(), "mesh runs only on a quiescent heap");
         let t0 = ctx.cycles();
-        let _w = self.inner.world.write();
+        let _w = self.stop_world();
         let pool = &self.inner.pool;
         let layout = *pool.layout();
         let engine = self.engine();
@@ -141,7 +141,7 @@ impl DefragHeap {
     pub fn stw_compact(&self, ctx: &mut Ctx) -> (u64, u64) {
         assert!(!self.in_cycle(), "stw compaction runs only when quiescent");
         let t0 = ctx.cycles();
-        let _w = self.inner.world.write();
+        let _w = self.stop_world();
         let pool = &self.inner.pool;
         let layout = *pool.layout();
         let engine = self.engine();

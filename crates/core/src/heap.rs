@@ -1,11 +1,12 @@
 //! The defragmenting heap: the application-facing API (paper §5) and the
 //! per-scheme read barrier (Figures 6, 7 and 9).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use ffccd_arch::{CheckLookupUnit, GcMetaLayout, LookupResult, Pmft, PmftEntry, Rbb};
 use ffccd_pmem::{CounterSink, Ctx, Media, PmEngine};
@@ -122,8 +123,9 @@ pub(crate) struct HeapInner {
     pub pmft: Pmft,
     pub rbb: Option<Arc<Rbb>>,
     pub clu: Option<CheckLookupUnit>,
-    /// Application operations hold this for read; stop-the-world phases
-    /// (marking, summary, termination) hold it for write.
+    /// Application operations hold this for read, once per operation
+    /// ([`DefragHeap::enter_world`]); stop-the-world phases (marking,
+    /// summary, termination) hold it for write ([`DefragHeap::stop_world`]).
     pub world: RwLock<()>,
     /// Per-shard GC domains (one at `shards=1`, reproducing the global
     /// cycle exactly).
@@ -185,6 +187,34 @@ fn fnv1a(media: &Media) -> u64 {
         }
     }
     h
+}
+
+thread_local! {
+    /// `(heap, depth)`: the heap whose world lock this thread holds through
+    /// [`DefragHeap::enter_world`] (its `HeapInner` address) and how many
+    /// entries deep. One slot, because a structure operation runs on one
+    /// heap; a second heap entered meanwhile locks untracked.
+    static WORLD_ENTRY: Cell<(usize, u32)> = const { Cell::new((0, 0)) };
+}
+
+/// One [`DefragHeap::enter_world`] entry; leaving is its drop, so an
+/// operation that unwinds (an injected thread crash) leaves too.
+pub(crate) struct WorldEntry<'a> {
+    /// `None` for an entry nested inside another on the same heap.
+    _lock: Option<RwLockReadGuard<'a, ()>>,
+    /// Whether `WORLD_ENTRY` counts this entry.
+    counted: bool,
+}
+
+impl Drop for WorldEntry<'_> {
+    fn drop(&mut self) {
+        if self.counted {
+            WORLD_ENTRY.with(|e| {
+                let (heap, depth) = e.get();
+                e.set((heap, depth - 1));
+            });
+        }
+    }
 }
 
 // Shim for the frozen `benchmark/`, which still registers; its next PR removes the guard.
@@ -508,7 +538,7 @@ impl DefragHeap {
     ///
     /// Propagates the pool's allocation errors.
     pub fn alloc(&self, ctx: &mut Ctx, type_id: TypeId, payload: u64) -> Result<PmPtr, PoolError> {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         self.inner.op_counter.fetch_add(1, Ordering::Relaxed);
         self.inner.pool.pmalloc(ctx, type_id, payload)
     }
@@ -520,7 +550,7 @@ impl DefragHeap {
     ///
     /// Propagates the pool's invalid-pointer errors.
     pub fn free(&self, ctx: &mut Ctx, ptr: PmPtr) -> Result<(), PoolError> {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         self.inner.op_counter.fetch_add(1, Ordering::Relaxed);
         let fwd = self.forward(ctx, ptr);
         self.inner.pool.pfree(ctx, fwd)
@@ -535,7 +565,7 @@ impl DefragHeap {
     /// directory itself is an ordinary relocatable object, so its address
     /// must never be cached outside the barrier.
     pub fn root(&self, ctx: &mut Ctx) -> PmPtr {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         match ctx.root_shard() {
             None => self.load_slot(ctx, crate::walk::ROOT_SLOT),
             Some(shard) => {
@@ -551,7 +581,7 @@ impl DefragHeap {
     /// Stores and persists the root pointer (the context's root-directory
     /// slot when a shard is bound, the global root otherwise).
     pub fn set_root(&self, ctx: &mut Ctx, ptr: PmPtr) {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         match ctx.root_shard() {
             None => self.inner.pool.set_root(ctx, ptr),
             Some(shard) => {
@@ -573,7 +603,7 @@ impl DefragHeap {
     /// `D_RW`/`D_RO`: reads the reference field at `obj + field` through the
     /// read barrier, updating the stored reference if the target moved.
     pub fn load_ref(&self, ctx: &mut Ctx, obj: PmPtr, field: u64) -> PmPtr {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         self.load_slot(ctx, obj.offset() + field)
     }
 
@@ -587,7 +617,7 @@ impl DefragHeap {
 
     /// Stores a reference field (plus persist, as PM programs must).
     pub fn store_ref(&self, ctx: &mut Ctx, obj: PmPtr, field: u64, target: PmPtr) {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         let off = obj.offset() + field;
         self.engine().write_u64(ctx, off, target.raw());
         self.engine().persist(ctx, off, 8);
@@ -655,18 +685,74 @@ impl DefragHeap {
     /// address, relocating on first touch. Equivalent to `D_RW` on a
     /// transient pointer.
     pub fn resolve(&self, ctx: &mut Ctx, ptr: PmPtr) -> PmPtr {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         self.forward(ctx, ptr)
     }
 
     /// Runs `f` as one §4.5 critical section: no stop-the-world GC phase
-    /// (marking, summary, termination) can interleave inside it. Heap calls
-    /// within `f` are fine (the world lock is recursive for readers).
-    /// Multi-threaded applications wrap each structure operation in this,
-    /// so pointers resolved early in an operation stay valid throughout.
+    /// (marking, summary, termination) can interleave inside it, so
+    /// pointers resolved early in an operation stay valid throughout.
+    /// Applications wrap each structure operation in this; heap calls and
+    /// further `critical`s on this heap within `f` then take no lock at
+    /// all (the operation already holds the world lock, once).
+    ///
+    /// Two things `f` must not do, because a stop-the-world phase waits for
+    /// every critical section to end while new ones wait for it: request
+    /// such a phase itself ([`DefragHeap::maybe_defrag`],
+    /// [`DefragHeap::defrag_now`], [`DefragHeap::step_compaction`],
+    /// [`DefragHeap::finish_cycle`], [`DefragHeap::exit`] — these panic),
+    /// or wait for another thread that calls this heap.
     pub fn critical<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         f()
+    }
+
+    /// Joins the world lock's readers for the guard's lifetime. Only a
+    /// thread's outermost entry on a heap locks — fairly, behind any
+    /// stop-the-world phase already waiting, which is safe exactly because
+    /// the thread holds nothing of this heap's yet; entries nested inside
+    /// it just count. A thread inside heap A's section that enters heap B
+    /// locks B on every entry (the slot tracks one heap), recursively since
+    /// those entries may themselves nest.
+    pub(crate) fn enter_world(&self) -> WorldEntry<'_> {
+        let me = Arc::as_ptr(&self.inner) as usize;
+        WORLD_ENTRY.with(|e| match e.get() {
+            (_, 0) => {
+                let lock = self.inner.world.read();
+                e.set((me, 1));
+                WorldEntry {
+                    _lock: Some(lock),
+                    counted: true,
+                }
+            }
+            (heap, depth) if heap == me => {
+                e.set((me, depth + 1));
+                WorldEntry {
+                    _lock: None,
+                    counted: true,
+                }
+            }
+            _ => WorldEntry {
+                _lock: Some(self.inner.world.read_recursive()),
+                counted: false,
+            },
+        })
+    }
+
+    /// Takes the world lock for a stop-the-world phase, waiting out every
+    /// critical section.
+    ///
+    /// # Panics
+    ///
+    /// When the calling thread is inside one of this heap's critical
+    /// sections — it would wait for itself.
+    pub(crate) fn stop_world(&self) -> RwLockWriteGuard<'_, ()> {
+        let (heap, depth) = WORLD_ENTRY.with(Cell::get);
+        assert!(
+            depth == 0 || heap != Arc::as_ptr(&self.inner) as usize,
+            "stop-the-world phase requested from inside DefragHeap::critical"
+        );
+        self.inner.world.write()
     }
 
     /// Monotonic count of completed defragmentation cycles. A volatile
@@ -682,39 +768,39 @@ impl DefragHeap {
 
     /// Reads a data (non-reference) `u64` field.
     pub fn read_u64(&self, ctx: &mut Ctx, obj: PmPtr, field: u64) -> u64 {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         self.inner.pool.read_u64(ctx, obj, field)
     }
 
     /// Writes a data `u64` field (volatile until persisted).
     pub fn write_u64(&self, ctx: &mut Ctx, obj: PmPtr, field: u64, v: u64) {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         self.inner.pool.write_u64(ctx, obj, field, v);
         self.sfccd_mirror(ctx, obj.offset() + field, &v.to_le_bytes());
     }
 
     /// Reads payload bytes.
     pub fn read_bytes(&self, ctx: &mut Ctx, obj: PmPtr, field: u64, buf: &mut [u8]) {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         self.inner.pool.read_bytes(ctx, obj, field, buf)
     }
 
     /// Writes payload bytes.
     pub fn write_bytes(&self, ctx: &mut Ctx, obj: PmPtr, field: u64, data: &[u8]) {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         self.inner.pool.write_bytes(ctx, obj, field, data);
         self.sfccd_mirror(ctx, obj.offset() + field, data);
     }
 
     /// Persists a payload range (the application's own durability barrier).
     pub fn persist(&self, ctx: &mut Ctx, obj: PmPtr, field: u64, len: u64) {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         self.inner.pool.persist(ctx, obj, field, len)
     }
 
     /// Reads the object header (type, payload size).
     pub fn object_header(&self, ctx: &mut Ctx, ptr: PmPtr) -> (TypeId, u32) {
-        let _g = self.inner.world.read_recursive();
+        let _g = self.enter_world();
         self.inner.pool.object_header(ctx, ptr)
     }
 
@@ -946,4 +1032,100 @@ impl DefragHeap {
 
     /// Frame capacity sanity bound.
     pub(crate) const SLOTS_PER_FRAME: usize = (FRAME_BYTES / SLOT_BYTES) as usize;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ffccd_pmem::ThreadCrashUnwind;
+    use ffccd_pmop::TypeDesc;
+
+    fn heap() -> DefragHeap {
+        let mut reg = TypeRegistry::new();
+        reg.register(TypeDesc::new("node", 16, &[8]));
+        DefragHeap::create(
+            PoolConfig::small_for_tests(),
+            reg,
+            DefragConfig::normal(Scheme::FfccdCheckLookup),
+        )
+        .expect("test heap")
+    }
+
+    fn depth() -> u32 {
+        WORLD_ENTRY.with(Cell::get).1
+    }
+
+    fn world_is_free(h: &DefragHeap) -> bool {
+        h.inner.world.try_write().is_some()
+    }
+
+    #[test]
+    fn an_operation_takes_the_world_lock_once_and_gives_it_back() {
+        let h = heap();
+        let mut ctx = h.ctx();
+        let obj = h.alloc(&mut ctx, TypeId(0), 16).expect("alloc");
+        h.critical(|| {
+            h.critical(|| {
+                h.critical(|| {
+                    h.write_u64(&mut ctx, obj, 0, 7);
+                    assert_eq!(h.read_u64(&mut ctx, obj, 0), 7);
+                    assert_eq!(depth(), 3, "heap calls left what they entered");
+                    assert!(!world_is_free(&h));
+                });
+                // Leaving a nested entry must not release the outer one's lock.
+                assert!(!world_is_free(&h));
+            });
+        });
+        assert_eq!(depth(), 0);
+        assert!(world_is_free(&h));
+    }
+
+    #[test]
+    fn another_heaps_critical_does_not_stand_in_for_this_heaps_lock() {
+        let (a, b) = (heap(), heap());
+        let mut ctx = b.ctx();
+        a.critical(|| {
+            assert!(world_is_free(&b));
+            b.critical(|| {
+                assert!(!world_is_free(&b), "B locked although the slot tracks A");
+                // B's own nested entries lock recursively, untracked.
+                let obj = b.alloc(&mut ctx, TypeId(0), 16).expect("alloc");
+                b.write_u64(&mut ctx, obj, 0, 1);
+                assert_eq!(depth(), 1);
+                assert!(!world_is_free(&b));
+            });
+            assert!(world_is_free(&b));
+            assert!(!world_is_free(&a));
+        });
+        assert!(world_is_free(&a));
+    }
+
+    #[test]
+    fn an_unwinding_operation_leaves_the_world() {
+        let h = heap();
+        let mut ctx = h.ctx();
+        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            h.critical(|| {
+                h.critical(|| {
+                    std::panic::resume_unwind(Box::new(ThreadCrashUnwind {
+                        victim: 0,
+                        events: 1,
+                    }))
+                })
+            })
+        }));
+        assert!(killed.is_err_and(|p| p.is::<ThreadCrashUnwind>()));
+        assert_eq!(depth(), 0);
+        // The survivor path: this thread may stop the world again.
+        h.defrag_now(&mut ctx);
+        assert!(world_is_free(&h));
+    }
+
+    #[test]
+    #[should_panic(expected = "inside DefragHeap::critical")]
+    fn stopping_the_world_from_inside_an_operation_panics_instead_of_hanging() {
+        let h = heap();
+        let mut ctx = h.ctx();
+        h.critical(|| h.defrag_now(&mut ctx));
+    }
 }

@@ -88,7 +88,7 @@ impl DefragHeap {
         if self.in_cycle() || self.scheme() == crate::Scheme::Baseline {
             return false;
         }
-        let _w = self.inner.world.write();
+        let _w = self.stop_world();
         self.engine().note_phase_site(phase_sites::STW_BEGIN);
         let stats = &self.inner.stats;
 
@@ -397,7 +397,7 @@ impl DefragHeap {
     fn step_domain(&self, ctx: &mut Ctx, shard: usize, budget: usize) {
         let domain = &self.inner.domains[shard];
         {
-            let _g = self.inner.world.read();
+            let _g = self.enter_world();
             // Entry lookups come from the lock-free mirror snapshot; the
             // cycle mutex is held only to pop the work item.
             let Some(mirror) = domain.mirror.read().clone() else {
@@ -453,7 +453,7 @@ impl DefragHeap {
         if !domain.in_cycle.load(Ordering::Acquire) {
             return;
         }
-        let _w = inner.world.write();
+        let _w = self.stop_world();
         // Work from a *snapshot*: the shared cycle state and mirror stay
         // published until step 7. A terminator dying mid-teardown
         // (thread-crash fault model) then leaves a state the surviving
@@ -704,7 +704,7 @@ impl DefragHeap {
             if hdr_state == 0 && entries.is_empty() && stray.is_empty() {
                 continue;
             }
-            let _w = inner.world.write();
+            let _w = self.stop_world();
             for e in &entries {
                 // Frag bit first, PMFT entry last — `rollback_summary`'s
                 // order, keeping the rollback itself re-runnable.

@@ -270,53 +270,59 @@ impl Workload for AvlTree {
     }
 
     fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
-        let node = heap
-            .alloc(ctx, T_NODE, VAL + value_size as u64)
-            .expect("avl node");
-        heap.store_ref(ctx, node, LEFT, PmPtr::NULL);
-        heap.store_ref(ctx, node, RIGHT, PmPtr::NULL);
-        heap.write_u64(ctx, node, KEY, key);
-        heap.write_u64(ctx, node, HEIGHT, 1);
-        let mut val = vec![0u8; value_size];
-        value_pattern(key, &mut val);
-        heap.write_bytes(ctx, node, VAL, &val);
-        heap.persist(ctx, node, 0, VAL + value_size as u64);
-        let mut ops = Ops::new(heap);
-        ops.fresh.insert(node.offset());
-        let root = heap.root(ctx);
-        let new_root = ops.insert(ctx, root, key, node);
-        // Commit point: everything above went to unreachable clones.
-        heap.set_root(ctx, new_root);
-        ops.reclaim(ctx);
+        heap.critical(|| {
+            let node = heap
+                .alloc(ctx, T_NODE, VAL + value_size as u64)
+                .expect("avl node");
+            heap.store_ref(ctx, node, LEFT, PmPtr::NULL);
+            heap.store_ref(ctx, node, RIGHT, PmPtr::NULL);
+            heap.write_u64(ctx, node, KEY, key);
+            heap.write_u64(ctx, node, HEIGHT, 1);
+            let mut val = vec![0u8; value_size];
+            value_pattern(key, &mut val);
+            heap.write_bytes(ctx, node, VAL, &val);
+            heap.persist(ctx, node, 0, VAL + value_size as u64);
+            let mut ops = Ops::new(heap);
+            ops.fresh.insert(node.offset());
+            let root = heap.root(ctx);
+            let new_root = ops.insert(ctx, root, key, node);
+            // Commit point: everything above went to unreachable clones.
+            heap.set_root(ctx, new_root);
+            ops.reclaim(ctx);
+        })
     }
 
     fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let mut ops = Ops::new(heap);
-        let root = heap.root(ctx);
-        let (new_root, removed) = ops.delete(ctx, root, key);
-        match removed {
-            Some(n) => {
-                // Commit point: the clone path becomes reachable, the
-                // deleted node and the superseded originals drop out.
-                heap.set_root(ctx, new_root);
-                ops.reclaim(ctx);
-                heap.free(ctx, n).expect("free avl node");
-                true
+        heap.critical(|| {
+            let mut ops = Ops::new(heap);
+            let root = heap.root(ctx);
+            let (new_root, removed) = ops.delete(ctx, root, key);
+            match removed {
+                Some(n) => {
+                    // Commit point: the clone path becomes reachable, the
+                    // deleted node and the superseded originals drop out.
+                    heap.set_root(ctx, new_root);
+                    ops.reclaim(ctx);
+                    heap.free(ctx, n).expect("free avl node");
+                    true
+                }
+                None => false,
             }
-            None => false,
-        }
+        })
     }
 
     fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let mut cur = heap.root(ctx);
-        while !cur.is_null() {
-            let k = heap.read_u64(ctx, cur, KEY);
-            if k == key {
-                return true;
+        heap.critical(|| {
+            let mut cur = heap.root(ctx);
+            while !cur.is_null() {
+                let k = heap.read_u64(ctx, cur, KEY);
+                if k == key {
+                    return true;
+                }
+                cur = heap.load_ref(ctx, cur, if key < k { LEFT } else { RIGHT });
             }
-            cur = heap.load_ref(ctx, cur, if key < k { LEFT } else { RIGHT });
-        }
-        false
+            false
+        })
     }
 
     fn validate(

@@ -252,65 +252,71 @@ impl Workload for BplusTree {
     }
 
     fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
-        let val = heap
-            .alloc(ctx, T_VALUE, V_BYTES + value_size as u64)
-            .expect("value");
-        heap.write_u64(ctx, val, V_KEY, key);
-        let mut bytes = vec![0u8; value_size];
-        value_pattern(key, &mut bytes);
-        heap.write_bytes(ctx, val, V_BYTES, &bytes);
-        heap.persist(ctx, val, 0, V_BYTES + value_size as u64);
-        let ops = Ops { heap };
-        let root = heap.root(ctx);
-        match ops.insert_rec(ctx, root, key, val) {
-            Descend::Done => {}
-            Descend::Split { sep, right } => {
-                let new_root = ops.new_inner(ctx);
-                heap.write_u64(ctx, new_root, I_NKEYS, 1);
-                heap.write_u64(ctx, new_root, I_KEYS, sep);
-                let old_root = heap.root(ctx);
-                heap.store_ref(ctx, new_root, I_CHILD, old_root);
-                heap.store_ref(ctx, new_root, I_CHILD + 8, right);
-                heap.persist(ctx, new_root, 0, INNER_SIZE);
-                heap.set_root(ctx, new_root);
+        heap.critical(|| {
+            let val = heap
+                .alloc(ctx, T_VALUE, V_BYTES + value_size as u64)
+                .expect("value");
+            heap.write_u64(ctx, val, V_KEY, key);
+            let mut bytes = vec![0u8; value_size];
+            value_pattern(key, &mut bytes);
+            heap.write_bytes(ctx, val, V_BYTES, &bytes);
+            heap.persist(ctx, val, 0, V_BYTES + value_size as u64);
+            let ops = Ops { heap };
+            let root = heap.root(ctx);
+            match ops.insert_rec(ctx, root, key, val) {
+                Descend::Done => {}
+                Descend::Split { sep, right } => {
+                    let new_root = ops.new_inner(ctx);
+                    heap.write_u64(ctx, new_root, I_NKEYS, 1);
+                    heap.write_u64(ctx, new_root, I_KEYS, sep);
+                    let old_root = heap.root(ctx);
+                    heap.store_ref(ctx, new_root, I_CHILD, old_root);
+                    heap.store_ref(ctx, new_root, I_CHILD + 8, right);
+                    heap.persist(ctx, new_root, 0, INNER_SIZE);
+                    heap.set_root(ctx, new_root);
+                }
             }
-        }
+        })
     }
 
     fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let ops = Ops { heap };
-        let leaf = ops.find_leaf(ctx, key);
-        if leaf.is_null() {
-            return false;
-        }
-        let n = heap.read_u64(ctx, leaf, L_NKEYS) as usize;
-        for i in 0..n {
-            if heap.read_u64(ctx, leaf, L_KEYS + i as u64 * 8) == key {
-                let val = heap.load_ref(ctx, leaf, L_VALS + i as u64 * 8);
-                for j in i..n - 1 {
-                    let k = heap.read_u64(ctx, leaf, L_KEYS + (j as u64 + 1) * 8);
-                    let v = heap.load_ref(ctx, leaf, L_VALS + (j as u64 + 1) * 8);
-                    heap.write_u64(ctx, leaf, L_KEYS + j as u64 * 8, k);
-                    heap.store_ref(ctx, leaf, L_VALS + j as u64 * 8, v);
-                }
-                heap.store_ref(ctx, leaf, L_VALS + (n as u64 - 1) * 8, PmPtr::NULL);
-                heap.write_u64(ctx, leaf, L_NKEYS, n as u64 - 1);
-                heap.persist(ctx, leaf, 0, LEAF_SIZE);
-                heap.free(ctx, val).expect("free value");
-                return true;
+        heap.critical(|| {
+            let ops = Ops { heap };
+            let leaf = ops.find_leaf(ctx, key);
+            if leaf.is_null() {
+                return false;
             }
-        }
-        false
+            let n = heap.read_u64(ctx, leaf, L_NKEYS) as usize;
+            for i in 0..n {
+                if heap.read_u64(ctx, leaf, L_KEYS + i as u64 * 8) == key {
+                    let val = heap.load_ref(ctx, leaf, L_VALS + i as u64 * 8);
+                    for j in i..n - 1 {
+                        let k = heap.read_u64(ctx, leaf, L_KEYS + (j as u64 + 1) * 8);
+                        let v = heap.load_ref(ctx, leaf, L_VALS + (j as u64 + 1) * 8);
+                        heap.write_u64(ctx, leaf, L_KEYS + j as u64 * 8, k);
+                        heap.store_ref(ctx, leaf, L_VALS + j as u64 * 8, v);
+                    }
+                    heap.store_ref(ctx, leaf, L_VALS + (n as u64 - 1) * 8, PmPtr::NULL);
+                    heap.write_u64(ctx, leaf, L_NKEYS, n as u64 - 1);
+                    heap.persist(ctx, leaf, 0, LEAF_SIZE);
+                    heap.free(ctx, val).expect("free value");
+                    return true;
+                }
+            }
+            false
+        })
     }
 
     fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let ops = Ops { heap };
-        let leaf = ops.find_leaf(ctx, key);
-        if leaf.is_null() {
-            return false;
-        }
-        let n = heap.read_u64(ctx, leaf, L_NKEYS) as usize;
-        (0..n).any(|i| heap.read_u64(ctx, leaf, L_KEYS + i as u64 * 8) == key)
+        heap.critical(|| {
+            let ops = Ops { heap };
+            let leaf = ops.find_leaf(ctx, key);
+            if leaf.is_null() {
+                return false;
+            }
+            let n = heap.read_u64(ctx, leaf, L_NKEYS) as usize;
+            (0..n).any(|i| heap.read_u64(ctx, leaf, L_KEYS + i as u64 * 8) == key)
+        })
     }
 
     fn validate(

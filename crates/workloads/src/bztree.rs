@@ -271,39 +271,45 @@ impl Workload for BzTree {
     }
 
     fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
-        let val = heap
-            .alloc(ctx, T_VALUE, V_BYTES + value_size as u64)
-            .expect("value");
-        heap.write_u64(ctx, val, V_KEY, key);
-        let mut bytes = vec![0u8; value_size];
-        value_pattern(key, &mut bytes);
-        heap.write_bytes(ctx, val, V_BYTES, &bytes);
-        heap.persist(ctx, val, 0, V_BYTES + value_size as u64);
-        Ops { heap }.apply(ctx, key, val);
+        heap.critical(|| {
+            let val = heap
+                .alloc(ctx, T_VALUE, V_BYTES + value_size as u64)
+                .expect("value");
+            heap.write_u64(ctx, val, V_KEY, key);
+            let mut bytes = vec![0u8; value_size];
+            value_pattern(key, &mut bytes);
+            heap.write_bytes(ctx, val, V_BYTES, &bytes);
+            heap.persist(ctx, val, 0, V_BYTES + value_size as u64);
+            Ops { heap }.apply(ctx, key, val);
+        })
     }
 
     fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let ops = Ops { heap };
-        if !self.contains(heap, ctx, key) {
-            return false;
-        }
-        // A tombstone append; the displaced value is freed inside.
-        ops.apply(ctx, key, PmPtr::NULL);
-        true
+        heap.critical(|| {
+            let ops = Ops { heap };
+            if !self.contains(heap, ctx, key) {
+                return false;
+            }
+            // A tombstone append; the displaced value is freed inside.
+            ops.apply(ctx, key, PmPtr::NULL);
+            true
+        })
     }
 
     fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let ops = Ops { heap };
-        let leaf = ops.find_leaf(ctx, key);
-        let count = heap.read_u64(ctx, leaf, L_COUNT) as usize;
-        for i in (0..count).rev() {
-            if heap.read_u64(ctx, leaf, L_ENTRIES + i as u64 * 16) == key {
-                return !heap
-                    .load_ref(ctx, leaf, L_ENTRIES + i as u64 * 16 + 8)
-                    .is_null();
+        heap.critical(|| {
+            let ops = Ops { heap };
+            let leaf = ops.find_leaf(ctx, key);
+            let count = heap.read_u64(ctx, leaf, L_COUNT) as usize;
+            for i in (0..count).rev() {
+                if heap.read_u64(ctx, leaf, L_ENTRIES + i as u64 * 16) == key {
+                    return !heap
+                        .load_ref(ctx, leaf, L_ENTRIES + i as u64 * 16 + 8)
+                        .is_null();
+                }
             }
-        }
-        false
+            false
+        })
     }
 
     fn validate(

@@ -189,71 +189,77 @@ impl Workload for DetectableQueue {
     }
 
     fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
-        let root = heap.root(ctx);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let node = heap
-            .alloc(ctx, T_NODE, VAL + value_size as u64)
-            .expect("dq node");
-        heap.write_u64(ctx, node, KEY, key);
-        heap.write_u64(ctx, node, SEQ, seq);
-        let mut val = vec![0u8; value_size];
-        value_pattern(key, &mut val);
-        heap.write_bytes(ctx, node, VAL, &val);
-        heap.store_ref(ctx, node, NEXT, PmPtr::NULL);
-        heap.persist(ctx, node, 0, VAL + value_size as u64);
-        let tail = heap.load_ref(ctx, root, TAIL);
-        // Linearization point: the link store persists before returning.
-        if tail.is_null() {
-            heap.store_ref(ctx, root, HEAD, node);
-        } else {
-            heap.store_ref(ctx, tail, NEXT, node);
-        }
-        heap.store_ref(ctx, root, TAIL, node);
-        // Completion record.
-        heap.write_u64(ctx, root, ENQ_SEQ, seq);
-        heap.write_u64(ctx, root, ENQ_KEY, key);
-        heap.persist(ctx, root, ENQ_SEQ, 16);
+        heap.critical(|| {
+            let root = heap.root(ctx);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let node = heap
+                .alloc(ctx, T_NODE, VAL + value_size as u64)
+                .expect("dq node");
+            heap.write_u64(ctx, node, KEY, key);
+            heap.write_u64(ctx, node, SEQ, seq);
+            let mut val = vec![0u8; value_size];
+            value_pattern(key, &mut val);
+            heap.write_bytes(ctx, node, VAL, &val);
+            heap.store_ref(ctx, node, NEXT, PmPtr::NULL);
+            heap.persist(ctx, node, 0, VAL + value_size as u64);
+            let tail = heap.load_ref(ctx, root, TAIL);
+            // Linearization point: the link store persists before returning.
+            if tail.is_null() {
+                heap.store_ref(ctx, root, HEAD, node);
+            } else {
+                heap.store_ref(ctx, tail, NEXT, node);
+            }
+            heap.store_ref(ctx, root, TAIL, node);
+            // Completion record.
+            heap.write_u64(ctx, root, ENQ_SEQ, seq);
+            heap.write_u64(ctx, root, ENQ_KEY, key);
+            heap.persist(ctx, root, ENQ_SEQ, 16);
+        })
     }
 
     fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let root = heap.root(ctx);
-        let mut prev = PmPtr::NULL;
-        let mut cur = heap.load_ref(ctx, root, HEAD);
-        while !cur.is_null() {
-            let next = heap.load_ref(ctx, cur, NEXT);
-            if heap.read_u64(ctx, cur, KEY) == key {
-                // Intent record: which key the in-flight removal targets.
-                heap.write_u64(ctx, root, DEQ_KEY, key);
-                heap.persist(ctx, root, DEQ_KEY, 8);
-                // Linearization point.
-                if prev.is_null() {
-                    heap.store_ref(ctx, root, HEAD, next);
-                } else {
-                    heap.store_ref(ctx, prev, NEXT, next);
+        heap.critical(|| {
+            let root = heap.root(ctx);
+            let mut prev = PmPtr::NULL;
+            let mut cur = heap.load_ref(ctx, root, HEAD);
+            while !cur.is_null() {
+                let next = heap.load_ref(ctx, cur, NEXT);
+                if heap.read_u64(ctx, cur, KEY) == key {
+                    // Intent record: which key the in-flight removal targets.
+                    heap.write_u64(ctx, root, DEQ_KEY, key);
+                    heap.persist(ctx, root, DEQ_KEY, 8);
+                    // Linearization point.
+                    if prev.is_null() {
+                        heap.store_ref(ctx, root, HEAD, next);
+                    } else {
+                        heap.store_ref(ctx, prev, NEXT, next);
+                    }
+                    if heap.load_ref(ctx, root, TAIL) == cur {
+                        heap.store_ref(ctx, root, TAIL, prev);
+                    }
+                    // Completion record, then reclamation.
+                    let done = heap.read_u64(ctx, root, DEQ_SEQ) + 1;
+                    heap.write_u64(ctx, root, DEQ_SEQ, done);
+                    heap.persist(ctx, root, DEQ_SEQ, 8);
+                    heap.free(ctx, cur).expect("free dq node");
+                    return true;
                 }
-                if heap.load_ref(ctx, root, TAIL) == cur {
-                    heap.store_ref(ctx, root, TAIL, prev);
-                }
-                // Completion record, then reclamation.
-                let done = heap.read_u64(ctx, root, DEQ_SEQ) + 1;
-                heap.write_u64(ctx, root, DEQ_SEQ, done);
-                heap.persist(ctx, root, DEQ_SEQ, 8);
-                heap.free(ctx, cur).expect("free dq node");
-                return true;
+                prev = cur;
+                cur = next;
             }
-            prev = cur;
-            cur = next;
-        }
-        false
+            false
+        })
     }
 
     fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let root = heap.root(ctx);
-        if root.is_null() {
-            return false;
-        }
-        Self::reachable(heap, ctx, root, key)
+        heap.critical(|| {
+            let root = heap.root(ctx);
+            if root.is_null() {
+                return false;
+            }
+            Self::reachable(heap, ctx, root, key)
+        })
     }
 
     fn validate(

@@ -463,6 +463,8 @@ struct ThreadOutcome {
     live: LiveKeys,
     oplog: Vec<OpRecord>,
     samples: Vec<Sample>,
+    /// App-context cycles each completed op took.
+    latencies: Vec<u32>,
     /// `Some` when the thread died to an injected kill.
     died: Option<VictimReport>,
     /// Durability events observed (0 when unarmed).
@@ -573,6 +575,7 @@ fn run_mt_impl(
             let mut live = LiveKeys::new();
             let mut oplog: Vec<OpRecord> = Vec::with_capacity(per_thread_ops);
             let mut samples: Vec<Sample> = Vec::new();
+            let mut latencies: Vec<u32> = Vec::with_capacity(per_thread_ops);
             let mut died: Option<VictimReport> = None;
             let total = (mix.init + mix.phase_ops * mix.phases).max(1);
             for op in 0..per_thread_ops {
@@ -627,6 +630,7 @@ fn run_mt_impl(
                 let logged_before = oplog.len();
                 let caught = {
                     let mut body = || {
+                        let t0 = ctx.cycles();
                         heap.critical(|| match planned {
                             Some((true, k, vs)) => {
                                 w.insert(&heap, &mut ctx, k, vs);
@@ -648,6 +652,7 @@ fn run_mt_impl(
                             }
                             None => {}
                         });
+                        latencies.push(u32::try_from(ctx.cycles() - t0).unwrap_or(u32::MAX));
                         // Every thread lends time to the collector on a
                         // dedicated context — the same interleaved-
                         // concurrency model (and aggregate collection rate)
@@ -745,6 +750,7 @@ fn run_mt_impl(
                 live,
                 oplog,
                 samples,
+                latencies,
                 died,
                 events,
             }
@@ -754,6 +760,7 @@ fn run_mt_impl(
     let mut gc_cycles = 0u64;
     let mut total_ops = 0u64;
     let mut samples: Vec<Sample> = Vec::new();
+    let mut latencies: Vec<u32> = Vec::with_capacity(per_thread_ops * threads);
     let mut shards: Vec<(BTreeSet<u64>, Vec<OpRecord>)> = Vec::with_capacity(threads);
     let mut victims: Vec<VictimReport> = Vec::new();
     let mut events_per_thread = vec![0u64; threads];
@@ -767,6 +774,7 @@ fn run_mt_impl(
             per_thread_ops as u64
         };
         samples.extend(out.samples);
+        latencies.extend(out.latencies);
         events_per_thread[tid] = out.events;
         if let Some(v) = out.died {
             victims.push(v);
@@ -859,7 +867,7 @@ fn run_mt_impl(
             gc_driver_cycles: gc_cycles,
             gc: heap.gc_stats(),
             samples,
-            latency: (0, 0, 0, 0),
+            latency: latency_summary(&mut latencies),
         },
         victims,
         events_per_thread,
@@ -1146,14 +1154,7 @@ pub fn run_on(
             samples.iter().map(|s| s.live as f64).sum::<f64>() / samples.len() as f64,
         )
     };
-    latencies.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            0
-        } else {
-            latencies[((latencies.len() - 1) as f64 * p) as usize]
-        }
-    };
+    let latency = latency_summary(&mut latencies);
     RunResult {
         workload: workload.name().to_owned(),
         scheme: heap.scheme(),
@@ -1169,6 +1170,16 @@ pub fn run_on(
         gc_driver_cycles: gc_ctx.cycles(),
         gc: heap.gc_stats(),
         samples,
-        latency: (pct(0.5), pct(0.9), pct(0.99), pct(1.0)),
+        latency,
     }
+}
+
+/// `(p50, p90, p99, max)` of per-op latencies; zeros when there are none.
+fn latency_summary<T: Copy + Ord + Into<u64>>(latencies: &mut [T]) -> (u64, u64, u64, u64) {
+    latencies.sort_unstable();
+    let pct = |p: f64| -> u64 {
+        let at = (latencies.len().saturating_sub(1) as f64 * p) as usize;
+        latencies.get(at).map_or(0, |&v| v.into())
+    };
+    (pct(0.5), pct(0.9), pct(0.99), pct(1.0))
 }

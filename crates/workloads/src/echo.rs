@@ -90,52 +90,58 @@ impl Workload for Echo {
     }
 
     fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
-        let arr = heap.root(ctx);
-        let slot = self.bucket(key) * 8;
-        let entry = heap
-            .alloc(ctx, T_ENTRY, VAL + value_size as u64)
-            .expect("entry");
-        let head = heap.load_ref(ctx, arr, slot);
-        heap.write_u64(ctx, entry, KEY, key);
-        let mut val = vec![0u8; value_size];
-        value_pattern(key, &mut val);
-        heap.write_bytes(ctx, entry, VAL, &val);
-        heap.store_ref(ctx, entry, NEXT, head);
-        heap.persist(ctx, entry, 0, VAL + value_size as u64);
-        heap.store_ref(ctx, arr, slot, entry);
+        heap.critical(|| {
+            let arr = heap.root(ctx);
+            let slot = self.bucket(key) * 8;
+            let entry = heap
+                .alloc(ctx, T_ENTRY, VAL + value_size as u64)
+                .expect("entry");
+            let head = heap.load_ref(ctx, arr, slot);
+            heap.write_u64(ctx, entry, KEY, key);
+            let mut val = vec![0u8; value_size];
+            value_pattern(key, &mut val);
+            heap.write_bytes(ctx, entry, VAL, &val);
+            heap.store_ref(ctx, entry, NEXT, head);
+            heap.persist(ctx, entry, 0, VAL + value_size as u64);
+            heap.store_ref(ctx, arr, slot, entry);
+        })
     }
 
     fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let arr = heap.root(ctx);
-        let slot = self.bucket(key) * 8;
-        let mut prev: Option<PmPtr> = None;
-        let mut cur = heap.load_ref(ctx, arr, slot);
-        while !cur.is_null() {
-            let next = heap.load_ref(ctx, cur, NEXT);
-            if heap.read_u64(ctx, cur, KEY) == key {
-                match prev {
-                    Some(p) => heap.store_ref(ctx, p, NEXT, next),
-                    None => heap.store_ref(ctx, arr, slot, next),
+        heap.critical(|| {
+            let arr = heap.root(ctx);
+            let slot = self.bucket(key) * 8;
+            let mut prev: Option<PmPtr> = None;
+            let mut cur = heap.load_ref(ctx, arr, slot);
+            while !cur.is_null() {
+                let next = heap.load_ref(ctx, cur, NEXT);
+                if heap.read_u64(ctx, cur, KEY) == key {
+                    match prev {
+                        Some(p) => heap.store_ref(ctx, p, NEXT, next),
+                        None => heap.store_ref(ctx, arr, slot, next),
+                    }
+                    heap.free(ctx, cur).expect("free entry");
+                    return true;
                 }
-                heap.free(ctx, cur).expect("free entry");
-                return true;
+                prev = Some(cur);
+                cur = next;
             }
-            prev = Some(cur);
-            cur = next;
-        }
-        false
+            false
+        })
     }
 
     fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let arr = heap.root(ctx);
-        let mut cur = heap.load_ref(ctx, arr, self.bucket(key) * 8);
-        while !cur.is_null() {
-            if heap.read_u64(ctx, cur, KEY) == key {
-                return true;
+        heap.critical(|| {
+            let arr = heap.root(ctx);
+            let mut cur = heap.load_ref(ctx, arr, self.bucket(key) * 8);
+            while !cur.is_null() {
+                if heap.read_u64(ctx, cur, KEY) == key {
+                    return true;
+                }
+                cur = heap.load_ref(ctx, cur, NEXT);
             }
-            cur = heap.load_ref(ctx, cur, NEXT);
-        }
-        false
+            false
+        })
     }
 
     fn validate(

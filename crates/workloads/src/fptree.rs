@@ -165,85 +165,91 @@ impl Workload for FpTree {
     }
 
     fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
-        self.refresh_epoch(heap, ctx);
-        let val = heap
-            .alloc(ctx, T_VALUE, V_BYTES + value_size as u64)
-            .expect("value");
-        heap.write_u64(ctx, val, V_KEY, key);
-        let mut bytes = vec![0u8; value_size];
-        value_pattern(key, &mut bytes);
-        heap.write_bytes(ctx, val, V_BYTES, &bytes);
-        heap.persist(ctx, val, 0, V_BYTES + value_size as u64);
+        heap.critical(|| {
+            self.refresh_epoch(heap, ctx);
+            let val = heap
+                .alloc(ctx, T_VALUE, V_BYTES + value_size as u64)
+                .expect("value");
+            heap.write_u64(ctx, val, V_KEY, key);
+            let mut bytes = vec![0u8; value_size];
+            value_pattern(key, &mut bytes);
+            heap.write_bytes(ctx, val, V_BYTES, &bytes);
+            heap.persist(ctx, val, 0, V_BYTES + value_size as u64);
 
-        let mut leaf = self.leaf_for(heap, ctx, key);
-        if Self::free_slot(heap, ctx, leaf).is_none() {
-            // Split: move the upper half into a new linked leaf.
-            let mut entries: Vec<(u64, u8, PmPtr)> = (0..SLOTS)
-                .map(|i| {
+            let mut leaf = self.leaf_for(heap, ctx, key);
+            if Self::free_slot(heap, ctx, leaf).is_none() {
+                // Split: move the upper half into a new linked leaf.
+                let mut entries: Vec<(u64, u8, PmPtr)> = (0..SLOTS)
+                    .map(|i| {
+                        let k = heap.read_u64(ctx, leaf, L_KEYS + i as u64 * 8);
+                        let mut fp = [0u8; 1];
+                        heap.read_bytes(ctx, leaf, L_FPS + i as u64, &mut fp);
+                        let v = heap.load_ref(ctx, leaf, L_VALS + i as u64 * 8);
+                        (k, fp[0], v)
+                    })
+                    .collect();
+                entries.sort_by_key(|&(k, _, _)| k);
+                let mid_key = entries[SLOTS / 2].0;
+                let right = Self::new_leaf(heap, ctx);
+                for (ri, &(k, fp, v)) in entries
+                    .iter()
+                    .filter(|&&(k, _, _)| k >= mid_key)
+                    .enumerate()
+                {
+                    let ri = ri as u64;
+                    heap.write_u64(ctx, right, L_KEYS + ri * 8, k);
+                    heap.write_bytes(ctx, right, L_FPS + ri, &[fp]);
+                    heap.store_ref(ctx, right, L_VALS + ri * 8, v);
+                }
+                heap.persist(ctx, right, 0, LEAF_SIZE);
+                let next = heap.load_ref(ctx, leaf, L_NEXT);
+                heap.store_ref(ctx, right, L_NEXT, next);
+                heap.store_ref(ctx, leaf, L_NEXT, right);
+                // Clear moved slots in the left leaf.
+                for i in 0..SLOTS {
                     let k = heap.read_u64(ctx, leaf, L_KEYS + i as u64 * 8);
-                    let mut fp = [0u8; 1];
-                    heap.read_bytes(ctx, leaf, L_FPS + i as u64, &mut fp);
-                    let v = heap.load_ref(ctx, leaf, L_VALS + i as u64 * 8);
-                    (k, fp[0], v)
-                })
-                .collect();
-            entries.sort_by_key(|&(k, _, _)| k);
-            let mid_key = entries[SLOTS / 2].0;
-            let right = Self::new_leaf(heap, ctx);
-            for (ri, &(k, fp, v)) in entries
-                .iter()
-                .filter(|&&(k, _, _)| k >= mid_key)
-                .enumerate()
-            {
-                let ri = ri as u64;
-                heap.write_u64(ctx, right, L_KEYS + ri * 8, k);
-                heap.write_bytes(ctx, right, L_FPS + ri, &[fp]);
-                heap.store_ref(ctx, right, L_VALS + ri * 8, v);
-            }
-            heap.persist(ctx, right, 0, LEAF_SIZE);
-            let next = heap.load_ref(ctx, leaf, L_NEXT);
-            heap.store_ref(ctx, right, L_NEXT, next);
-            heap.store_ref(ctx, leaf, L_NEXT, right);
-            // Clear moved slots in the left leaf.
-            for i in 0..SLOTS {
-                let k = heap.read_u64(ctx, leaf, L_KEYS + i as u64 * 8);
-                if k >= mid_key {
-                    heap.store_ref(ctx, leaf, L_VALS + i as u64 * 8, PmPtr::NULL);
+                    if k >= mid_key {
+                        heap.store_ref(ctx, leaf, L_VALS + i as u64 * 8, PmPtr::NULL);
+                    }
+                }
+                heap.persist(ctx, leaf, 0, LEAF_SIZE);
+                self.index.insert(mid_key, right);
+                if key >= mid_key {
+                    leaf = right;
                 }
             }
-            heap.persist(ctx, leaf, 0, LEAF_SIZE);
-            self.index.insert(mid_key, right);
-            if key >= mid_key {
-                leaf = right;
-            }
-        }
-        let slot = Self::free_slot(heap, ctx, leaf).expect("slot after split") as u64;
-        heap.write_u64(ctx, leaf, L_KEYS + slot * 8, key);
-        heap.write_bytes(ctx, leaf, L_FPS + slot, &[Self::fingerprint(key)]);
-        heap.persist(ctx, leaf, L_KEYS + slot * 8, 8);
-        heap.persist(ctx, leaf, L_FPS + slot, 1);
-        // The value-ref store is the atomic commit point.
-        heap.store_ref(ctx, leaf, L_VALS + slot * 8, val);
+            let slot = Self::free_slot(heap, ctx, leaf).expect("slot after split") as u64;
+            heap.write_u64(ctx, leaf, L_KEYS + slot * 8, key);
+            heap.write_bytes(ctx, leaf, L_FPS + slot, &[Self::fingerprint(key)]);
+            heap.persist(ctx, leaf, L_KEYS + slot * 8, 8);
+            heap.persist(ctx, leaf, L_FPS + slot, 1);
+            // The value-ref store is the atomic commit point.
+            heap.store_ref(ctx, leaf, L_VALS + slot * 8, val);
+        })
     }
 
     fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        self.refresh_epoch(heap, ctx);
-        let leaf = self.leaf_for(heap, ctx, key);
-        match Self::slot_scan(heap, ctx, leaf, key) {
-            Some(i) => {
-                let val = heap.load_ref(ctx, leaf, L_VALS + i as u64 * 8);
-                heap.store_ref(ctx, leaf, L_VALS + i as u64 * 8, PmPtr::NULL);
-                heap.free(ctx, val).expect("free value");
-                true
+        heap.critical(|| {
+            self.refresh_epoch(heap, ctx);
+            let leaf = self.leaf_for(heap, ctx, key);
+            match Self::slot_scan(heap, ctx, leaf, key) {
+                Some(i) => {
+                    let val = heap.load_ref(ctx, leaf, L_VALS + i as u64 * 8);
+                    heap.store_ref(ctx, leaf, L_VALS + i as u64 * 8, PmPtr::NULL);
+                    heap.free(ctx, val).expect("free value");
+                    true
+                }
+                None => false,
             }
-            None => false,
-        }
+        })
     }
 
     fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        self.refresh_epoch(heap, ctx);
-        let leaf = self.leaf_for(heap, ctx, key);
-        Self::slot_scan(heap, ctx, leaf, key).is_some()
+        heap.critical(|| {
+            self.refresh_epoch(heap, ctx);
+            let leaf = self.leaf_for(heap, ctx, key);
+            Self::slot_scan(heap, ctx, leaf, key).is_some()
+        })
     }
 
     fn validate(

@@ -69,51 +69,57 @@ impl Workload for LinkedList {
     }
 
     fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
-        let dir = heap.root(ctx);
-        let node = heap
-            .alloc(ctx, T_NODE, VAL + value_size as u64)
-            .expect("node");
-        let head = heap.load_ref(ctx, dir, Self::bucket_off(key));
-        heap.write_u64(ctx, node, KEY, key);
-        let mut val = vec![0u8; value_size];
-        value_pattern(key, &mut val);
-        heap.write_bytes(ctx, node, VAL, &val);
-        heap.store_ref(ctx, node, NEXT, head);
-        heap.persist(ctx, node, 0, VAL + value_size as u64);
-        heap.store_ref(ctx, dir, Self::bucket_off(key), node);
+        heap.critical(|| {
+            let dir = heap.root(ctx);
+            let node = heap
+                .alloc(ctx, T_NODE, VAL + value_size as u64)
+                .expect("node");
+            let head = heap.load_ref(ctx, dir, Self::bucket_off(key));
+            heap.write_u64(ctx, node, KEY, key);
+            let mut val = vec![0u8; value_size];
+            value_pattern(key, &mut val);
+            heap.write_bytes(ctx, node, VAL, &val);
+            heap.store_ref(ctx, node, NEXT, head);
+            heap.persist(ctx, node, 0, VAL + value_size as u64);
+            heap.store_ref(ctx, dir, Self::bucket_off(key), node);
+        })
     }
 
     fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let dir = heap.root(ctx);
-        let slot = Self::bucket_off(key);
-        let mut prev: Option<PmPtr> = None;
-        let mut cur = heap.load_ref(ctx, dir, slot);
-        while !cur.is_null() {
-            let next = heap.load_ref(ctx, cur, NEXT);
-            if heap.read_u64(ctx, cur, KEY) == key {
-                match prev {
-                    Some(p) => heap.store_ref(ctx, p, NEXT, next),
-                    None => heap.store_ref(ctx, dir, slot, next),
+        heap.critical(|| {
+            let dir = heap.root(ctx);
+            let slot = Self::bucket_off(key);
+            let mut prev: Option<PmPtr> = None;
+            let mut cur = heap.load_ref(ctx, dir, slot);
+            while !cur.is_null() {
+                let next = heap.load_ref(ctx, cur, NEXT);
+                if heap.read_u64(ctx, cur, KEY) == key {
+                    match prev {
+                        Some(p) => heap.store_ref(ctx, p, NEXT, next),
+                        None => heap.store_ref(ctx, dir, slot, next),
+                    }
+                    heap.free(ctx, cur).expect("free list node");
+                    return true;
                 }
-                heap.free(ctx, cur).expect("free list node");
-                return true;
+                prev = Some(cur);
+                cur = next;
             }
-            prev = Some(cur);
-            cur = next;
-        }
-        false
+            false
+        })
     }
 
     fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let dir = heap.root(ctx);
-        let mut cur = heap.load_ref(ctx, dir, Self::bucket_off(key));
-        while !cur.is_null() {
-            if heap.read_u64(ctx, cur, KEY) == key {
-                return true;
+        heap.critical(|| {
+            let dir = heap.root(ctx);
+            let mut cur = heap.load_ref(ctx, dir, Self::bucket_off(key));
+            while !cur.is_null() {
+                if heap.read_u64(ctx, cur, KEY) == key {
+                    return true;
+                }
+                cur = heap.load_ref(ctx, cur, NEXT);
             }
-            cur = heap.load_ref(ctx, cur, NEXT);
-        }
-        false
+            false
+        })
     }
 
     fn validate(

@@ -86,50 +86,56 @@ impl Workload for Pmemkv {
     }
 
     fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
-        let (chunk, slot) = Self::slot_of(heap, ctx, Self::bucket(key));
-        let entry = heap
-            .alloc(ctx, T_ENTRY, E_VAL + value_size as u64)
-            .expect("entry");
-        let head = heap.load_ref(ctx, chunk, slot);
-        heap.write_u64(ctx, entry, E_KEY, key);
-        let mut val = vec![0u8; value_size];
-        value_pattern(key, &mut val);
-        heap.write_bytes(ctx, entry, E_VAL, &val);
-        heap.store_ref(ctx, entry, E_NEXT, head);
-        heap.persist(ctx, entry, 0, E_VAL + value_size as u64);
-        heap.store_ref(ctx, chunk, slot, entry);
+        heap.critical(|| {
+            let (chunk, slot) = Self::slot_of(heap, ctx, Self::bucket(key));
+            let entry = heap
+                .alloc(ctx, T_ENTRY, E_VAL + value_size as u64)
+                .expect("entry");
+            let head = heap.load_ref(ctx, chunk, slot);
+            heap.write_u64(ctx, entry, E_KEY, key);
+            let mut val = vec![0u8; value_size];
+            value_pattern(key, &mut val);
+            heap.write_bytes(ctx, entry, E_VAL, &val);
+            heap.store_ref(ctx, entry, E_NEXT, head);
+            heap.persist(ctx, entry, 0, E_VAL + value_size as u64);
+            heap.store_ref(ctx, chunk, slot, entry);
+        })
     }
 
     fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let (chunk, slot) = Self::slot_of(heap, ctx, Self::bucket(key));
-        let mut prev: Option<PmPtr> = None;
-        let mut cur = heap.load_ref(ctx, chunk, slot);
-        while !cur.is_null() {
-            let next = heap.load_ref(ctx, cur, E_NEXT);
-            if heap.read_u64(ctx, cur, E_KEY) == key {
-                match prev {
-                    Some(p) => heap.store_ref(ctx, p, E_NEXT, next),
-                    None => heap.store_ref(ctx, chunk, slot, next),
+        heap.critical(|| {
+            let (chunk, slot) = Self::slot_of(heap, ctx, Self::bucket(key));
+            let mut prev: Option<PmPtr> = None;
+            let mut cur = heap.load_ref(ctx, chunk, slot);
+            while !cur.is_null() {
+                let next = heap.load_ref(ctx, cur, E_NEXT);
+                if heap.read_u64(ctx, cur, E_KEY) == key {
+                    match prev {
+                        Some(p) => heap.store_ref(ctx, p, E_NEXT, next),
+                        None => heap.store_ref(ctx, chunk, slot, next),
+                    }
+                    heap.free(ctx, cur).expect("free entry");
+                    return true;
                 }
-                heap.free(ctx, cur).expect("free entry");
-                return true;
+                prev = Some(cur);
+                cur = next;
             }
-            prev = Some(cur);
-            cur = next;
-        }
-        false
+            false
+        })
     }
 
     fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let (chunk, slot) = Self::slot_of(heap, ctx, Self::bucket(key));
-        let mut cur = heap.load_ref(ctx, chunk, slot);
-        while !cur.is_null() {
-            if heap.read_u64(ctx, cur, E_KEY) == key {
-                return true;
+        heap.critical(|| {
+            let (chunk, slot) = Self::slot_of(heap, ctx, Self::bucket(key));
+            let mut cur = heap.load_ref(ctx, chunk, slot);
+            while !cur.is_null() {
+                if heap.read_u64(ctx, cur, E_KEY) == key {
+                    return true;
+                }
+                cur = heap.load_ref(ctx, cur, E_NEXT);
             }
-            cur = heap.load_ref(ctx, cur, E_NEXT);
-        }
-        false
+            false
+        })
     }
 
     fn validate(

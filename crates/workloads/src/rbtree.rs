@@ -167,104 +167,110 @@ impl Workload for RbTree {
     }
 
     fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
-        let node = heap
-            .alloc(ctx, T_NODE, VAL + value_size as u64)
-            .expect("rbt node");
-        heap.store_ref(ctx, node, LEFT, PmPtr::NULL);
-        heap.store_ref(ctx, node, RIGHT, PmPtr::NULL);
-        heap.store_ref(ctx, node, PARENT, PmPtr::NULL);
-        heap.write_u64(ctx, node, KEY, key);
-        heap.write_u64(ctx, node, COLOR, RED);
-        let mut val = vec![0u8; value_size];
-        value_pattern(key, &mut val);
-        heap.write_bytes(ctx, node, VAL, &val);
-        heap.persist(ctx, node, 0, VAL + value_size as u64);
+        heap.critical(|| {
+            let node = heap
+                .alloc(ctx, T_NODE, VAL + value_size as u64)
+                .expect("rbt node");
+            heap.store_ref(ctx, node, LEFT, PmPtr::NULL);
+            heap.store_ref(ctx, node, RIGHT, PmPtr::NULL);
+            heap.store_ref(ctx, node, PARENT, PmPtr::NULL);
+            heap.write_u64(ctx, node, KEY, key);
+            heap.write_u64(ctx, node, COLOR, RED);
+            let mut val = vec![0u8; value_size];
+            value_pattern(key, &mut val);
+            heap.write_bytes(ctx, node, VAL, &val);
+            heap.persist(ctx, node, 0, VAL + value_size as u64);
 
-        // BST insert with parent tracking.
-        let ops = Ops { heap };
-        let mut cur = heap.root(ctx);
-        if cur.is_null() {
-            ops.set_color(ctx, node, BLACK);
-            heap.set_root(ctx, node);
-            return;
-        }
-        loop {
-            let k = heap.read_u64(ctx, cur, KEY);
-            let side = if key < k { LEFT } else { RIGHT };
-            let next = heap.load_ref(ctx, cur, side);
-            if next.is_null() {
-                heap.store_ref(ctx, cur, side, node);
-                heap.store_ref(ctx, node, PARENT, cur);
-                break;
+            // BST insert with parent tracking.
+            let ops = Ops { heap };
+            let mut cur = heap.root(ctx);
+            if cur.is_null() {
+                ops.set_color(ctx, node, BLACK);
+                heap.set_root(ctx, node);
+                return;
             }
-            cur = next;
-        }
-        ops.insert_fixup(ctx, node);
+            loop {
+                let k = heap.read_u64(ctx, cur, KEY);
+                let side = if key < k { LEFT } else { RIGHT };
+                let next = heap.load_ref(ctx, cur, side);
+                if next.is_null() {
+                    heap.store_ref(ctx, cur, side, node);
+                    heap.store_ref(ctx, node, PARENT, cur);
+                    break;
+                }
+                cur = next;
+            }
+            ops.insert_fixup(ctx, node);
+        })
     }
 
     fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let ops = Ops { heap };
-        let mut n = heap.root(ctx);
-        while !n.is_null() {
-            let k = heap.read_u64(ctx, n, KEY);
-            if k == key {
-                break;
-            }
-            n = heap.load_ref(ctx, n, if key < k { LEFT } else { RIGHT });
-        }
-        if n.is_null() {
-            return false;
-        }
-        let l = ops.child(ctx, n, LEFT);
-        let r = ops.child(ctx, n, RIGHT);
-        if l.is_null() || r.is_null() {
-            let child = if l.is_null() { r } else { l };
-            ops.replace_in_parent(ctx, n, child);
-        } else {
-            // Splice the in-order successor into n's place.
-            let mut succ = r;
-            loop {
-                let sl = ops.child(ctx, succ, LEFT);
-                if sl.is_null() {
+        heap.critical(|| {
+            let ops = Ops { heap };
+            let mut n = heap.root(ctx);
+            while !n.is_null() {
+                let k = heap.read_u64(ctx, n, KEY);
+                if k == key {
                     break;
                 }
-                succ = sl;
+                n = heap.load_ref(ctx, n, if key < k { LEFT } else { RIGHT });
             }
-            let succ_right = ops.child(ctx, succ, RIGHT);
-            let succ_color = ops.color(ctx, succ);
-            if succ != r {
-                ops.replace_in_parent(ctx, succ, succ_right);
-                let n_right = heap.load_ref(ctx, n, RIGHT);
-                heap.store_ref(ctx, succ, RIGHT, n_right);
-                let nr = heap.load_ref(ctx, succ, RIGHT);
-                if !nr.is_null() {
-                    heap.store_ref(ctx, nr, PARENT, succ);
+            if n.is_null() {
+                return false;
+            }
+            let l = ops.child(ctx, n, LEFT);
+            let r = ops.child(ctx, n, RIGHT);
+            if l.is_null() || r.is_null() {
+                let child = if l.is_null() { r } else { l };
+                ops.replace_in_parent(ctx, n, child);
+            } else {
+                // Splice the in-order successor into n's place.
+                let mut succ = r;
+                loop {
+                    let sl = ops.child(ctx, succ, LEFT);
+                    if sl.is_null() {
+                        break;
+                    }
+                    succ = sl;
                 }
+                let succ_right = ops.child(ctx, succ, RIGHT);
+                let succ_color = ops.color(ctx, succ);
+                if succ != r {
+                    ops.replace_in_parent(ctx, succ, succ_right);
+                    let n_right = heap.load_ref(ctx, n, RIGHT);
+                    heap.store_ref(ctx, succ, RIGHT, n_right);
+                    let nr = heap.load_ref(ctx, succ, RIGHT);
+                    if !nr.is_null() {
+                        heap.store_ref(ctx, nr, PARENT, succ);
+                    }
+                }
+                ops.replace_in_parent(ctx, n, succ);
+                heap.store_ref(ctx, succ, LEFT, l);
+                if !l.is_null() {
+                    heap.store_ref(ctx, l, PARENT, succ);
+                }
+                // Keep n's color at its position (classic splice).
+                let ncolor = heap.read_u64(ctx, n, COLOR);
+                ops.set_color(ctx, succ, ncolor);
+                let _ = succ_color;
             }
-            ops.replace_in_parent(ctx, n, succ);
-            heap.store_ref(ctx, succ, LEFT, l);
-            if !l.is_null() {
-                heap.store_ref(ctx, l, PARENT, succ);
-            }
-            // Keep n's color at its position (classic splice).
-            let ncolor = heap.read_u64(ctx, n, COLOR);
-            ops.set_color(ctx, succ, ncolor);
-            let _ = succ_color;
-        }
-        heap.free(ctx, n).expect("free rbt node");
-        true
+            heap.free(ctx, n).expect("free rbt node");
+            true
+        })
     }
 
     fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let mut cur = heap.root(ctx);
-        while !cur.is_null() {
-            let k = heap.read_u64(ctx, cur, KEY);
-            if k == key {
-                return true;
+        heap.critical(|| {
+            let mut cur = heap.root(ctx);
+            while !cur.is_null() {
+                let k = heap.read_u64(ctx, cur, KEY);
+                if k == key {
+                    return true;
+                }
+                cur = heap.load_ref(ctx, cur, if key < k { LEFT } else { RIGHT });
             }
-            cur = heap.load_ref(ctx, cur, if key < k { LEFT } else { RIGHT });
-        }
-        false
+            false
+        })
     }
 
     fn validate(

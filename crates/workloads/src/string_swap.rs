@@ -69,75 +69,81 @@ impl Workload for StringSwap {
     }
 
     fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
-        let dir = heap.root(ctx);
-        let slot = Self::bucket(key) * 8;
-        let s = heap
-            .alloc(ctx, T_STR, VAL + value_size as u64)
-            .expect("string");
-        let head = heap.load_ref(ctx, dir, slot);
-        heap.write_u64(ctx, s, KEY, key);
-        heap.write_u64(ctx, s, GEN, 0);
-        let mut val = vec![0u8; value_size];
-        value_pattern(key, &mut val);
-        heap.write_bytes(ctx, s, VAL, &val);
-        heap.store_ref(ctx, s, NEXT, head);
-        heap.persist(ctx, s, 0, VAL + value_size as u64);
-        heap.store_ref(ctx, dir, slot, s);
+        heap.critical(|| {
+            let dir = heap.root(ctx);
+            let slot = Self::bucket(key) * 8;
+            let s = heap
+                .alloc(ctx, T_STR, VAL + value_size as u64)
+                .expect("string");
+            let head = heap.load_ref(ctx, dir, slot);
+            heap.write_u64(ctx, s, KEY, key);
+            heap.write_u64(ctx, s, GEN, 0);
+            let mut val = vec![0u8; value_size];
+            value_pattern(key, &mut val);
+            heap.write_bytes(ctx, s, VAL, &val);
+            heap.store_ref(ctx, s, NEXT, head);
+            heap.persist(ctx, s, 0, VAL + value_size as u64);
+            heap.store_ref(ctx, dir, slot, s);
 
-        // The swap half: reallocate the head string of a rotating bucket.
-        self.swap_cursor = (self.swap_cursor + 1) % WAYS;
-        let victim_slot = self.swap_cursor * 8;
-        let victim = heap.load_ref(ctx, dir, victim_slot);
-        if victim.is_null() || victim == s {
-            return;
-        }
-        let vkey = heap.read_u64(ctx, victim, KEY);
-        let vgen = heap.read_u64(ctx, victim, GEN);
-        let (_, vsize) = heap.object_header(ctx, victim);
-        let next = heap.load_ref(ctx, victim, NEXT);
-        let fresh = heap.alloc(ctx, T_STR, vsize as u64).expect("swap string");
-        heap.write_u64(ctx, fresh, KEY, vkey);
-        heap.write_u64(ctx, fresh, GEN, vgen + 1);
-        let mut val = vec![0u8; vsize as usize - VAL as usize];
-        value_pattern(vkey, &mut val);
-        heap.write_bytes(ctx, fresh, VAL, &val);
-        heap.store_ref(ctx, fresh, NEXT, next);
-        heap.persist(ctx, fresh, 0, vsize as u64);
-        heap.store_ref(ctx, dir, victim_slot, fresh);
-        heap.free(ctx, victim).expect("free swapped string");
+            // The swap half: reallocate the head string of a rotating bucket.
+            self.swap_cursor = (self.swap_cursor + 1) % WAYS;
+            let victim_slot = self.swap_cursor * 8;
+            let victim = heap.load_ref(ctx, dir, victim_slot);
+            if victim.is_null() || victim == s {
+                return;
+            }
+            let vkey = heap.read_u64(ctx, victim, KEY);
+            let vgen = heap.read_u64(ctx, victim, GEN);
+            let (_, vsize) = heap.object_header(ctx, victim);
+            let next = heap.load_ref(ctx, victim, NEXT);
+            let fresh = heap.alloc(ctx, T_STR, vsize as u64).expect("swap string");
+            heap.write_u64(ctx, fresh, KEY, vkey);
+            heap.write_u64(ctx, fresh, GEN, vgen + 1);
+            let mut val = vec![0u8; vsize as usize - VAL as usize];
+            value_pattern(vkey, &mut val);
+            heap.write_bytes(ctx, fresh, VAL, &val);
+            heap.store_ref(ctx, fresh, NEXT, next);
+            heap.persist(ctx, fresh, 0, vsize as u64);
+            heap.store_ref(ctx, dir, victim_slot, fresh);
+            heap.free(ctx, victim).expect("free swapped string");
+        })
     }
 
     fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let dir = heap.root(ctx);
-        let slot = Self::bucket(key) * 8;
-        let mut prev: Option<PmPtr> = None;
-        let mut cur = heap.load_ref(ctx, dir, slot);
-        while !cur.is_null() {
-            let next = heap.load_ref(ctx, cur, NEXT);
-            if heap.read_u64(ctx, cur, KEY) == key {
-                match prev {
-                    Some(p) => heap.store_ref(ctx, p, NEXT, next),
-                    None => heap.store_ref(ctx, dir, slot, next),
+        heap.critical(|| {
+            let dir = heap.root(ctx);
+            let slot = Self::bucket(key) * 8;
+            let mut prev: Option<PmPtr> = None;
+            let mut cur = heap.load_ref(ctx, dir, slot);
+            while !cur.is_null() {
+                let next = heap.load_ref(ctx, cur, NEXT);
+                if heap.read_u64(ctx, cur, KEY) == key {
+                    match prev {
+                        Some(p) => heap.store_ref(ctx, p, NEXT, next),
+                        None => heap.store_ref(ctx, dir, slot, next),
+                    }
+                    heap.free(ctx, cur).expect("free string");
+                    return true;
                 }
-                heap.free(ctx, cur).expect("free string");
-                return true;
+                prev = Some(cur);
+                cur = next;
             }
-            prev = Some(cur);
-            cur = next;
-        }
-        false
+            false
+        })
     }
 
     fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
-        let dir = heap.root(ctx);
-        let mut cur = heap.load_ref(ctx, dir, Self::bucket(key) * 8);
-        while !cur.is_null() {
-            if heap.read_u64(ctx, cur, KEY) == key {
-                return true;
+        heap.critical(|| {
+            let dir = heap.root(ctx);
+            let mut cur = heap.load_ref(ctx, dir, Self::bucket(key) * 8);
+            while !cur.is_null() {
+                if heap.read_u64(ctx, cur, KEY) == key {
+                    return true;
+                }
+                cur = heap.load_ref(ctx, cur, NEXT);
             }
-            cur = heap.load_ref(ctx, cur, NEXT);
-        }
-        false
+            false
+        })
     }
 
     fn validate(

@@ -40,6 +40,7 @@ fn assert_runs_match(a: &RunResult, b: &RunResult, what: &str) {
     assert_eq!(a.gc_driver_cycles, b.gc_driver_cycles, "{what}: gc cycles");
     assert_eq!(a.gc, b.gc, "{what}: gc stats");
     assert_eq!(a.samples, b.samples, "{what}: samples");
+    assert_eq!(a.latency, b.latency, "{what}: op latency percentiles");
     assert_eq!(
         a.avg_footprint.to_bits(),
         b.avg_footprint.to_bits(),
@@ -69,6 +70,12 @@ fn free_running_mt_passes_the_shard_checker() {
             assert_eq!(r.ops, 1300 / threads as u64 * threads as u64);
             assert!(r.gc.barrier_invocations > 0, "{scheme}: barriers fired");
             assert!(!r.samples.is_empty(), "{scheme}: sampler produced samples");
+            let (p50, p90, p99, max) = r.latency;
+            assert!(
+                0 < p50 && p50 <= p90 && p90 <= p99 && p99 <= max,
+                "{scheme}: per-op latency percentiles {:?}",
+                r.latency
+            );
         }
     }
 }

@@ -1,11 +1,19 @@
-//! Offline stand-in for `parking_lot`, backed by `std::sync`.
+//! Offline stand-in for `parking_lot`.
 //!
 //! The build environment has no crates.io access, so the workspace patches
 //! `parking_lot` to this crate. Only the API surface the workspace actually
-//! uses is provided: non-poisoning `Mutex` / `RwLock` whose `lock` / `read` /
-//! `write` return guards directly (poison is swallowed by taking the inner
-//! value, matching parking_lot's panic-transparent semantics closely enough
-//! for a deterministic simulator).
+//! uses is provided, with parking_lot's semantics for it:
+//!
+//! * [`Mutex`] is `std::sync::Mutex` with poison swallowed (a panic while
+//!   holding the lock leaves it usable, as in parking_lot).
+//! * [`RwLock`] is this crate's own word-sized lock: one CAS when
+//!   uncontended, a bounded spin-then-yield when contended, and a
+//!   `Condvar` park only after that (parking_lot's adaptive acquisition).
+//!   `read` queues behind waiting writers (no writer starvation),
+//!   `read_recursive` never does (no deadlock under an existing read
+//!   guard), and guards release on unwind without poisoning. What it does
+//!   *not* reproduce is parking_lot's eventual-fairness hand-off and its
+//!   per-address parking lot — waiters here park on a per-lock `Condvar`.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -79,15 +87,23 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 /// guard *drop* then locked the mutex again and issued an unconditional
 /// `notify_all` (a futex syscall) — ~175 ns per acquisition on the
 /// simulator's per-bank engine locks, which sit on every simulated memory
-/// access and dominated host time. Waiters now park on the condvar only
-/// under contention, and releasers touch it only when `parked > 0`.
+/// access and dominated host time. Releasers now touch the condvar only
+/// when `parked > 0`.
+///
+/// A failed fast path does not park straight away either: the engine
+/// holds these locks for tens of nanoseconds while a futex sleep costs
+/// 50–300 µs, so a waiter first backs off — spins, then yields (`Backoff`)
+/// — and only then enters the `park_lock`/`Condvar` protocol. Spinning
+/// changes where a thread waits, not the rules: a spinning writer has
+/// already registered in the waiting-writer count, so plain `read`s queue
+/// behind it exactly as they do behind a parked one.
 ///
 /// State word layout: bit 0 = writer active; bits 1..21 = waiting-writer
 /// count (new plain `read`s queue behind these); bits 21..64 = reader
 /// count.
 pub struct RwLock<T: ?Sized> {
     state: sync::atomic::AtomicU64,
-    /// Threads registered in the slow path (readers or writers). Releasers
+    /// Threads parked or about to park (readers or writers). Releasers
     /// check this before touching the condvar, so uncontended drops stay
     /// syscall-free. Registration happens while holding `park_lock`, and
     /// both sides use `SeqCst`, so a releaser either sees the waiter's
@@ -105,6 +121,49 @@ const READER_ONE: u64 = 1 << 21;
 const READERS_MASK: u64 = !(WRITER | WWAIT_MASK);
 
 use sync::atomic::Ordering::{Relaxed, SeqCst};
+
+/// Doubling rounds of `spin_loop` a waiter runs before it starts yielding.
+const SPIN_ROUNDS: u32 = 10;
+/// Cap on the pauses in one round (rounds run 1, 2, 4, … up to this).
+const SPIN_CAP: u32 = 64;
+/// `yield_now` calls a waiter makes after spinning, before it parks.
+const YIELD_ROUNDS: u32 = 30;
+
+/// The wait a contended acquisition does before parking: `SPIN_ROUNDS`
+/// exponentially growing pause bursts (≈ 320 pauses, a few µs — far longer
+/// than the simulator holds any `RwLock`), then `YIELD_ROUNDS` yields so an
+/// oversubscribed host runs the holder instead of the spinner. Constants,
+/// not knobs: policies from {10 rounds, cap 3, 3 yields} to {100, 100, 4}
+/// measure the same on the end-to-end benchmark (DESIGN.md §7.1).
+struct Backoff(u32);
+
+impl Backoff {
+    /// Waits one step; `false` once the budget is spent and the caller
+    /// should park.
+    fn snooze(&mut self) -> bool {
+        if self.0 < SPIN_ROUNDS {
+            for _ in 0..(1u32 << self.0).min(SPIN_CAP) {
+                std::hint::spin_loop();
+            }
+        } else if self.0 < SPIN_ROUNDS + YIELD_ROUNDS {
+            std::thread::yield_now();
+        } else {
+            return false;
+        }
+        self.0 += 1;
+        true
+    }
+}
+
+static PARKS: sync::atomic::AtomicU64 = sync::atomic::AtomicU64::new(0);
+
+/// Times any thread has gone to sleep on an [`RwLock`]'s condvar, process
+/// wide. The regression guard for the spin phase: short critical sections
+/// must not move this.
+#[doc(hidden)]
+pub fn park_count() -> u64 {
+    PARKS.load(Relaxed)
+}
 
 // Same bounds as std::sync::RwLock.
 unsafe impl<T: ?Sized + Send> Send for RwLock<T> {}
@@ -168,33 +227,54 @@ impl<T: ?Sized> RwLock<T> {
         }
     }
 
-    /// Parks until a reader slot can be taken. With `barge` only an active
-    /// writer blocks us (the `read_recursive` contract); otherwise waiting
-    /// writers do too.
+    /// Takes a reader slot the slow way. With `barge` only an active writer
+    /// blocks us (the `read_recursive` contract); otherwise waiting writers
+    /// do too.
+    #[cold]
     fn read_slow(&self, barge: bool) {
+        let blockers = if barge { WRITER } else { WRITER | WWAIT_MASK };
+        self.acquire_slow(|s| (s & blockers == 0).then_some(s + READER_ONE));
+    }
+
+    /// The one contended path: moves the state word from `s` to
+    /// `step(s)` once `step` allows it, backing off first and parking
+    /// after that.
+    fn acquire_slow(&self, step: impl Fn(u64) -> Option<u64>) {
+        let mut backoff = Backoff(0);
+        loop {
+            let s = self.state.load(Relaxed);
+            match step(s) {
+                Some(next) => {
+                    if self
+                        .state
+                        .compare_exchange_weak(s, next, SeqCst, Relaxed)
+                        .is_ok()
+                    {
+                        return;
+                    }
+                }
+                None if backoff.snooze() => {}
+                None => break,
+            }
+        }
         let mut guard = self.park_lock.lock().unwrap_or_else(|e| e.into_inner());
         self.parked.fetch_add(1, SeqCst);
         loop {
             let s = self.state.load(SeqCst);
-            let blocked = if barge {
-                s & WRITER != 0
-            } else {
-                s & (WRITER | WWAIT_MASK) != 0
-            };
-            if !blocked {
-                if self
-                    .state
-                    .compare_exchange(s, s + READER_ONE, SeqCst, SeqCst)
-                    .is_ok()
-                {
-                    break;
+            match step(s) {
+                Some(next) => {
+                    if self.state.compare_exchange(s, next, SeqCst, SeqCst).is_ok() {
+                        break;
+                    }
                 }
-                continue;
+                None => {
+                    PARKS.fetch_add(1, Relaxed);
+                    guard = self
+                        .park_cond
+                        .wait(guard)
+                        .unwrap_or_else(|e| e.into_inner());
+                }
             }
-            guard = self
-                .park_cond
-                .wait(guard)
-                .unwrap_or_else(|e| e.into_inner());
         }
         self.parked.fetch_sub(1, SeqCst);
     }
@@ -229,30 +309,12 @@ impl<T: ?Sized> RwLock<T> {
         RwLockWriteGuard(self)
     }
 
+    #[cold]
     fn write_slow(&self) {
         // Register as a waiting writer first so new plain `read`s queue
-        // behind us, then park until the lock frees up.
+        // behind us while we wait, spinning or parked.
         self.state.fetch_add(WWAIT_ONE, SeqCst);
-        let mut guard = self.park_lock.lock().unwrap_or_else(|e| e.into_inner());
-        self.parked.fetch_add(1, SeqCst);
-        loop {
-            let s = self.state.load(SeqCst);
-            if s & (WRITER | READERS_MASK) == 0 {
-                if self
-                    .state
-                    .compare_exchange(s, (s - WWAIT_ONE) | WRITER, SeqCst, SeqCst)
-                    .is_ok()
-                {
-                    break;
-                }
-                continue;
-            }
-            guard = self
-                .park_cond
-                .wait(guard)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        self.parked.fetch_sub(1, SeqCst);
+        self.acquire_slow(|s| (s & (WRITER | READERS_MASK) == 0).then(|| (s - WWAIT_ONE) | WRITER));
     }
 
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
@@ -342,6 +404,24 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::Arc;
+
+    /// The threaded tests below read the process-wide [`park_count`] and
+    /// assume the host's cores are theirs, so they run one at a time.
+    static SERIAL: sync::Mutex<()> = sync::Mutex::new(());
+
+    fn serial() -> sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// A critical section of a few tens of nanoseconds, the length the
+    /// simulator's engine holds its bank locks for.
+    fn short_section() {
+        for _ in 0..4 {
+            std::hint::spin_loop();
+        }
+    }
 
     #[test]
     fn mutex_roundtrip() {
@@ -363,47 +443,59 @@ mod tests {
 
     #[test]
     fn rwlock_concurrent_stress() {
-        use std::sync::Arc;
+        let _serial = serial();
         // Writers increment both halves of a pair under the write lock;
-        // readers must never observe a torn pair. Exercises the parking
-        // slow paths and the wake protocol from both guard drops.
+        // readers must never observe a torn pair. Twice as many threads as
+        // cores, each mixing every acquisition the lock offers, so the
+        // spin, yield and park phases and the wake protocol from both
+        // guard drops all run.
+        const ITERS: u64 = 4000;
+        let threads = 2 * std::thread::available_parallelism().map_or(2, |n| n.get()) as u64;
         let l = Arc::new(RwLock::new((0u64, 0u64)));
-        let writers: Vec<_> = (0..3)
-            .map(|_| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
                 let l = Arc::clone(&l);
                 std::thread::spawn(move || {
-                    for _ in 0..2000 {
-                        let mut g = l.write();
-                        let pair: &mut (u64, u64) = &mut g;
-                        pair.0 += 1;
-                        pair.1 += 1;
-                    }
-                })
-            })
-            .collect();
-        let readers: Vec<_> = (0..3)
-            .map(|i| {
-                let l = Arc::clone(&l);
-                std::thread::spawn(move || {
-                    for k in 0..2000u64 {
-                        let g = if (i + k) % 7 == 0 {
-                            l.read_recursive()
-                        } else {
-                            l.read()
+                    let mut written = 0u64;
+                    for k in 0..ITERS {
+                        let bump = |pair: &mut (u64, u64)| {
+                            pair.0 += 1;
+                            short_section();
+                            pair.1 += 1;
                         };
-                        let pair: &(u64, u64) = &g;
-                        assert_eq!(pair.0, pair.1, "torn read");
+                        let check = |pair: &(u64, u64)| assert_eq!(pair.0, pair.1, "torn read");
+                        match (t + k) % 6 {
+                            0 => {
+                                bump(&mut l.write());
+                                written += 1;
+                            }
+                            1 => {
+                                if let Some(mut g) = l.try_write() {
+                                    bump(&mut g);
+                                    written += 1;
+                                }
+                            }
+                            2 => {
+                                if let Some(g) = l.try_read() {
+                                    check(&g);
+                                }
+                            }
+                            3 => {
+                                // The nested pair `read_recursive` exists for.
+                                let outer = l.read();
+                                check(&l.read_recursive());
+                                check(&outer);
+                            }
+                            _ => check(&l.read()),
+                        }
                     }
+                    written
                 })
             })
             .collect();
-        for w in writers {
-            w.join().unwrap();
-        }
-        for r in readers {
-            r.join().unwrap();
-        }
-        assert_eq!(*l.read(), (6000, 6000));
+        let written: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        assert!(written >= threads * ITERS / 6);
+        assert_eq!(*l.read(), (written, written));
     }
 
     #[test]
@@ -439,5 +531,172 @@ mod tests {
         drop(outer);
         w.join().unwrap();
         assert_eq!(*l.read(), 1);
+    }
+
+    #[test]
+    fn rwlock_recursive_read_with_spinning_writer() {
+        let _serial = serial();
+        // As above, but the recursive read lands the moment the writer has
+        // registered, i.e. while it is still backing off rather than
+        // parked. Many rounds, so the read meets every part of the spin.
+        let l = Arc::new(RwLock::new(0u32));
+        for round in 0..500 {
+            let outer = l.read();
+            let l2 = Arc::clone(&l);
+            let w = std::thread::spawn(move || {
+                *l2.write() += 1;
+            });
+            while l.state.load(SeqCst) & WWAIT_MASK == 0 {
+                std::hint::spin_loop();
+            }
+            assert!(l.try_write().is_none());
+            let inner = l.read_recursive();
+            assert_eq!(*inner, round);
+            drop(inner);
+            drop(outer);
+            w.join().unwrap();
+        }
+        assert_eq!(*l.read(), 500);
+    }
+
+    #[test]
+    fn short_write_sections_spin_instead_of_parking() {
+        let _serial = serial();
+        const ITERS: u64 = 200_000;
+        let l = Arc::new(RwLock::new(0u64));
+        let before = park_count();
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let l = Arc::clone(&l);
+                std::thread::spawn(move || {
+                    for _ in 0..ITERS {
+                        let mut g = l.write();
+                        *g += 1;
+                        short_section();
+                        drop(g);
+                        // As much again outside the lock, as between two
+                        // engine accesses: back-to-back re-acquisition by
+                        // one thread is hogging, not contention.
+                        short_section();
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(*l.read(), 2 * ITERS);
+        let parks = park_count() - before;
+        assert!(
+            parks < 2 * ITERS / 100,
+            "{parks} parks in {} acquisitions of a lock held for tens of ns",
+            2 * ITERS
+        );
+    }
+
+    #[test]
+    fn writer_is_not_starved_by_spinning_readers() {
+        let _serial = serial();
+        // Two readers keep the lock almost permanently read-held (each
+        // holds it far longer than it stays away). A lock that let plain
+        // `read`s past a waiting writer would make the writer wait for the
+        // rare instant both are away; this one admits no reader turn once
+        // the writer has registered, so between the writer's call and its
+        // acquisition only turns that raced the registration can start.
+        const READERS: u64 = 2;
+        const WRITES: usize = 300;
+        let l = Arc::new(RwLock::new(0u64));
+        let turns = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let before = park_count();
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                let (l, turns, stop) = (l.clone(), turns.clone(), stop.clone());
+                std::thread::spawn(move || {
+                    while !stop.load(SeqCst) {
+                        let g = l.read();
+                        turns.fetch_add(1, SeqCst);
+                        for _ in 0..16 {
+                            short_section();
+                        }
+                        drop(g);
+                    }
+                })
+            })
+            .collect();
+        let mut overtaken: Vec<u64> = (0..WRITES)
+            .map(|_| {
+                let t0 = turns.load(SeqCst);
+                let mut g = l.write();
+                *g += 1;
+                let started_meanwhile = turns.load(SeqCst) - t0;
+                drop(g);
+                // Let the readers back in before asking again.
+                let resume = turns.load(SeqCst) + 2 * READERS;
+                while turns.load(SeqCst) < resume {
+                    std::thread::yield_now();
+                }
+                started_meanwhile
+            })
+            .collect();
+        stop.store(true, SeqCst);
+        for r in readers {
+            r.join().unwrap();
+        }
+        assert_eq!(*l.read(), WRITES as u64);
+        // The median, because a writer descheduled between reading `turns`
+        // and registering sees every turn of that time slice.
+        overtaken.sort_unstable();
+        let median = overtaken[WRITES / 2];
+        assert!(
+            median <= READERS,
+            "median {median} reader turns began while the writer waited: {overtaken:?}"
+        );
+        let parks = park_count() - before;
+        let total = turns.load(SeqCst);
+        assert!(
+            parks <= total / 100 + WRITES as u64,
+            "{parks} parks over {total} reader turns: readers behind a short write must spin"
+        );
+    }
+
+    #[test]
+    fn oversubscribed_waiters_yield_then_park_and_finish() {
+        let _serial = serial();
+        // Eight threads on however few cores, the holder giving its core
+        // away mid-section: waiters run out of spins, yield, and park, and
+        // every one of them must still get its turns.
+        const THREADS: u64 = 8;
+        const ITERS: u64 = 2000;
+        let l = Arc::new(RwLock::new((0u64, 0u64)));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let l = Arc::clone(&l);
+                std::thread::spawn(move || {
+                    for k in 0..ITERS {
+                        if (t + k) % 4 == 0 {
+                            let g = l.read();
+                            let pair: &(u64, u64) = &g;
+                            assert_eq!(pair.0, pair.1, "torn read");
+                        } else {
+                            let mut g = l.write();
+                            let pair: &mut (u64, u64) = &mut g;
+                            pair.0 += 1;
+                            if k % 64 == 0 {
+                                std::thread::yield_now();
+                            }
+                            pair.1 += 1;
+                        }
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let writes = (0..THREADS)
+            .map(|t| (0..ITERS).filter(|k| (t + k) % 4 != 0).count() as u64)
+            .sum::<u64>();
+        assert_eq!(*l.read(), (writes, writes));
     }
 }
