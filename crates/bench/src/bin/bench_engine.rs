@@ -22,6 +22,7 @@
 use std::time::Instant;
 
 use ffccd::Scheme;
+use ffccd_bench::campaign::sec71_config;
 use ffccd_bench::report::{git_rev, render_json, validate_schema, Record};
 use ffccd_bench::{header, rule};
 use ffccd_pmem::{Ctx, MachineConfig, PmEngine};
@@ -106,12 +107,8 @@ fn sweep_campaign(jobs: usize, mix: PhaseMix, budget: u64) -> (f64, f64) {
     let t0 = Instant::now();
     let captured: u64 = parallel_map(&schemes, jobs, |si, &scheme| {
         let seed = 0x517e80 + si as u64;
-        let mut cfg = DriverConfig::new(scheme);
+        let mut cfg = sec71_config(scheme, seed);
         cfg.mix = mix;
-        cfg.seed = seed;
-        cfg.pool.data_bytes = 8 << 20;
-        cfg.pool.machine.seed = seed;
-        cfg.defrag.min_live_bytes = 1 << 12;
         let make = move || Box::new(LinkedList::new()) as Box<dyn Workload>;
         let plan = CrashPlan::new(seed, budget);
         // Captures landing inside workload setup (tiny-scale sweeps only)

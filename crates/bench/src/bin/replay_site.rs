@@ -1,153 +1,83 @@
-//! Replays one crash site from a sweep or adversary failure triple.
+//! Replays one campaign failure from the line that reported it.
 //!
-//! The crash-site sweep (`sec7_1`, section 7.1b) prints failures as
-//! `(seed=0x…, site=N, op=M)`. This tool re-runs that exact crash in
-//! isolation and reports the recovery + validation outcome:
+//! Every `sec7_1` failure line ends in a ready-to-paste command:
 //!
 //! ```text
-//! FFCCD_WORKLOAD=LL FFCCD_SCHEME=sfccd FFCCD_SEED=0x517e01 \
-//!     FFCCD_SITE=171687 cargo run --release -p ffccd-bench --bin replay_site
+//! replay_site <workload> <scheme> '<probe>'
+//! replay_site LL sfccd '(seed=0x517e01, site=271422, subset=0x0)'
+//! replay_site LL sfccd '(seed=0x517e01, site=271422/20, phase=recovery, subset=0x1)'
+//! replay_site LL sfccd '(seed=0x7c4a01, kill_site=2681, victim=0)'
 //! ```
 //!
-//! The adversarial campaign (section 7.1c) prints
-//! `(seed=0x…, site=N, subset=0xM)` triples; set `FFCCD_SUBSET=0xM` to
-//! materialize exactly that maybe-persisted subset at the site before
-//! recovering (without it, the base nothing-persisted image is used).
+//! The probe is exactly what the campaign printed
+//! ([`ffccd::ProbeId`]'s `Display`): a §7.1b/c crash site with the
+//! maybe-persisted subset to materialize (`subset=0x0` is the base,
+//! nothing-persisted image; `window=N` appears when the campaign ran under
+//! a non-zero `FFCCD_ADV_WINDOW`), a §7.1d crash *inside recovery* at
+//! `site=OUTER/INNER`, or a §7.1e thread kill. The run configuration is the
+//! campaigns' ([`sec71_config`]), so the site ID resolves to the same
+//! durability event and the mask to the same lattice entries.
 //!
-//! The nested campaign (section 7.1d) prints
-//! `(seed=0x…, site=OUTER/INNER, phase=recovery, subset=0xM)` probes: set
-//! `FFCCD_SITE` to the outer site, `FFCCD_RECOVERY_SITE` to the recovery
-//! site, and (optionally) `FFCCD_SUBSET` to the nested mask — the tool
-//! captures the outer image, re-crashes its recovery at the recovery
-//! site, materializes the subset and runs the idempotent-recovery oracle.
-//!
-//! The run configuration matches the campaigns', so the site ID resolves
-//! to the same durability event and the mask to the same lattice entries.
+//! Exit codes: 0 = PASS, 1 = the oracle FAILed, 2 = the site never fired
+//! (wrong seed/workload/scheme), 101 = bad arguments. Workloads:
+//! LL|DQ|AVL|pmemkv (any `sec7_1` row name); schemes:
+//! espresso|sfccd|ffccd|checklookup.
 
-use ffccd::Scheme;
-use ffccd_bench::driver_config;
-use ffccd_workloads::adversary::replay_adversary_subset_full;
-use ffccd_workloads::driver::PhaseMix;
-use ffccd_workloads::faults::replay_crash_site;
-use ffccd_workloads::nested::replay_nested_subset_full;
-use ffccd_workloads::{AvlTree, LinkedList, Pmemkv, Workload};
-
-fn env(name: &str) -> Option<String> {
-    std::env::var(name).ok()
-}
-
-fn parse_u64(s: &str) -> u64 {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).expect("hex number")
-    } else {
-        s.parse().expect("number")
-    }
-}
+use ffccd::{ProbeId, ProbePhase};
+use ffccd_bench::campaign::{campaign_workload, parse_scheme, sec71_config};
+use ffccd_workloads::campaign::replay;
 
 fn main() {
-    let workload = env("FFCCD_WORKLOAD").unwrap_or_else(|| "LL".into());
-    let scheme = match env("FFCCD_SCHEME").as_deref() {
-        Some("espresso") => Scheme::Espresso,
-        Some("sfccd") => Scheme::Sfccd,
-        Some("ffccd") => Scheme::FfccdFenceFree,
-        None | Some("checklookup") => Scheme::FfccdCheckLookup,
-        Some(other) => panic!("unknown scheme {other} (espresso|sfccd|ffccd|checklookup)"),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [workload, scheme, probe] = args.as_slice() else {
+        panic!("usage: replay_site <workload> <scheme> '<probe>'");
     };
-    let seed = parse_u64(&env("FFCCD_SEED").expect("set FFCCD_SEED"));
-    let site = parse_u64(&env("FFCCD_SITE").expect("set FFCCD_SITE"));
+    let make = campaign_workload(workload)
+        .unwrap_or_else(|| panic!("unknown workload {workload} (LL|DQ|AVL|pmemkv|…)"));
+    let scheme = parse_scheme(scheme)
+        .unwrap_or_else(|| panic!("unknown scheme {scheme} (espresso|sfccd|ffccd|checklookup)"));
+    let probe: ProbeId = probe.parse().unwrap_or_else(|e| panic!("{e}"));
 
-    let make: Box<dyn Fn() -> Box<dyn Workload>> = match workload.as_str() {
-        "LL" => Box::new(|| Box::new(LinkedList::new())),
-        "AVL" => Box::new(|| Box::new(AvlTree::new())),
-        "pmemkv" => Box::new(|| Box::new(Pmemkv::new())),
-        other => panic!("unknown workload {other} (LL|AVL|pmemkv)"),
+    println!("replaying {workload} / {} {probe}", scheme.label());
+    let cfg = sec71_config(scheme, probe.seed);
+    let Some(r) = replay(&*make, scheme, probe, &cfg) else {
+        println!("{probe} never fired — wrong seed, workload or scheme?");
+        std::process::exit(2);
     };
-
-    // Must mirror sec7_1's sweep_campaign configuration exactly.
-    let mut cfg = driver_config(scheme, false, seed);
-    cfg.mix = PhaseMix {
-        init: 1200,
-        phase_ops: 900,
-        phases: 3,
+    let fired = match (probe.phase, r.kill) {
+        (ProbePhase::ThreadKill { .. }, Some(kill)) => format!(
+            "kill fired after {} ops, {}",
+            kill.ops_completed,
+            match kill.inflight {
+                Some((true, key)) => format!("inside insert({key})"),
+                Some((false, key)) => format!("inside delete({key})"),
+                None => "no op in flight".to_owned(),
+            }
+        ),
+        // The checker suite panicked before the run could report the kill.
+        (ProbePhase::ThreadKill { .. }, None) => "kill run".to_owned(),
+        (ProbePhase::Recovery, _) => format!(
+            "recovery site fired (outer op {}, nested maybe set {})",
+            r.op,
+            r.maybe.len()
+        ),
+        (ProbePhase::Mutator, _) => {
+            format!(
+                "site fired during op {} (maybe set {})",
+                r.op,
+                r.maybe.len()
+            )
+        }
     };
-    cfg.pool.data_bytes = 8 << 20;
-    cfg.defrag.min_live_bytes = 1 << 12;
-
-    if let Some(rec_site) = env("FFCCD_RECOVERY_SITE").as_deref().map(parse_u64) {
-        let mask = env("FFCCD_SUBSET").as_deref().map(parse_u64).unwrap_or(0);
-        println!(
-            "replaying {workload} / {} seed=0x{seed:x} site={site}/{rec_site} \
-             phase=recovery subset=0x{mask:x}",
-            scheme.label()
-        );
-        match replay_nested_subset_full(&*make, scheme, seed, site, rec_site, mask, &cfg) {
-            None => {
-                println!("site {site}/{rec_site} never fired — wrong seed, workload or config?");
-                std::process::exit(2);
-            }
-            Some(r) => {
-                let (op, maybe_len) = (r.op, r.maybe_len);
-                match r.outcome {
-                    Ok(()) => println!(
-                        "recovery site fired (outer op {op}, nested maybe set {maybe_len}): \
-                         idempotent recovery + validation PASS"
-                    ),
-                    Err(msg) => {
-                        println!(
-                            "recovery site fired (outer op {op}, nested maybe set \
-                             {maybe_len}): FAIL\n  {msg}"
-                        );
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-        return;
-    }
-
-    if let Some(mask) = env("FFCCD_SUBSET").as_deref().map(parse_u64) {
-        println!(
-            "replaying {workload} / {} seed=0x{seed:x} site={site} subset=0x{mask:x}",
-            scheme.label()
-        );
-        match replay_adversary_subset_full(&*make, scheme, seed, site, mask, &cfg) {
-            None => {
-                println!("site {site} never fired — wrong seed, workload or config?");
-                std::process::exit(2);
-            }
-            Some(r) => {
-                let (op, maybe_len) = (r.op, r.maybe_len);
-                match r.outcome {
-                    Ok(()) => println!(
-                        "site fired during op {op} (maybe set {maybe_len}): \
-                         recovery + validation PASS"
-                    ),
-                    Err(msg) => {
-                        println!(
-                            "site fired during op {op} (maybe set {maybe_len}): FAIL\n  {msg}"
-                        );
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-        return;
-    }
-
-    println!(
-        "replaying {workload} / {} seed=0x{seed:x} site={site}",
-        scheme.label()
-    );
-    match replay_crash_site(&*make, scheme, seed, site, &cfg) {
-        None => {
-            println!("site {site} never fired — wrong seed, workload or config?");
-            std::process::exit(2);
-        }
-        Some((op, Ok(()))) => {
-            println!("site fired during op {op}: recovery + validation PASS");
-        }
-        Some((op, Err(msg))) => {
-            println!("site fired during op {op}: FAIL\n  {msg}");
+    let oracle = match probe.phase {
+        ProbePhase::ThreadKill { .. } => "survivors drained + checker suite + restart",
+        ProbePhase::Recovery => "idempotent recovery + validation",
+        ProbePhase::Mutator => "recovery + validation",
+    };
+    match r.outcome {
+        Ok(()) => println!("{fired}: {oracle} PASS"),
+        Err(msg) => {
+            println!("{fired}: FAIL\n  {msg}");
             std::process::exit(1);
         }
     }

@@ -1,668 +1,434 @@
-//! §7.1 — crash-consistency fault-injection campaign.
+//! §7.1 — crash-consistency fault-injection campaigns.
 //!
-//! Runs every workload under each crash-consistent scheme with crash images
-//! injected throughout the run; every image is recovered and validated with
-//! both checkers (program-data consistency and GC-metadata consistency).
-//! The paper executes one thousand injections across 26 settings; set
-//! `FFCCD_INJECTIONS` to raise the per-setting count (default 12).
+//! With no flag, runs the paper's op-boundary campaign — every workload
+//! under each crash-consistent scheme with crash images injected at
+//! operation boundaries throughout the run, plus the concurrent trees at
+//! 2/4/8 threads; the paper executes one thousand injections across 26
+//! settings — followed by the §7.1b crash-site sweep, which captures images
+//! right after individual durability events (stores, clwb, sfence, WPQ
+//! traffic, evictions, GC phase transitions) instead. One flag selects one
+//! of the deeper campaigns:
 //!
-//! A second campaign sweeps *crash sites* — images captured right after
-//! individual durability events (stores, clwb, sfence, WPQ traffic,
-//! evictions, GC phase transitions) rather than at op boundaries; set
-//! `FFCCD_SITE_BUDGET` for the per-setting capture budget (default 64)
-//! and `FFCCD_SWEEP_ONLY=1` to run just the sweep (CI smoke).
+//! * `--adversary` (§7.1c) — at each targeted site, *maybe-persisted
+//!   subsets*: every combination of dirty-cache and in-flight lines is a
+//!   legal ADR durability outcome;
+//! * `--nested` (§7.1d) — crashes *inside recovery*: each nested image
+//!   must recover, validate, and satisfy the idempotence contract (a
+//!   second `recover()` is a byte-identical no-op);
+//! * `--thread-crash` (§7.1e) — K of N mutator *threads* die at sampled
+//!   durability-event ordinals while the survivors drain.
 //!
-//! The sweep campaign fans its 12 settings out over `--jobs N` threads
-//! (or `FFCCD_JOBS`; default 1). Every sweep pins the engine to its
-//! single-bank deterministic mode, so the per-setting reports — and the
-//! printed table, which is emitted in fixed setting order after the
-//! fan-out joins — are identical at every job count.
+//! `--smoke` selects the CI geometry; `--jobs N` (or `FFCCD_JOBS`) fans
+//! the settings of a campaign out over threads. Every machine-crash
+//! campaign pins the engine to its single-bank deterministic mode and
+//! rows print in fixed setting order after the fan-out joins, so tables
+//! are identical at every job count. Budgets come from the `FFCCD_*`
+//! variables of [`CampaignArgs`].
 //!
-//! A third campaign (`--adversary`) goes one level deeper: at each
-//! targeted crash site it enumerates *maybe-persisted subsets* — every
-//! combination of dirty-cache and in-flight lines is a legal ADR
-//! durability outcome — materializing up to `FFCCD_ADV_IMAGES` crash
-//! images per site (default 64; exhaustive when the lattice fits) across
-//! `FFCCD_ADV_SITES` sites per setting (default 8) and validating
-//! recovery from each. Failures shrink to 1-minimal replayable
-//! `(seed, site_id, subset_bitmask)` triples. `--adversary` runs just
-//! this campaign; add `--smoke` for the CI geometry (4 sites × 32
-//! images).
-//!
-//! A fifth campaign (`--thread-crash`, §7.1e) kills K of N mutator
-//! *threads* — not the whole machine — at sampled durability-event
-//! ordinals while the survivors drain, then runs the full checker suite
-//! (op-log oracle with in-flight ambiguity, per-shard validation, arena
-//! ownership audit, heap validation) and a whole-machine restart. Cells
-//! cover 4 schemes × 4 workloads including the detectable queue, whose
-//! per-op completion is decidable on restart. Failures shrink to
-//! 1-minimal replayable `(seed, kill_site, victim)` triples. Add
-//! `--smoke` for the CI geometry (2 single-kill runs per cell).
-//!
-//! A fourth campaign (`--nested`, §7.1d) crashes *recovery itself*: each
-//! captured mutator-phase image is recovered with site tracking armed in
-//! the recovery phase, up to `FFCCD_NESTED_SITES` recovery sites per
-//! outer image (default 8) are captured across `FFCCD_NESTED_OUTER`
-//! outer images (default 16), and up to `FFCCD_NESTED_IMAGES`
-//! maybe-persisted subsets per recovery site (default 64) are
-//! materialized. Each nested image must recover, pass both validators,
-//! and satisfy the idempotence contract — a second `recover()` on the
-//! recovered machine must be a byte-identical no-op. Failures shrink to
-//! replayable `(seed, outer/recovery, subset)` probes. Add `--smoke` for
-//! the CI geometry (6 outer × 3 sites × 16 images).
+//! Every image is recovered and validated with both checkers
+//! (program-data and GC-metadata consistency). A failing row prints its
+//! 1-minimal probes, each ending in the `replay_site` command that reruns
+//! exactly that failure.
 
 use ffccd::Scheme;
-use ffccd_bench::{driver_config, header, jobs, rule};
+use ffccd_bench::campaign::{campaign_workload, scheme_key, sec71_config, CampaignArgs, Factory};
+use ffccd_bench::{header, jobs, rule, FIG_SCHEMES};
 use ffccd_workloads::adversary::{run_adversary_sweep, AdversaryPlan};
-use ffccd_workloads::driver::PhaseMix;
-use ffccd_workloads::faults::{run_crash_site_sweep, run_fault_injection, CrashPlan};
-use ffccd_workloads::nested::{run_nested_crash_sweep_jobs, NestedPlan};
-use ffccd_workloads::par::parallel_map;
-use ffccd_workloads::thread_crash::{run_thread_crash_campaign, ThreadCrashSettings};
-use ffccd_workloads::{
-    AvlTree, BplusTree, BzTree, DetectableQueue, Echo, FpTree, LinkedList, Pmemkv, RbTree,
-    StringSwap, Workload,
+use ffccd_workloads::campaign::Report;
+use ffccd_workloads::faults::{
+    run_crash_site_sweep, run_fault_injection, run_mt_fault_injection, CrashPlan,
 };
+use ffccd_workloads::nested::{run_nested_crash_sweep, NestedPlan};
+use ffccd_workloads::par::parallel_map;
+use ffccd_workloads::thread_crash::run_thread_crash_campaign;
 
-/// A boxed workload constructor, keyed by display name in the campaign
-/// tables. `Send + Sync` so the sweep campaign can fan settings out
-/// across threads.
-type Factory = Box<dyn Fn() -> Box<dyn Workload> + Send + Sync>;
-
-fn injections() -> u64 {
-    std::env::var("FFCCD_INJECTIONS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(12)
+/// One table row to compute: a workload under a scheme at a seed.
+struct Setting {
+    label: String,
+    make: Factory,
+    scheme: Scheme,
+    seed: u64,
+    /// Mutator threads of an op-boundary row (0: the single-thread runner).
+    threads: usize,
 }
 
-fn site_budget() -> u64 {
-    std::env::var("FFCCD_SITE_BUDGET")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64)
+/// One computed table row.
+struct Row {
+    cells: Vec<u64>,
+    ok: bool,
+    failures: Vec<String>,
+    /// Lattices wider than the explored subset window (§7.1c/d).
+    truncated: u64,
 }
 
-/// Crash-site sweep: 4 schemes x 3 workloads, each capturing up to
-/// `FFCCD_SITE_BUDGET` images at durability-event granularity. Settings
-/// fan out over `jobs` threads; rows print in fixed setting order once
-/// the fan-out joins, so the output is job-count-invariant.
-fn sweep_campaign(jobs: usize) -> u64 {
-    header("Section 7.1b: crash-site sweep (durability-event granularity)");
-    let factories: Vec<(&str, Factory)> = vec![
-        ("LL", Box::new(|| Box::new(LinkedList::new()))),
-        ("AVL", Box::new(|| Box::new(AvlTree::new()))),
-        ("pmemkv", Box::new(|| Box::new(Pmemkv::new()))),
+/// One campaign as data: what to run and how to print it.
+struct CampaignSpec {
+    title: &'static str,
+    /// Prefix of the summary lines.
+    tag: &'static str,
+    /// `(header, width)` of the numeric columns between scheme and result.
+    columns: &'static [(&'static str, usize)],
+    rule: usize,
+    settings: Vec<Setting>,
+    run: fn(&Setting, &CampaignArgs) -> Row,
+    /// The budgets the summary line reports, e.g. `", budget 64"`.
+    geometry: String,
+    pass_note: &'static str,
+    fail_note: &'static str,
+}
+
+impl Setting {
+    fn new(workload: &str, scheme: Scheme, seed: u64, threads: usize) -> Setting {
+        Setting {
+            label: match threads {
+                0 => workload.to_owned(),
+                t => format!("{workload} {t}T"),
+            },
+            make: campaign_workload(workload).expect("campaign workload"),
+            scheme,
+            seed,
+            threads,
+        }
+    }
+}
+
+/// `workloads × FIG_SCHEMES`, seeded `seed_base + 17·workload + scheme`.
+fn grid(workloads: &[&str], seed_base: u64) -> Vec<Setting> {
+    let mut settings = Vec::new();
+    for (wi, name) in workloads.iter().enumerate() {
+        for (si, &scheme) in FIG_SCHEMES.iter().enumerate() {
+            let seed = seed_base + wi as u64 * 17 + si as u64;
+            settings.push(Setting::new(name, scheme, seed, 0));
+        }
+    }
+    settings
+}
+
+impl Row {
+    /// A machine- or thread-crash row: failures print as replayable probes.
+    fn of(s: &Setting, report: &Report, ok: bool, cells: Vec<u64>) -> Row {
+        let failures = report.failures.iter().map(|f| {
+            format!(
+                "{} during {} (op {}, maybe {}): {}{}{}; replay: replay_site {} {} '{}'",
+                f.probe,
+                f.kind,
+                f.op,
+                f.maybe_len,
+                f.message,
+                if f.minimal { " [1-minimal]" } else { "" },
+                if f.reproduced { " [reproduced]" } else { "" },
+                s.label,
+                scheme_key(s.scheme),
+                f.probe,
+            )
+        });
+        Row {
+            cells,
+            ok,
+            failures: failures.collect(),
+            truncated: 0,
+        }
+    }
+}
+
+/// The paper's campaign: 9 workloads × 3 schemes single-threaded, then the
+/// concurrent trees at 2/4/8 threads (the 1-thread rows are above).
+fn op_boundary_spec(args: &CampaignArgs) -> CampaignSpec {
+    let mut settings = Vec::new();
+    let single = [
+        "LL", "AVL", "SS", "BT", "RBT", "BzTree", "FPTree", "Echo", "pmemkv",
     ];
     let schemes = [
-        Scheme::Espresso,
         Scheme::Sfccd,
         Scheme::FfccdFenceFree,
         Scheme::FfccdCheckLookup,
     ];
-    println!(
-        "{:<8} {:<22} {:>10} {:>9} {:>9} {:>10} {:>8}",
-        "bench", "scheme", "sites", "targeted", "captured", "mid-cycle", "result"
-    );
-    rule(82);
-    let budget = site_budget();
-    let settings: Vec<(usize, usize)> = (0..factories.len())
-        .flat_map(|wi| (0..schemes.len()).map(move |si| (wi, si)))
-        .collect();
-    let rows = parallel_map(&settings, jobs.max(1), |_, &(wi, si)| {
-        let (name, make) = &factories[wi];
-        let scheme = schemes[si];
-        let seed = 0x517e00 + wi as u64 * 17 + si as u64;
-        let mut cfg = driver_config(scheme, false, seed);
-        cfg.mix = PhaseMix {
-            init: 1200,
-            phase_ops: 900,
-            phases: 3,
-        };
-        cfg.pool.data_bytes = 8 << 20;
-        cfg.defrag.min_live_bytes = 1 << 12;
-        let plan = CrashPlan::new(seed, budget);
-        let report = run_crash_site_sweep(&**make, scheme, &plan, &cfg);
-        // The site space must be rich enough for a meaningful sweep,
-        // every targeted site must fire on replay, and every image
-        // must validate.
-        let ok = report.failures.is_empty()
-            && report.captured == report.targeted
-            && (budget < 50 || report.targeted >= 50);
-        let mut lines = vec![format!(
-            "{:<8} {:<22} {:>10} {:>9} {:>9} {:>10} {:>8}",
-            name,
-            scheme.label(),
-            report.total_sites,
-            report.targeted,
-            report.captured,
-            report.mid_cycle,
-            if ok { "PASS" } else { "FAIL" }
-        )];
-        if !ok {
-            for f in report.failures.iter().take(3) {
-                lines.push(format!(
-                    "    {} during {}: {}{}",
-                    f.triple(),
-                    f.kind,
-                    f.message,
-                    if f.reproduced { " [reproduced]" } else { "" }
-                ));
-            }
+    for name in single {
+        for (si, &scheme) in schemes.iter().enumerate() {
+            let seed = 0x710 + settings.len() as u64 * 31 + si as u64;
+            settings.push(Setting::new(name, scheme, seed, 0));
         }
-        (lines, u64::from(!ok))
-    });
-    let mut failures = 0;
-    for (lines, failed) in rows {
-        for line in lines {
-            println!("{line}");
-        }
-        failures += failed;
     }
-    rule(82);
-    println!(
-        "sweep: {} settings, budget {budget}, jobs {jobs}: {}",
-        factories.len() * schemes.len(),
-        if failures == 0 {
-            "ALL PASS".to_owned()
-        } else {
-            format!("{failures} settings FAILED")
+    for name in ["BzTree", "FPTree"] {
+        for threads in [2, 4, 8] {
+            let seed = 0x7177 + settings.len() as u64;
+            settings.push(Setting::new(name, Scheme::FfccdCheckLookup, seed, threads));
         }
-    );
-    failures
-}
-
-fn adv_sites(smoke: bool) -> u64 {
-    std::env::var("FFCCD_ADV_SITES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 4 } else { 8 })
-}
-
-fn adv_images(smoke: bool) -> u64 {
-    std::env::var("FFCCD_ADV_IMAGES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 32 } else { 64 })
-}
-
-/// Adversarial persistence campaign: 4 schemes × 3 workloads; at each of
-/// up to `FFCCD_ADV_SITES` captured sites, up to `FFCCD_ADV_IMAGES`
-/// maybe-persisted subset images are materialized and recovered
-/// (exhaustively when the lattice fits the budget, corner-biased seeded
-/// sampling beyond). Settings fan out over `jobs` threads; rows print in
-/// fixed setting order once the fan-out joins, so the output is
-/// job-count-invariant.
-fn adversary_campaign(jobs: usize, smoke: bool) -> u64 {
-    header("Section 7.1c: adversarial persistence exploration (maybe-persisted subsets)");
-    let factories: Vec<(&str, Factory)> = vec![
-        ("LL", Box::new(|| Box::new(LinkedList::new()))),
-        ("AVL", Box::new(|| Box::new(AvlTree::new()))),
-        ("pmemkv", Box::new(|| Box::new(Pmemkv::new()))),
-    ];
-    let schemes = [
-        Scheme::Espresso,
-        Scheme::Sfccd,
-        Scheme::FfccdFenceFree,
-        Scheme::FfccdCheckLookup,
-    ];
-    println!(
-        "{:<8} {:<22} {:>10} {:>6} {:>8} {:>7} {:>6} {:>9} {:>8}",
-        "bench", "scheme", "sites", "capt", "images", "exhaust", "empty", "max-maybe", "result"
-    );
-    rule(92);
-    let sites = adv_sites(smoke);
-    let images = adv_images(smoke);
-    let settings: Vec<(usize, usize)> = (0..factories.len())
-        .flat_map(|wi| (0..schemes.len()).map(move |si| (wi, si)))
-        .collect();
-    let rows = parallel_map(&settings, jobs.max(1), |_, &(wi, si)| {
-        let (name, make) = &factories[wi];
-        let scheme = schemes[si];
-        let seed = 0xadfe00 + wi as u64 * 17 + si as u64;
-        let mut cfg = driver_config(scheme, false, seed);
-        cfg.mix = PhaseMix {
-            init: 1200,
-            phase_ops: 900,
-            phases: 3,
-        };
-        cfg.pool.data_bytes = 8 << 20;
-        cfg.defrag.min_live_bytes = 1 << 12;
-        let plan = AdversaryPlan::new(seed, sites, images);
-        let report = run_adversary_sweep(&**make, scheme, &plan, &cfg);
-        // Every targeted site must fire on replay, each contributes at
-        // least its base image, and every subset must recover — or the
-        // failure must shrink to a replayable minimal triple (still FAIL,
-        // but actionable).
-        let ok = report.failures.is_empty()
-            && report.captured == report.targeted
-            && report.images >= report.captured;
-        let mut lines = vec![format!(
-            "{:<8} {:<22} {:>10} {:>6} {:>8} {:>7} {:>6} {:>9} {:>8}",
-            name,
-            scheme.label(),
-            report.total_sites,
-            report.captured,
-            report.images,
-            report.exhaustive_sites,
-            report.empty_lattices,
-            report.max_maybe,
-            if ok { "PASS" } else { "FAIL" }
-        )];
-        if !ok {
-            for f in report.failures.iter().take(3) {
-                lines.push(format!(
-                    "    {} during {} (op {}, maybe {}): {}{}{}",
-                    f.triple(),
-                    f.kind,
-                    f.op,
-                    f.maybe_len,
-                    f.message,
-                    if f.minimal { " [1-minimal]" } else { "" },
-                    if f.reproduced { " [reproduced]" } else { "" }
-                ));
-            }
-        }
-        (lines, u64::from(!ok), report.truncated_lattices)
-    });
-    let mut failures = 0;
-    let mut truncated = 0;
-    for (lines, failed, trunc) in rows {
-        for line in lines {
-            println!("{line}");
-        }
-        failures += failed;
-        truncated += trunc;
     }
-    rule(92);
-    if truncated > 0 {
-        println!(
-            "adversary: {truncated} lattices extended beyond the 64-entry window \
-             (slide it with FFCCD_ADV_WINDOW)"
-        );
-    }
-    println!(
-        "adversary: {} settings, {sites} sites x {images} images, jobs {jobs}: {}",
-        factories.len() * schemes.len(),
-        if failures == 0 {
-            "ALL PASS (every explored durability outcome recovers)".to_owned()
-        } else {
-            format!("{failures} settings FAILED (triples above replay the minimal subsets)")
-        }
-    );
-    failures
-}
-
-fn nested_outer(smoke: bool) -> u64 {
-    std::env::var("FFCCD_NESTED_OUTER")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 6 } else { 16 })
-}
-
-fn nested_sites(smoke: bool) -> u64 {
-    std::env::var("FFCCD_NESTED_SITES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 3 } else { 8 })
-}
-
-fn nested_images(smoke: bool) -> u64 {
-    std::env::var("FFCCD_NESTED_IMAGES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 16 } else { 64 })
-}
-
-/// Nested-crash campaign (§7.1d): 4 schemes × 3 workloads; recovery runs
-/// on captured outer images with site tracking armed, targeted recovery
-/// sites are captured, and each nested maybe-persisted subset image must
-/// recover idempotently and validate. Settings fan out over `jobs`
-/// threads; each setting's sweep is single-job and deterministic, so rows
-/// (printed in fixed setting order after the join) are job-count-invariant.
-fn nested_campaign(jobs: usize, smoke: bool) -> u64 {
-    header("Section 7.1d: nested-crash exploration (crashes inside recovery)");
-    let factories: Vec<(&str, Factory)> = vec![
-        ("LL", Box::new(|| Box::new(LinkedList::new()))),
-        ("AVL", Box::new(|| Box::new(AvlTree::new()))),
-        ("pmemkv", Box::new(|| Box::new(Pmemkv::new()))),
-    ];
-    let schemes = [
-        Scheme::Espresso,
-        Scheme::Sfccd,
-        Scheme::FfccdFenceFree,
-        Scheme::FfccdCheckLookup,
-    ];
-    println!(
-        "{:<8} {:<22} {:>6} {:>7} {:>8} {:>6} {:>8} {:>7} {:>6} {:>6} {:>8}",
-        "bench",
-        "scheme",
-        "outer",
-        "nested",
-        "rec-site",
-        "capt",
-        "images",
-        "exhaust",
-        "empty",
-        "trunc",
-        "result"
-    );
-    rule(102);
-    let outer = nested_outer(smoke);
-    let sites = nested_sites(smoke);
-    let images = nested_images(smoke);
-    let settings: Vec<(usize, usize)> = (0..factories.len())
-        .flat_map(|wi| (0..schemes.len()).map(move |si| (wi, si)))
-        .collect();
-    let rows = parallel_map(&settings, jobs.max(1), |_, &(wi, si)| {
-        let (name, make) = &factories[wi];
-        let scheme = schemes[si];
-        let seed = 0x9e57ed + wi as u64 * 17 + si as u64;
-        let mut cfg = driver_config(scheme, false, seed);
-        cfg.mix = PhaseMix {
-            init: 1200,
-            phase_ops: 900,
-            phases: 3,
-        };
-        cfg.pool.data_bytes = 8 << 20;
-        cfg.defrag.min_live_bytes = 1 << 12;
-        let plan = NestedPlan::new(seed, outer, sites, images);
-        let report = run_nested_crash_sweep_jobs(&**make, scheme, &plan, &cfg, 1);
-        // Every targeted outer site must fire on replay, at least one
-        // outer image must yield a non-quiescent recovery (else the
-        // campaign explored nothing), and every nested image must pass
-        // the idempotent-recovery oracle.
-        let ok = report.failures.is_empty()
-            && report.outer_captured == report.outer_targeted
-            && report.nested_outer > 0
-            && report.images >= report.captured;
-        let mut lines = vec![format!(
-            "{:<8} {:<22} {:>6} {:>7} {:>8} {:>6} {:>8} {:>7} {:>6} {:>6} {:>8}",
-            name,
-            scheme.label(),
-            report.outer_captured,
-            report.nested_outer,
-            report.recovery_sites,
-            report.captured,
-            report.images,
-            report.exhaustive_sites,
-            report.empty_lattices,
-            report.truncated_lattices,
-            if ok { "PASS" } else { "FAIL" }
-        )];
-        if !ok {
-            for f in report.failures.iter().take(3) {
-                lines.push(format!(
-                    "    {} during {} (op {}, maybe {}): {}{}{}",
-                    f.triple(),
-                    f.kind,
-                    f.op,
-                    f.maybe_len,
-                    f.message,
-                    if f.minimal { " [1-minimal]" } else { "" },
-                    if f.reproduced { " [reproduced]" } else { "" }
-                ));
+    CampaignSpec {
+        title: "Section 7.1: crash-consistency fault injection",
+        tag: "",
+        columns: &[("injections", 10), ("mid-cycle", 10), ("undone", 10)],
+        rule: 76,
+        settings,
+        run: |s, args| {
+            // The campaign geometry on the figures' 64 MiB pool.
+            let mut cfg = sec71_config(s.scheme, s.seed);
+            cfg.pool.data_bytes = 64 << 20;
+            let (make, n) = (&*s.make, args.injections);
+            let report = match s.threads {
+                0 => run_fault_injection(&mut *make(), make, s.scheme, s.seed, n, &cfg),
+                t => run_mt_fault_injection(make, t, s.scheme, s.seed, n, &cfg),
+            };
+            Row {
+                cells: vec![report.injections, report.mid_cycle, report.undone_objects],
+                ok: report.failures.is_empty(),
+                failures: report.failures,
+                truncated: 0,
             }
-        }
-        (lines, u64::from(!ok), report.truncated_lattices)
-    });
+        },
+        geometry: format!(" x {} injections", args.injections),
+        pass_note: " (paper: both GC schemes passed all tests)",
+        fail_note: "",
+    }
+}
+
+fn sweep_spec(args: &CampaignArgs) -> CampaignSpec {
+    CampaignSpec {
+        title: "Section 7.1b: crash-site sweep (durability-event granularity)",
+        tag: "sweep",
+        columns: &[
+            ("sites", 10),
+            ("targeted", 9),
+            ("captured", 9),
+            ("mid-cycle", 10),
+        ],
+        rule: 82,
+        settings: grid(&["LL", "AVL", "pmemkv"], 0x517e00),
+        run: |s, args| {
+            let cfg = sec71_config(s.scheme, s.seed);
+            let plan = CrashPlan::new(s.seed, args.site_budget);
+            let r = run_crash_site_sweep(&*s.make, s.scheme, &plan, &cfg);
+            // The site space must be rich enough for a meaningful sweep,
+            // every targeted site must fire on replay, and every image
+            // must validate.
+            let ok = r.failures.is_empty()
+                && r.captured == r.targeted
+                && (args.site_budget < 50 || r.targeted >= 50);
+            let cells = vec![r.total_sites, r.targeted, r.captured, r.mid_cycle];
+            Row::of(s, &r, ok, cells)
+        },
+        geometry: format!(", budget {}", args.site_budget),
+        pass_note: "",
+        fail_note: "",
+    }
+}
+
+fn adversary_spec(args: &CampaignArgs) -> CampaignSpec {
+    CampaignSpec {
+        title: "Section 7.1c: adversarial persistence exploration (maybe-persisted subsets)",
+        tag: "adversary",
+        columns: &[
+            ("sites", 10),
+            ("capt", 6),
+            ("images", 8),
+            ("exhaust", 7),
+            ("empty", 6),
+            ("max-maybe", 9),
+        ],
+        rule: 92,
+        settings: grid(&["LL", "AVL", "pmemkv"], 0xadfe00),
+        run: |s, args| {
+            let cfg = sec71_config(s.scheme, s.seed);
+            let plan = AdversaryPlan {
+                window_base: args.window_base,
+                ..AdversaryPlan::new(s.seed, args.adv_sites, args.adv_images)
+            };
+            let r = run_adversary_sweep(&*s.make, s.scheme, &plan, &cfg);
+            // Every targeted site must fire on replay, each contributes at
+            // least its base image, and every subset must recover — or the
+            // failure must shrink to a replayable minimal triple (still
+            // FAIL, but actionable).
+            let ok = r.failures.is_empty() && r.captured == r.targeted && r.images >= r.captured;
+            let cells = vec![
+                r.total_sites,
+                r.captured,
+                r.images,
+                r.exhaustive_sites,
+                r.empty_lattices,
+                r.max_maybe as u64,
+            ];
+            Row {
+                truncated: r.truncated_lattices,
+                ..Row::of(s, &r, ok, cells)
+            }
+        },
+        geometry: format!(", {} sites x {} images", args.adv_sites, args.adv_images),
+        pass_note: " (every explored durability outcome recovers)",
+        fail_note: " (triples above replay the minimal subsets)",
+    }
+}
+
+fn nested_spec(args: &CampaignArgs) -> CampaignSpec {
+    CampaignSpec {
+        title: "Section 7.1d: nested-crash exploration (crashes inside recovery)",
+        tag: "nested",
+        columns: &[
+            ("outer", 6),
+            ("nested", 7),
+            ("rec-site", 8),
+            ("capt", 6),
+            ("images", 8),
+            ("exhaust", 7),
+            ("empty", 6),
+            ("trunc", 6),
+        ],
+        rule: 102,
+        settings: grid(&["LL", "AVL", "pmemkv"], 0x9e57ed),
+        run: |s, args| {
+            let cfg = sec71_config(s.scheme, s.seed);
+            let plan = NestedPlan {
+                window_base: args.window_base,
+                ..NestedPlan::new(
+                    s.seed,
+                    args.nested_outer,
+                    args.nested_sites,
+                    args.nested_images,
+                )
+            };
+            let r = run_nested_crash_sweep(&*s.make, s.scheme, &plan, &cfg);
+            // Every targeted outer site must fire on replay, at least one
+            // outer image must yield a non-quiescent recovery (else the
+            // campaign explored nothing), and every nested image must pass
+            // the idempotent-recovery oracle.
+            let ok = r.failures.is_empty()
+                && r.outer_captured == r.outer_targeted
+                && r.nested_outer > 0
+                && r.images >= r.captured;
+            let cells = vec![
+                r.outer_captured,
+                r.nested_outer,
+                r.recovery_sites,
+                r.captured,
+                r.images,
+                r.exhaustive_sites,
+                r.empty_lattices,
+                r.truncated_lattices,
+            ];
+            Row {
+                truncated: r.truncated_lattices,
+                ..Row::of(s, &r, ok, cells)
+            }
+        },
+        geometry: format!(
+            ", {} outer x {} sites x {} images",
+            args.nested_outer, args.nested_sites, args.nested_images
+        ),
+        pass_note: " (every explored nested crash recovers idempotently)",
+        fail_note: " (probes above replay the minimal subsets)",
+    }
+}
+
+/// 4 schemes × 4 workloads, including the detectable queue, which forfeits
+/// the in-flight ambiguity; each cell samples single-kill runs — plus
+/// double-kill runs in the full geometry — under the seeded turn scheduler.
+fn thread_crash_spec() -> CampaignSpec {
+    CampaignSpec {
+        title: "Section 7.1e: thread-crash exploration (K of N mutators die, survivors drain)",
+        tag: "thread-crash",
+        columns: &[("runs", 6), ("fired", 7), ("unfired", 8), ("in-flight", 9)],
+        rule: 76,
+        settings: grid(&["LL", "DQ", "AVL", "pmemkv"], 0x7c4a00),
+        run: |s, args| {
+            let (make, smoke) = (&*s.make, args.smoke);
+            let single_kill_runs = if smoke { 2 } else { 6 };
+            let mut r = run_thread_crash_campaign(make, s.scheme, s.seed, single_kill_runs, 1);
+            if !smoke {
+                // Two extra double-kill runs per cell: only survivors
+                // drain, and failures still shrink to single-kill probes.
+                let double = run_thread_crash_campaign(make, s.scheme, s.seed, 2, 2);
+                r.runs += double.runs;
+                r.kills_fired += double.kills_fired;
+                r.kills_unfired += double.kills_unfired;
+                r.inflight_ops += double.inflight_ops;
+                r.failures.extend(double.failures);
+            }
+            // Every cell must actually fire kills (a campaign that samples
+            // only past-the-end sites explored nothing), and every run
+            // must pass the checker suite.
+            let ok = r.failures.is_empty() && r.kills_fired > 0;
+            let cells = vec![r.runs, r.kills_fired, r.kills_unfired, r.inflight_ops];
+            Row::of(s, &r, ok, cells)
+        },
+        geometry: String::new(),
+        pass_note: " (every surviving cohort drains to a consistent heap)",
+        fail_note: " (triples above replay the kills)",
+    }
+}
+
+/// Runs one campaign and prints its table; returns the failed settings.
+fn run_campaign(spec: &CampaignSpec, args: &CampaignArgs, jobs: usize) -> u64 {
+    header(spec.title);
+    let mut head = format!("{:<8} {:<22}", "bench", "scheme");
+    for (name, width) in spec.columns {
+        head += &format!(" {name:>width$}");
+    }
+    println!("{head} {:>8}", "result");
+    rule(spec.rule);
+    let rows = parallel_map(&spec.settings, jobs.max(1), |_, s| (spec.run)(s, args));
     let mut failures = 0;
     let mut truncated = 0;
-    for (lines, failed, trunc) in rows {
-        for line in lines {
-            println!("{line}");
+    for (s, row) in spec.settings.iter().zip(rows) {
+        let mut line = format!("{:<8} {:<22}", s.label, s.scheme.label());
+        for (cell, (_, width)) in row.cells.iter().zip(spec.columns) {
+            line += &format!(" {cell:>width$}");
         }
-        failures += failed;
-        truncated += trunc;
-    }
-    rule(102);
-    if truncated > 0 {
-        println!(
-            "nested: {truncated} lattices extended beyond the 64-entry window \
-             (slide it with FFCCD_ADV_WINDOW)"
-        );
-    }
-    println!(
-        "nested: {} settings, {outer} outer x {sites} sites x {images} images, jobs {jobs}: {}",
-        factories.len() * schemes.len(),
-        if failures == 0 {
-            "ALL PASS (every explored nested crash recovers idempotently)".to_owned()
-        } else {
-            format!("{failures} settings FAILED (probes above replay the minimal subsets)")
-        }
-    );
-    failures
-}
-
-/// Thread-crash campaign (§7.1e): 4 schemes × 4 workloads (including the
-/// detectable queue, which forfeits the in-flight ambiguity); each cell
-/// samples single-kill runs — plus double-kill runs in the full geometry —
-/// under the seeded turn scheduler, so every failure reduces to a
-/// replayable `(seed, kill_site, victim)` triple. Settings fan out over
-/// `jobs` threads; rows print in fixed setting order once the fan-out
-/// joins, so the output is job-count-invariant.
-fn thread_crash_campaign(jobs: usize, smoke: bool) -> u64 {
-    header("Section 7.1e: thread-crash exploration (K of N mutators die, survivors drain)");
-    let factories: Vec<(&str, Factory)> = vec![
-        ("LL", Box::new(|| Box::new(LinkedList::new()))),
-        ("DQ", Box::new(|| Box::new(DetectableQueue::new()))),
-        ("AVL", Box::new(|| Box::new(AvlTree::new()))),
-        ("pmemkv", Box::new(|| Box::new(Pmemkv::new()))),
-    ];
-    let schemes = [
-        Scheme::Espresso,
-        Scheme::Sfccd,
-        Scheme::FfccdFenceFree,
-        Scheme::FfccdCheckLookup,
-    ];
-    println!(
-        "{:<8} {:<22} {:>6} {:>7} {:>8} {:>9} {:>8}",
-        "bench", "scheme", "runs", "fired", "unfired", "in-flight", "result"
-    );
-    rule(76);
-    let settings: Vec<(usize, usize)> = (0..factories.len())
-        .flat_map(|wi| (0..schemes.len()).map(move |si| (wi, si)))
-        .collect();
-    let rows = parallel_map(&settings, jobs.max(1), |_, &(wi, si)| {
-        let (name, make) = &factories[wi];
-        let scheme = schemes[si];
-        let seed = 0x7c4a00 + wi as u64 * 17 + si as u64;
-        let mut cell = if smoke {
-            ThreadCrashSettings::smoke(seed)
-        } else {
-            ThreadCrashSettings::full(seed)
-        };
-        let mut report = run_thread_crash_campaign(&**make, scheme, &cell);
-        if !smoke {
-            // Two extra double-kill runs per cell: only survivors drain,
-            // and failures still shrink to 1-minimal single-kill triples.
-            cell.kills_per_run = 2;
-            cell.runs = 2;
-            let double = run_thread_crash_campaign(&**make, scheme, &cell);
-            report.runs += double.runs;
-            report.kills_fired += double.kills_fired;
-            report.kills_unfired += double.kills_unfired;
-            report.inflight_ops += double.inflight_ops;
-            report.failures.extend(double.failures);
-        }
-        // Every cell must actually fire kills (a campaign that samples
-        // only past-the-end sites explored nothing), and every run must
-        // pass the checker suite — or fail with a replayable triple.
-        let ok = report.failures.is_empty() && report.kills_fired > 0;
-        let mut lines = vec![format!(
-            "{:<8} {:<22} {:>6} {:>7} {:>8} {:>9} {:>8}",
-            name,
-            scheme.label(),
-            report.runs,
-            report.kills_fired,
-            report.kills_unfired,
-            report.inflight_ops,
-            if ok { "PASS" } else { "FAIL" }
-        )];
-        if !ok {
-            for f in report.failures.iter().take(3) {
-                lines.push(format!("    {}: {}", f.triple(), f.error));
+        println!("{line} {:>8}", if row.ok { "PASS" } else { "FAIL" });
+        if !row.ok {
+            failures += 1;
+            for f in row.failures.iter().take(3) {
+                println!("    {f}");
             }
         }
-        (lines, u64::from(!ok))
-    });
-    let mut failures = 0;
-    for (lines, failed) in rows {
-        for line in lines {
-            println!("{line}");
-        }
-        failures += failed;
+        truncated += row.truncated;
     }
-    rule(76);
-    println!(
-        "thread-crash: {} settings, jobs {jobs}: {}",
-        factories.len() * schemes.len(),
-        if failures == 0 {
-            "ALL PASS (every surviving cohort drains to a consistent heap)".to_owned()
-        } else {
-            format!("{failures} settings FAILED (triples above replay the kills)")
-        }
-    );
+    rule(spec.rule);
+    if truncated > 0 {
+        println!(
+            "{}: {truncated} lattices extended beyond the 64-entry window \
+             (slide it with FFCCD_ADV_WINDOW)",
+            spec.tag
+        );
+    }
+    let n = spec.settings.len();
+    let verdict = if failures == 0 {
+        format!("ALL PASS{}", spec.pass_note)
+    } else {
+        format!("{failures} settings FAILED{}", spec.fail_note)
+    };
+    if spec.tag.is_empty() {
+        println!("{n} settings{}: {verdict}", spec.geometry);
+    } else {
+        println!(
+            "{}: {n} settings{}, jobs {jobs}: {verdict}",
+            spec.tag, spec.geometry
+        );
+    }
     failures
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--thread-crash") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        if thread_crash_campaign(jobs(), smoke) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.iter().any(|a| a == "--nested") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        if nested_campaign(jobs(), smoke) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.iter().any(|a| a == "--adversary") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        if adversary_campaign(jobs(), smoke) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    let mut sweep_failures = 0;
-    if std::env::var("FFCCD_SWEEP_ONLY").is_ok() {
-        sweep_failures = sweep_campaign(jobs());
-        if sweep_failures > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    header("Section 7.1: crash-consistency fault injection");
-    let factories: Vec<(&str, Factory)> = vec![
-        ("LL", Box::new(|| Box::new(LinkedList::new()))),
-        ("AVL", Box::new(|| Box::new(AvlTree::new()))),
-        ("SS", Box::new(|| Box::new(StringSwap::new()))),
-        ("BT", Box::new(|| Box::new(BplusTree::new()))),
-        ("RBT", Box::new(|| Box::new(RbTree::new()))),
-        ("BzTree", Box::new(|| Box::new(BzTree::new()))),
-        ("FPTree", Box::new(|| Box::new(FpTree::new()))),
-        ("Echo", Box::new(|| Box::new(Echo::new()))),
-        ("pmemkv", Box::new(|| Box::new(Pmemkv::new()))),
-    ];
-    let schemes = [
-        Scheme::Sfccd,
-        Scheme::FfccdFenceFree,
-        Scheme::FfccdCheckLookup,
-    ];
-    println!(
-        "{:<8} {:<22} {:>10} {:>10} {:>10} {:>8}",
-        "bench", "scheme", "injections", "mid-cycle", "undone", "result"
-    );
-    rule(76);
-    let mut settings = 0;
+    let flag = |name: &str| std::env::args().any(|a| a == name);
+    let args = CampaignArgs::from_env(flag("--smoke"));
+    let specs = if flag("--thread-crash") {
+        vec![thread_crash_spec()]
+    } else if flag("--nested") {
+        vec![nested_spec(&args)]
+    } else if flag("--adversary") {
+        vec![adversary_spec(&args)]
+    } else if args.sweep_only {
+        vec![sweep_spec(&args)]
+    } else {
+        vec![op_boundary_spec(&args), sweep_spec(&args)]
+    };
     let mut failures = 0;
-    for (name, make) in &factories {
-        for (si, &scheme) in schemes.iter().enumerate() {
-            let mut w = make();
-            let seed = 0x7_1_0 + settings as u64 * 31 + si as u64;
-            let mut cfg = driver_config(scheme, false, seed);
-            cfg.mix = PhaseMix {
-                init: 1200,
-                phase_ops: 900,
-                phases: 3,
-            };
-            cfg.defrag.min_live_bytes = 1 << 12;
-            let report = run_fault_injection(&mut *w, &**make, scheme, seed, injections(), &cfg);
-            let ok = report.failures.is_empty();
-            println!(
-                "{:<8} {:<22} {:>10} {:>10} {:>10} {:>8}",
-                name,
-                scheme.label(),
-                report.injections,
-                report.mid_cycle,
-                report.undone_objects,
-                if ok { "PASS" } else { "FAIL" }
-            );
-            if !ok {
-                failures += 1;
-                for f in report.failures.iter().take(3) {
-                    println!("    {f}");
-                }
-            }
-            settings += 1;
+    for (i, spec) in specs.iter().enumerate() {
+        if i > 0 {
+            println!();
         }
+        failures += run_campaign(spec, &args, jobs());
     }
-    // Concurrent data structures with 2/4/8 threads (paper §7.1 runs the
-    // concurrent DS at 1, 2, 4 and 8 threads; the 1-thread rows are above).
-    use ffccd_workloads::faults::run_mt_fault_injection;
-    let concurrent: Vec<(&str, Factory)> = vec![
-        ("BzTree", Box::new(|| Box::new(BzTree::new()))),
-        ("FPTree", Box::new(|| Box::new(FpTree::new()))),
-    ];
-    for (name, make) in &concurrent {
-        for threads in [2usize, 4, 8] {
-            let scheme = Scheme::FfccdCheckLookup;
-            let seed = 0x7177 + settings as u64;
-            let mut cfg = driver_config(scheme, false, seed);
-            cfg.mix = PhaseMix {
-                init: 1200,
-                phase_ops: 900,
-                phases: 3,
-            };
-            cfg.defrag.min_live_bytes = 1 << 12;
-            let report = run_mt_fault_injection(&**make, threads, scheme, seed, injections(), &cfg);
-            let ok = report.failures.is_empty();
-            println!(
-                "{:<8} {:<22} {:>10} {:>10} {:>10} {:>8}",
-                format!("{name} {threads}T"),
-                scheme.label(),
-                report.injections,
-                report.mid_cycle,
-                report.undone_objects,
-                if ok { "PASS" } else { "FAIL" }
-            );
-            if !ok {
-                failures += 1;
-                for f in report.failures.iter().take(3) {
-                    println!("    {f}");
-                }
-            }
-            settings += 1;
-        }
-    }
-    rule(76);
-    println!(
-        "{settings} settings x {} injections: {}",
-        injections(),
-        if failures == 0 {
-            "ALL PASS (paper: both GC schemes passed all tests)".to_owned()
-        } else {
-            format!("{failures} settings FAILED")
-        }
-    );
-    println!();
-    sweep_failures += sweep_campaign(jobs());
-    if failures + sweep_failures > 0 {
+    if failures > 0 {
         std::process::exit(1);
     }
 }

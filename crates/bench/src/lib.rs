@@ -11,6 +11,7 @@
 
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod report;
 
 use ffccd::{DefragConfig, Scheme};

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use ffccd_arch::{CheckLookupUnit, GcMetaLayout, LookupResult, Pmft, PmftEntry, Rbb};
-use ffccd_pmem::{CounterSink, Ctx, Media, PmEngine};
+use ffccd_pmem::{CounterSink, Ctx, PmEngine};
 use ffccd_pmop::{
     PmPool, PmPtr, PoolConfig, PoolError, TypeId, TypeRegistry, FRAME_BYTES, OBJ_HEADER_BYTES,
     SLOT_BYTES,
@@ -176,19 +176,6 @@ impl RecoveryRerun {
     }
 }
 
-/// FNV-1a over the durable media (the fingerprint every pinned crash-image
-/// regression in this repo uses).
-fn fnv1a(media: &Media) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in media.chunks() {
-        for &b in chunk {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
 thread_local! {
     /// `(heap, depth)`: the heap whose world lock this thread holds through
     /// [`DefragHeap::enter_world`] (its `HeapInner` address) and how many
@@ -347,9 +334,9 @@ impl DefragHeap {
             None => image.restart(),
         };
         let report = crate::recovery::recover(&engine, &registry, cfg.scheme)?;
-        let fingerprint = fnv1a(engine.crash_image().media());
+        let fingerprint = engine.crash_image().media().fingerprint();
         let rerun = crate::recovery::recover(&engine, &registry, cfg.scheme)?;
-        let rerun_fingerprint = fnv1a(engine.crash_image().media());
+        let rerun_fingerprint = engine.crash_image().media().fingerprint();
         let pool = PmPool::open(engine, registry)?;
         let heap = Self::from_pool(pool, cfg);
         heap.inner

@@ -1,23 +1,28 @@
-//! Identity of one adversarial persistence probe.
+//! Identity of one crash-campaign probe.
 //!
-//! The adversarial explorer (workloads crate) checks recovery against
-//! *chosen* durability outcomes: at a deterministic crash site it picks a
-//! subset of the maybe-persisted lines and materializes the crash image in
-//! which exactly that subset reached media. A failure is fully
-//! identified, and byte-identically replayable, from the triple recorded
-//! here; recovery/validation failure reports carry it so the offending
-//! subset is never ambiguous.
+//! Every §7.1 campaign (workloads crate) checks recovery against a *chosen*
+//! failure: a machine crash at a deterministic durability-event site with a
+//! chosen subset of the maybe-persisted lines on media, the same inside
+//! `recover()` itself, or the death of one mutator thread at a chosen
+//! event ordinal. A failure is fully identified, and byte-identically
+//! replayable, from the [`ProbeId`] recorded here. Its [`Display`] text is
+//! what campaigns print and [`FromStr`] inverts it, so a printed failure
+//! pastes straight back into the replay tool.
+//!
+//! [`Display`]: fmt::Display
+//! [`FromStr`]: std::str::FromStr
 
 use std::fmt;
+use std::str::FromStr;
 
-/// The replayable identity of one explored crash outcome:
-/// `(seed, site_id, subset_bitmask)`.
+/// The replayable identity of one explored failure.
 ///
 /// * `seed` seeds the whole run (machine RNG + target selection), making
 ///   site IDs deterministic;
-/// * `site_id` names the durability event the image was captured at;
+/// * `site_id` names the durability event the image was captured at (or
+///   the victim's event ordinal, for a thread kill);
 /// * `subset_mask` selects which maybe-persisted lines the materialized
-///   image contains (bit `i` ⇒ entry `i` of the site's
+///   image contains (bit `i` ⇒ entry `window + i` of the site's
 ///   `ffccd_pmem::MaybeSet` persisted).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProbeId {
@@ -25,17 +30,20 @@ pub struct ProbeId {
     pub seed: u64,
     /// Deterministic crash-site ID within that run. For recovery-phase
     /// probes this packs `outer_site << 32 | recovery_site` (see
-    /// [`ProbeId::nested`]).
+    /// [`ProbeId::nested`]); for thread kills it is the kill ordinal.
     pub site_id: u64,
     /// Subset bitmask over the site's maybe-persisted set.
     pub subset_mask: u64,
+    /// First maybe-set entry the 64-bit mask covers. Fence-free maybe-sets
+    /// run to thousands of lines, so campaigns can slide the window; a
+    /// probe found under a non-zero base needs it to replay.
+    pub window: usize,
     /// Which tracking window the site belongs to.
     pub phase: ProbePhase,
 }
 
-/// Which execution phase a probe's crash site was enumerated in — mirrors
-/// `ffccd_pmem::SitePhase`, so `(seed, site_id, phase, subset)` names a
-/// unique, replayable crash outcome.
+/// Which execution phase a probe's site was enumerated in. The two
+/// machine-crash phases mirror `ffccd_pmem::SitePhase`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProbePhase {
     /// Site fired during workload + defragmentation execution.
@@ -44,6 +52,13 @@ pub enum ProbePhase {
     /// Site fired inside `recover()` running on an outer crash image
     /// (nested crash: the §7.1d campaign).
     Recovery,
+    /// Not a machine crash: mutator thread `victim` dies at its
+    /// `site_id`-th durability event while the others keep running (the
+    /// §7.1e campaign).
+    ThreadKill {
+        /// Index of the killed thread.
+        victim: usize,
+    },
 }
 
 impl ProbeId {
@@ -53,6 +68,7 @@ impl ProbeId {
             seed,
             site_id,
             subset_mask,
+            window: 0,
             phase: ProbePhase::Mutator,
         }
     }
@@ -68,48 +84,130 @@ impl ProbeId {
             "site ids exceed the 32-bit packing"
         );
         ProbeId {
-            seed,
             site_id: outer_site << 32 | recovery_site,
-            subset_mask,
             phase: ProbePhase::Recovery,
+            ..ProbeId::new(seed, 0, subset_mask)
+        }
+    }
+
+    /// Builds a thread-kill probe: thread `victim` dies at its
+    /// `kill_site`-th durability event.
+    pub fn thread_kill(seed: u64, kill_site: u64, victim: usize) -> Self {
+        ProbeId {
+            phase: ProbePhase::ThreadKill { victim },
+            ..ProbeId::new(seed, kill_site, 0)
+        }
+    }
+
+    /// The same probe with its subset window starting at maybe-set entry
+    /// `base`.
+    pub fn at_window(self, base: usize) -> Self {
+        ProbeId {
+            window: base,
+            ..self
         }
     }
 
     /// Mutator-phase crash site the recovery ran from (recovery-phase
-    /// probes only; equals `site_id` for mutator probes).
+    /// probes; equals `site_id` otherwise).
     pub fn outer_site(&self) -> u64 {
         match self.phase {
-            ProbePhase::Mutator => self.site_id,
             ProbePhase::Recovery => self.site_id >> 32,
+            _ => self.site_id,
         }
     }
 
     /// Site within the recovery tracking window (recovery-phase probes).
     pub fn recovery_site(&self) -> u64 {
         match self.phase {
-            ProbePhase::Mutator => 0,
             ProbePhase::Recovery => self.site_id & 0xFFFF_FFFF,
+            _ => 0,
         }
     }
 }
 
 impl fmt::Display for ProbeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "(seed=0x{:x}, ", self.seed)?;
         match self.phase {
-            ProbePhase::Mutator => write!(
-                f,
-                "(seed=0x{:x}, site={}, subset=0x{:x})",
-                self.seed, self.site_id, self.subset_mask
-            ),
+            ProbePhase::ThreadKill { victim } => {
+                return write!(f, "kill_site={}, victim={victim})", self.site_id);
+            }
+            ProbePhase::Mutator => write!(f, "site={}", self.site_id)?,
             ProbePhase::Recovery => write!(
                 f,
-                "(seed=0x{:x}, site={}/{}, phase=recovery, subset=0x{:x})",
-                self.seed,
+                "site={}/{}, phase=recovery",
                 self.outer_site(),
-                self.recovery_site(),
-                self.subset_mask
-            ),
+                self.recovery_site()
+            )?,
         }
+        write!(f, ", subset=0x{:x}", self.subset_mask)?;
+        if self.window != 0 {
+            write!(f, ", window={}", self.window)?;
+        }
+        write!(f, ")")
+    }
+}
+
+fn number(s: &str) -> Result<u64, String> {
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
+    }
+    .map_err(|e| format!("bad number {s:?}: {e}"))
+}
+
+impl FromStr for ProbeId {
+    type Err = String;
+
+    /// Parses exactly what [`Display`](fmt::Display) prints.
+    fn from_str(s: &str) -> Result<Self, String> {
+        let body = s
+            .trim()
+            .strip_prefix('(')
+            .and_then(|b| b.strip_suffix(')'))
+            .ok_or_else(|| format!("probe must look like (seed=0x…, site=…, subset=0x…): {s:?}"))?;
+        let mut fields = Vec::new();
+        for field in body.split(',') {
+            let (key, value) = field
+                .trim()
+                .split_once('=')
+                .ok_or_else(|| format!("probe field {field:?} is not key=value"))?;
+            const KEYS: [&str; 7] = [
+                "seed",
+                "site",
+                "phase",
+                "subset",
+                "window",
+                "kill_site",
+                "victim",
+            ];
+            if !KEYS.contains(&key) {
+                return Err(format!("unknown probe field {key:?}"));
+            }
+            fields.push((key, value));
+        }
+        let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+        let need = |key: &str| get(key).ok_or_else(|| format!("probe is missing {key}="));
+        let seed = number(need("seed")?)?;
+        if let Some(kill_site) = get("kill_site") {
+            let victim = number(need("victim")?)? as usize;
+            return Ok(ProbeId::thread_kill(seed, number(kill_site)?, victim));
+        }
+        let mask = number(need("subset")?)?;
+        let probe = match (need("site")?.split_once('/'), get("phase")) {
+            (None, None) => ProbeId::new(seed, number(need("site")?)?, mask),
+            (Some((outer, inner)), Some("recovery")) => {
+                let (outer, inner) = (number(outer)?, number(inner)?);
+                if outer >= 1 << 32 || inner >= 1 << 32 {
+                    return Err(format!("site ids {outer}/{inner} exceed 32 bits"));
+                }
+                ProbeId::nested(seed, outer, inner, mask)
+            }
+            _ => return Err("site=OUTER/INNER and phase=recovery go together".to_owned()),
+        };
+        let window = get("window").map(number).transpose()?.unwrap_or(0);
+        Ok(probe.at_window(window as usize))
     }
 }
 
@@ -121,6 +219,14 @@ mod tests {
     fn display_is_the_replay_triple() {
         let p = ProbeId::new(0x517e01, 42, 0b1011);
         assert_eq!(p.to_string(), "(seed=0x517e01, site=42, subset=0xb)");
+        assert_eq!(
+            p.at_window(64).to_string(),
+            "(seed=0x517e01, site=42, subset=0xb, window=64)"
+        );
+        assert_eq!(
+            ProbeId::thread_kill(0x7c4a01, 2681, 0).to_string(),
+            "(seed=0x7c4a01, kill_site=2681, victim=0)"
+        );
     }
 
     #[test]

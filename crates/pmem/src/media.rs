@@ -135,6 +135,19 @@ impl Media {
         pairs.filter(|(a, b)| !Arc::ptr_eq(a, b)).count()
     }
 
+    /// FNV-1a over every byte in address order: the fingerprint the pinned
+    /// crash-image regressions and the recovery idempotence gate compare.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for chunk in self.chunks() {
+            for &b in chunk {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        h
+    }
+
     /// The raw bytes as consecutive chunks in address order (for
     /// checksum-style validation in tests); their concatenation is the
     /// whole media, exactly [`Media::len`] bytes.

@@ -1,0 +1,526 @@
+//! The §7.1 crash-campaign pipeline: what the four campaigns share.
+//!
+//! ```text
+//! enumerate → target → capture → explore → oracle → shrink → confirm → replay
+//! ```
+//!
+//! A reference run numbers every durability event as a site
+//! (`Run::enumerate`); the campaign picks targets; an identical run
+//! captures the crash image and maybe-persisted set right after each one
+//! (`Run::capture`); chosen subsets of that set are materialized, judged
+//! by recovery plus both validators, and a failing subset shrunk to a
+//! 1-minimal one (`Run::explore`, `Run::oracle`); failures are ordered
+//! and re-run from scratch (`Run::confirm`); and any failure reruns in
+//! isolation from its printed [`ProbeId`] ([`replay`]). DESIGN.md §6.3
+//! tabulates the steps.
+//!
+//! The campaigns are probe generators over these functions:
+//! [`crate::faults::run_crash_site_sweep`] explores the one-mask lattice
+//! `{0}` (the base image) at every targeted site,
+//! [`crate::adversary::run_adversary_sweep`] many masks,
+//! [`crate::nested::run_nested_crash_sweep`] repeats enumerate–explore
+//! *inside recovery* on each captured image, and
+//! [`crate::thread_crash::run_thread_crash_campaign`] kills threads
+//! instead of the machine and shares only the report, failure and replay
+//! types.
+//!
+//! Every run here forces the engine's single-bank deterministic mode
+//! (`banks = 1`) and the fault-campaign defragmentation thresholds, so
+//! site IDs and captured images are bit-reproducible from the probe alone
+//! whatever the caller's configuration asks for.
+
+use std::collections::BTreeSet;
+
+use ffccd::{
+    recover, validate_heap, DefragConfig, DefragHeap, ProbeId, ProbePhase, RecoveryReport, Scheme,
+};
+use ffccd_pmem::{
+    CrashImage, Ctx, MachineConfig, MaybeSet, SiteCapture, SiteKind, SitePhase, SiteSummary,
+};
+use ffccd_pmop::{PoolConfig, PoolError, TypeRegistry};
+
+use crate::adversary::{choose_masks, shrink_subset};
+use crate::driver::{run_on, DriverConfig, OpHook, PhaseMix, VictimReport};
+use crate::faults::choose_targets;
+use crate::util::LiveKeys;
+use crate::workload::Workload;
+
+/// Probe budget for one greedy shrink: popcount ≤ 64 per pass, a handful
+/// of passes to fixpoint. Each probe is one image recovery + validation.
+const SHRINK_MAX_PROBES: usize = 2048;
+
+/// One campaign failure with everything needed to replay it.
+#[derive(Clone, Debug)]
+pub struct Failure {
+    /// The replayable identity. When `minimal` is set the mask is the
+    /// shrunk 1-minimal culprit, not necessarily the one that first failed.
+    pub probe: ProbeId,
+    /// Operation index (1-based) during which the (outer) site fired; 0
+    /// for thread kills.
+    pub op: u64,
+    /// Event kind label of the site (e.g. `clwb`, `wpq-accept`, `phase`).
+    pub kind: &'static str,
+    /// Size of the site's maybe-persisted set.
+    pub maybe_len: usize,
+    /// What the oracle reported for the (shrunk) probe.
+    pub message: String,
+    /// Whether shrinking confirmed 1-minimality within its probe budget.
+    pub minimal: bool,
+    /// Whether an isolated replay from scratch reproduced the failure.
+    pub reproduced: bool,
+}
+
+impl Failure {
+    /// The probe as campaigns print it and `replay_site` parses it.
+    pub fn triple(&self) -> String {
+        self.probe.to_string()
+    }
+}
+
+/// Counters of one campaign over one `(workload, scheme)` setting. Each
+/// campaign fills the groups its steps touch and leaves the rest zero.
+#[derive(Clone, Debug, Default)]
+pub struct Report {
+    /// Mutator sites the reference run fired in total.
+    pub total_sites: u64,
+    /// Per-kind site counts from the reference run.
+    pub site_counts: Vec<(SiteKind, u64)>,
+    /// Outer (mutator) sites chosen for capture (nested only).
+    pub outer_targeted: u64,
+    /// Outer sites actually captured (nested only).
+    pub outer_captured: u64,
+    /// Outer images whose recovery fired at least one durability event.
+    pub nested_outer: u64,
+    /// Recovery-phase durability events summed over captured outer images.
+    pub recovery_sites: u64,
+    /// Sites chosen for lattice exploration (recovery sites for nested).
+    pub targeted: u64,
+    /// Sites actually captured; each contributes a lattice.
+    pub captured: u64,
+    /// Subset images materialized and run through the oracle.
+    pub images: u64,
+    /// Sites whose lattice was explored exhaustively.
+    pub exhaustive_sites: u64,
+    /// Sites with an empty maybe-persisted set (base image only).
+    pub empty_lattices: u64,
+    /// Sites whose maybe-persisted set extends beyond the explored 64-entry
+    /// window.
+    pub truncated_lattices: u64,
+    /// Largest maybe-persisted set seen (may exceed the window).
+    pub max_maybe: usize,
+    /// Passing images whose recovery found an in-flight cycle.
+    pub mid_cycle: u64,
+    /// Objects finished / already durable across passing recoveries.
+    pub recovered_objects: u64,
+    /// Objects undone (FFCCD not-reached) across passing recoveries.
+    pub undone_objects: u64,
+    /// Sampled kill runs executed (thread-crash only).
+    pub runs: u64,
+    /// Kills that actually fired.
+    pub kills_fired: u64,
+    /// Planned kills that never fired (site past the thread's last event).
+    pub kills_unfired: u64,
+    /// Victims that died *inside* a structure op (the ambiguous window).
+    pub inflight_ops: u64,
+    /// Failures (must be empty), shrunk where possible; at most one per
+    /// site — a broken site stops exploring after its first failing subset.
+    pub failures: Vec<Failure>,
+}
+
+/// What [`replay`] produced.
+#[derive(Clone, Debug)]
+pub struct Replay {
+    /// 1-based op index during which the (outer) site fired; for a thread
+    /// kill, the ops the victim completed before dying.
+    pub op: u64,
+    /// The site's maybe-persisted set (empty for a thread kill).
+    pub maybe: MaybeSet,
+    /// The materialized subset image the oracle judged; the pinned
+    /// regression tests fingerprint it byte-for-byte. For a thread kill,
+    /// the machine's crash image after the survivors drained.
+    pub image: CrashImage,
+    /// The oracle's verdict.
+    pub outcome: Result<(), String>,
+    /// What the kill did (thread-kill probes only).
+    pub kill: Option<VictimReport>,
+}
+
+/// The geometry every `sec7_1` machine-crash campaign — and therefore
+/// every pinned probe — runs at: a 1200/900×3 mix on an 8 MiB pool with
+/// cycles triggering from 4 KiB live. `replay_site` and the regression
+/// tests call this same function, so a printed probe resolves to the same
+/// durability event everywhere.
+pub fn sec71_config(scheme: Scheme, seed: u64) -> DriverConfig {
+    let mut cfg = DriverConfig::new(scheme);
+    cfg.mix = PhaseMix {
+        init: 1200,
+        phase_ops: 900,
+        phases: 3,
+    };
+    cfg.pool.data_bytes = 8 << 20;
+    cfg.pool.machine.seed = seed;
+    cfg.seed = seed;
+    cfg.defrag.min_live_bytes = 1 << 12;
+    cfg
+}
+
+/// The defragmentation configuration every fault campaign runs under:
+/// low thresholds so cycles actually trigger at test scale.
+pub(crate) fn fault_defrag(scheme: Scheme) -> DefragConfig {
+    DefragConfig {
+        min_live_bytes: 1 << 12,
+        cooldown_ops: 64,
+        ..DefragConfig::normal(scheme)
+    }
+}
+
+pub(crate) fn seeded_pool(cfg: &DriverConfig, seed: u64) -> PoolConfig {
+    PoolConfig {
+        machine: MachineConfig {
+            seed,
+            ..cfg.pool.machine.clone()
+        },
+        ..cfg.pool.clone()
+    }
+}
+
+/// Like [`seeded_pool`] but pinned to the engine's single-bank
+/// deterministic mode: site IDs and the images captured at them must be
+/// byte-reproducible from a probe alone, and the engine itself rejects
+/// site tracking on a banked engine.
+pub(crate) fn deterministic_pool(cfg: &DriverConfig, seed: u64) -> PoolConfig {
+    let mut pool = seeded_pool(cfg, seed);
+    pool.machine.banks = 1;
+    pool
+}
+
+/// The op a captured site fired during, bracketed by the key-set oracle.
+pub(crate) struct FiringOp<'a> {
+    /// 1-based op index.
+    pub op: u64,
+    /// Live keys before the op.
+    pub before: &'a BTreeSet<u64>,
+    /// Live keys after the op (equals `before` for wind-down sites).
+    pub after: &'a BTreeSet<u64>,
+}
+
+/// One deterministic run identity: every pipeline step reruns exactly this.
+#[derive(Clone, Copy)]
+pub(crate) struct Run<'a> {
+    pub make: &'a dyn Fn() -> Box<dyn Workload>,
+    pub scheme: Scheme,
+    /// Machine seed; also salts every selection stream.
+    pub seed: u64,
+    pub cfg: &'a DriverConfig,
+}
+
+impl Run<'_> {
+    fn heap(&self, w: &dyn Workload) -> DefragHeap {
+        let pool = deterministic_pool(self.cfg, self.seed);
+        DefragHeap::create(pool, w.registry(), fault_defrag(self.scheme)).expect("campaign pool")
+    }
+
+    /// The reference run: counts every durability event (store, clwb,
+    /// sfence, WPQ traffic, eviction, GC phase mark) as a deterministic
+    /// site.
+    pub(crate) fn enumerate(&self) -> SiteSummary {
+        let mut w = (self.make)();
+        let heap = self.heap(&*w);
+        heap.engine().site_tracking_enumerate();
+        run_on(&mut *w, self.cfg, &heap, &mut None);
+        heap.engine().site_tracking_stop()
+    }
+
+    /// Reruns with capture armed for `targets`, handing every capture to
+    /// `on_capture` at the op boundary that drains it (memory stays
+    /// bounded by the sites of one op), with the live key sets before and
+    /// after that op. `stop_at_first` truncates the run there (replays:
+    /// the shortest reproducing op prefix).
+    pub(crate) fn capture(
+        &self,
+        targets: BTreeSet<u64>,
+        stop_at_first: bool,
+        on_capture: &mut dyn FnMut(SiteCapture, &FiringOp<'_>),
+    ) {
+        let mut w = (self.make)();
+        let heap = self.heap(&*w);
+        heap.engine().site_tracking_capture(targets);
+        let engine = heap.engine().clone();
+        let mut prev_live = LiveKeys::new();
+        let mut stopped = false;
+        {
+            let mut hook = |op: u64, _heap: &DefragHeap, live: &LiveKeys| {
+                let caps = engine.drain_site_captures();
+                if !caps.is_empty() {
+                    let (before, after) = (prev_live.to_btree_set(), live.to_btree_set());
+                    let at = FiringOp {
+                        op,
+                        before: &before,
+                        after: &after,
+                    };
+                    for cap in caps {
+                        on_capture(cap, &at);
+                    }
+                    if stop_at_first {
+                        stopped = true;
+                        return false;
+                    }
+                }
+                prev_live.clone_from(live);
+                true
+            };
+            let mut hook_dyn: OpHook<'_> = Some(&mut hook);
+            run_on(&mut *w, self.cfg, &heap, &mut hook_dyn);
+        }
+        if !stopped {
+            // Sites firing during wind-down (`exit()`) see the final key set.
+            let live = prev_live.to_btree_set();
+            let mix = &self.cfg.mix;
+            let at = FiringOp {
+                op: (mix.init + mix.phase_ops * mix.phases) as u64,
+                before: &live,
+                after: &live,
+            };
+            for cap in heap.engine().drain_site_captures() {
+                on_capture(cap, &at);
+            }
+        }
+        heap.engine().site_tracking_stop();
+    }
+
+    /// Recovers `image` and runs both validators: GC metadata
+    /// ([`validate_heap`]) and the workload's key set, which must equal
+    /// the set before or after the firing op (a capture can land
+    /// mid-operation, where the in-progress key is legitimately
+    /// half-visible). `idempotent` adds the contract of recovery-phase
+    /// probes: a second `recover()` is a byte-identical no-op.
+    pub(crate) fn oracle(
+        &self,
+        image: &CrashImage,
+        at: &FiringOp<'_>,
+        idempotent: bool,
+    ) -> Result<RecoveryReport, String> {
+        let mut fresh = (self.make)();
+        let defrag = fault_defrag(self.scheme);
+        let (heap, rec) = if idempotent {
+            let (heap, rerun) =
+                DefragHeap::open_recovered_idempotent(image, None, fresh.registry(), defrag)
+                    .map_err(|e| format!("nested recovery failed: {e}"))?;
+            if !rerun.is_noop() {
+                return Err(format!(
+                    "recovery not idempotent: media fingerprint 0x{:x} -> 0x{:x}, rerun had_cycle={}",
+                    rerun.fingerprint, rerun.rerun_fingerprint, rerun.rerun.had_cycle
+                ));
+            }
+            (heap, rerun.report)
+        } else {
+            DefragHeap::open_recovered(image, fresh.registry(), defrag)
+                .map_err(|e| format!("recovery failed: {e}"))?
+        };
+        validate_heap(&heap).map_err(|es| format!("GC metadata: {}", es.join("; ")))?;
+        let mut ctx = Ctx::new(heap.pool().machine());
+        fresh.reopen(&heap, &mut ctx);
+        if fresh.validate(&heap, &mut ctx, at.after).is_err() {
+            fresh
+                .validate(&heap, &mut ctx, at.before)
+                .map_err(|e| format!("matches neither pre- nor post-op key set: {e}"))?;
+        }
+        Ok(rec)
+    }
+
+    /// Explores one captured site's lattice: materialize up to
+    /// `images_per_site` subsets of its maybe-persisted set
+    /// ([`choose_masks`]), run each through the oracle, and shrink the
+    /// first failure to a 1-minimal subset ([`shrink_subset`]; shrink
+    /// probes re-validate images, not runs) — then stop, further masks
+    /// would mostly restate the same bug. `probe` identifies the site
+    /// (mask 0): its packed `site_id` salts the mask stream, its `window`
+    /// is the subset-window base and its phase picks the oracle.
+    pub(crate) fn explore(
+        &self,
+        report: &mut Report,
+        cap: &SiteCapture,
+        at: &FiringOp<'_>,
+        images_per_site: u64,
+        probe: ProbeId,
+    ) {
+        report.captured += 1;
+        report.max_maybe = report.max_maybe.max(cap.maybe.len());
+        if cap.maybe.is_empty() {
+            report.empty_lattices += 1;
+        }
+        let window = cap.maybe.window_at(probe.window);
+        if cap.maybe.len() > probe.window + window as usize {
+            report.truncated_lattices += 1;
+        }
+        let (masks, exhaustive) = choose_masks(window, images_per_site, self.seed, probe.site_id);
+        if exhaustive {
+            report.exhaustive_sites += 1;
+        }
+        let check = |mask: u64| -> Result<RecoveryReport, String> {
+            let image = cap
+                .image
+                .with_persisted_subset_at(&cap.maybe, mask, probe.window)
+                .map_err(|e| e.to_string())?;
+            self.oracle(&image, at, probe.phase == ProbePhase::Recovery)
+        };
+        for mask in masks {
+            report.images += 1;
+            let first_msg = match check(mask) {
+                Ok(rec) => {
+                    report.mid_cycle += u64::from(rec.had_cycle);
+                    report.recovered_objects += rec.finished + rec.already_durable;
+                    report.undone_objects += rec.undone;
+                    continue;
+                }
+                Err(msg) => msg,
+            };
+            let (min_mask, minimal) = shrink_subset(mask, |m| check(m).is_err(), SHRINK_MAX_PROBES);
+            let message = if min_mask == mask {
+                first_msg
+            } else {
+                check(min_mask).err().unwrap_or(first_msg)
+            };
+            report.failures.push(Failure {
+                probe: ProbeId {
+                    subset_mask: min_mask,
+                    ..probe
+                },
+                op: at.op,
+                kind: cap.site.kind.label(),
+                maybe_len: cap.maybe.len(),
+                message,
+                minimal,
+                reproduced: false,
+            });
+            return;
+        }
+    }
+
+    /// The whole pipeline over mutator sites: up to `site_budget` sites
+    /// of the run (exhaustive under budget, seeded-random beyond), up to
+    /// `images_per_site` subsets at each, masks addressing maybe-set
+    /// entries from `window_base`. The §7.1b sweep is `(budget, 1, 0)`.
+    pub(crate) fn sweep(
+        &self,
+        site_budget: u64,
+        images_per_site: u64,
+        window_base: usize,
+    ) -> Report {
+        let summary = self.enumerate();
+        let targets = choose_targets(summary.total, self.seed, site_budget);
+        let mut report = Report {
+            total_sites: summary.total,
+            targeted: targets.len() as u64,
+            site_counts: summary.nonzero(),
+            ..Report::default()
+        };
+        self.capture(targets, false, &mut |cap, at| {
+            let probe = ProbeId::new(self.seed, cap.site.id, 0).at_window(window_base);
+            self.explore(&mut report, &cap, at, images_per_site, probe);
+        });
+        self.confirm(&mut report);
+        report
+    }
+
+    /// Puts failures in a deterministic order and replays the first
+    /// eight from scratch.
+    pub(crate) fn confirm(&self, report: &mut Report) {
+        report
+            .failures
+            .sort_by_key(|f| (f.probe.site_id, f.probe.subset_mask));
+        for f in report.failures.iter_mut().take(8) {
+            let rerun = replay(self.make, self.scheme, f.probe, self.cfg);
+            f.reproduced = rerun.is_some_and(|r| r.outcome.is_err());
+        }
+    }
+}
+
+/// Runs `recover()` on a restart of `image` with recovery-phase site
+/// tracking armed — enumerating when `targets` is `None`, capturing those
+/// sites otherwise. The restarted engine carries the image's single-bank
+/// deterministic config, so recovery's event sequence is a pure function
+/// of the image.
+pub(crate) fn track_recovery(
+    image: &CrashImage,
+    registry: &TypeRegistry,
+    scheme: Scheme,
+    targets: Option<BTreeSet<u64>>,
+) -> (
+    Result<RecoveryReport, PoolError>,
+    SiteSummary,
+    Vec<SiteCapture>,
+) {
+    let eng = image.restart();
+    match targets {
+        None => eng.site_tracking_enumerate_phase(SitePhase::Recovery),
+        Some(targets) => eng.site_tracking_capture_phase(targets, SitePhase::Recovery),
+    }
+    let outcome = recover(&eng, registry, scheme);
+    let caps = eng.drain_site_captures();
+    (outcome, eng.site_tracking_stop(), caps)
+}
+
+/// Replays one probe from scratch, exactly as the campaign that printed it
+/// ran it: the workload reruns under `cfg` with capture armed for the
+/// probe's (outer) site and stops at the op it fires during; a
+/// recovery-phase probe then re-crashes `recover()` on that image at its
+/// recovery site; the probe's subset is materialized and judged by the
+/// oracle. A thread-kill probe instead reruns the §7.1e run
+/// ([`crate::thread_crash::campaign_config`], which ignores `cfg`) with
+/// that one kill.
+///
+/// Returns `None` when a site never fires (wrong seed, workload, scheme or
+/// configuration).
+pub fn replay(
+    make: &dyn Fn() -> Box<dyn Workload>,
+    scheme: Scheme,
+    probe: ProbeId,
+    cfg: &DriverConfig,
+) -> Option<Replay> {
+    if let ProbePhase::ThreadKill { victim } = probe.phase {
+        return crate::thread_crash::replay_kill(make, scheme, probe.seed, probe.site_id, victim);
+    }
+    let run = Run {
+        make,
+        scheme,
+        seed: probe.seed,
+        cfg,
+    };
+    let mut fired = None;
+    run.capture(
+        [probe.outer_site()].into_iter().collect(),
+        true,
+        &mut |cap, at| fired = Some((cap, at.op, at.before.clone(), at.after.clone())),
+    );
+    let (mut cap, op, before, after) = fired?;
+    let nested = probe.phase == ProbePhase::Recovery;
+    if nested {
+        let targets = [probe.recovery_site()].into_iter().collect();
+        let (_, _, caps) = track_recovery(&cap.image, &make().registry(), scheme, Some(targets));
+        cap = caps.into_iter().next()?;
+    }
+    let at = FiringOp {
+        op,
+        before: &before,
+        after: &after,
+    };
+    let (image, outcome) =
+        match cap
+            .image
+            .with_persisted_subset_at(&cap.maybe, probe.subset_mask, probe.window)
+        {
+            Ok(image) => {
+                let outcome = run.oracle(&image, &at, nested).map(|_| ());
+                (image, outcome)
+            }
+            Err(e) => (cap.image, Err(e.to_string())),
+        };
+    Some(Replay {
+        op,
+        maybe: cap.maybe,
+        image,
+        outcome,
+        kill: None,
+    })
+}

@@ -9,10 +9,12 @@
 //!   (Figure 16);
 //! * the [`driver`] running the paper's insert/delete phase mix while
 //!   pumping concurrent defragmentation and sampling fragmentation;
-//! * the §7.1 [`faults`] fault-injection harness, the [`adversary`]
-//!   explorer that enumerates maybe-persisted subsets at captured crash
-//!   sites, and the [`nested`] explorer that crashes *recovery itself*
-//!   and demands idempotent re-recovery (§7.1d).
+//! * the §7.1 crash campaigns, four probe generators over one
+//!   [`campaign`] pipeline: the [`faults`] crash-site sweep, the
+//!   [`adversary`] explorer that enumerates maybe-persisted subsets at
+//!   captured crash sites, the [`nested`] explorer that crashes *recovery
+//!   itself* and demands idempotent re-recovery, and the [`thread_crash`]
+//!   campaign that kills K of N mutator threads.
 //!
 //! Every structure is built strictly on the `ffccd::DefragHeap` public API:
 //! typed allocation, persistent pointers through `load_ref`/`store_ref`
@@ -21,13 +23,13 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
+pub mod campaign;
 pub mod driver;
 pub mod faults;
 pub mod nested;
 pub mod par;
-pub mod util;
-
 pub mod thread_crash;
+pub mod util;
 
 mod avl;
 mod btree;

@@ -1,22 +1,18 @@
-//! Hand-rolled fan-out parallelism for the sweep harness.
+//! Hand-rolled fan-out parallelism for campaign and table binaries.
 //!
-//! The container ships no rayon, and the sweep's unit of work (one full
-//! capture-pass replay) is seconds-coarse, so a full work-stealing pool
+//! The container ships no rayon, and the unit of work here (one campaign
+//! setting, one table row) is seconds-coarse, so a full work-stealing pool
 //! would be overkill. [`parallel_map`] spawns worker threads that claim
 //! item indices *one at a time* from a shared atomic counter — the
 //! minimal work-stealing queue — and write results into index-addressed
 //! slots, so the output order always matches the input order regardless
 //! of which thread finished which item first. Per-item claiming matters
-//! for coarse, variance-heavy items: chunked claiming used to hand one
-//! worker a run of slow replays while its peers sat idle, which is how
-//! `sweep --jobs 4` measured *slower* than sequential; with a per-item
-//! counter the idle workers steal the stragglers instead.
+//! for coarse, variance-heavy items: with chunked claiming one worker can
+//! sit on a run of slow items while its peers idle.
 //!
-//! The worker count is clamped to the host's `available_parallelism` —
-//! asking for more jobs than cores used to spawn them all anyway, and the
-//! extra threads just preempted each other (the sweep bench measured
-//! `jobs=4` running 34% *slower* than sequential on a 1-core container).
-//! On such hosts every call now degrades to the inline sequential loop.
+//! The worker count is clamped to the host's `available_parallelism`:
+//! extra threads only preempt each other, and on a one-core host every
+//! call degrades to the inline sequential loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -20,95 +20,18 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ffccd::Scheme;
+use ffccd::{DefragHeap, ProbeId, Scheme};
+use ffccd_pmem::MaybeSet;
 
+use crate::campaign::{deterministic_pool, fault_defrag, Failure, Replay, Report};
 use crate::driver::{
-    run_mt_faulted, DriverConfig, MtConfig, MtSchedule, PhaseMix, ThreadCrashOutcome,
-    ThreadFaultPlan, ThreadKill,
+    mt_registry, run_mt_faulted_on, DriverConfig, MtConfig, MtSchedule, PhaseMix,
+    ThreadCrashOutcome, ThreadFaultPlan, ThreadKill,
 };
-use crate::faults::{deterministic_pool, fault_defrag};
 use crate::workload::Workload;
 
-/// Campaign shape knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct ThreadCrashSettings {
-    /// Mutator threads per run.
-    pub threads: usize,
-    /// Threads killed per sampled run (clamped to `threads - 1`: at least
-    /// one survivor must drain, or the run degenerates to a whole-machine
-    /// crash the other campaigns already cover).
-    pub kills_per_run: usize,
-    /// Sampled kill runs per `(scheme, workload)` cell.
-    pub runs: usize,
-    /// Seed for the run, the turn schedule, and the site sampling.
-    pub seed: u64,
-}
-
-impl ThreadCrashSettings {
-    /// The full campaign cell: 4 threads, 6 sampled runs, one kill each,
-    /// plus 2 double-kill runs' worth via `kills_per_run` handled by the
-    /// caller.
-    pub fn full(seed: u64) -> Self {
-        ThreadCrashSettings {
-            threads: 4,
-            kills_per_run: 1,
-            runs: 6,
-            seed,
-        }
-    }
-
-    /// CI smoke: 2 sampled runs.
-    pub fn smoke(seed: u64) -> Self {
-        ThreadCrashSettings {
-            threads: 4,
-            kills_per_run: 1,
-            runs: 2,
-            seed,
-        }
-    }
-}
-
-/// One failing, fully replayable kill.
-#[derive(Clone, Debug)]
-pub struct ThreadCrashFailure {
-    /// Workload display name.
-    pub workload: String,
-    /// Scheme the run used.
-    pub scheme: Scheme,
-    /// Run seed (keys, machine, turn schedule, sampling).
-    pub seed: u64,
-    /// Thread that was killed.
-    pub victim: usize,
-    /// Durability-event ordinal the kill fired at.
-    pub kill_site: u64,
-    /// First checker divergence.
-    pub error: String,
-}
-
-impl ThreadCrashFailure {
-    /// The replay triple, as the campaign output prints it.
-    pub fn triple(&self) -> String {
-        format!(
-            "(seed={:#x}, kill_site={}, victim={}) scheme={:?} workload={}",
-            self.seed, self.kill_site, self.victim, self.scheme, self.workload
-        )
-    }
-}
-
-/// Aggregate outcome of one `(scheme, workload)` campaign cell.
-#[derive(Clone, Debug, Default)]
-pub struct ThreadCrashReport {
-    /// Sampled kill runs executed (reference run not counted).
-    pub runs: u64,
-    /// Kills that actually fired.
-    pub kills_fired: u64,
-    /// Planned kills that never fired (site past the thread's last event).
-    pub kills_unfired: u64,
-    /// Victims that died *inside* a structure op (the ambiguous window).
-    pub inflight_ops: u64,
-    /// Replayable failures (must be empty for the campaign to pass).
-    pub failures: Vec<ThreadCrashFailure>,
-}
+/// Mutator threads per campaign run (and per replayed kill).
+pub const THREADS: usize = 4;
 
 /// The driver configuration every thread-crash run uses: fault-campaign
 /// defrag thresholds (cycles actually trigger at test scale), single-bank
@@ -127,46 +50,82 @@ pub fn campaign_config(scheme: Scheme, seed: u64) -> DriverConfig {
     cfg
 }
 
-/// Runs one faulted run, catching checker panics as `Err(message)`.
+/// Runs one faulted run on a fresh heap, catching checker panics as
+/// `Err(message)`. The heap comes back so a replay can image it.
 fn run_one(
     make: &dyn Fn() -> Box<dyn Workload>,
-    threads: usize,
     cfg: &DriverConfig,
     plan: &ThreadFaultPlan,
-) -> Result<ThreadCrashOutcome, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_mt_faulted(make, threads, cfg, plan)
+) -> (DefragHeap, Result<ThreadCrashOutcome, String>) {
+    let (reg, _) = mt_registry(make().registry(), THREADS);
+    let heap = DefragHeap::create(cfg.pool.clone(), reg, cfg.defrag).expect("thread-crash pool");
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_mt_faulted_on(make, THREADS, cfg, &heap, plan)
     }))
     .map_err(|p| {
         p.downcast_ref::<String>()
             .cloned()
             .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_owned()))
             .unwrap_or_else(|| "non-string panic payload".to_owned())
+    });
+    (heap, outcome)
+}
+
+/// [`crate::campaign::replay`] for a thread-kill probe: the campaign run
+/// with that one kill. `None` when the kill never fires.
+pub(crate) fn replay_kill(
+    make: &dyn Fn() -> Box<dyn Workload>,
+    scheme: Scheme,
+    seed: u64,
+    kill_site: u64,
+    victim: usize,
+) -> Option<Replay> {
+    let cfg = campaign_config(scheme, seed);
+    let (heap, outcome) = run_one(make, &cfg, &ThreadFaultPlan::single(victim, kill_site));
+    let kill = match &outcome {
+        Ok(out) => Some(*out.victims.first().filter(|v| v.fired)?),
+        // The checkers only run (and panic) after the kill fired.
+        Err(_) => None,
+    };
+    Some(Replay {
+        op: kill.map_or(0, |v| v.ops_completed),
+        maybe: MaybeSet::default(),
+        image: heap.engine().crash_image(),
+        outcome: outcome.map(|_| ()),
+        kill,
     })
 }
 
-/// Runs the §7.1e campaign cell for one `(scheme, workload)` pair.
+/// Runs `runs` sampled kill runs of one `(scheme, workload)` §7.1e cell,
+/// each killing `kills_per_run` threads (clamped to `THREADS - 1`: at
+/// least one survivor must drain, or the run degenerates to a
+/// whole-machine crash the other campaigns already cover). `seed` seeds
+/// the run, the turn schedule and the site sampling.
 ///
 /// Panics only if the *reference* run (no kills) fails — that is an
 /// ordinary mt-driver bug, not a thread-crash finding. Kill-run failures
-/// are shrunk to 1-minimal triples and returned in the report.
+/// are shrunk to 1-minimal single-kill probes and returned in the report.
 pub fn run_thread_crash_campaign(
     make: &dyn Fn() -> Box<dyn Workload>,
     scheme: Scheme,
-    settings: &ThreadCrashSettings,
-) -> ThreadCrashReport {
-    let threads = settings.threads.max(2);
-    let cfg = campaign_config(scheme, settings.seed);
-    let workload = make().name().to_owned();
-    let reference = run_one(make, threads, &cfg, &ThreadFaultPlan::default())
-        .unwrap_or_else(|e| panic!("{workload}/{scheme:?}: reference run (no kills) failed: {e}"));
+    seed: u64,
+    runs: usize,
+    kills_per_run: usize,
+) -> Report {
+    let cfg = campaign_config(scheme, seed);
+    let reference = run_one(make, &cfg, &ThreadFaultPlan::default())
+        .1
+        .unwrap_or_else(|e| {
+            let workload = make().name().to_owned();
+            panic!("{workload}/{scheme:?}: reference run (no kills) failed: {e}")
+        });
     let events = reference.events_per_thread;
 
-    let mut rng = SmallRng::seed_from_u64(settings.seed ^ 0xD1E_5EED);
-    let mut report = ThreadCrashReport::default();
-    for _ in 0..settings.runs {
-        let kills = settings.kills_per_run.clamp(1, threads - 1);
-        let mut pool: Vec<usize> = (0..threads).collect();
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xD1E_5EED);
+    let mut report = Report::default();
+    for _ in 0..runs {
+        let kills = kills_per_run.clamp(1, THREADS - 1);
+        let mut pool: Vec<usize> = (0..THREADS).collect();
         let mut plan = ThreadFaultPlan::default();
         for _ in 0..kills {
             let victim = pool.swap_remove(rng.gen_range(0..pool.len()));
@@ -178,14 +137,12 @@ pub fn run_thread_crash_campaign(
             plan.kills.push(ThreadKill { victim, kill_site });
         }
         report.runs += 1;
-        match run_one(make, threads, &cfg, &plan) {
+        match run_one(make, &cfg, &plan).1 {
             Ok(out) => {
                 for v in &out.victims {
                     if v.fired {
                         report.kills_fired += 1;
-                        if v.inflight.is_some() {
-                            report.inflight_ops += 1;
-                        }
+                        report.inflight_ops += u64::from(v.inflight.is_some());
                     } else {
                         report.kills_unfired += 1;
                     }
@@ -195,27 +152,30 @@ pub fn run_thread_crash_campaign(
                 // Shrink: find the 1-minimal single kills that still
                 // fail; fall back to blaming the whole plan if only the
                 // combination fails.
-                let mut minimal: Vec<(ThreadKill, String)> = Vec::new();
-                if plan.kills.len() > 1 {
+                let single = plan.kills.len() == 1;
+                let mut culprits: Vec<(ThreadKill, String)> = Vec::new();
+                if !single {
                     for k in &plan.kills {
-                        let single = ThreadFaultPlan::single(k.victim, k.kill_site);
-                        if let Err(se) = run_one(make, threads, &cfg, &single) {
-                            minimal.push((*k, se));
+                        let alone = ThreadFaultPlan::single(k.victim, k.kill_site);
+                        if let Err(se) = run_one(make, &cfg, &alone).1 {
+                            culprits.push((*k, se));
                         }
                     }
                 }
-                if minimal.is_empty() {
-                    minimal = plan.kills.iter().map(|k| (*k, e.clone())).collect();
+                let minimal = single || !culprits.is_empty();
+                if culprits.is_empty() {
+                    culprits = plan.kills.iter().map(|k| (*k, e.clone())).collect();
                 }
-                for (k, error) in minimal {
+                for (k, message) in culprits {
                     report.kills_fired += 1;
-                    report.failures.push(ThreadCrashFailure {
-                        workload: workload.clone(),
-                        scheme,
-                        seed: settings.seed,
-                        victim: k.victim,
-                        kill_site: k.kill_site,
-                        error,
+                    report.failures.push(Failure {
+                        probe: ProbeId::thread_kill(seed, k.kill_site, k.victim),
+                        op: 0,
+                        kind: "thread-kill",
+                        maybe_len: 0,
+                        message,
+                        minimal,
+                        reproduced: !single && minimal,
                     });
                 }
             }

@@ -1,13 +1,11 @@
 //! Adversarial persistence explorer integration tests: exhaustive subset
-//! exploration on a tiny run passes, reports merge identically at every
-//! job count, and subset replays are byte-deterministic from their
-//! `(seed, site_id, subset_bitmask)` triple.
+//! exploration on a tiny run passes, and subset replays are
+//! byte-deterministic from their `(seed, site_id, subset_bitmask)` triple.
 
-use ffccd::Scheme;
-use ffccd_pmem::{MachineConfig, Media};
-use ffccd_workloads::adversary::{
-    replay_adversary_subset_full, run_adversary_sweep, run_adversary_sweep_jobs, AdversaryPlan,
-};
+use ffccd::{ProbeId, Scheme};
+use ffccd_pmem::MachineConfig;
+use ffccd_workloads::adversary::{run_adversary_sweep, AdversaryPlan};
+use ffccd_workloads::campaign::replay;
 use ffccd_workloads::driver::{DriverConfig, PhaseMix};
 use ffccd_workloads::{LinkedList, Workload};
 
@@ -26,17 +24,6 @@ fn adv_cfg(scheme: Scheme, seed: u64) -> DriverConfig {
 
 fn make_ll() -> Box<dyn Workload> {
     Box::new(LinkedList::new())
-}
-
-fn fnv1a(media: &Media) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for chunk in media.chunks() {
-        for &b in chunk {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
 }
 
 #[test]
@@ -81,74 +68,50 @@ fn adversary_explores_lattices_and_all_subsets_recover() {
     );
 }
 
-/// Chunked parallel explorations must merge to exactly the sequential
-/// report: same tallies at every job count (failures sort by site ID and
-/// mask, so they'd compare equal too — this geometry produces none).
-#[test]
-fn adversary_report_is_job_count_invariant() {
-    let seed = 0xADF_C0DE;
-    let cfg = adv_cfg(Scheme::Sfccd, seed);
-    let plan = AdversaryPlan::new(seed, 6, 16);
-    let a = run_adversary_sweep_jobs(&make_ll, Scheme::Sfccd, &plan, &cfg, 1);
-    let b = run_adversary_sweep_jobs(&make_ll, Scheme::Sfccd, &plan, &cfg, 3);
-    assert_eq!(a.total_sites, b.total_sites);
-    assert_eq!(a.targeted, b.targeted);
-    assert_eq!(a.captured, b.captured);
-    assert_eq!(a.images, b.images);
-    assert_eq!(a.exhaustive_sites, b.exhaustive_sites);
-    assert_eq!(a.empty_lattices, b.empty_lattices);
-    assert_eq!(a.max_maybe, b.max_maybe);
-    assert!(a.failures.is_empty() && b.failures.is_empty());
-}
-
 /// A subset replay is a pure function of its triple: same firing op, same
 /// materialized image bytes, same outcome on every rerun — and the empty
 /// subset materializes exactly the base image the sweep validates.
 #[test]
 fn subset_replay_is_deterministic_and_mask_zero_is_base_image() {
-    use ffccd_workloads::faults::replay_crash_site_full;
-
     let seed = 0xBEEF;
     let scheme = Scheme::FfccdCheckLookup;
     let cfg = adv_cfg(scheme, seed);
     let site_id = 5000;
+    let fingerprint = |mask: u64| {
+        let r =
+            replay(&make_ll, scheme, ProbeId::new(seed, site_id, mask), &cfg).expect("site fires");
+        (r.image.media().fingerprint(), r)
+    };
 
-    let base = replay_crash_site_full(&make_ll, scheme, seed, site_id, &cfg).expect("site fires");
-    let r0 =
-        replay_adversary_subset_full(&make_ll, scheme, seed, site_id, 0, &cfg).expect("site fires");
-    assert_eq!(r0.op, base.op);
-    assert_eq!(
-        fnv1a(r0.image.media()),
-        fnv1a(base.image.media()),
-        "mask 0 must materialize the base (nothing-persisted) image"
-    );
+    // The empty subset is the base (nothing-persisted) image the sweep
+    // validates; `crash_sites.rs` pins its bytes from the pre-lattice sweep.
+    let (base_hash, r0) = fingerprint(0);
+    assert!(r0.outcome.is_ok(), "base image regressed: {:?}", r0.outcome);
 
     // A non-empty subset replays byte-identically too.
-    let window = (r0.maybe_len as u32).min(64);
+    let window = (r0.maybe.len() as u32).min(64);
     let mask = if window >= 64 {
         u64::MAX
     } else {
         (1u64 << window) - 1
     };
-    let a = replay_adversary_subset_full(&make_ll, scheme, seed, site_id, mask, &cfg)
-        .expect("site fires");
-    let b = replay_adversary_subset_full(&make_ll, scheme, seed, site_id, mask, &cfg)
-        .expect("site fires again");
+    let (hash_a, a) = fingerprint(mask);
+    let (hash_b, b) = fingerprint(mask);
+    assert_eq!(a.op, r0.op);
     assert_eq!(a.op, b.op);
-    assert_eq!(a.maybe_len, b.maybe_len);
+    assert_eq!(a.maybe.len(), b.maybe.len());
     assert_eq!(
-        fnv1a(a.image.media()),
-        fnv1a(b.image.media()),
+        hash_a, hash_b,
         "subset image bytes must be reproducible from the triple"
     );
     assert_eq!(a.outcome.is_ok(), b.outcome.is_ok());
     assert!(a.outcome.is_ok(), "subset recovery failed: {:?}", a.outcome);
     if mask != 0 {
         assert_ne!(
-            fnv1a(a.image.media()),
-            fnv1a(base.image.media()),
+            hash_a,
+            base_hash,
             "full-window subset must differ from the base image (maybe_len {})",
-            a.maybe_len
+            a.maybe.len()
         );
     }
 }

@@ -4,15 +4,11 @@
 //! adversarially chosen maybe-persisted subsets and arbitrary post-crash
 //! restart seeds.
 
-use ffccd::{DefragHeap, Scheme};
-use ffccd_pmem::{MachineConfig, Media};
-use ffccd_workloads::adversary::replay_adversary_subset_full;
+use ffccd::{DefragHeap, ProbeId, Scheme};
+use ffccd_pmem::MachineConfig;
+use ffccd_workloads::campaign::{replay, sec71_config};
 use ffccd_workloads::driver::{DriverConfig, MtConfig, MtSchedule, PhaseMix};
-use ffccd_workloads::faults::{
-    replay_crash_site, replay_crash_site_full, run_crash_site_sweep, run_crash_site_sweep_jobs,
-    CrashPlan,
-};
-use ffccd_workloads::nested::{replay_nested_subset_full, run_nested_crash_sweep_jobs, NestedPlan};
+use ffccd_workloads::faults::{choose_targets, run_crash_site_sweep, CrashPlan};
 use ffccd_workloads::{AvlTree, LinkedList, Workload};
 
 fn sweep_cfg(scheme: Scheme, seed: u64) -> DriverConfig {
@@ -88,37 +84,20 @@ fn sweep_validates_with_sharded_heap() {
     );
 }
 
-/// The `sec7_1` sweep-campaign configuration — regression triples below
-/// were found (and must keep passing) at exactly this geometry.
-fn sec71_cfg(scheme: Scheme, seed: u64) -> DriverConfig {
-    let mut cfg = DriverConfig::new(scheme);
-    cfg.mix = PhaseMix {
-        init: 1200,
-        phase_ops: 900,
-        phases: 3,
-    };
-    cfg.pool.data_bytes = 8 << 20;
-    cfg.pool.machine = MachineConfig {
-        seed,
-        ..MachineConfig::default()
-    };
-    cfg.seed = seed;
-    cfg.defrag.min_live_bytes = 1 << 12;
-    cfg
-}
-
 fn assert_site_recovers(
     make: &dyn Fn() -> Box<dyn Workload>,
     scheme: Scheme,
     seed: u64,
     site: u64,
 ) {
-    let cfg = sec71_cfg(scheme, seed);
-    let (op, res) =
-        replay_crash_site(make, scheme, seed, site, &cfg).expect("regression site must fire");
+    let cfg = sec71_config(scheme, seed);
+    let r =
+        replay(make, scheme, ProbeId::new(seed, site, 0), &cfg).expect("regression site must fire");
     assert!(
-        res.is_ok(),
-        "({seed:#x}, {site}, op {op}) regressed: {res:?}"
+        r.outcome.is_ok(),
+        "({seed:#x}, {site}, op {}) regressed: {:?}",
+        r.op,
+        r.outcome
     );
 }
 
@@ -151,17 +130,6 @@ fn avl_crash_sites_recover() {
     let make_avl: &dyn Fn() -> Box<dyn Workload> = &|| Box::new(AvlTree::new());
     assert_site_recovers(make_avl, Scheme::Sfccd, 0x517e12, 262140);
     assert_site_recovers(make_avl, Scheme::FfccdFenceFree, 0x517e13, 683398);
-}
-
-fn fnv1a(media: &Media) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for chunk in media.chunks() {
-        for &b in chunk {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// The engine-banking refactor must not move a single byte of any
@@ -199,7 +167,7 @@ fn pinned_triples_replay_byte_identically() {
     ];
     for (name, make, scheme, seed, site, op, hash) in pinned {
         for (banks, mt_knobs) in [(0usize, false), (8, false), (8, true)] {
-            let mut cfg = sec71_cfg(scheme, seed);
+            let mut cfg = sec71_config(scheme, seed);
             cfg.pool.machine.banks = banks;
             if mt_knobs {
                 // The config a 4-thread mt caller would hand over; replay
@@ -209,14 +177,14 @@ fn pinned_triples_replay_byte_identically() {
                     counter_flush_every: Some(1),
                 };
             }
-            let r = replay_crash_site_full(make, scheme, seed, site, &cfg)
+            let r = replay(make, scheme, ProbeId::new(seed, site, 0), &cfg)
                 .expect("pinned site must fire");
             assert_eq!(
                 r.op, op,
                 "{name} {scheme:?} ({seed:#x}, {site}) banks={banks} mt={mt_knobs}: firing op moved"
             );
             assert_eq!(
-                fnv1a(r.image.media()),
+                r.image.media().fingerprint(),
                 hash,
                 "{name} {scheme:?} ({seed:#x}, {site}) banks={banks} mt={mt_knobs}: crash image bytes moved"
             );
@@ -257,11 +225,12 @@ fn pinned_adversarial_triples_replay_byte_identically() {
         ("AVL", make_avl, Scheme::Sfccd,          0x517e12, 60000,  0x7,              3,  186,  0x30f8edbc64e825e8),
     ];
     for (name, make, scheme, seed, site, mask, maybe_len, op, hash) in pinned {
-        let cfg = sec71_cfg(scheme, seed);
-        let r = replay_adversary_subset_full(make, scheme, seed, site, mask, &cfg)
+        let cfg = sec71_config(scheme, seed);
+        let r = replay(make, scheme, ProbeId::new(seed, site, mask), &cfg)
             .expect("pinned adversarial site must fire");
         assert_eq!(
-            r.maybe_len, maybe_len,
+            r.maybe.len(),
+            maybe_len,
             "{name} {scheme:?} ({seed:#x}, {site}, {mask:#x}): maybe-set size moved"
         );
         assert_eq!(
@@ -269,7 +238,7 @@ fn pinned_adversarial_triples_replay_byte_identically() {
             "{name} {scheme:?} ({seed:#x}, {site}, {mask:#x}): firing op moved"
         );
         assert_eq!(
-            fnv1a(r.image.media()),
+            r.image.media().fingerprint(),
             hash,
             "{name} {scheme:?} ({seed:#x}, {site}, {mask:#x}): subset image bytes moved"
         );
@@ -279,6 +248,81 @@ fn pinned_adversarial_triples_replay_byte_identically() {
             r.outcome
         );
     }
+}
+
+/// The subset-window base is part of the replay key: a probe found with
+/// the window slid to entry 64 prints `window=64`, parses back to itself,
+/// and replays — with nothing in the environment — to the image whose
+/// mask bits address entries 64.. of the 81-line maybe-set, not 0...
+#[test]
+fn windowed_probe_round_trips_and_replays_from_its_text() {
+    let (scheme, seed, site) = (Scheme::FfccdFenceFree, 0x517e02, 120000);
+    let cfg = sec71_config(scheme, seed);
+    let probe = ProbeId::new(seed, site, 0x1_5a5a).at_window(64);
+    let text = probe.to_string();
+    assert_eq!(
+        text,
+        "(seed=0x517e02, site=120000, subset=0x15a5a, window=64)"
+    );
+    let parsed: ProbeId = text.parse().expect("Display output parses");
+    assert_eq!(parsed, probe);
+    let a = replay(&make_ll, scheme, probe, &cfg).expect("pinned site fires");
+    let b = replay(&make_ll, scheme, parsed, &cfg).expect("pinned site fires again");
+    assert_eq!(a.maybe.len(), 81);
+    assert!(
+        a.outcome.is_ok(),
+        "windowed subset regressed: {:?}",
+        a.outcome
+    );
+    assert_eq!(a.image.media().fingerprint(), b.image.media().fingerprint());
+    let unslid = replay(&make_ll, scheme, ProbeId::new(seed, site, 0x1_5a5a), &cfg)
+        .expect("pinned site fires");
+    assert_ne!(
+        a.image.media().fingerprint(),
+        unslid.image.media().fingerprint(),
+        "the same mask at base 0 selects different lines"
+    );
+    // Bit 17 would address entry 81 of 81: rejected, not silently dropped.
+    let beyond = ProbeId {
+        subset_mask: 1 << 17,
+        ..probe
+    };
+    let r = replay(&make_ll, scheme, beyond, &cfg).expect("pinned site fires");
+    assert!(r.outcome.is_err());
+}
+
+/// The §7.1b sweep is the one-mask lattice `{0}` of the shared explorer.
+/// Its verdict and recovery tallies must be what a base-image sweep counts:
+/// recover each targeted site's base image directly and sum the reports.
+#[test]
+fn one_mask_lattice_counts_what_the_base_image_sweep_counted() {
+    let seed = 0xC0FFEE;
+    let scheme = Scheme::FfccdFenceFree;
+    let cfg = sweep_cfg(scheme, seed);
+    let report = run_crash_site_sweep(&make_ll, scheme, &CrashPlan::new(seed, 12), &cfg);
+    assert_eq!(report.images, report.captured, "one image per site");
+    assert!(report.failures.is_empty());
+
+    let (mut mid_cycle, mut recovered, mut undone) = (0, 0, 0);
+    for site in choose_targets(report.total_sites, seed, 12) {
+        let r = replay(&make_ll, scheme, ProbeId::new(seed, site, 0), &cfg)
+            .expect("targeted site fires");
+        assert!(r.outcome.is_ok(), "site {site}: {:?}", r.outcome);
+        let (_, rec) = DefragHeap::open_recovered(&r.image, make_ll().registry(), cfg.defrag)
+            .expect("base image recovers");
+        mid_cycle += u64::from(rec.had_cycle);
+        recovered += rec.finished + rec.already_durable;
+        undone += rec.undone;
+    }
+    assert!(mid_cycle > 0, "geometry must crash some site mid-cycle");
+    assert_eq!(
+        (
+            report.mid_cycle,
+            report.recovered_objects,
+            report.undone_objects
+        ),
+        (mid_cycle, recovered, undone)
+    );
 }
 
 /// Recovery correctness must not depend on the *post-crash* machine's
@@ -298,7 +342,7 @@ fn recovery_outcome_is_restart_seed_invariant() {
     ];
     let mut fired = 0;
     for site in sites {
-        let Some(r) = replay_crash_site_full(&make_ll, scheme, seed, site, &cfg) else {
+        let Some(r) = replay(&make_ll, scheme, ProbeId::new(seed, site, 0), &cfg) else {
             continue;
         };
         fired += 1;
@@ -330,25 +374,6 @@ fn recovery_outcome_is_restart_seed_invariant() {
         }
     }
     assert!(fired >= 8, "only {fired}/10 sampled sites fired");
-}
-
-/// Chunked parallel sweeps must merge to exactly the sequential report:
-/// same tallies at every job count (failure lists are sorted by site ID,
-/// so they'd compare equal too — this geometry produces none).
-#[test]
-fn sweep_report_is_job_count_invariant() {
-    let seed = 0xC0FFEE;
-    let cfg = sweep_cfg(Scheme::FfccdFenceFree, seed);
-    let plan = CrashPlan::new(seed, 12);
-    let a = run_crash_site_sweep_jobs(&make_ll, Scheme::FfccdFenceFree, &plan, &cfg, 1);
-    let b = run_crash_site_sweep_jobs(&make_ll, Scheme::FfccdFenceFree, &plan, &cfg, 3);
-    assert_eq!(a.total_sites, b.total_sites);
-    assert_eq!(a.targeted, b.targeted);
-    assert_eq!(a.captured, b.captured);
-    assert_eq!(a.mid_cycle, b.mid_cycle);
-    assert_eq!(a.recovered_objects, b.recovered_objects);
-    assert_eq!(a.undone_objects, b.undone_objects);
-    assert!(a.failures.is_empty() && b.failures.is_empty());
 }
 
 /// §7.1d regression probes: `(seed, outer_site/recovery_site, phase=recovery,
@@ -383,19 +408,20 @@ fn pinned_nested_triples_replay_byte_identically() {
         ("LL", make_ll, Scheme::FfccdFenceFree, 0x517e03, 347428, 5,  0x1, 1, 3542, 0xbde7149406059d95),
     ];
     for (name, make, scheme, seed, outer, rec_site, mask, maybe_len, op, hash) in pinned {
-        let cfg = sec71_cfg(scheme, seed);
-        let r = replay_nested_subset_full(make, scheme, seed, outer, rec_site, mask, &cfg)
-            .expect("pinned recovery-phase site must fire");
+        let cfg = sec71_config(scheme, seed);
+        let probe = ProbeId::nested(seed, outer, rec_site, mask);
+        let r = replay(make, scheme, probe, &cfg).expect("pinned recovery-phase site must fire");
         assert_eq!(
             r.op, op,
             "{name} {scheme:?} ({seed:#x}, {outer}/{rec_site}, {mask:#x}): outer op moved"
         );
         assert_eq!(
-            r.maybe_len, maybe_len,
+            r.maybe.len(),
+            maybe_len,
             "{name} {scheme:?} ({seed:#x}, {outer}/{rec_site}, {mask:#x}): maybe-set size moved"
         );
         assert_eq!(
-            fnv1a(r.image.media()),
+            r.image.media().fingerprint(),
             hash,
             "{name} {scheme:?} ({seed:#x}, {outer}/{rec_site}, {mask:#x}): nested image bytes moved"
         );
@@ -429,8 +455,8 @@ fn recovery_is_idempotent_at_pinned_sites() {
         (make_ll,  Scheme::Espresso,        0x517e21, 60000),
     ];
     for (make, scheme, seed, site) in cases {
-        let cfg = sec71_cfg(scheme, seed);
-        let r = replay_crash_site_full(make, scheme, seed, site, &cfg)
+        let cfg = sec71_config(scheme, seed);
+        let r = replay(make, scheme, ProbeId::new(seed, site, 0), &cfg)
             .expect("regression site must fire");
         let (heap, rerun) =
             DefragHeap::open_recovered_idempotent(&r.image, None, make().registry(), cfg.defrag)
@@ -457,8 +483,8 @@ fn recovery_is_idempotent_at_pinned_sites() {
 fn recovery_cycles_are_counted_once() {
     let scheme = Scheme::Sfccd;
     let (seed, site) = (0x517e01, 271422);
-    let cfg = sec71_cfg(scheme, seed);
-    let r = replay_crash_site_full(&make_ll, scheme, seed, site, &cfg)
+    let cfg = sec71_config(scheme, seed);
+    let r = replay(&make_ll, scheme, ProbeId::new(seed, site, 0), &cfg)
         .expect("regression site must fire");
     let (heap, rerun) =
         DefragHeap::open_recovered_idempotent(&r.image, None, make_ll().registry(), cfg.defrag)
@@ -486,49 +512,20 @@ fn recovery_cycles_are_counted_once() {
     assert_eq!(report2.cycles, rerun.report.cycles);
 }
 
-/// Chunked nested sweeps must merge to exactly the sequential report at
-/// every job count (outer targets are split round-robin; tallies merge by
-/// summation and failures sort by probe).
-#[test]
-fn nested_sweep_report_is_job_count_invariant() {
-    let seed = 0xC0FFEE;
-    let scheme = Scheme::FfccdFenceFree;
-    let cfg = sweep_cfg(scheme, seed);
-    let plan = NestedPlan::new(seed, 4, 2, 8);
-    let a = run_nested_crash_sweep_jobs(&make_ll, scheme, &plan, &cfg, 1);
-    let b = run_nested_crash_sweep_jobs(&make_ll, scheme, &plan, &cfg, 3);
-    assert_eq!(a.total_sites, b.total_sites);
-    assert_eq!(a.cycle_sites, b.cycle_sites);
-    assert_eq!(a.outer_targeted, b.outer_targeted);
-    assert_eq!(a.outer_captured, b.outer_captured);
-    assert_eq!(a.nested_outer, b.nested_outer);
-    assert_eq!(a.recovery_sites, b.recovery_sites);
-    assert_eq!(a.targeted, b.targeted);
-    assert_eq!(a.captured, b.captured);
-    assert_eq!(a.images, b.images);
-    assert_eq!(a.exhaustive_sites, b.exhaustive_sites);
-    assert_eq!(a.empty_lattices, b.empty_lattices);
-    assert_eq!(a.truncated_lattices, b.truncated_lattices);
-    assert!(
-        a.failures.is_empty() && b.failures.is_empty(),
-        "nested failures: {:?} / {:?}",
-        a.failures.iter().map(|f| f.triple()).collect::<Vec<_>>(),
-        b.failures.iter().map(|f| f.triple()).collect::<Vec<_>>()
-    );
-    assert!(a.outer_captured > 0, "plan must explore something");
-}
-
 #[test]
 fn single_site_replay_is_deterministic() {
     let seed = 0xBEEF;
     let cfg = sweep_cfg(Scheme::FfccdCheckLookup, seed);
     // Pick a site that fires well into the run.
     let site_id = 5000;
-    let a = replay_crash_site(&make_ll, Scheme::FfccdCheckLookup, seed, site_id, &cfg);
-    let b = replay_crash_site(&make_ll, Scheme::FfccdCheckLookup, seed, site_id, &cfg);
-    let (op_a, res_a) = a.expect("site must fire");
-    let (op_b, res_b) = b.expect("site must fire again");
-    assert_eq!(op_a, op_b, "same site fires during the same op");
-    assert_eq!(res_a.is_ok(), res_b.is_ok());
-    assert!(res_a.is_ok(), "replay validation failed: {res_a:?}");
+    let probe = ProbeId::new(seed, site_id, 0);
+    let a = replay(&make_ll, Scheme::FfccdCheckLookup, probe, &cfg).expect("site must fire");
+    let b = replay(&make_ll, Scheme::FfccdCheckLookup, probe, &cfg).expect("site must fire again");
+    assert_eq!(a.op, b.op, "same site fires during the same op");
+    assert_eq!(a.outcome.is_ok(), b.outcome.is_ok());
+    assert!(
+        a.outcome.is_ok(),
+        "replay validation failed: {:?}",
+        a.outcome
+    );
 }

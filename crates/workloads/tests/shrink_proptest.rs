@@ -9,34 +9,14 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use ffccd::{validate_heap, DefragHeap, Scheme};
-use ffccd_pmem::{CrashImage, MachineConfig, MaybeSet};
+use ffccd::{validate_heap, DefragHeap, ProbeId, Scheme};
+use ffccd_pmem::{CrashImage, MaybeSet};
 use ffccd_workloads::adversary::shrink_subset;
-use ffccd_workloads::driver::{DriverConfig, PhaseMix};
-use ffccd_workloads::faults::replay_crash_site_full;
-use ffccd_workloads::nested::replay_nested_subset_full;
+use ffccd_workloads::campaign::{replay, sec71_config};
 use ffccd_workloads::{LinkedList, Workload};
 
 fn make_ll() -> Box<dyn Workload> {
     Box::new(LinkedList::new())
-}
-
-/// The `sec7_1` campaign geometry the pinned captures were mined at.
-fn sec71_cfg(scheme: Scheme, seed: u64) -> DriverConfig {
-    let mut cfg = DriverConfig::new(scheme);
-    cfg.mix = PhaseMix {
-        init: 1200,
-        phase_ops: 900,
-        phases: 3,
-    };
-    cfg.pool.data_bytes = 8 << 20;
-    cfg.pool.machine = MachineConfig {
-        seed,
-        ..MachineConfig::default()
-    };
-    cfg.seed = seed;
-    cfg.defrag.min_live_bytes = 1 << 12;
-    cfg
 }
 
 /// The pinned 81-line capture (LL / fence-free, seed 0x517e02, site
@@ -45,9 +25,10 @@ fn sec71_cfg(scheme: Scheme, seed: u64) -> DriverConfig {
 fn pinned_capture() -> &'static (CrashImage, MaybeSet) {
     static CAPTURE: OnceLock<(CrashImage, MaybeSet)> = OnceLock::new();
     CAPTURE.get_or_init(|| {
-        let cfg = sec71_cfg(Scheme::FfccdFenceFree, 0x517e02);
-        let r = replay_crash_site_full(&make_ll, Scheme::FfccdFenceFree, 0x517e02, 120000, &cfg)
-            .expect("pinned site must fire");
+        let cfg = sec71_config(Scheme::FfccdFenceFree, 0x517e02);
+        let probe = ProbeId::new(0x517e02, 120000, 0);
+        let r =
+            replay(&make_ll, Scheme::FfccdFenceFree, probe, &cfg).expect("pinned site must fire");
         assert!(r.maybe.entries().len() >= 64, "lattice shrank");
         (r.image, r.maybe)
     })
@@ -56,7 +37,7 @@ fn pinned_capture() -> &'static (CrashImage, MaybeSet) {
 /// The recovery oracle the campaigns gate on: recover, fingerprint, recover
 /// again (must be a byte-identical no-op), validate the heap.
 fn recovery_passes(image: &CrashImage) -> bool {
-    let cfg = sec71_cfg(Scheme::FfccdFenceFree, 0x517e02);
+    let cfg = sec71_config(Scheme::FfccdFenceFree, 0x517e02);
     match DefragHeap::open_recovered_idempotent(image, None, make_ll().registry(), cfg.defrag) {
         Ok((heap, rerun)) => rerun.is_noop() && validate_heap(&heap).is_ok(),
         Err(_) => false,
@@ -199,12 +180,13 @@ proptest! {
 #[test]
 fn nested_recovery_is_monotone_on_its_full_lattice() {
     let (scheme, seed, outer, rec_site) = (Scheme::Sfccd, 0x517e01u64, 271422u64, 20u64);
-    let cfg = sec71_cfg(scheme, seed);
+    let cfg = sec71_config(scheme, seed);
     let mut outcomes = Vec::new();
     for mask in [0u64, 0x1] {
-        let r = replay_nested_subset_full(&make_ll, scheme, seed, outer, rec_site, mask, &cfg)
-            .expect("pinned recovery-phase site must fire");
-        assert_eq!(r.maybe_len, 1, "pinned nested lattice size moved");
+        let probe = ProbeId::nested(seed, outer, rec_site, mask);
+        let r =
+            replay(&make_ll, scheme, probe, &cfg).expect("pinned recovery-phase site must fire");
+        assert_eq!(r.maybe.len(), 1, "pinned nested lattice size moved");
         outcomes.push(r.outcome.is_ok());
     }
     // Monotonicity: pass(empty) ⇒ pass(full).

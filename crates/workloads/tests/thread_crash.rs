@@ -8,16 +8,15 @@
 //! the sharded heap's persisted shard count survives a victim dying
 //! inside the collector.
 
-use ffccd::{DefragHeap, Scheme};
+use ffccd::{DefragHeap, ProbeId, Scheme};
 use ffccd_pmem::MachineConfig;
 use ffccd_pmop::PoolConfig;
+use ffccd_workloads::campaign::{replay, Replay};
 use ffccd_workloads::driver::{
     mt_registry, run_mt_faulted, run_mt_faulted_on, DriverConfig, MtConfig, MtSchedule, PhaseMix,
     ThreadFaultPlan,
 };
-use ffccd_workloads::thread_crash::{
-    campaign_config, run_thread_crash_campaign, ThreadCrashSettings,
-};
+use ffccd_workloads::thread_crash::{campaign_config, run_thread_crash_campaign};
 use ffccd_workloads::{DetectableQueue, LinkedList, Workload};
 
 const THREADS: usize = 4;
@@ -143,8 +142,8 @@ fn victim_arena_is_retired_and_survivors_drain() {
 /// back clean.
 #[test]
 fn detectable_queue_campaign_cell_is_clean() {
-    let settings = ThreadCrashSettings::smoke(0x9_5EED);
-    let report = run_thread_crash_campaign(&dq, Scheme::FfccdFenceFree, &settings);
+    // The smoke geometry: two single-kill runs.
+    let report = run_thread_crash_campaign(&dq, Scheme::FfccdFenceFree, 0x9_5EED, 2, 1);
     assert!(
         report.failures.is_empty(),
         "DQ thread-crash failures: {:?}",
@@ -175,11 +174,21 @@ fn orphaned_summary_residue_is_inert_to_barriers() {
         (Scheme::Sfccd, 0x7c4a01, 0usize, 2681u64),
         (Scheme::Espresso, 0x7c4a00, 0, 11475),
     ] {
-        let cfg = campaign_config(scheme, seed);
-        let plan = ThreadFaultPlan::single(victim, site);
-        let out = run_mt_faulted(&ll, THREADS, &cfg, &plan);
-        assert!(out.victims[0].fired, "{scheme}: pinned kill fires");
+        replay_pinned_kill(&ll, scheme, ProbeId::thread_kill(seed, site, victim));
     }
+}
+
+/// Replays a pinned §7.1e probe exactly as `replay_site` would: the kill
+/// must fire and the checker suite must pass.
+fn replay_pinned_kill(
+    make: &dyn Fn() -> Box<dyn Workload>,
+    scheme: Scheme,
+    probe: ProbeId,
+) -> Replay {
+    let cfg = campaign_config(scheme, probe.seed);
+    let r = replay(make, scheme, probe, &cfg).unwrap_or_else(|| panic!("{scheme}: {probe} fires"));
+    assert!(r.outcome.is_ok(), "{scheme} {probe}: {:?}", r.outcome);
+    r
 }
 
 /// Regression (§7.1e campaign find #2): a victim dying inside `pmalloc`'s
@@ -191,14 +200,18 @@ fn orphaned_summary_residue_is_inert_to_barriers() {
 /// checks header-derived spans).
 #[test]
 fn allocation_torn_by_thread_death_is_rolled_back() {
-    let cfg = campaign_config(Scheme::FfccdCheckLookup, 0x7c4a14);
-    let plan = ThreadFaultPlan::single(2, 7428);
-    let out = run_mt_faulted(&dq, THREADS, &cfg, &plan);
-    let v = &out.victims[0];
-    assert!(v.fired, "pinned kill fires");
+    let probe = ProbeId::thread_kill(0x7c4a14, 7428, 2);
+    let r = replay_pinned_kill(&dq, Scheme::FfccdCheckLookup, probe);
     assert!(
-        v.inflight.is_some(),
+        r.kill.expect("kill report").inflight.is_some(),
         "the pinned victim dies inside a queue op (allocation path)"
+    );
+    // A kill replay is a pure function of its probe, down to the bytes.
+    let again = replay_pinned_kill(&dq, Scheme::FfccdCheckLookup, probe);
+    assert_eq!(r.kill, again.kill);
+    assert_eq!(
+        r.image.media().fingerprint(),
+        again.image.media().fingerprint()
     );
 }
 
