@@ -9,7 +9,7 @@
 //!
 //! * [`Armed`]: the per-cycle programming (base address, bloom filter).
 //!   Immutable once built and published as an `Arc` snapshot, so a lookup
-//!   finishes on the programming it started with while a shard re-arms.
+//!   finishes on the programming it started with while the unit disarms.
 //! * Hot state (BFC residency flag, PMFTLB, unit stats): mutated on every
 //!   charged lookup, kept behind a mutex — the charge sequence on this
 //!   path is pinned by cycle-total regressions.
@@ -51,9 +51,6 @@ struct UnitStats {
 #[derive(Debug)]
 struct Armed {
     base: u64,
-    /// Filter capacity, kept so a per-shard re-arm can rebuild the merged
-    /// filter without the engine config in hand.
-    bloom_bytes: usize,
     /// The relocation-page filter. The paper builds up to 8 in-memory
     /// filters sharded by VA range; at our pool sizes one 1 KiB filter
     /// (exactly the BFC's capacity, Table 1) covers every relocation page,
@@ -79,12 +76,6 @@ pub struct CheckLookupUnit {
     pmft: Pmft,
     armed: RwLock<Option<Arc<Armed>>>,
     hot: Mutex<HotState>,
-    /// Per-GC-shard relocation frames currently armed. The published
-    /// [`Armed`] programming is always the union of every shard's set —
-    /// there is one physical unit, programmed once per change, exactly as
-    /// one bloom filter covers all relocation pages in the paper. Guarded
-    /// by its own lock because shards arm/disarm concurrently.
-    cycle_sets: Mutex<Vec<Vec<u64>>>,
 }
 
 impl CheckLookupUnit {
@@ -100,7 +91,6 @@ impl CheckLookupUnit {
                 tlb_cap: 16,
                 stats: UnitStats::default(),
             }),
-            cycle_sets: Mutex::new(Vec::new()),
         }
     }
 
@@ -109,89 +99,28 @@ impl CheckLookupUnit {
     // Shim: the frozen `benchmark/` passes the ignored `bool`; its next PR removes it.
     #[doc(hidden)]
     pub fn begin_cycle(&self, engine: &PmEngine, base: u64, entries: &[PmftEntry], _: bool) {
-        self.begin_cycle_shard(engine, base, entries, 0, 1);
-    }
-
-    /// Per-shard arming: programs shard `shard`'s forwarding entries into
-    /// the unit, merging them with every other shard's live set (the unit
-    /// is one physical device; the published programming is the union).
-    /// When no *other* shard is armed this is exactly [`CheckLookupUnit::
-    /// begin_cycle`] — BFC refetch, stats reset — otherwise the surviving
-    /// shards' hot state carries over.
-    pub fn begin_cycle_shard(
-        &self,
-        engine: &PmEngine,
-        base: u64,
-        entries: &[PmftEntry],
-        shard: usize,
-        nshards: usize,
-    ) {
         let cfg = engine.config();
-        let mut sets = self.cycle_sets.lock();
-        if sets.len() != nshards {
-            sets.resize(nshards, Vec::new());
-        }
-        let others_idle = sets
-            .iter()
-            .enumerate()
-            .all(|(i, s)| i == shard || s.is_empty());
-        sets[shard] = entries.iter().map(|e| e.reloc_frame).collect();
         let mut filter = BloomFilter::new(cfg.bloom_filter_bytes);
-        for &frame in sets.iter().flatten() {
-            filter.insert(self.vpn_of_frame(base, frame));
+        for e in entries {
+            filter.insert(self.vpn_of_frame(base, e.reloc_frame));
         }
         {
             let mut s = self.hot.lock();
-            if others_idle {
-                s.loaded = false;
-                s.stats = UnitStats::default();
-            }
+            s.loaded = false;
+            s.stats = UnitStats::default();
             s.tlb.clear();
             s.tlb_cap = cfg.pmftlb_entries.max(1);
         }
-        *self.armed.write() = Some(Arc::new(Armed {
-            base,
-            bloom_bytes: cfg.bloom_filter_bytes,
-            filter,
-        }));
+        *self.armed.write() = Some(Arc::new(Armed { base, filter }));
     }
 
     /// Disarms the unit at cycle end: every lookup returns
     /// [`LookupResult::NotRelocation`] at zero charged cost.
     pub fn end_cycle(&self) {
-        self.end_cycle_shard(0);
-    }
-
-    /// Per-shard disarming: removes shard `shard`'s entries from the
-    /// programming. The last shard out fully disarms the unit (exactly
-    /// [`CheckLookupUnit::end_cycle`]); otherwise the merged programming is
-    /// rebuilt from the surviving shards and only the PMFTLB is shot down
-    /// (its entries may name dead frames).
-    pub fn end_cycle_shard(&self, shard: usize) {
-        let mut sets = self.cycle_sets.lock();
-        if shard < sets.len() {
-            sets[shard].clear();
-        }
-        if sets.iter().all(|s| s.is_empty()) {
-            *self.armed.write() = None;
-            let mut s = self.hot.lock();
-            s.tlb.clear();
-            s.loaded = false;
-            return;
-        }
-        let Some(prev) = self.armed.read().clone() else {
-            return;
-        };
-        let mut filter = BloomFilter::new(prev.bloom_bytes);
-        for &frame in sets.iter().flatten() {
-            filter.insert(self.vpn_of_frame(prev.base, frame));
-        }
-        *self.armed.write() = Some(Arc::new(Armed {
-            base: prev.base,
-            bloom_bytes: prev.bloom_bytes,
-            filter,
-        }));
-        self.hot.lock().tlb.clear();
+        *self.armed.write() = None;
+        let mut s = self.hot.lock();
+        s.tlb.clear();
+        s.loaded = false;
     }
 
     /// Whether a cycle is armed.

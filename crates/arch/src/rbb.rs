@@ -132,21 +132,6 @@ impl Rbb {
             e.bitmap = 0;
         }
     }
-
-    /// Drops buffered entries for `frames` only, without write-back. Used
-    /// when one shard's GC cycle arms or tears down while other shards'
-    /// cycles are still live: the finished/fresh shard's destination frames
-    /// must not keep stale reached bits, but a full [`Rbb::invalidate`]
-    /// would silently discard the *other* shards' buffered bits.
-    pub fn invalidate_frames(&self, frames: &[u64]) {
-        let mut s = self.state.lock();
-        for e in s.entries.iter_mut() {
-            if e.valid && frames.contains(&e.frame) {
-                e.valid = false;
-                e.bitmap = 0;
-            }
-        }
-    }
 }
 
 impl PersistObserver for Rbb {

@@ -12,7 +12,6 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod report;
 
 use ffccd::{DefragConfig, Scheme};
 use ffccd_pmem::MachineConfig;

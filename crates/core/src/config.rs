@@ -87,15 +87,6 @@ pub struct DefragConfig {
     /// after every cycle, re-relocating the same survivors over and over —
     /// all cost, no extra footprint benefit.
     pub cooldown_ops: u64,
-    /// Number of independent heap shards / GC domains. Each shard owns a
-    /// disjoint set of OS pages with its own free-list and fragmentation
-    /// accounting, and runs its own concurrent mark/compact cycle (shard A
-    /// can be compacting while shard B is idle). `0` and `1` both mean a
-    /// single shard — byte-identical to the pre-sharding engine, which is
-    /// what every pinned fingerprint and cycle total is recorded against.
-    /// Clamped to [`ffccd_pmop::MAX_SHARDS`].
-    #[serde(default)]
-    pub shards: usize,
 }
 
 impl DefragConfig {
@@ -110,7 +101,6 @@ impl DefragConfig {
             min_live_bytes: 1 << 16,
             max_pages_per_cycle: 256,
             cooldown_ops: 1024,
-            shards: 1,
         }
     }
 
@@ -121,13 +111,6 @@ impl DefragConfig {
             target_ratio: 1.5,
             ..Self::normal(scheme)
         }
-    }
-
-    /// The effective shard count: `shards` clamped to
-    /// `1..=`[`ffccd_pmop::MAX_SHARDS`] (0 reads as 1, matching old
-    /// serialized configs that predate the field).
-    pub fn num_shards(&self) -> usize {
-        self.shards.clamp(1, ffccd_pmop::MAX_SHARDS)
     }
 
     /// A baseline (never-triggering) configuration.

@@ -3,7 +3,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -89,30 +89,6 @@ impl CycleMirror {
     }
 }
 
-/// One GC domain (heap shard): the per-cycle bookkeeping that used to be
-/// heap-global, instantiated once per shard so shard A can run a full
-/// mark/compact cycle while shard B stays idle and mutators on both keep
-/// running. Domain `s` only ever relocates frames owned by pool shard `s`
-/// and takes its destination frames from the same shard.
-pub(crate) struct Domain {
-    pub cycle: Mutex<Option<CycleState>>,
-    /// Snapshot handle to this domain's active cycle mirror (`None`
-    /// outside a cycle). Barrier paths clone the `Arc` and work lock-free
-    /// from there.
-    pub mirror: RwLock<Option<Arc<CycleMirror>>>,
-    pub in_cycle: AtomicBool,
-    /// Work items popped from `cycle.pending` whose relocation has not
-    /// finished yet. A compaction pumper that dies mid-relocation
-    /// (thread-crash fault model) leaves its item here, and termination
-    /// drains the leftovers — without this, a popped-but-unrelocated
-    /// object's references would be fixed up to a destination that never
-    /// received the copy.
-    pub inflight: Mutex<Vec<(u64, usize)>>,
-    /// `op_counter` value when this domain's last cycle started (per-shard
-    /// trigger hysteresis).
-    pub last_cycle_start: std::sync::atomic::AtomicU64,
-}
-
 /// Relocation-lock stripes (a power of two; [`DefragHeap::stripe_of`] masks).
 const RELOC_STRIPES: usize = 64;
 
@@ -127,16 +103,22 @@ pub(crate) struct HeapInner {
     /// ([`DefragHeap::enter_world`]); stop-the-world phases (marking,
     /// summary, termination) hold it for write ([`DefragHeap::stop_world`]).
     pub world: RwLock<()>,
-    /// Per-shard GC domains (one at `shards=1`, reproducing the global
-    /// cycle exactly).
-    pub domains: Box<[Domain]>,
-    /// Domains with a cycle in flight. The barrier arms when this is
-    /// non-zero; incremented (Release) after a domain's mirror publishes,
-    /// decremented at its termination.
-    pub active_cycles: AtomicUsize,
-    /// Round-robin cursor so `step_compaction` pumps active domains
-    /// fairly (always domain 0 at `shards=1`).
-    pub pump_cursor: AtomicUsize,
+    pub cycle: Mutex<Option<CycleState>>,
+    /// Snapshot handle to the active cycle mirror (`None` outside a cycle).
+    /// Barrier paths clone the `Arc` and work lock-free from there.
+    pub mirror: RwLock<Option<Arc<CycleMirror>>>,
+    /// Whether a cycle is in flight; the barrier arms on it. Set (Release)
+    /// after the mirror publishes, cleared at termination.
+    pub in_cycle: AtomicBool,
+    /// Work items popped from `cycle.pending` whose relocation has not
+    /// finished yet. A compaction pumper that dies mid-relocation
+    /// (thread-crash fault model) leaves its item here, and termination
+    /// drains the leftovers — without this, a popped-but-unrelocated
+    /// object's references would be fixed up to a destination that never
+    /// received the copy.
+    pub inflight: Mutex<Vec<(u64, usize)>>,
+    /// `op_counter` value when the last cycle started (trigger hysteresis).
+    pub last_cycle_start: AtomicU64,
     /// Striped relocation locks (the paper's §4.5 critical section is
     /// per-object, so first-touch relocation only needs per-object
     /// exclusivity). A stripe is picked from the object's moved-bitmap
@@ -149,7 +131,7 @@ pub(crate) struct HeapInner {
     /// barrier hot path installs it with a pointer compare.
     pub stats_sink: Arc<dyn CounterSink>,
     /// Allocator operations observed (the §5 monitor's clock).
-    pub op_counter: std::sync::atomic::AtomicU64,
+    pub op_counter: AtomicU64,
 }
 
 /// What the recovery idempotence gate observed
@@ -260,7 +242,7 @@ impl DefragHeap {
         registry: TypeRegistry,
         cfg: DefragConfig,
     ) -> Result<Self, PoolError> {
-        let pool = PmPool::create_sharded(pool_cfg, registry, cfg.num_shards())?;
+        let pool = PmPool::create(pool_cfg, registry)?;
         Ok(Self::from_pool(pool, cfg))
     }
 
@@ -367,18 +349,6 @@ impl DefragHeap {
             .then(|| CheckLookupUnit::new(pmft));
         let stats = Arc::new(GcStats::default());
         let stats_sink: Arc<dyn CounterSink> = stats.clone();
-        // The pool's persisted shard count wins over the config: a heap
-        // reopened from media created at a different `shards` must honor
-        // the on-media frame ownership.
-        let domains: Box<[Domain]> = (0..pool.num_shards())
-            .map(|_| Domain {
-                cycle: Mutex::new(None),
-                mirror: RwLock::new(None),
-                in_cycle: AtomicBool::new(false),
-                inflight: Mutex::new(Vec::new()),
-                last_cycle_start: std::sync::atomic::AtomicU64::new(0),
-            })
-            .collect();
         DefragHeap {
             inner: Arc::new(HeapInner {
                 pool,
@@ -388,13 +358,15 @@ impl DefragHeap {
                 rbb,
                 clu,
                 world: RwLock::new(()),
-                domains,
-                active_cycles: AtomicUsize::new(0),
-                pump_cursor: AtomicUsize::new(0),
+                cycle: Mutex::new(None),
+                mirror: RwLock::new(None),
+                in_cycle: AtomicBool::new(false),
+                inflight: Mutex::new(Vec::new()),
+                last_cycle_start: AtomicU64::new(0),
                 reloc_stripes: std::array::from_fn(|_| Mutex::new(())),
                 stats,
                 stats_sink,
-                op_counter: std::sync::atomic::AtomicU64::new(0),
+                op_counter: AtomicU64::new(0),
             }),
         }
     }
@@ -426,24 +398,9 @@ impl DefragHeap {
         self.inner.cfg.scheme
     }
 
-    /// Whether any domain has a compaction cycle in flight.
+    /// Whether a compaction cycle is in flight.
     pub fn in_cycle(&self) -> bool {
-        self.inner.active_cycles.load(Ordering::Acquire) > 0
-    }
-
-    /// Number of heap shards / GC domains (1 unless created sharded).
-    pub fn num_shards(&self) -> usize {
-        self.inner.domains.len()
-    }
-
-    /// Diagnostic snapshot of domain `shard`'s armed cycle: the
-    /// `(relocation, destination)` frame sets, or `None` when that domain
-    /// is idle. Tests use it to audit the ownership contract — every
-    /// frame of both sets must live in pool shard `shard`.
-    pub fn domain_frames(&self, shard: usize) -> Option<(Vec<u64>, Vec<u64>)> {
-        let cs = self.inner.domains[shard].cycle.lock();
-        cs.as_ref()
-            .map(|cs| (cs.reloc_frames.clone(), cs.dest_frames.clone()))
+        self.inner.in_cycle.load(Ordering::Acquire)
     }
 
     // Shim for the frozen `benchmark/` (registers nothing); its next PR removes the call.
@@ -481,7 +438,7 @@ impl DefragHeap {
     /// Returns a dead thread's allocation arena to general service (see
     /// [`ffccd_pmop::PmPool::retire_arena`]): its active bump frames become
     /// ordinary partial frames other arenas can allocate from, instead of
-    /// holding capacity hostage until out-of-memory work stealing.
+    /// holding capacity hostage until out-of-memory.
     pub fn retire_arena(&self, arena: u32) {
         self.inner.pool.retire_arena(arena);
     }
@@ -494,22 +451,9 @@ impl DefragHeap {
         ctx.bump_counter(idx, n);
     }
 
-    /// The GC domain owning `frame` (frames on one OS page share a shard).
-    pub(crate) fn domain_of_frame(&self, frame: u64) -> &Domain {
-        let s = self
-            .inner
-            .pool
-            .layout()
-            .shard_of_frame(frame, self.inner.domains.len());
-        &self.inner.domains[s]
-    }
-
-    /// Clones the mirror handle of the domain owning `frame` (`None` when
-    /// that shard has no cycle in flight). Relocation and destination
-    /// frames of one cycle always share a shard, so looking up by either
-    /// lands on the same mirror.
-    pub(crate) fn mirror_for(&self, frame: u64) -> Option<Arc<CycleMirror>> {
-        self.domain_of_frame(frame).mirror.read().clone()
+    /// Clones the active cycle's mirror handle (`None` outside a cycle).
+    pub(crate) fn mirror(&self) -> Option<Arc<CycleMirror>> {
+        self.inner.mirror.read().clone()
     }
 
     /// The GC metadata layout (benches and validators).
@@ -575,7 +519,7 @@ impl DefragHeap {
                 let dir = self.load_slot(ctx, crate::walk::ROOT_SLOT);
                 assert!(
                     !dir.is_null(),
-                    "sharded set_root requires an installed root directory"
+                    "set_root through a root-directory slot requires an installed root directory"
                 );
                 // Same discipline as a reference-field store: write,
                 // persist, and mirror under SFCCD.
@@ -618,23 +562,11 @@ impl DefragHeap {
     /// every store to a destination copy back to its source, so the two
     /// copies only differ when the relocation copy itself failed to persist
     /// — making the re-copy always safe.
+    ///
+    /// Cycle termination's reference fixup does not mirror (though the
+    /// mirror stays published through it, for thread-crash re-entry): the
+    /// source frames are released moments later.
     pub(crate) fn sfccd_mirror(&self, ctx: &mut Ctx, off: u64, data: &[u8]) {
-        self.sfccd_mirror_excluding(ctx, off, data, None);
-    }
-
-    /// [`Self::sfccd_mirror`] that ignores shard `exclude`'s own mirror.
-    /// Cycle termination passes its shard here: the terminating cycle's
-    /// source frames are released moments later, so mirroring into them is
-    /// pointless — and the mirror now stays published through termination
-    /// (for thread-crash re-entry), so without the exclusion the teardown
-    /// walk would start mirroring stores it never used to.
-    pub(crate) fn sfccd_mirror_excluding(
-        &self,
-        ctx: &mut Ctx,
-        off: u64,
-        data: &[u8],
-        exclude: Option<usize>,
-    ) {
         if self.inner.cfg.scheme != Scheme::Sfccd || !self.in_cycle() {
             return;
         }
@@ -642,10 +574,7 @@ impl DefragHeap {
         let Some(frame) = layout.frame_of(off) else {
             return;
         };
-        if exclude == Some(layout.shard_of_frame(frame, self.inner.domains.len())) {
-            return;
-        }
-        let Some(m) = self.mirror_for(frame) else {
+        let Some(m) = self.mirror() else {
             return;
         };
         for &rf in m.reloc_frames_into(frame) {
@@ -845,18 +774,16 @@ impl DefragHeap {
                 // Software path: is_frag_page bitmap, then PMFT walk.
                 let byte = self.engine().read_u8(ctx, inner.meta.fragmap_byte(frame));
                 let armed = byte >> (frame % 8) & 1 == 1
-                    && self
-                        .mirror_for(frame)
-                        .is_some_and(|m| m.entry(frame).is_some());
+                    && self.mirror().is_some_and(|m| m.entry(frame).is_some());
                 if armed {
                     inner.pmft.soft_lookup(ctx, self.engine(), frame, slot)
                 } else {
-                    // A set frag bit whose frame is absent from its
-                    // domain's armed cycle mirror is persistent summary
-                    // residue: a thread died mid-summary (thread-crash
-                    // fault model) after persisting this frame's PMFT
-                    // entry but before the volatile arm — possibly with a
-                    // *newer* cycle since armed on the same shard.
+                    // A set frag bit whose frame is absent from the armed
+                    // cycle mirror is persistent summary residue: a thread
+                    // died mid-summary (thread-crash fault model) after
+                    // persisting this frame's PMFT entry but before the
+                    // volatile arm — possibly with a *newer* cycle armed
+                    // since.
                     // Relocating through the half-built mapping would move
                     // objects into a destination frame the exit-time
                     // rollback rightly treats as empty, so the residue
@@ -930,7 +857,7 @@ impl DefragHeap {
         // frame itself is recycled at termination. The count lives in the
         // mirror (atomic), so no cycle-mutex round trip on the hot path.
         if release {
-            if let Some(m) = self.mirror_for(frame) {
+            if let Some(m) = self.mirror() {
                 if m.note_moved(frame) {
                     inner.pool.evacuate_frame(frame);
                 }

@@ -1,14 +1,5 @@
 //! Defragmentation phases: marking, sweep, summary, compaction, termination
 //! (paper §3.3.1 and §5).
-//!
-//! With a sharded heap every stop-the-world pass (mark, sweep, summary) is
-//! still global, but the summary runs once *per shard*, arming one
-//! independent cycle per GC domain: its own cycle header slot, its own
-//! [`CycleMirror`], its own relocation/destination frame sets. Compaction
-//! then pumps the domains concurrently and each domain terminates on its
-//! own, so shard A can still be relocating while shard B is already idle
-//! and mutators keep running throughout. At `shards = 1` every loop below
-//! collapses to the pre-sharding single-cycle behaviour byte-for-byte.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::Ordering;
@@ -50,40 +41,22 @@ impl DefragHeap {
         // Trigger hysteresis: let the application run between cycles, or a
         // falling live set re-relocates the same survivors continuously.
         let now = self.inner.op_counter.load(Ordering::Relaxed);
-        let last = self
-            .inner
-            .domains
-            .iter()
-            .map(|d| d.last_cycle_start.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
+        let last = self.inner.last_cycle_start.load(Ordering::Relaxed);
         if last != 0 && now.saturating_sub(last) < self.inner.cfg.cooldown_ops {
             return false;
         }
-        let n = self.num_shards();
-        let triggered = if n == 1 {
-            let st = self.pool().stats();
-            st.live_bytes >= self.inner.cfg.min_live_bytes
-                && st.frag_ratio >= self.inner.cfg.trigger_ratio
-        } else {
-            // Per-shard accounting: any shard fragmented past the trigger
-            // (carrying its share of the min-live floor) starts a pass; the
-            // per-shard summary then only arms shards with work to do.
-            (0..n).any(|s| {
-                let st = self.pool().shard_stats(s);
-                st.live_bytes >= self.inner.cfg.min_live_bytes / n as u64
-                    && st.frag_ratio >= self.inner.cfg.trigger_ratio
-            })
-        };
-        if !triggered {
+        let st = self.pool().stats();
+        if st.live_bytes < self.inner.cfg.min_live_bytes
+            || st.frag_ratio < self.inner.cfg.trigger_ratio
+        {
             return false;
         }
         self.defrag_now(ctx)
     }
 
     /// Unconditionally runs the stop-the-world phases (marking, sweep,
-    /// summary) and arms one compaction cycle per shard with anything worth
-    /// compacting. Returns `false` if no shard started a cycle.
+    /// summary) and arms a compaction cycle if anything is worth
+    /// compacting. Returns `false` if no cycle started.
     pub fn defrag_now(&self, ctx: &mut Ctx) -> bool {
         if self.in_cycle() || self.scheme() == crate::Scheme::Baseline {
             return false;
@@ -108,15 +81,11 @@ impl DefragHeap {
         self.sweep(ctx, &marked);
         stats.add_cycles(&stats.sweep_cycles, ctx.cycles() - t0);
 
-        // -- summary: rank pages, pick relocation sets, build the PMFTs --
+        // -- summary: rank pages, pick the relocation set, build the PMFT --
         let t0 = ctx.cycles();
-        // Empty committed pages are free wins (hoisted out of the per-shard
-        // pass; same op-stream position as the old single-shard summary).
+        // Empty committed pages are free wins.
         self.inner.pool.decommit_empty_pages();
-        let mut started = false;
-        for s in 0..self.num_shards() {
-            started |= self.summary_shard(ctx, s);
-        }
+        let started = self.summary(ctx);
         stats.add_cycles(&stats.summary_cycles, ctx.cycles() - t0);
         started
     }
@@ -146,20 +115,18 @@ impl DefragHeap {
         }
     }
 
-    /// The summary phase (§5) for one shard: per-page fragmentation ranking
-    /// over the shard's own pages, top-k selection toward the target ratio,
-    /// deterministic destination assignment *within the shard*, PMFT
-    /// persistence, hardware arming. Caller holds the world write lock.
-    fn summary_shard(&self, ctx: &mut Ctx, shard: usize) -> bool {
+    /// The summary phase (§5): per-page fragmentation ranking, top-k
+    /// selection toward the target ratio, deterministic destination
+    /// assignment, PMFT persistence, hardware arming. Caller holds the
+    /// world write lock.
+    fn summary(&self, ctx: &mut Ctx) -> bool {
         let inner = &*self.inner;
         let pool = &inner.pool;
         let layout = *pool.layout();
         let fpp = layout.frames_per_os_page();
-        let nshards = inner.domains.len();
 
-        // Candidate pages: owned by this shard, committed, fully evacuable
-        // (only Free/Active frames), sorted most-fragmented (least live)
-        // first.
+        // Candidate pages: committed, fully evacuable (only Free/Active
+        // frames), sorted most-fragmented (least live) first.
         struct Cand {
             page: u64,
             live: u64,
@@ -167,9 +134,6 @@ impl DefragHeap {
         }
         let mut cands: Vec<Cand> = Vec::new();
         for page in 0..layout.num_os_pages() {
-            if page % nshards as u64 != shard as u64 {
-                continue;
-            }
             if !pool.page_committed(page) {
                 continue;
             }
@@ -209,10 +173,7 @@ impl DefragHeap {
         }
         cands.sort_by_key(|c| c.live);
 
-        // Footprint projection against this shard's own accounting: the
-        // cycle frees this shard's pages and commits destinations on this
-        // shard, so its fragmentation ratio is the one the cycle moves.
-        let pool_stats = pool.shard_stats(shard);
+        let pool_stats = pool.stats();
         let footprint = pool_stats.footprint_bytes;
         let live_total = pool_stats.live_bytes.max(1);
         let mut selected: Vec<Cand> = Vec::new();
@@ -268,7 +229,7 @@ impl DefragHeap {
                     .map(|(_, next)| Self::SLOTS_PER_FRAME - next >= needed)
                     .unwrap_or(false);
                 if !dest_ok {
-                    match pool.take_destination_frame_avoiding_in(ctx, shard, &avoid) {
+                    match pool.take_destination_frame_avoiding(ctx, &avoid) {
                         Ok(d) => {
                             // Fresh reached word for the new destination.
                             engine.write_u64(ctx, inner.meta.reached_word(d), 0);
@@ -276,7 +237,7 @@ impl DefragHeap {
                             dest_frames.push(d);
                             cur_dest = Some((d, 0));
                         }
-                        Err(_) => break 'pages, // shard exhausted: compact what we have
+                        Err(_) => break 'pages, // pool exhausted: compact what we have
                     }
                 }
                 let (dframe, mut next_slot) = cur_dest.expect("destination frame just ensured");
@@ -326,45 +287,34 @@ impl DefragHeap {
             return false;
         }
 
-        // Commit point: the persisted per-shard cycle header slot makes the
-        // cycle real. Shard 0's slot is the pre-sharding header address.
-        let hdr = inner.meta.cycle_header + 16 * shard as u64;
+        // Commit point: the persisted cycle header makes the cycle real.
+        let hdr = inner.meta.cycle_header;
         engine.write_u64(ctx, hdr, 1);
         engine.write_u64(ctx, hdr + 8, scheme_code(inner.cfg.scheme));
         engine.persist(ctx, hdr, 16);
 
-        // Arm the hardware. The first cycle to arm installs the observer
-        // and starts from an empty RBB; later shards arming while others
-        // are live only drop their own destination frames' stale entries —
-        // a full invalidate would discard the live shards' buffered bits.
+        // Arm the hardware: the RBB starts empty.
         if let Some(rbb) = &inner.rbb {
-            if inner.active_cycles.load(Ordering::Acquire) == 0 {
-                rbb.invalidate();
-                engine.set_observer(rbb.clone());
-            } else {
-                rbb.invalidate_frames(&dest_frames);
-            }
+            rbb.invalidate();
+            engine.set_observer(rbb.clone());
         }
         if let Some(clu) = &inner.clu {
             let entries: Vec<PmftEntry> = mirror_items.iter().map(|(_, e, _)| e.clone()).collect();
-            clu.begin_cycle_shard(engine, pool.base(), &entries, shard, nshards);
+            clu.begin_cycle(engine, pool.base(), &entries, false);
         }
-        // Mirror first, then cycle state, then the domain flag, then the
-        // global active count barrier paths key on — so any thread seeing
-        // the cycle sees the mirror.
-        let domain = &inner.domains[shard];
-        *domain.mirror.write() = Some(Arc::new(CycleMirror::new(
+        // Mirror first, then cycle state, then the flag barrier paths key
+        // on — so any thread seeing the cycle sees the mirror.
+        *inner.mirror.write() = Some(Arc::new(CycleMirror::new(
             layout.num_frames as usize,
             mirror_items,
         )));
-        *domain.cycle.lock() = Some(CycleState {
+        *inner.cycle.lock() = Some(CycleState {
             reloc_frames,
             dest_frames,
             pending,
         });
-        domain.in_cycle.store(true, Ordering::Release);
-        inner.active_cycles.fetch_add(1, Ordering::Release);
-        domain.last_cycle_start.store(
+        inner.in_cycle.store(true, Ordering::Release);
+        inner.last_cycle_start.store(
             inner.op_counter.load(Ordering::Relaxed).max(1),
             Ordering::Relaxed,
         );
@@ -373,41 +323,25 @@ impl DefragHeap {
     }
 
     /// Relocates up to `budget` pending objects (the concurrent compaction
-    /// driver's unit of work) from one active domain, chosen round-robin so
-    /// concurrent callers spread across shards. Returns `true` while any
-    /// cycle stays active; a domain whose queue drains terminates.
+    /// driver's unit of work). Returns `true` while the cycle stays active;
+    /// a drained queue terminates it.
     pub fn step_compaction(&self, ctx: &mut Ctx, budget: usize) -> bool {
         if !self.in_cycle() {
             return false;
         }
-        let n = self.inner.domains.len();
-        let start = self.inner.pump_cursor.fetch_add(1, Ordering::Relaxed) % n;
-        let Some(shard) = (0..n)
-            .map(|i| (start + i) % n)
-            .find(|&s| self.inner.domains[s].in_cycle.load(Ordering::Acquire))
-        else {
-            return false;
-        };
-        self.step_domain(ctx, shard, budget);
-        self.in_cycle()
-    }
-
-    /// One pump of domain `shard`: pops up to `budget` work items, then
-    /// terminates the domain's cycle if its queue drained.
-    fn step_domain(&self, ctx: &mut Ctx, shard: usize, budget: usize) {
-        let domain = &self.inner.domains[shard];
+        let inner = &*self.inner;
         {
             let _g = self.enter_world();
             // Entry lookups come from the lock-free mirror snapshot; the
             // cycle mutex is held only to pop the work item.
-            let Some(mirror) = domain.mirror.read().clone() else {
-                return;
+            let Some(mirror) = self.mirror() else {
+                return self.in_cycle();
             };
             for _ in 0..budget {
                 let item = {
-                    let mut guard = domain.cycle.lock();
+                    let mut guard = inner.cycle.lock();
                     let Some(cs) = guard.as_mut() else {
-                        return;
+                        return self.in_cycle();
                     };
                     match cs.pending.pop_front() {
                         Some(it) => it,
@@ -417,40 +351,32 @@ impl DefragHeap {
                 // Track the popped item until its relocation lands: a
                 // pumper dying mid-copy (thread-crash fault model) must not
                 // silently drop it — termination drains the leftovers.
-                domain.inflight.lock().push(item);
+                inner.inflight.lock().push(item);
                 let (frame, slot) = item;
                 let e = mirror.entry(frame).expect("entry for pending frame");
                 let dslot = e.lookup(slot).expect("mapped slot");
                 self.ensure_relocated(ctx, frame, slot, e.dest_frame, dslot, true);
-                domain.inflight.lock().retain(|it| *it != item);
+                inner.inflight.lock().retain(|it| *it != item);
             }
         }
-        let remaining = domain
+        let remaining = inner
             .cycle
             .lock()
             .as_ref()
             .map(|c| c.pending.len())
             .unwrap_or(0);
         if remaining == 0 {
-            self.finish_domain(ctx, shard);
+            self.finish_cycle(ctx);
         }
+        self.in_cycle()
     }
 
-    /// `terminate()` (§5) over every domain: finishes all pending
-    /// relocation and reference updates, persists everything, releases the
-    /// relocation frames and tears each active cycle down.
+    /// `terminate()` (§5): finishes all pending relocation and reference
+    /// updates, persists everything, releases the relocation frames and
+    /// tears the cycle down. Stop-the-world, but runs once per cycle.
     pub fn finish_cycle(&self, ctx: &mut Ctx) {
-        for s in 0..self.inner.domains.len() {
-            self.finish_domain(ctx, s);
-        }
-    }
-
-    /// Terminates domain `shard`'s cycle. Stop-the-world, but runs once per
-    /// cycle; other domains' cycles stay armed throughout.
-    fn finish_domain(&self, ctx: &mut Ctx, shard: usize) {
         let inner = &*self.inner;
-        let domain = &inner.domains[shard];
-        if !domain.in_cycle.load(Ordering::Acquire) {
+        if !self.in_cycle() {
             return;
         }
         let _w = self.stop_world();
@@ -464,20 +390,18 @@ impl DefragHeap {
         // to orphan the cycle forever: `in_cycle` stayed set with the
         // state gone, so every later finish early-returned and the
         // persistent header/PMFT/frag residue outlived `exit()`.
-        let Some(cs) = domain.cycle.lock().clone() else {
+        let Some(cs) = inner.cycle.lock().clone() else {
             return;
         };
-        let mirror = domain
-            .mirror
-            .read()
-            .clone()
+        let mirror = self
+            .mirror()
             .expect("mirror exists while a cycle is active");
         // Items popped from `pending` by pumpers that died mid-relocation.
-        let leftover: Vec<(u64, usize)> = domain.inflight.lock().clone();
+        let leftover: Vec<(u64, usize)> = inner.inflight.lock().clone();
         let engine = self.engine();
         engine.note_phase_site(phase_sites::TERMINATE_BEGIN);
         let layout = *inner.pool.layout();
-        let hdr = inner.meta.cycle_header + 16 * shard as u64;
+        let hdr = inner.meta.cycle_header;
 
         // 1. finish pending relocations (progressive release off — see
         //    `ensure_relocated`), plus any item a dead
@@ -503,12 +427,8 @@ impl DefragHeap {
         }
 
         // 3. reference fixup rescan: no reference may keep pointing into
-        //    this domain's relocation frames, and every barrier-updated
-        //    reference must be durable before the PMFT entries disappear.
-        //    Traversal must follow *other* live domains' already-moved
-        //    objects to their destination copies — post-move stores land
-        //    only there, so walking the stale source could miss references
-        //    into our relocation frames.
+        //    the relocation frames, and every barrier-updated reference
+        //    must be durable before the PMFT entries disappear.
         let t0 = ctx.cycles();
         // Only frames still in Relocation kind get their references
         // rewritten: on re-entry after an interrupted teardown, a released
@@ -521,18 +441,10 @@ impl DefragHeap {
             .filter(|&f| inner.pool.frame_state(f).kind == FrameKind::Relocation)
             .collect();
         let dest_set: HashSet<u64> = cs.dest_frames.iter().copied().collect();
-        let others: Vec<Arc<CycleMirror>> = inner
-            .domains
-            .iter()
-            .enumerate()
-            .filter(|&(i, d)| i != shard && d.in_cycle.load(Ordering::Acquire))
-            .filter_map(|(_, d)| d.mirror.read().clone())
-            .collect();
         {
             let engine2 = engine.clone();
             let entries = &mirror;
             let me = self.clone();
-            let meta = inner.meta;
             walk_refs(
                 ctx,
                 engine,
@@ -551,36 +463,11 @@ impl DefragHeap {
                         let new = me.dest_ptr(e, d);
                         engine2.write_u64(ctx, slot_off, new.raw());
                         engine2.clwb(ctx, slot_off);
-                        // The slot may live in another live domain's
-                        // destination copy: keep the SFCCD source mirror in
-                        // step or its recovery re-copy would roll this
-                        // rewrite back. No-op outside SFCCD cycles; our own
-                        // terminating shard is excluded (its sources are
-                        // released below).
-                        me.sfccd_mirror_excluding(
-                            ctx,
-                            slot_off,
-                            &new.raw().to_le_bytes(),
-                            Some(shard),
-                        );
                         Some(new)
                     } else if dest_set.contains(&frame) {
                         engine2.clwb(ctx, slot_off);
                         None
                     } else {
-                        // Redirect traversal (without storing) through other
-                        // domains' moved objects: their destination copy is
-                        // the authoritative one. The world write lock keeps
-                        // every moved bit frozen during this walk.
-                        for m in &others {
-                            let Some(e) = m.entry(frame) else { continue };
-                            let Some(d) = e.lookup(slot) else { continue };
-                            let byte_off = meta.moved_bitmap(frame) + slot as u64 / 8;
-                            let moved = engine2.peek_vec(byte_off, 1)[0] >> (slot % 8) & 1 == 1;
-                            if moved {
-                                return Some(me.dest_ptr(e, d));
-                            }
-                        }
                         None
                     }
                 },
@@ -627,33 +514,25 @@ impl DefragHeap {
             engine.persist(ctx, inner.meta.reached_word(d), 8);
         }
 
-        // 6. cycle header slot back to idle.
+        // 6. cycle header back to idle.
         engine.write_u64(ctx, hdr, 0);
         engine.persist(ctx, hdr, 8);
 
-        // 7. disarm hardware. Only the last live cycle takes the observer
-        //    down; earlier finishers drop just their own destination
-        //    frames' buffered bits (the other shards still need theirs).
-        let last = inner.active_cycles.load(Ordering::Acquire) == 1;
+        // 7. disarm hardware.
         if let Some(rbb) = &inner.rbb {
-            if last {
-                engine.clear_observer();
-                rbb.invalidate();
-            } else {
-                rbb.invalidate_frames(&cs.dest_frames);
-            }
+            engine.clear_observer();
+            rbb.invalidate();
         }
         if let Some(clu) = &inner.clu {
-            clu.end_cycle_shard(shard);
+            clu.end_cycle();
         }
         // Teardown is fully durable: only now does the shared volatile
-        // state come down (mirror and cycle first, then the flags the
+        // state come down (mirror and cycle first, then the flag the
         // barrier paths key on).
-        *domain.cycle.lock() = None;
-        *domain.mirror.write() = None;
-        domain.inflight.lock().clear();
-        domain.in_cycle.store(false, Ordering::Release);
-        inner.active_cycles.fetch_sub(1, Ordering::Release);
+        *inner.cycle.lock() = None;
+        *inner.mirror.write() = None;
+        inner.inflight.lock().clear();
+        inner.in_cycle.store(false, Ordering::Release);
         inner.stats.add_cycles(&inner.stats.cycles_completed, 1);
         // Terminating is a natural synchronization point: make this
         // context's batched barrier counters visible in the shared stats.
@@ -661,72 +540,61 @@ impl DefragHeap {
         engine.note_phase_site(phase_sites::TERMINATE_END);
     }
 
-    /// Live-heap mirror of recovery's summary rollback: rolls back any
-    /// shard whose *persistent* cycle residue (PMFT entries, frag bits,
-    /// cycle header) or pool frame roles (Relocation/Destination) survived
-    /// with no volatile cycle behind them. That state is orphaned when a
-    /// thread dies inside the summary phase (thread-crash fault model)
-    /// before the volatile arm at the end of `summary_shard`:
-    /// machine-crash recovery would roll it back at reopen ("a pre-header
-    /// crash can roll all of it back"), but the *live* heap would
-    /// otherwise leak the frames and fail validation. Detection uses
-    /// uncharged host peeks only, so a clean exit leaves the simulated op
-    /// stream untouched.
+    /// Live-heap mirror of recovery's summary rollback: rolls back
+    /// *persistent* cycle residue (PMFT entries, frag bits, cycle header)
+    /// or pool frame roles (Relocation/Destination) that survived with no
+    /// volatile cycle behind them. That state is orphaned when a thread
+    /// dies inside the summary phase (thread-crash fault model) before the
+    /// volatile arm at the end of `summary`: machine-crash recovery would
+    /// roll it back at reopen ("a pre-header crash can roll all of it
+    /// back"), but the *live* heap would otherwise leak the frames and
+    /// fail validation. Detection uses uncharged host peeks only, so a
+    /// clean exit leaves the simulated op stream untouched.
     fn heal_orphaned_summaries(&self, ctx: &mut Ctx) {
         let inner = &*self.inner;
         let engine = self.engine();
-        let nshards = inner.domains.len();
-        let layout = *inner.pool.layout();
-        let all = inner.pmft.load_all(engine);
-        for shard in 0..nshards {
-            let domain = &inner.domains[shard];
-            if domain.in_cycle.load(Ordering::Acquire) {
-                continue;
+        if self.in_cycle() {
+            return;
+        }
+        let entries = inner.pmft.load_all(engine);
+        let hdr = inner.meta.cycle_header;
+        let hdr_state = engine.with_media(|m| m.read_u64(hdr));
+        // Frames still parked in a GC role with no cycle to back them (a
+        // partially-assembled summary may take a destination frame before
+        // storing any entry against it).
+        let stray: Vec<u64> = (0..inner.pool.layout().num_frames)
+            .filter(|&f| {
+                matches!(
+                    inner.pool.frame_state(f).kind,
+                    FrameKind::Relocation | FrameKind::Destination
+                )
+            })
+            .collect();
+        if hdr_state == 0 && entries.is_empty() && stray.is_empty() {
+            return;
+        }
+        let _w = self.stop_world();
+        for e in &entries {
+            // Frag bit first, PMFT entry last — `rollback_summary`'s
+            // order, keeping the rollback itself re-runnable.
+            let fb = inner.meta.fragmap_byte(e.reloc_frame);
+            let byte = engine.read_u8(ctx, fb) & !(1 << (e.reloc_frame % 8));
+            engine.write(ctx, fb, &[byte]);
+            engine.persist(ctx, fb, 1);
+            inner.pmft.clear(ctx, engine, e.reloc_frame);
+        }
+        for &f in &stray {
+            match inner.pool.frame_state(f).kind {
+                // Never armed: the objects still live at the source.
+                FrameKind::Relocation => inner.pool.set_frame_kind(f, FrameKind::Active),
+                // Any persisted reservations vacate with the frame.
+                FrameKind::Destination => inner.pool.release_frame(ctx, f),
+                _ => {}
             }
-            let hdr = inner.meta.cycle_header + 16 * shard as u64;
-            let hdr_state = engine.with_media(|m| m.read_u64(hdr));
-            let entries: Vec<_> = all
-                .iter()
-                .filter(|e| layout.shard_of_frame(e.reloc_frame, nshards) == shard)
-                .collect();
-            // Frames still parked in a GC role with no cycle to back them
-            // (a partially-assembled summary may take a destination frame
-            // before storing any entry against it).
-            let stray: Vec<u64> = (0..layout.num_frames)
-                .filter(|&f| layout.shard_of_frame(f, nshards) == shard)
-                .filter(|&f| {
-                    matches!(
-                        inner.pool.frame_state(f).kind,
-                        FrameKind::Relocation | FrameKind::Destination
-                    )
-                })
-                .collect();
-            if hdr_state == 0 && entries.is_empty() && stray.is_empty() {
-                continue;
-            }
-            let _w = self.stop_world();
-            for e in &entries {
-                // Frag bit first, PMFT entry last — `rollback_summary`'s
-                // order, keeping the rollback itself re-runnable.
-                let fb = inner.meta.fragmap_byte(e.reloc_frame);
-                let byte = engine.read_u8(ctx, fb) & !(1 << (e.reloc_frame % 8));
-                engine.write(ctx, fb, &[byte]);
-                engine.persist(ctx, fb, 1);
-                inner.pmft.clear(ctx, engine, e.reloc_frame);
-            }
-            for &f in &stray {
-                match inner.pool.frame_state(f).kind {
-                    // Never armed: the objects still live at the source.
-                    FrameKind::Relocation => inner.pool.set_frame_kind(f, FrameKind::Active),
-                    // Any persisted reservations vacate with the frame.
-                    FrameKind::Destination => inner.pool.release_frame(ctx, f),
-                    _ => {}
-                }
-            }
-            if hdr_state != 0 {
-                engine.write_u64(ctx, hdr, 0);
-                engine.persist(ctx, hdr, 16);
-            }
+        }
+        if hdr_state != 0 {
+            engine.write_u64(ctx, hdr, 0);
+            engine.persist(ctx, hdr, 16);
         }
     }
 

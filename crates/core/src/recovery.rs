@@ -44,8 +44,8 @@ use serde::{Deserialize, Serialize};
 use ffccd_arch::{GcMetaLayout, Pmft, PmftEntry};
 use ffccd_pmem::{lines_spanning, Ctx, PmEngine, CACHELINE_BYTES};
 use ffccd_pmop::{
-    FrameState, PmPtr, PoolError, PoolLayout, TypeRegistry, FRAME_BYTES, HDR_NUM_FRAMES,
-    HDR_OS_PAGE, HDR_SHARDS, MAX_SHARDS, OBJ_HEADER_BYTES, POOL_MAGIC, SLOT_BYTES,
+    FrameState, PmPool, PmPtr, PoolError, PoolLayout, TypeRegistry, FRAME_BYTES, OBJ_HEADER_BYTES,
+    SLOT_BYTES,
 };
 
 use crate::config::Scheme;
@@ -78,115 +78,68 @@ enum Fate {
 /// Runs crash recovery on a restarted engine. Safe (and cheap) to call when
 /// no cycle was in flight.
 ///
-/// Each heap shard recovers independently from its own 16-byte cycle
-/// header slot (`cycle_header + 16·shard`; shard 0's slot is the
-/// pre-sharding header address, so single-shard media is unchanged).
-/// Rollbacks and teardowns are strictly per-shard; shards crashed
-/// mid-cycle (state 1) are classified first and share one reference-fixup
-/// walk, because the walk must know every live shard's mapping fates to
-/// follow the authoritative copy of each object it traverses.
-///
 /// # Errors
 ///
-/// Returns [`PoolError::BadPool`] if the media does not hold a pool.
+/// Returns [`PoolError::BadPool`] if the media does not hold a pool this
+/// build can open ([`PmPool::layout_of_media`]).
 pub fn recover(
     engine: &PmEngine,
     registry: &TypeRegistry,
     scheme: Scheme,
 ) -> Result<RecoveryReport, PoolError> {
-    let (magic, os_page, num_frames, shards) = engine.with_media(|m| {
-        (
-            m.read_u64(0),
-            m.read_u64(HDR_OS_PAGE),
-            m.read_u64(HDR_NUM_FRAMES),
-            m.read_u64(HDR_SHARDS),
-        )
-    });
-    if magic != POOL_MAGIC {
-        return Err(PoolError::BadPool {
-            reason: "bad magic",
-        });
-    }
-    let shards = (shards as usize).clamp(1, MAX_SHARDS);
-    let layout = PoolLayout::compute(num_frames * FRAME_BYTES, os_page);
+    let layout = PmPool::layout_of_media(engine)?;
     let meta = GcMetaLayout::from_pool(&layout);
     let pmft = Pmft::new(meta);
     let mut ctx = Ctx::new(engine.config());
     let mut report = RecoveryReport::default();
 
-    // PMFT loads are host-side peeks (uncharged), so hoisting the full
-    // load ahead of the charged header reads keeps the single-shard
-    // simulated-cycle stream identical to the pre-sharding recovery.
-    let all_entries = pmft.load_all(engine);
-
-    // In-flight (state 1) shards, deferred to the shared classification
-    // and walk below.
-    struct LiveShard {
-        hdr: u64,
-        entries: Vec<PmftEntry>,
+    let entries = pmft.load_all(engine);
+    let hdr = meta.cycle_header;
+    let state = engine.read_u64(&mut ctx, hdr);
+    if entries.is_empty() && state == 0 {
+        report.cycles = ctx.cycles();
+        return Ok(report);
     }
-    let mut live: Vec<LiveShard> = Vec::new();
+    report.had_cycle = true;
 
-    for shard in 0..shards {
-        let hdr = meta.cycle_header + 16 * shard as u64;
-        let state = engine.read_u64(&mut ctx, hdr);
-        let entries: Vec<PmftEntry> = all_entries
-            .iter()
-            .filter(|e| layout.shard_of_frame(e.reloc_frame, shards) == shard)
-            .cloned()
-            .collect();
-        if entries.is_empty() && state == 0 {
-            continue;
+    if state == 0 {
+        // Crash during the summary phase, before the cycle-header commit
+        // point: roll every persisted reservation back.
+        rollback_summary(&mut ctx, engine, &pmft, &meta, &layout, &entries);
+    } else if state == 3 {
+        // A previous *recovery* crashed during its own teardown. Its
+        // fixup fence already made every copy and reference rewrite
+        // durable, and the moved bitmap (persisted before the state-3
+        // commit) encodes each mapping's fate — finish vacating the
+        // surviving entries from the moved bits alone; re-deriving
+        // fates from the (partially wiped) reached words would
+        // misclassify.
+        for e in &entries {
+            report.already_durable += e.mappings().count() as u64;
         }
-        report.had_cycle = true;
-
-        if state == 0 {
-            // Crash during the summary phase, before this shard's
-            // cycle-header commit point: roll every persisted reservation
-            // back.
-            rollback_summary(&mut ctx, engine, &pmft, &meta, &layout, &entries);
-        } else if state == 3 {
-            // A previous *recovery* crashed during its own teardown. Its
-            // fixup fence already made every copy and reference rewrite
-            // durable, and the moved bitmap (persisted before the state-3
-            // commit) encodes each mapping's fate — finish vacating the
-            // surviving entries from the moved bits alone; re-deriving
-            // fates from the (partially wiped) reached words would
-            // misclassify.
-            for e in &entries {
-                report.already_durable += e.mappings().count() as u64;
-            }
-            teardown_by_moved(&mut ctx, engine, &pmft, &meta, &layout, &entries);
-            engine.write_u64(&mut ctx, hdr, 0);
-            engine.persist(&mut ctx, hdr, 16);
-        } else if state >= 2 {
-            complete_teardown(
-                &mut ctx,
-                engine,
-                &pmft,
-                &meta,
-                &layout,
-                &entries,
-                hdr,
-                &mut report,
-            );
-        } else {
-            live.push(LiveShard { hdr, entries });
-        }
+        teardown_by_moved(&mut ctx, engine, &pmft, &meta, &layout, &entries);
+        engine.write_u64(&mut ctx, hdr, 0);
+        engine.persist(&mut ctx, hdr, 16);
+    } else if state >= 2 {
+        complete_teardown(
+            &mut ctx,
+            engine,
+            &pmft,
+            &meta,
+            &layout,
+            &entries,
+            hdr,
+            &mut report,
+        );
     }
-
-    if live.is_empty() {
+    if state != 1 {
         report.cycles = ctx.cycles();
         return Ok(report);
     }
 
-    // ---- state == 1: in-flight compaction cycles -----------------------------
+    // ---- state == 1: an in-flight compaction cycle ---------------------------
 
-    // Classify and fix every mapping of every in-flight shard.
-    let entries: Vec<PmftEntry> = live
-        .iter()
-        .flat_map(|ls| ls.entries.iter().cloned())
-        .collect();
+    // Classify and fix every mapping.
     let mut fates: HashMap<(u64, usize), Fate> = HashMap::new();
     for e in &entries {
         for (src_slot, dst_slot) in e.mappings() {
@@ -351,14 +304,12 @@ pub fn recover(
     // normalizes it and persists each bit), and header state 3 says "the
     // fates are in the moved bits — finish the teardown, do not
     // re-classify". A crash anywhere past this point re-enters through
-    // the affected shard's state-3 branch.
-    for ls in &live {
-        engine.write_u64(&mut ctx, ls.hdr, 3);
-        engine.persist(&mut ctx, ls.hdr, 8);
-        teardown_by_moved(&mut ctx, engine, &pmft, &meta, &layout, &ls.entries);
-        engine.write_u64(&mut ctx, ls.hdr, 0);
-        engine.persist(&mut ctx, ls.hdr, 16);
-    }
+    // the state-3 branch.
+    engine.write_u64(&mut ctx, hdr, 3);
+    engine.persist(&mut ctx, hdr, 8);
+    teardown_by_moved(&mut ctx, engine, &pmft, &meta, &layout, &entries);
+    engine.write_u64(&mut ctx, hdr, 0);
+    engine.persist(&mut ctx, hdr, 16);
 
     report.cycles = ctx.cycles();
     Ok(report)

@@ -1,9 +1,9 @@
 //! End-to-end defragmentation tests: full cycles, barrier-driven
 //! relocation, crash injection and recovery for every scheme.
 
-use ffccd::{validate_heap, DefragConfig, DefragHeap, Scheme};
+use ffccd::{recover, validate_heap, DefragConfig, DefragHeap, Scheme};
 use ffccd_pmem::{Ctx, MachineConfig};
-use ffccd_pmop::{PmPtr, PoolConfig, TypeDesc, TypeRegistry};
+use ffccd_pmop::{PmPool, PmPtr, PoolConfig, PoolError, TypeDesc, TypeRegistry, HDR_SHARDS};
 
 const NODE_SIZE: u64 = 128; // value area + next pointer
 const NEXT_OFF: u64 = 120;
@@ -622,4 +622,62 @@ fn recovery_with_fresh_seed_sees_same_data() {
         let mut ctx2 = heap2.ctx();
         assert_eq!(list_digest(&heap2, &mut ctx2), digest, "seed {seed}");
     }
+}
+
+/// Crash image of a freshly created heap whose reserved shard-count word
+/// holds `shards`.
+fn fresh_image_with_shard_word(shards: u64) -> ffccd_pmem::CrashImage {
+    let heap = heap_with(Scheme::FfccdCheckLookup, 33);
+    heap.engine()
+        .with_media_mut(|m| m.write_u64(HDR_SHARDS, shards));
+    heap.engine().crash_image()
+}
+
+/// Media from a sharded heap keeps per-shard cycle headers and frame
+/// ownership that a single-domain open would misread, so every way in
+/// refuses it. 0 and 1 both mean one heap.
+#[test]
+fn sharded_media_is_refused_by_pool_open_and_recovery() {
+    let cfg = DefragConfig::normal(Scheme::FfccdCheckLookup);
+    let bad = |r: Result<(), PoolError>, who: &str| {
+        assert!(
+            matches!(r, Err(PoolError::BadPool { .. })),
+            "{who} accepted HDR_SHARDS = 4: {r:?}"
+        );
+    };
+    let image = fresh_image_with_shard_word(4);
+    bad(
+        PmPool::open(image.restart(), registry()).map(drop),
+        "PmPool::open",
+    );
+    bad(
+        recover(&image.restart(), &registry(), cfg.scheme).map(drop),
+        "recover",
+    );
+    bad(
+        DefragHeap::open_recovered(&image, registry(), cfg).map(drop),
+        "open_recovered",
+    );
+    bad(
+        DefragHeap::open_recovered_with_seed(&image, Some(7), registry(), cfg).map(drop),
+        "open_recovered_with_seed",
+    );
+    bad(
+        DefragHeap::open_recovered_idempotent(&image, None, registry(), cfg).map(drop),
+        "open_recovered_idempotent",
+    );
+    for one in [0, 1] {
+        let image = fresh_image_with_shard_word(one);
+        let (heap, report) =
+            DefragHeap::open_recovered(&image, registry(), cfg).expect("one heap opens");
+        assert!(!report.had_cycle);
+        validate_heap(&heap).expect("consistent");
+    }
+}
+
+#[test]
+fn create_never_writes_the_shard_word() {
+    let (heap, _ctx, _) = fragmented_heap(Scheme::FfccdCheckLookup, 34);
+    let image = heap.engine().crash_image();
+    assert_eq!(image.media().read_u64(HDR_SHARDS), 0);
 }

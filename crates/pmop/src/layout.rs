@@ -116,13 +116,6 @@ impl PoolLayout {
         debug_assert!(frame < self.num_frames);
         self.bitmaps_start + frame * 64
     }
-
-    /// GC shard owning `frame`: OS pages are dealt round-robin across
-    /// shards, so frames sharing an OS page always share a shard (page
-    /// commit/decommit accounting stays shard-local).
-    pub fn shard_of_frame(&self, frame: u64, shards: usize) -> usize {
-        (self.os_page_of_frame(frame) % shards.max(1) as u64) as usize
-    }
 }
 
 fn align_up(v: u64, a: u64) -> u64 {
@@ -142,13 +135,10 @@ pub const HDR_OS_PAGE: u64 = 8;
 pub const HDR_NUM_FRAMES: u64 = 16;
 /// Offset of the root pointer word.
 pub const HDR_ROOT: u64 = 24;
-/// Offset of the heap shard-count word. Zero means one shard — the word is
-/// only written when the pool is created with more than one shard, so
-/// single-shard media stays byte-identical with pre-sharding pools.
+/// Offset of a reserved word that once held a heap shard count. Nothing
+/// writes it any more; a value above 1 marks media from a sharded heap,
+/// which pool open and recovery refuse rather than misread as one heap.
 pub const HDR_SHARDS: u64 = 32;
-/// Hard cap on heap shards: the per-shard 16-byte cycle headers must fit in
-/// the single 64-byte cycle-header block of the GC metadata arena.
-pub const MAX_SHARDS: usize = 4;
 
 #[cfg(test)]
 mod tests {

@@ -47,10 +47,7 @@ mod types;
 
 pub use error::PoolError;
 pub use frame::{FrameKind, FrameState, SLOTS_PER_FRAME};
-pub use layout::{
-    PoolLayout, FRAME_BYTES, HDR_NUM_FRAMES, HDR_OS_PAGE, HDR_ROOT, HDR_SHARDS, MAX_SHARDS,
-    OBJ_HEADER_BYTES, POOL_MAGIC, SLOT_BYTES,
-};
+pub use layout::{PoolLayout, FRAME_BYTES, HDR_ROOT, HDR_SHARDS, OBJ_HEADER_BYTES, SLOT_BYTES};
 pub use pool::{peek_all_objects, FrameObject, PmPool, PoolConfig, PoolStats};
 pub use ptr::PmPtr;
 pub use types::{TypeDesc, TypeId, TypeRegistry};

@@ -11,7 +11,7 @@ use crate::error::PoolError;
 use crate::frame::{FrameKind, FrameState, SLOTS_PER_FRAME};
 use crate::layout::{
     PoolLayout, FRAME_BYTES, HDR_MAGIC, HDR_NUM_FRAMES, HDR_OS_PAGE, HDR_ROOT, HDR_SHARDS,
-    MAX_SHARDS, OBJ_HEADER_BYTES, POOL_MAGIC, SLOT_BYTES,
+    OBJ_HEADER_BYTES, POOL_MAGIC, SLOT_BYTES,
 };
 use crate::ptr::PmPtr;
 use crate::types::{TypeId, TypeRegistry};
@@ -137,20 +137,9 @@ pub struct PmPool {
     engine: PmEngine,
     layout: PoolLayout,
     registry: TypeRegistry,
-    /// Per-shard allocator state. Shard `s` owns every frame whose OS page
-    /// index is ≡ `s (mod nshards)`; a shard's lists, active map and page
-    /// accounting reference **only** its own frames, so allocation on one
-    /// shard never contends with allocation — or a GC cycle — on another.
-    /// Each shard keeps full-length `frames`/`os_pages` vectors for simple
-    /// indexing; only owner entries are ever read or written. One shard
-    /// reproduces the pre-sharding single-lock allocator exactly.
-    shards: Box<[Mutex<AllocInner>]>,
-    nshards: usize,
-    /// Serializes cross-shard frame hand-off (work stealing) when a shard's
-    /// free frames are exhausted. Taken only with no shard lock held; the
-    /// donor's own lock then covers the transfer, so the stolen frame never
-    /// leaves its owner's bookkeeping.
-    steal_lock: Mutex<()>,
+    /// The volatile allocator state: frame table, class lists, active map
+    /// and page accounting.
+    inner: Mutex<AllocInner>,
     /// Striped per-frame commit locks (`frame % RECORD_STRIPES`). A
     /// thread persisting a frame's bitmap record holds the frame's stripe
     /// from *before* it reserves slots until *after* the record write, so
@@ -226,8 +215,8 @@ impl Drop for UndoHugeAlloc<'_> {
         if !self.armed {
             return;
         }
+        let mut inner = self.pool.inner.lock();
         for f in self.first..self.first + self.frames {
-            let mut inner = self.pool.inner_of_frame(f as u64).lock();
             let st = &mut inner.frames[f as usize];
             st.kind = FrameKind::Free;
             st.alloc = [0; 4];
@@ -239,10 +228,7 @@ impl Drop for UndoHugeAlloc<'_> {
             let page = self.pool.layout.os_page_of_frame(f as u64) as usize;
             inner.os_pages[page].used_frames -= 1;
         }
-        self.pool
-            .inner_of_frame(self.first as u64)
-            .lock()
-            .live_bytes -= self.total;
+        inner.live_bytes -= self.total;
     }
 }
 
@@ -255,28 +241,11 @@ impl PmPool {
     ///
     /// Returns [`PoolError::BadPool`] if the configuration is degenerate.
     pub fn create(cfg: PoolConfig, registry: TypeRegistry) -> Result<Self, PoolError> {
-        Self::create_sharded(cfg, registry, 1)
-    }
-
-    /// [`PmPool::create`] with `shards` independent allocator shards (GC
-    /// domains). The shard count is clamped to `1..=`[`MAX_SHARDS`] and
-    /// recorded in the pool header — but only when it exceeds one, so
-    /// single-shard media stays byte-identical with pre-sharding pools.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PoolError::BadPool`] if the configuration is degenerate.
-    pub fn create_sharded(
-        cfg: PoolConfig,
-        registry: TypeRegistry,
-        shards: usize,
-    ) -> Result<Self, PoolError> {
         if cfg.data_bytes == 0 {
             return Err(PoolError::BadPool {
                 reason: "data_bytes must be positive",
             });
         }
-        let shards = shards.clamp(1, MAX_SHARDS);
         let layout = PoolLayout::compute(cfg.data_bytes, cfg.os_page_size);
         let machine = MachineConfig {
             tlb_page_size: cfg.os_page_size,
@@ -288,23 +257,20 @@ impl PmPool {
             m.write_u64(HDR_OS_PAGE, layout.os_page_size);
             m.write_u64(HDR_NUM_FRAMES, layout.num_frames);
             m.write_u64(HDR_ROOT, PmPtr::NULL.raw());
-            if shards > 1 {
-                m.write_u64(HDR_SHARDS, shards as u64);
-            }
         });
-        Ok(Self::with_engine(engine, layout, registry, shards))
+        Ok(Self::with_engine(engine, layout, registry))
     }
 
-    /// Opens a pool over existing media (after a crash and recovery).
-    ///
-    /// Rebuilds the volatile allocator state from the persistent per-frame
-    /// bitmap records. Run the defragmenter's recovery *before* opening if
-    /// the pool may contain an interrupted GC cycle.
+    /// Reads the header of existing media and returns the layout it
+    /// describes. Shared by [`PmPool::open`] and the defragmenter's
+    /// recovery, which runs before the pool is opened.
     ///
     /// # Errors
     ///
-    /// Returns [`PoolError::BadPool`] on a bad magic value or geometry.
-    pub fn open(engine: PmEngine, registry: TypeRegistry) -> Result<Self, PoolError> {
+    /// Returns [`PoolError::BadPool`] on a bad magic value, or on media
+    /// written by a sharded heap ([`HDR_SHARDS`] above 1): its per-shard
+    /// frame ownership and cycle headers would be misread as one heap.
+    pub fn layout_of_media(engine: &PmEngine) -> Result<PoolLayout, PoolError> {
         let (magic, os_page, num_frames, shards) = engine.with_media(|m| {
             (
                 m.read_u64(HDR_MAGIC),
@@ -318,58 +284,60 @@ impl PmPool {
                 reason: "bad magic",
             });
         }
-        let layout = PoolLayout::compute(num_frames * FRAME_BYTES, os_page);
+        if shards > 1 {
+            return Err(PoolError::BadPool {
+                reason: "media was written by a sharded heap",
+            });
+        }
+        Ok(PoolLayout::compute(num_frames * FRAME_BYTES, os_page))
+    }
+
+    /// Opens a pool over existing media (after a crash and recovery).
+    ///
+    /// Rebuilds the volatile allocator state from the persistent per-frame
+    /// bitmap records. Run the defragmenter's recovery *before* opening if
+    /// the pool may contain an interrupted GC cycle.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PoolError::BadPool`] when [`PmPool::layout_of_media`]
+    /// refuses the header or its geometry disagrees with the media size.
+    pub fn open(engine: PmEngine, registry: TypeRegistry) -> Result<Self, PoolError> {
+        let layout = Self::layout_of_media(&engine)?;
         if layout.total_bytes != engine.len() {
             return Err(PoolError::BadPool {
                 reason: "geometry mismatch with media size",
             });
         }
-        // Zero (pre-sharding media) means one shard.
-        let shards = (shards as usize).clamp(1, MAX_SHARDS);
-        let pool = Self::with_engine(engine, layout, registry, shards);
+        let pool = Self::with_engine(engine, layout, registry);
         pool.rebuild_from_media();
         Ok(pool)
     }
 
-    fn with_engine(
-        engine: PmEngine,
-        layout: PoolLayout,
-        registry: TypeRegistry,
-        nshards: usize,
-    ) -> Self {
+    fn with_engine(engine: PmEngine, layout: PoolLayout, registry: TypeRegistry) -> Self {
         let num_frames = layout.num_frames as usize;
-        let shards: Box<[Mutex<AllocInner>]> = (0..nshards)
-            .map(|s| {
-                Mutex::new(AllocInner {
-                    frames: (0..num_frames).map(|_| FrameState::default()).collect(),
-                    os_pages: (0..layout.num_os_pages())
-                        .map(|_| OsPage {
-                            committed: false,
-                            used_frames: 0,
-                        })
-                        .collect(),
-                    partial: std::collections::HashMap::new(),
-                    // Owned frames only, popped in ascending order (the
-                    // single-shard list reproduces the pre-sharding order).
-                    free_frames: (0..num_frames as u32)
-                        .filter(|&f| layout.shard_of_frame(f as u64, nshards) == s)
-                        .rev()
-                        .collect(),
-                    active: std::collections::HashMap::new(),
-                    committed_pages: 0,
-                    live_bytes: 0,
+        let inner = Mutex::new(AllocInner {
+            frames: (0..num_frames).map(|_| FrameState::default()).collect(),
+            os_pages: (0..layout.num_os_pages())
+                .map(|_| OsPage {
+                    committed: false,
+                    used_frames: 0,
                 })
-            })
-            .collect();
+                .collect(),
+            partial: std::collections::HashMap::new(),
+            // Popped in ascending order.
+            free_frames: (0..num_frames as u32).rev().collect(),
+            active: std::collections::HashMap::new(),
+            committed_pages: 0,
+            live_bytes: 0,
+        });
         // Relocatable base: different per open, derived from the seed.
         let base = 0x5000_0000_0000u64 ^ (engine.config().seed.rotate_left(17) & 0xFFFF_F000);
         PmPool {
             engine,
             layout,
             registry,
-            shards,
-            nshards,
-            steal_lock: Mutex::new(()),
+            inner,
             record_stripes: (0..RECORD_STRIPES).map(|_| Mutex::new(())).collect(),
             base: AtomicU64::new(base),
             pool_id: 1,
@@ -380,40 +348,18 @@ impl PmPool {
         &self.record_stripes[frame as usize % RECORD_STRIPES]
     }
 
-    /// The allocator shard owning `frame`.
-    fn shard_of_frame(&self, frame: u64) -> usize {
-        self.layout.shard_of_frame(frame, self.nshards)
-    }
-
-    /// The allocator shard owning OS page `page` (frames on a page always
-    /// share their page's shard).
-    fn shard_of_page(&self, page: u64) -> usize {
-        (page % self.nshards as u64) as usize
-    }
-
-    fn inner_of_frame(&self, frame: u64) -> &Mutex<AllocInner> {
-        &self.shards[self.shard_of_frame(frame)]
-    }
-
-    /// Locks every shard in ascending index order (the multi-shard lock
-    /// order; used by huge allocation and rebuild).
-    fn lock_all(&self) -> Vec<parking_lot::MutexGuard<'_, AllocInner>> {
-        self.shards.iter().map(|m| m.lock()).collect()
-    }
-
     /// Rebuilds volatile allocator state from persistent bitmap records.
     fn rebuild_from_media(&self) {
-        let mut guards = self.lock_all();
-        for inner in guards.iter_mut() {
-            inner.partial.clear();
-            inner.free_frames.clear();
-            inner.active.clear();
-            inner.live_bytes = 0;
-            inner.committed_pages = 0;
-            for p in inner.os_pages.iter_mut() {
-                p.committed = false;
-                p.used_frames = 0;
-            }
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        inner.partial.clear();
+        inner.free_frames.clear();
+        inner.active.clear();
+        inner.live_bytes = 0;
+        inner.committed_pages = 0;
+        for p in inner.os_pages.iter_mut() {
+            p.committed = false;
+            p.used_frames = 0;
         }
         let states: Vec<FrameState> = self.engine.with_media(|m| {
             (0..self.layout.num_frames)
@@ -464,11 +410,8 @@ impl PmPool {
             huge_tail = spill_frames;
             rebuilt.push(st);
         }
-        // Pass 2: distribute to owner shards and rebuild lists and page
-        // accounting, each frame in its owner's books only.
+        // Pass 2: rebuild lists and page accounting.
         for (idx, st) in rebuilt.into_iter().enumerate() {
-            let owner = self.shard_of_frame(idx as u64);
-            let inner = &mut guards[owner];
             let kind = st.kind;
             let live = st.live_bytes as u64;
             let free = st.free_slots;
@@ -495,9 +438,7 @@ impl PmPool {
                 }
             }
         }
-        for inner in guards.iter_mut() {
-            inner.free_frames.reverse();
-        }
+        inner.free_frames.reverse();
     }
 
     // ---- accessors ----------------------------------------------------------
@@ -525,11 +466,6 @@ impl PmPool {
     /// This pool's id (used in persistent pointers).
     pub fn pool_id(&self) -> u16 {
         self.pool_id
-    }
-
-    /// Number of allocator shards (GC domains).
-    pub fn num_shards(&self) -> usize {
-        self.nshards
     }
 
     /// Current virtual base address of the mapping.
@@ -621,9 +557,8 @@ impl PmPool {
 
     fn pick_slot(&self, arena: u32, n: usize, payload: u64) -> Result<(u32, usize), PoolError> {
         let cls = class_of(n);
-        let home = arena as usize % self.nshards;
         {
-            let mut inner = self.shards[home].lock();
+            let mut inner = self.inner.lock();
             // 1. bump in this arena's active frame for the class
             if let Some(&a) = inner.active.get(&(arena, cls)) {
                 if let Some(slot) = inner.frames[a as usize].find_free_run(n) {
@@ -663,56 +598,6 @@ impl PmPool {
                 return Ok((f, 0));
             }
         }
-        if self.nshards > 1 {
-            return self.steal_slot(home, cls, n, payload);
-        }
-        Err(PoolError::OutOfMemory {
-            requested: payload + OBJ_HEADER_BYTES,
-        })
-    }
-
-    /// Cross-shard frame hand-off: the home shard is out of free frames, so
-    /// borrow capacity from a donor. Rare path, serialized by `steal_lock`
-    /// (taken with no shard lock held; lock order steal → one donor shard).
-    /// Stolen frames stay in the **donor's** bookkeeping — they go on the
-    /// donor's partial list, never into the thief's active map — so every
-    /// shard's lists keep referencing only frames it owns, and the owner's
-    /// `pfree` list maintenance stays complete.
-    fn steal_slot(
-        &self,
-        home: usize,
-        cls: u8,
-        n: usize,
-        payload: u64,
-    ) -> Result<(u32, usize), PoolError> {
-        let _steal = self.steal_lock.lock();
-        // Home first (frames may have been freed since we dropped its
-        // lock), then donors in ascending order.
-        for s in std::iter::once(home).chain((0..self.nshards).filter(|&s| s != home)) {
-            let mut inner = self.shards[s].lock();
-            // Reuse an earlier steal's leftover capacity before popping a
-            // fresh donor frame (the frame stays listed in the donor's
-            // partial; commit_alloc verifies the run under the stripe).
-            if let Some(list) = inner.partial.get(&cls) {
-                let mut found = None;
-                for &f in list.iter().rev().take(PARTIAL_SCAN_LIMIT) {
-                    if inner.frames[f as usize].free_slots as usize >= n {
-                        if let Some(slot) = inner.frames[f as usize].find_free_run(n) {
-                            found = Some((f, slot));
-                            break;
-                        }
-                    }
-                }
-                if let Some((f, slot)) = found {
-                    return Ok((f, slot));
-                }
-            }
-            if let Some(f) = Self::pop_free_frame(&mut inner, &self.layout) {
-                inner.frames[f as usize].class = Some(cls);
-                inner.partial.entry(cls).or_default().push(f);
-                return Ok((f, 0));
-            }
-        }
         Err(PoolError::OutOfMemory {
             requested: payload + OBJ_HEADER_BYTES,
         })
@@ -720,43 +605,37 @@ impl PmPool {
 
     /// Retires allocation arena `arena` after its owner thread died: every
     /// active bump frame the arena still claims is demoted to an ordinary
-    /// partial (or free) frame of its owning shard, so the orphan's
-    /// reserved capacity returns to general service instead of sitting
-    /// invisible to both the partial scan and the work-stealing path until
-    /// out-of-memory.
+    /// partial (or free) frame, so the orphan's reserved capacity returns
+    /// to general service instead of sitting invisible to the partial scan
+    /// until out-of-memory.
     ///
-    /// Frames never change shard — demotion happens inside each owner
-    /// shard's own lock, honouring the documented stripe → inner lock
-    /// order (no stripe or steal lock is needed: only volatile list
-    /// membership moves, never persistent state). Racing allocators are
-    /// safe: a thief that found the frame via the partial list re-verifies
-    /// its run under the commit stripe like any other allocation.
+    /// Only volatile list membership moves, never persistent state, so the
+    /// inner lock alone covers it (no stripe). Racing allocators are safe:
+    /// one that finds the frame via the partial list re-verifies its run
+    /// under the commit stripe like any other allocation.
     pub fn retire_arena(&self, arena: u32) {
-        for shard in self.shards.iter() {
-            let mut inner = shard.lock();
-            let claimed: Vec<(u8, u32)> = inner
-                .active
-                .iter()
-                .filter(|((a, _), _)| *a == arena)
-                .map(|((_, cls), &f)| (*cls, f))
-                .collect();
-            for (cls, f) in claimed {
-                inner.active.remove(&(arena, cls));
-                let st = &inner.frames[f as usize];
-                if st.kind == FrameKind::Free {
-                    // Claimed but never used: return it to the free list,
-                    // mirroring pfree's fully-freed transition.
-                    inner.frames[f as usize].class = None;
-                    inner.free_frames.push(f);
-                    let page = self.layout.os_page_of_frame(f as u64) as usize;
-                    inner.os_pages[page].used_frames -= 1;
-                } else if st.free_slots > 0 {
-                    inner.partial.entry(cls).or_default().push(f);
-                }
-                // Full frames stay unlisted; the owner shard's pfree
-                // re-lists them as soon as a slot frees, exactly as for a
-                // demoted active frame.
+        let mut inner = self.inner.lock();
+        let claimed: Vec<(u8, u32)> = inner
+            .active
+            .iter()
+            .filter(|((a, _), _)| *a == arena)
+            .map(|((_, cls), &f)| (*cls, f))
+            .collect();
+        for (cls, f) in claimed {
+            inner.active.remove(&(arena, cls));
+            let st = &inner.frames[f as usize];
+            if st.kind == FrameKind::Free {
+                // Claimed but never used: return it to the free list,
+                // mirroring pfree's fully-freed transition.
+                inner.frames[f as usize].class = None;
+                inner.free_frames.push(f);
+                let page = self.layout.os_page_of_frame(f as u64) as usize;
+                inner.os_pages[page].used_frames -= 1;
+            } else if st.free_slots > 0 {
+                inner.partial.entry(cls).or_default().push(f);
             }
+            // Full frames stay unlisted; pfree re-lists them as soon as a
+            // slot frees, exactly as for a demoted active frame.
         }
     }
 
@@ -789,7 +668,7 @@ impl PmPool {
     ) -> bool {
         let _stripe = self.stripe(frame).lock();
         {
-            let mut inner = self.inner_of_frame(frame as u64).lock();
+            let mut inner = self.inner.lock();
             let st = &mut inner.frames[frame as usize];
             let usable = matches!(st.kind, FrameKind::Free | FrameKind::Active);
             if !usable || !st.is_run_free(slot, n) {
@@ -828,7 +707,7 @@ impl PmPool {
         // Header complete: a death past this point leaves an ordinary
         // unreachable object the next sweep collects.
         undo.armed = false;
-        let rec = self.inner_of_frame(frame as u64).lock().frames[frame as usize].to_record();
+        let rec = self.inner.lock().frames[frame as usize].to_record();
         self.write_bitmap_record(ctx, frame, &rec);
         true
     }
@@ -862,18 +741,12 @@ impl PmPool {
             });
         }
         let first = {
-            // A huge run may cross shard boundaries (consecutive OS pages
-            // alternate owners), so hold every shard lock in ascending
-            // order for the whole reservation. Huge frames never relocate
-            // — the GC summary skips pages holding them — so cross-shard
-            // runs never entangle two shards' cycles.
-            let mut guards = self.lock_all();
+            let mut inner = self.inner.lock();
             // Find `frames_needed` *consecutive* free frames.
             let mut run_start: Option<u32> = None;
             let mut run_len = 0usize;
             for f in 0..self.layout.num_frames as u32 {
-                let owner = self.shard_of_frame(f as u64);
-                if guards[owner].frames[f as usize].kind == FrameKind::Free {
+                if inner.frames[f as usize].kind == FrameKind::Free {
                     if run_len == 0 {
                         run_start = Some(f);
                     }
@@ -893,7 +766,6 @@ impl PmPool {
                 }
             };
             for f in start..start + frames_needed as u32 {
-                let inner = &mut guards[self.shard_of_frame(f as u64)];
                 inner.free_frames.retain(|&x| x != f);
                 let page = self.layout.os_page_of_frame(f as u64) as usize;
                 if !inner.os_pages[page].committed {
@@ -906,11 +778,10 @@ impl PmPool {
                 st.alloc = [u64::MAX; 4];
                 st.free_slots = 0;
             }
-            let first_inner = &mut guards[self.shard_of_frame(start as u64)];
-            let st = &mut first_inner.frames[start as usize];
+            let st = &mut inner.frames[start as usize];
             st.start[0] |= 1;
             st.live_bytes = total.min(u32::MAX as u64) as u32;
-            first_inner.live_bytes += total;
+            inner.live_bytes += total;
             start
         };
         // Thread-crash rollback (see `UndoHugeAlloc`): until the header is
@@ -932,7 +803,7 @@ impl PmPool {
         undo.armed = false;
         for f in first..first + frames_needed as u32 {
             let _stripe = self.stripe(f).lock();
-            let rec = self.inner_of_frame(f as u64).lock().frames[f as usize].to_record();
+            let rec = self.inner.lock().frames[f as usize].to_record();
             self.write_bitmap_record(ctx, f, &rec);
         }
         Ok(PmPtr::new(self.pool_id, hdr_off + OBJ_HEADER_BYTES))
@@ -956,7 +827,7 @@ impl PmPool {
         // Stripe before inner (the pool-wide lock order): the record write
         // below must not interleave with a concurrent same-frame commit.
         let _stripe = self.stripe(frame).lock();
-        if !self.inner_of_frame(frame as u64).lock().frames[frame as usize].is_start(slot) {
+        if !self.inner.lock().frames[frame as usize].is_start(slot) {
             return Err(PoolError::InvalidPointer {
                 raw: ptr.raw(),
                 reason: "not an object start",
@@ -968,13 +839,13 @@ impl PmPool {
     }
 
     /// The volatile half of a small-object free: bitmap and class-list
-    /// bookkeeping plus accounting, under the frame's shard lock. Shared by
+    /// bookkeeping plus accounting, under the inner lock. Shared by
     /// [`Self::pfree`] (which then persists the returned record) and the
     /// [`UndoAlloc`] thread-crash rollback (which does not — the dying
     /// thread's record write never happened, so the persistent state
     /// already agrees). Caller holds the frame's stripe.
     fn free_slots_volatile(&self, frame: u32, slot: usize, n: usize, total: u64) -> [u8; 64] {
-        let mut inner = self.inner_of_frame(frame as u64).lock();
+        let mut inner = self.inner.lock();
         let st = &mut inner.frames[frame as usize];
         let was = st.kind;
         st.mark_freed(slot, n, total as u32);
@@ -1027,7 +898,7 @@ impl PmPool {
             });
         }
         {
-            let mut inner = self.inner_of_frame(first as u64).lock();
+            let mut inner = self.inner.lock();
             if !inner.frames[first as usize].is_start(0) {
                 return Err(PoolError::InvalidPointer {
                     raw: ptr.raw(),
@@ -1048,12 +919,10 @@ impl PmPool {
             let _stripe = self.stripe(f).lock();
             self.write_bitmap_record(ctx, f, &[0u8; 64]);
         }
-        // Release each frame under its owner's lock (the frames are all
-        // still `Huge`, so no other path can touch them meanwhile); the
-        // run's live bytes come off the start frame's owner, where the
-        // allocation charged them.
+        // The frames are all still `Huge`, so no other path can have
+        // touched them meanwhile.
+        let mut inner = self.inner.lock();
         for f in first..first + frames {
-            let mut inner = self.inner_of_frame(f as u64).lock();
             let st = &mut inner.frames[f as usize];
             st.kind = FrameKind::Free;
             st.alloc = [0; 4];
@@ -1065,7 +934,7 @@ impl PmPool {
             let page = self.layout.os_page_of_frame(f as u64) as usize;
             inner.os_pages[page].used_frames -= 1;
         }
-        self.inner_of_frame(first as u64).lock().live_bytes -= total;
+        inner.live_bytes -= total;
         Ok(())
     }
 
@@ -1136,12 +1005,12 @@ impl PmPool {
 
     /// Volatile snapshot of a frame's allocator state.
     pub fn frame_state(&self, frame: u64) -> FrameState {
-        self.inner_of_frame(frame).lock().frames[frame as usize].clone()
+        self.inner.lock().frames[frame as usize].clone()
     }
 
     /// Changes a frame's role (GC: Active↔Relocation/Destination).
     pub fn set_frame_kind(&self, frame: u64, kind: FrameKind) {
-        let mut inner = self.inner_of_frame(frame).lock();
+        let mut inner = self.inner.lock();
         let was = std::mem::replace(&mut inner.frames[frame as usize].kind, kind);
         if matches!(kind, FrameKind::Relocation | FrameKind::Destination) {
             // Stop the allocator from placing new objects there.
@@ -1165,7 +1034,7 @@ impl PmPool {
     }
 
     fn collect_frame_objects(&self, frame: u64) -> Vec<FrameObject> {
-        let st = self.inner_of_frame(frame).lock().frames[frame as usize].clone();
+        let st = self.inner.lock().frames[frame as usize].clone();
         st.start_slots()
             .map(|slot| {
                 let ptr = self.ptr_at(frame as u32, slot);
@@ -1199,33 +1068,10 @@ impl PmPool {
     /// [`PoolError::OutOfMemory`] when no eligible free frame exists.
     pub fn take_destination_frame_avoiding(
         &self,
-        ctx: &mut Ctx,
-        avoid: &std::collections::HashSet<u64>,
-    ) -> Result<u64, PoolError> {
-        for s in 0..self.nshards {
-            if let Ok(f) = self.take_destination_frame_avoiding_in(ctx, s, avoid) {
-                return Ok(f);
-            }
-        }
-        Err(PoolError::OutOfMemory {
-            requested: FRAME_BYTES,
-        })
-    }
-
-    /// Like [`PmPool::take_destination_frame_avoiding`] but takes the frame
-    /// from shard `shard`'s own free list, so a per-shard GC cycle keeps
-    /// its destinations inside the shard it is compacting.
-    ///
-    /// # Errors
-    ///
-    /// [`PoolError::OutOfMemory`] when the shard has no eligible free frame.
-    pub fn take_destination_frame_avoiding_in(
-        &self,
         _ctx: &mut Ctx,
-        shard: usize,
         avoid: &std::collections::HashSet<u64>,
     ) -> Result<u64, PoolError> {
-        let mut inner = self.shards[shard].lock();
+        let mut inner = self.inner.lock();
         let mut skipped = Vec::new();
         let picked = loop {
             match Self::pop_free_frame(&mut inner, &self.layout) {
@@ -1254,25 +1100,21 @@ impl PmPool {
     /// were released. The baseline allocator never calls this; the
     /// defragmenter does at each summary (empty pages are free wins).
     pub fn decommit_empty_pages(&self) -> u64 {
-        let mut released_total = 0;
-        for s in 0..self.nshards {
-            let mut inner = self.shards[s].lock();
-            let mut released = 0;
-            for (pi, p) in inner.os_pages.iter_mut().enumerate() {
-                if pi % self.nshards == s && p.committed && p.used_frames == 0 {
-                    p.committed = false;
-                    released += 1;
-                }
+        let mut inner = self.inner.lock();
+        let mut released = 0;
+        for p in inner.os_pages.iter_mut() {
+            if p.committed && p.used_frames == 0 {
+                p.committed = false;
+                released += 1;
             }
-            inner.committed_pages -= released;
-            released_total += released;
         }
-        released_total
+        inner.committed_pages -= released;
+        released
     }
 
     /// Whether OS page `page` is currently committed.
     pub fn page_committed(&self, page: u64) -> bool {
-        self.shards[self.shard_of_page(page)].lock().os_pages[page as usize].committed
+        self.inner.lock().os_pages[page as usize].committed
     }
 
     /// Reserves `n` slots at `slot` in destination frame `frame` for an
@@ -1288,7 +1130,7 @@ impl PmPool {
     ) {
         let _stripe = self.stripe(frame as u32).lock();
         let rec = {
-            let mut inner = self.inner_of_frame(frame).lock();
+            let mut inner = self.inner.lock();
             let st = &mut inner.frames[frame as usize];
             debug_assert_eq!(st.kind, FrameKind::Destination);
             st.mark_allocated(slot, n, bytes);
@@ -1304,7 +1146,7 @@ impl PmPool {
     /// not refilled by the allocator — their leftover slots return only
     /// when the frame empties (consolidation waste, as in real allocators).
     pub fn finish_destination_frame(&self, frame: u64) {
-        let mut inner = self.inner_of_frame(frame).lock();
+        let mut inner = self.inner.lock();
         let st = &mut inner.frames[frame as usize];
         debug_assert_eq!(st.kind, FrameKind::Destination);
         st.kind = FrameKind::Active;
@@ -1318,7 +1160,7 @@ impl PmPool {
     /// *not* reusable until [`PmPool::release_frame`] at cycle termination,
     /// because stale references into it are still being forwarded.
     pub fn evacuate_frame(&self, frame: u64) {
-        let mut inner = self.inner_of_frame(frame).lock();
+        let mut inner = self.inner.lock();
         if inner.frames[frame as usize].evacuated {
             return;
         }
@@ -1338,7 +1180,7 @@ impl PmPool {
     pub fn release_frame(&self, ctx: &mut Ctx, frame: u64) {
         let _stripe = self.stripe(frame as u32).lock();
         {
-            let mut inner = self.inner_of_frame(frame).lock();
+            let mut inner = self.inner.lock();
             let st = &mut inner.frames[frame as usize];
             // Note: global live bytes are untouched — the frame's objects
             // were *moved*, not freed; they are still live at their
@@ -1370,15 +1212,12 @@ impl PmPool {
 
     // ---- fragmentation metrics ---------------------------------------------------
 
-    /// Current statistics (the paper's fragR metric), summed over shards.
+    /// Current statistics (the paper's fragR metric).
     pub fn stats(&self) -> PoolStats {
-        let mut live = 0u64;
-        let mut pages = 0u64;
-        for s in self.shards.iter() {
-            let inner = s.lock();
-            live += inner.live_bytes;
-            pages += inner.committed_pages;
-        }
+        let (live, pages) = {
+            let inner = self.inner.lock();
+            (inner.live_bytes, inner.committed_pages)
+        };
         let footprint = pages * self.layout.os_page_size;
         PoolStats {
             live_bytes: live,
@@ -1392,101 +1231,41 @@ impl PmPool {
         }
     }
 
-    /// [`PmPool::stats`] restricted to one shard (per-shard GC triggers).
-    pub fn shard_stats(&self, shard: usize) -> PoolStats {
-        let inner = self.shards[shard].lock();
-        let footprint = inner.committed_pages * self.layout.os_page_size;
-        let live = inner.live_bytes;
-        PoolStats {
-            live_bytes: live,
-            footprint_bytes: footprint,
-            committed_pages: inner.committed_pages,
-            frag_ratio: if live == 0 {
-                1.0
-            } else {
-                footprint as f64 / live as f64
-            },
-        }
-    }
-
-    /// Indices of frames currently holding ordinary allocations.
+    /// Indices of frames currently holding ordinary allocations, ascending.
     pub fn active_frames(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for (s, m) in self.shards.iter().enumerate() {
-            let inner = m.lock();
-            out.extend(
-                (0..inner.frames.len())
-                    .filter(|&i| {
-                        self.shard_of_frame(i as u64) == s
-                            && inner.frames[i].kind == FrameKind::Active
-                    })
-                    .map(|i| i as u64),
-            );
-        }
-        out.sort_unstable();
-        out
+        let inner = self.inner.lock();
+        (0..inner.frames.len())
+            .filter(|&i| inner.frames[i].kind == FrameKind::Active)
+            .map(|i| i as u64)
+            .collect()
     }
 
     /// (live bytes, free slots) for an active frame — the summary phase's
     /// per-page fragmentation statistic.
     pub fn frame_occupancy(&self, frame: u64) -> (u32, u16) {
-        let inner = self.inner_of_frame(frame).lock();
+        let inner = self.inner.lock();
         let st = &inner.frames[frame as usize];
         (st.live_bytes, st.free_slots)
     }
 
-    /// Test oracle: every shard's volatile bookkeeping (free list, partial
-    /// lists, active map, page accounting) must reference only frames and
-    /// pages that shard owns, and no frame may appear on two shards' lists.
-    /// A free list must hold each of its frames once, and only `Free` ones
-    /// — what lets [`AllocInner::purge`] skip it for every other kind.
+    /// Test oracle for the free list: it must hold each of its frames once,
+    /// and only `Free` ones — what lets [`AllocInner::purge`] skip it for
+    /// every other kind.
     ///
     /// # Panics
     ///
-    /// Panics when a shard references a frame or page it does not own, or
-    /// a free list holds a duplicate or a non-`Free` frame.
-    pub fn assert_shard_ownership(&self) {
-        let mut seen: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-        for (s, m) in self.shards.iter().enumerate() {
-            let inner = m.lock();
-            let mut on_free_list = std::collections::HashSet::new();
-            for &f in &inner.free_frames {
-                let kind = inner.frames[f as usize].kind;
-                assert_eq!(
-                    kind,
-                    FrameKind::Free,
-                    "shard {s}: {kind:?} frame {f} is on the free list"
-                );
-                assert!(
-                    on_free_list.insert(f),
-                    "shard {s}: frame {f} is on the free list twice"
-                );
-            }
-            let listed = inner
-                .free_frames
-                .iter()
-                .chain(inner.partial.values().flatten())
-                .chain(inner.active.values());
-            for &f in listed {
-                assert_eq!(
-                    self.shard_of_frame(f as u64),
-                    s,
-                    "shard {s} lists frame {f} owned by shard {}",
-                    self.shard_of_frame(f as u64)
-                );
-                if let Some(&other) = seen.get(&f) {
-                    assert_eq!(other, s, "frame {f} listed by shards {other} and {s}");
-                }
-                seen.insert(f, s);
-            }
-            for (pi, p) in inner.os_pages.iter().enumerate() {
-                if pi % self.nshards != s {
-                    assert!(
-                        !p.committed && p.used_frames == 0,
-                        "shard {s} accounts foreign page {pi}"
-                    );
-                }
-            }
+    /// Panics when the free list holds a duplicate or a non-`Free` frame.
+    pub fn assert_free_list_sound(&self) {
+        let inner = self.inner.lock();
+        let mut listed = std::collections::HashSet::new();
+        for &f in &inner.free_frames {
+            let kind = inner.frames[f as usize].kind;
+            assert_eq!(
+                kind,
+                FrameKind::Free,
+                "{kind:?} frame {f} is on the free list"
+            );
+            assert!(listed.insert(f), "frame {f} is on the free list twice");
         }
     }
 }
@@ -1538,7 +1317,7 @@ mod tests {
         let p = pool.pmalloc(&mut ctx, t, 128).expect("orphan alloc");
         let (frame, _) = pool.locate(p).expect("locate");
         {
-            let inner = pool.shards[pool.shard_of_frame(frame as u64)].lock();
+            let inner = pool.inner.lock();
             assert!(
                 inner.active.values().any(|&f| f == frame),
                 "frame is the orphan arena's active frame"
@@ -1546,7 +1325,7 @@ mod tests {
         }
         pool.retire_arena(7);
         {
-            let inner = pool.shards[pool.shard_of_frame(frame as u64)].lock();
+            let inner = pool.inner.lock();
             assert!(
                 !inner.active.values().any(|&f| f == frame),
                 "retired arena holds no active frames"
@@ -1569,7 +1348,7 @@ mod tests {
     #[test]
     fn retire_arena_after_full_free_is_a_noop() {
         let (pool, mut ctx, t) = test_pool();
-        let free_before = pool.shards[0].lock().free_frames.len();
+        let free_before = pool.inner.lock().free_frames.len();
         // Freeing the arena's only object already purges the frame from
         // the active map (pfree's fully-freed transition); retiring the
         // arena afterwards must change nothing.
@@ -1577,7 +1356,7 @@ mod tests {
         let p = pool.pmalloc(&mut ctx, t, 128).expect("alloc");
         pool.pfree(&mut ctx, p).expect("free");
         pool.retire_arena(5);
-        let inner = pool.shards[0].lock();
+        let inner = pool.inner.lock();
         assert!(!inner.active.keys().any(|(a, _)| *a == 5));
         assert_eq!(inner.free_frames.len(), free_before);
     }
@@ -1819,12 +1598,12 @@ mod tests {
     #[test]
     fn purge_keeps_the_free_list_to_free_frames_in_order() {
         let (pool, mut ctx, t) = test_pool();
-        let free_list = |pool: &PmPool| pool.shards[0].lock().free_frames.clone();
+        let free_list = |pool: &PmPool| pool.inner.lock().free_frames.clone();
         let frame_of = |p: PmPtr| pool.layout().frame_of(p.offset()).expect("frame");
         let ptrs: Vec<PmPtr> = (0..100)
             .map(|_| pool.pmalloc(&mut ctx, t, 128).expect("alloc"))
             .collect();
-        pool.assert_shard_ownership();
+        pool.assert_free_list_sound();
 
         // pfree empties the first frame: Active → Free, listed last.
         let first = frame_of(ptrs[0]);
@@ -1834,35 +1613,35 @@ mod tests {
         }
         want.push(first as u32);
         assert_eq!(free_list(&pool), want);
-        pool.assert_shard_ownership();
+        pool.assert_free_list_sound();
 
         // A populated frame goes Active → Relocation → Free.
         let reloc = frame_of(ptrs[99]);
         pool.set_frame_kind(reloc, FrameKind::Relocation);
         assert_eq!(free_list(&pool), want);
-        pool.assert_shard_ownership();
+        pool.assert_free_list_sound();
         pool.release_frame(&mut ctx, reloc);
         want.push(reloc as u32);
         assert_eq!(free_list(&pool), want);
-        pool.assert_shard_ownership();
+        pool.assert_free_list_sound();
 
         // A destination frame is popped, then released unfilled (an
         // aborted cycle): Destination → Free puts it back.
         let dest = pool.take_destination_frame(&mut ctx).expect("dest");
         assert_eq!(want.pop(), Some(dest as u32), "LIFO reuse");
         pool.reserve_destination_slots(&mut ctx, dest, 0, 9, 144);
-        pool.assert_shard_ownership();
+        pool.assert_free_list_sound();
         pool.release_frame(&mut ctx, dest);
         want.push(dest as u32);
         assert_eq!(free_list(&pool), want);
-        pool.assert_shard_ownership();
+        pool.assert_free_list_sound();
 
         // A frame that *is* listed leaves the list when its kind changes,
         // and its neighbours keep their order.
         let listed = want.remove(want.len() / 2);
         pool.set_frame_kind(listed as u64, FrameKind::Relocation);
         assert_eq!(free_list(&pool), want);
-        pool.assert_shard_ownership();
+        pool.assert_free_list_sound();
     }
 
     #[test]
@@ -1871,8 +1650,8 @@ mod tests {
         let (pool, mut ctx, t) = test_pool();
         let p = pool.pmalloc(&mut ctx, t, 128).expect("alloc");
         let frame = pool.layout().frame_of(p.offset()).expect("frame") as u32;
-        pool.shards[0].lock().free_frames.push(frame);
-        pool.assert_shard_ownership();
+        pool.inner.lock().free_frames.push(frame);
+        pool.assert_free_list_sound();
     }
 
     #[test]
@@ -2012,116 +1791,6 @@ mod tests {
             expected_live,
             "accounting balances"
         );
-    }
-
-    /// Sharded pools keep each shard's bookkeeping on its own frames and
-    /// reload the shard count from the media header on reopen.
-    #[test]
-    fn sharded_ownership_survives_racing_mutators() {
-        use std::sync::Arc;
-
-        let mut reg = TypeRegistry::new();
-        let t = reg.register(TypeDesc::new("node", 128, &[0]));
-        let pool = Arc::new(
-            PmPool::create_sharded(
-                PoolConfig {
-                    data_bytes: 8 << 20,
-                    ..PoolConfig::small_for_tests()
-                },
-                reg.clone(),
-                4,
-            )
-            .expect("create"),
-        );
-        assert_eq!(pool.num_shards(), 4);
-        let kept: Vec<Vec<PmPtr>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4u32)
-                .map(|tid| {
-                    let pool = Arc::clone(&pool);
-                    s.spawn(move || {
-                        let mut ctx = Ctx::new(pool.machine());
-                        ctx.set_arena(tid);
-                        let mut mine = Vec::new();
-                        for i in 0..300u64 {
-                            let p = pool.pmalloc(&mut ctx, t, 64 + (i % 3) * 64).expect("alloc");
-                            mine.push(p);
-                            if i % 3 == 2 {
-                                let q = mine.swap_remove(mine.len() / 2);
-                                pool.pfree(&mut ctx, q).expect("free");
-                            }
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("ok")).collect()
-        });
-        pool.assert_shard_ownership();
-        // Arena-homed allocations land on the arena's home shard unless
-        // stolen; at this fill level nothing should have been stolen, so
-        // the per-thread frame sets are disjoint.
-        let mut owners: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        for (tid, ptrs) in kept.iter().enumerate() {
-            for p in ptrs {
-                let f = pool.layout().frame_of(p.offset()).expect("in pool");
-                if let Some(&prev) = owners.get(&f) {
-                    assert_eq!(prev, tid as u32, "frame {f} shared across arenas");
-                }
-                owners.insert(f, tid as u32);
-            }
-        }
-        // Reopen: shard count comes back from the header and the rebuilt
-        // lists respect ownership.
-        let img = pool.engine().crash_image();
-        let pool2 = PmPool::open(img.restart(), reg).expect("open");
-        assert_eq!(pool2.num_shards(), 4);
-        pool2.assert_shard_ownership();
-        assert_eq!(pool2.stats().live_bytes, pool.stats().live_bytes);
-    }
-
-    /// When a shard runs dry the allocator borrows donor frames instead of
-    /// reporting OOM, and the donor's bookkeeping keeps the frame.
-    #[test]
-    fn exhausted_shard_steals_from_donors() {
-        let mut reg = TypeRegistry::new();
-        let t = reg.register(TypeDesc::new("blob", 0, &[]));
-        let pool = PmPool::create_sharded(
-            PoolConfig {
-                data_bytes: 64 << 10, // 16 frames over 4 shards
-                ..PoolConfig::small_for_tests()
-            },
-            reg,
-            4,
-        )
-        .expect("create");
-        let mut ctx = Ctx::new(pool.machine());
-        ctx.set_arena(0); // home shard 0 owns only 4 frames
-        let mut got = Vec::new();
-        // 3968-byte objects fill a frame each; 12 allocations must spill
-        // past shard 0's 4 frames into donors.
-        for _ in 0..12 {
-            got.push(
-                pool.pmalloc(&mut ctx, t, 3968)
-                    .expect("steal instead of OOM"),
-            );
-        }
-        let frames: std::collections::BTreeSet<u64> = got
-            .iter()
-            .map(|p| pool.layout().frame_of(p.offset()).expect("in pool"))
-            .collect();
-        assert_eq!(frames.len(), 12);
-        assert!(
-            frames
-                .iter()
-                .any(|&f| pool.layout().shard_of_frame(f, 4) != 0),
-            "some frames must come from donor shards"
-        );
-        pool.assert_shard_ownership();
-        for p in got {
-            pool.pfree(&mut ctx, p).expect("free");
-        }
-        pool.assert_shard_ownership();
-        assert_eq!(pool.stats().live_bytes, 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! thread-crash checker can demand a single key set instead of accepting
 //! two.
 //!
-//! Root layout (one root object per driver shard):
+//! Root layout (one root object per root-directory slot):
 //!
 //! ```text
 //! +0   head      (persistent pointer: oldest node)

@@ -79,7 +79,7 @@ pub enum MtSchedule {
     /// Threads race over the banked engine, the striped pool allocator and
     /// the relocation stripes; op windows genuinely overlap. Timing-
     /// dependent, so not byte-deterministic — correctness comes from the
-    /// post-run per-shard checker instead.
+    /// post-run per-slot checker instead.
     Free,
     /// Seeded turn scheduler: a PRNG seeded with this value picks which
     /// thread executes each operation, totally ordering all engine traffic.
@@ -211,13 +211,14 @@ pub fn mt_registry(mut reg: TypeRegistry, threads: usize) -> (TypeRegistry, Type
 }
 
 /// One entry of a mutator thread's operation log, replayed by the post-run
-/// checker to reconstruct the shard's expected key set.
+/// checker to reconstruct the expected key set of the thread's
+/// root-directory slot.
 #[derive(Clone, Copy, Debug)]
 struct OpRecord {
     insert: bool,
     key: u64,
     /// For deletes: what the structure reported. Every driver delete
-    /// targets a key the thread itself inserted into its own shard, so a
+    /// targets a key the thread itself inserted under its own slot, so a
     /// miss means another thread's traffic corrupted the structure.
     found: bool,
 }
@@ -377,11 +378,13 @@ fn install_quiet_thread_crash_hook() {
 /// (engine banks, pool record stripes, relocation stripes).
 ///
 /// Each thread gets a disjoint key stream, its own allocation arena, and
-/// its own slot ("shard") of a root directory object, so every structure
-/// op is a genuine concurrent heap exercise without cross-thread key
-/// interference. After the run, a per-shard checker replays each thread's
-/// op log against [`Workload::validate`] and panics on any divergence —
-/// the §7.1 key-set oracle, applied shard by shard.
+/// its own slot of a root directory object ([`ffccd_pmem::Ctx::root_shard`]
+/// — the only thing "shard" means in this crate; the heap itself is one
+/// allocator and one GC domain), so every structure op is a genuine
+/// concurrent heap exercise without cross-thread key interference. After
+/// the run, a per-slot checker replays each thread's op log against
+/// [`Workload::validate`] and panics on any divergence — the §7.1 key-set
+/// oracle, applied slot by slot.
 pub fn run_mt(
     make: &dyn Fn() -> Box<dyn Workload>,
     threads: usize,
@@ -419,9 +422,9 @@ pub fn run_mt_on(
 /// [`run_mt`] with an injected [`ThreadFaultPlan`]: the planned victims die
 /// at their kill sites while the surviving mutators keep running against
 /// the live heap and drain normally. The full checker suite then runs —
-/// per-shard op-log oracle (with in-flight-op ambiguity, or exact
+/// per-slot op-log oracle (with in-flight-op ambiguity, or exact
 /// detectability where the workload supports it), [`Workload::validate`],
-/// heap validation, the pool shard-ownership audit — and finally the
+/// heap validation, the pool free-list audit — and finally the
 /// machine restarts from a crash image to verify whole-machine recovery
 /// still holds over the orphaned state. Panics on any divergence.
 pub fn run_mt_faulted(
@@ -488,7 +491,7 @@ fn run_mt_impl(
 
     // One private workload instance per thread: structure ops need no
     // workload mutex, because each instance only ever touches its own
-    // shard of the key space and its own root-directory slot.
+    // slice of the key space and its own root-directory slot.
     let mut insts: Vec<Box<dyn Workload>> = (0..threads).map(|_| make()).collect();
     let name = insts[0].name().to_owned();
     // The directory type is registered directly after the workload's own
@@ -505,7 +508,7 @@ fn run_mt_impl(
         heap.set_root(&mut ctx, dir);
     }
     // Per-thread contexts: private arena (allocation fast path contends on
-    // nothing), private root-directory shard, and the caller's counter
+    // nothing), private root-directory slot, and the caller's counter
     // batching override. Setup runs on the main thread so a workload's
     // volatile-index construction needs no extra synchronization.
     let mut ctxs: Vec<ffccd_pmem::Ctx> = Vec::with_capacity(threads);
@@ -544,10 +547,10 @@ fn run_mt_impl(
         ))),
     };
     let global_op = Arc::new(AtomicU64::new(0));
-    // GC-trigger duty holder: thread 0 owns triggering at one shard, but a
-    // dead thread 0 must hand the duty on or a single-shard heap would
-    // never defragment again. Normal runs only ever read the initial 0, so
-    // their behaviour (and the pinned deterministic totals) is unchanged.
+    // GC-trigger duty holder: thread 0 owns triggering, but a dead thread 0
+    // must hand the duty on or the heap would never defragment again.
+    // Normal runs only ever read the initial 0, so their behaviour (and the
+    // pinned deterministic totals) is unchanged.
     let trigger_owner = Arc::new(AtomicUsize::new(0));
 
     let mut handles = Vec::new();
@@ -658,16 +661,12 @@ fn run_mt_impl(
                         // concurrency model (and aggregate collection rate)
                         // as the single-threaded driver; a starvable free-
                         // running GC thread would under-collect on small
-                        // hosts. The trigger owner (thread 0 until it dies)
-                        // owns triggering at one shard — that keeps the
-                        // pinned deterministic totals; on a sharded heap
-                        // every thread may trigger, so per-shard cycles
-                        // start as soon as any mutator notices its shard
-                        // fragmenting.
+                        // hosts. Only the trigger owner (thread 0 until it
+                        // dies) triggers — that keeps the pinned
+                        // deterministic totals.
                         if heap.in_cycle() {
                             heap.step_compaction(&mut gc_ctx, gc_batch);
-                        } else if (tid == trigger_owner.load(Ordering::Relaxed)
-                            || heap.num_shards() > 1)
+                        } else if tid == trigger_owner.load(Ordering::Relaxed)
                             && (op + 1).is_multiple_of(32)
                         {
                             heap.maybe_defrag(&mut gc_ctx);
@@ -761,7 +760,8 @@ fn run_mt_impl(
     let mut total_ops = 0u64;
     let mut samples: Vec<Sample> = Vec::new();
     let mut latencies: Vec<u32> = Vec::with_capacity(per_thread_ops * threads);
-    let mut shards: Vec<(BTreeSet<u64>, Vec<OpRecord>)> = Vec::with_capacity(threads);
+    // Per root-directory slot (= per thread): final live set and op log.
+    let mut slots: Vec<(BTreeSet<u64>, Vec<OpRecord>)> = Vec::with_capacity(threads);
     let mut victims: Vec<VictimReport> = Vec::new();
     let mut events_per_thread = vec![0u64; threads];
     for (tid, h) in handles.into_iter().enumerate() {
@@ -779,7 +779,7 @@ fn run_mt_impl(
         if let Some(v) = out.died {
             victims.push(v);
         }
-        shards.push((out.live.to_btree_set(), out.oplog));
+        slots.push((out.live.to_btree_set(), out.oplog));
     }
     // Reconcile orphaned per-thread state: a victim's context drops routed
     // their batched counters, cycles and stats into the arm's morgue (a
@@ -814,22 +814,16 @@ fn run_mt_impl(
         let mut wind_down = heap.ctx();
         heap.exit(&mut wind_down);
     }
-    if plan.is_some() {
-        check_shards_crashed(make, &heap, &shards, &victims);
-    } else {
-        check_shards(make, &heap, &shards);
-    }
-    // On a sharded heap every frame must still live in the pool shard
-    // that owns its OS page — a relocation that crossed shards would
-    // silently corrupt both shards' free lists and accounting, so every
-    // mt run doubles as an ownership audit.
-    heap.pool().assert_shard_ownership();
+    check_slots(make, &heap, &slots, &victims);
+    // `AllocInner::purge` skips the free-list scan on the strength of a
+    // `debug_assert!`; every mt run audits what that rests on.
+    heap.pool().assert_free_list_sound();
     if plan.is_some() {
         // Full structural validation of the live heap over the orphaned
         // state, then a whole-machine restart: a thread crash must not
         // cost the *machine* its crash consistency, so recovery from a
         // crash image taken after the survivors drained has to succeed
-        // and agree with the same per-shard oracle.
+        // and agree with the same per-slot oracle.
         if let Err(errs) = validate_heap(&heap) {
             panic!("thread-crash live heap validation failed: {errs:?}");
         }
@@ -840,7 +834,7 @@ fn run_mt_impl(
         if let Err(errs) = validate_heap(&heap2) {
             panic!("post-restart heap validation failed: {errs:?}");
         }
-        check_shards_crashed(make, &heap2, &shards, &victims);
+        check_slots(make, &heap2, &slots, &victims);
     }
     let (avg_footprint, avg_live) = if samples.is_empty() {
         let st = heap.pool().stats();
@@ -874,19 +868,27 @@ fn run_mt_impl(
     }
 }
 
-/// [`check_shards`] for a thread-crash run: survivor shards are checked
-/// strictly, while a victim shard killed *inside* a structure op gets the
-/// one admissible ambiguity — the in-flight op either fully happened or
-/// fully didn't. Workloads implementing [`Workload::decide_inflight`]
+/// Post-run checker for multi-threaded runs (the §7.1 key-set oracle,
+/// applied per root-directory slot): replays each thread's op log into
+/// that slot's expected key set, cross-checks it against the thread's own
+/// live set, and validates the persistent structure through a context
+/// bound to the slot. Panics on the first divergence — a free-running mt
+/// run has no deterministic replay to fall back on, so the checker *is*
+/// its correctness story.
+///
+/// Survivors (every thread, when `victims` is empty) are checked
+/// strictly, while a victim killed *inside* a structure op gets the one
+/// admissible ambiguity — the in-flight op either fully happened or fully
+/// didn't. Workloads implementing [`Workload::decide_inflight`]
 /// (detectable structures) forfeit the ambiguity: the checker asks the
 /// structure which way the op went and validates that exact key set.
-fn check_shards_crashed(
+fn check_slots(
     make: &dyn Fn() -> Box<dyn Workload>,
     heap: &DefragHeap,
-    shards: &[(BTreeSet<u64>, Vec<OpRecord>)],
+    slots: &[(BTreeSet<u64>, Vec<OpRecord>)],
     victims: &[VictimReport],
 ) {
-    for (tid, (live, oplog)) in shards.iter().enumerate() {
+    for (tid, (live, oplog)) in slots.iter().enumerate() {
         let mut expected: BTreeSet<u64> = BTreeSet::new();
         for r in oplog {
             if r.insert {
@@ -925,7 +927,7 @@ fn check_shards_crashed(
                 // Survivor, or victim that died between ops / in the GC
                 // pump: the logged set is exact.
                 w.validate(heap, &mut ctx, &expected)
-                    .unwrap_or_else(|e| panic!("thread-crash checker, thread {tid} (exact): {e}"));
+                    .unwrap_or_else(|e| panic!("mt post-run checker, thread {tid}: {e}"));
             }
             Some((insert, key)) => {
                 let mut alt = expected.clone();
@@ -958,7 +960,7 @@ fn check_shards_crashed(
                         let post = w.validate(heap, &mut ctx, &alt);
                         if pre.is_err() && post.is_err() {
                             panic!(
-                                "thread-crash checker, thread {tid}: shard matches neither \
+                                "thread-crash checker, thread {tid}: slot matches neither \
                                  the pre-op nor the post-op key set for in-flight key \
                                  {key:#x}: pre={pre:?} post={post:?}"
                             );
@@ -967,53 +969,6 @@ fn check_shards_crashed(
                 }
             }
         }
-    }
-}
-
-/// Post-run checker for multi-threaded runs (the §7.1 key-set oracle,
-/// applied shard by shard): replays each thread's op log into that shard's
-/// expected key set, cross-checks it against the thread's own live set,
-/// and validates the persistent structure through a context bound to the
-/// shard. Panics on the first divergence — a free-running mt run has no
-/// deterministic replay to fall back on, so the checker *is* its
-/// correctness story.
-fn check_shards(
-    make: &dyn Fn() -> Box<dyn Workload>,
-    heap: &DefragHeap,
-    shards: &[(BTreeSet<u64>, Vec<OpRecord>)],
-) {
-    for (tid, (live, oplog)) in shards.iter().enumerate() {
-        let mut expected: BTreeSet<u64> = BTreeSet::new();
-        for r in oplog {
-            if r.insert {
-                assert!(
-                    expected.insert(r.key),
-                    "thread {tid}: duplicate insert of key {:#x}",
-                    r.key
-                );
-            } else {
-                assert!(
-                    r.found,
-                    "thread {tid}: delete missed live key {:#x} (cross-thread corruption)",
-                    r.key
-                );
-                assert!(
-                    expected.remove(&r.key),
-                    "thread {tid}: delete of never-inserted key {:#x}",
-                    r.key
-                );
-            }
-        }
-        assert_eq!(
-            &expected, live,
-            "thread {tid}: op log disagrees with the thread's live set"
-        );
-        let mut ctx = heap.ctx();
-        ctx.set_root_shard(Some(tid as u64));
-        let mut w = make();
-        w.reopen(heap, &mut ctx);
-        w.validate(heap, &mut ctx, &expected)
-            .unwrap_or_else(|e| panic!("mt post-run checker, thread {tid}: {e}"));
     }
 }
 

@@ -56,34 +56,6 @@ fn sweep_validates_every_targeted_site() {
     assert!(!report.site_counts.is_empty());
 }
 
-/// The full crash-site sweep over a 4-shard heap: per-shard cycle headers
-/// land at `cycle_header + 16*shard` and the pool header carries
-/// `HDR_SHARDS = 4`, so every captured image exercises the sharded
-/// recovery walk (classify each shard's header, one merged ref fixup,
-/// per-shard teardown). Every targeted site must capture and validate.
-#[test]
-fn sweep_validates_with_sharded_heap() {
-    let seed = 0x5AAD;
-    let mut cfg = sweep_cfg(Scheme::FfccdFenceFree, seed);
-    cfg.defrag.shards = 4;
-    let plan = CrashPlan::new(seed, 12);
-    let report = run_crash_site_sweep(&make_ll, Scheme::FfccdFenceFree, &plan, &cfg);
-    assert_eq!(report.targeted, 12);
-    assert_eq!(
-        report.captured, report.targeted,
-        "every targeted site must fire on a sharded heap too"
-    );
-    assert!(
-        report.failures.is_empty(),
-        "sharded sweep failures: {:#?}",
-        report
-            .failures
-            .iter()
-            .map(|f| format!("{} at {}: {}", f.triple(), f.kind, f.message))
-            .collect::<Vec<_>>()
-    );
-}
-
 fn assert_site_recovers(
     make: &dyn Fn() -> Box<dyn Workload>,
     scheme: Scheme,

@@ -3,7 +3,7 @@
 //!
 //! The mt driver no longer serializes mutators through a turn lock: under
 //! `MtSchedule::Free`, threads race over the banked engine and the striped
-//! pool, and correctness comes from the driver's post-run per-shard
+//! pool, and correctness comes from the driver's post-run per-slot
 //! checker. `MtSchedule::Seeded` totally orders every op through a
 //! PRNG-driven turn scheduler, giving byte-deterministic replay even over
 //! a banked engine — that mode carries the determinism and stats-
@@ -48,18 +48,8 @@ fn assert_runs_match(a: &RunResult, b: &RunResult, what: &str) {
     );
 }
 
-/// Heap shard count for the sharded stress variants: `FFCCD_SHARDS` when
-/// set (CI's mt-stress job runs the suite at 1 and 4), defaulting to 4 so
-/// the sharded path gets coverage in a plain local `cargo test` too.
-fn stress_shards() -> usize {
-    std::env::var("FFCCD_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
-}
-
 /// Free-running runs are not byte-deterministic, but the driver's built-in
-/// per-shard checker must pass and the run must produce sane aggregates —
+/// per-slot checker must pass and the run must produce sane aggregates —
 /// this is the everyday "true concurrency" path.
 #[test]
 fn free_running_mt_passes_the_shard_checker() {
@@ -76,25 +66,6 @@ fn free_running_mt_passes_the_shard_checker() {
                 "{scheme}: per-op latency percentiles {:?}",
                 r.latency
             );
-        }
-    }
-}
-
-/// The same free-running stress over a sharded heap (shards from
-/// `FFCCD_SHARDS`, default 4): every mutator thread may now trigger and
-/// pump per-shard cycles concurrently. Correctness rides on the driver's
-/// two built-in post-run oracles — the §7.1 key-set checker and the pool
-/// shard-ownership audit (`assert_shard_ownership`), which panics if any
-/// relocation or allocation crossed shard boundaries.
-#[test]
-fn free_running_mt_sharded_heap_keeps_shards_disjoint() {
-    for scheme in [Scheme::Sfccd, Scheme::FfccdCheckLookup] {
-        for threads in [2usize, 4] {
-            let mut cfg = tiny_cfg(scheme);
-            cfg.defrag.shards = stress_shards();
-            let r = run_mt(&|| Box::new(LinkedList::new()), threads, &cfg);
-            assert_eq!(r.ops, 1300 / threads as u64 * threads as u64);
-            assert!(r.gc.barrier_invocations > 0, "{scheme}: barriers fired");
         }
     }
 }

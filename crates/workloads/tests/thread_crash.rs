@@ -4,17 +4,12 @@
 //! ordinals while survivors drain, then runs the full checker suite and a
 //! whole-machine restart. These tests pin the model's contracts: kills
 //! fire and replay deterministically under the seeded schedule, orphaned
-//! counter state conserves, a dead thread's arena returns to service, and
-//! the sharded heap's persisted shard count survives a victim dying
-//! inside the collector.
+//! counter state conserves, and a dead thread's arena returns to service.
 
-use ffccd::{DefragHeap, ProbeId, Scheme};
-use ffccd_pmem::MachineConfig;
-use ffccd_pmop::PoolConfig;
+use ffccd::{ProbeId, Scheme};
 use ffccd_workloads::campaign::{replay, Replay};
 use ffccd_workloads::driver::{
-    mt_registry, run_mt_faulted, run_mt_faulted_on, DriverConfig, MtConfig, MtSchedule, PhaseMix,
-    ThreadFaultPlan,
+    run_mt_faulted, DriverConfig, MtConfig, MtSchedule, PhaseMix, ThreadFaultPlan,
 };
 use ffccd_workloads::thread_crash::{campaign_config, run_thread_crash_campaign};
 use ffccd_workloads::{DetectableQueue, LinkedList, Workload};
@@ -119,8 +114,8 @@ fn killed_run_conserves_counters_across_flush_cadence() {
 
 /// Satellite: a dead thread's arena frames return to service. After the
 /// victim dies, survivors must be able to allocate through the retired
-/// arena's frames instead of spinning on work stealing from a dead owner;
-/// the run passing its own checkers plus the pool ownership audit pins it.
+/// arena's frames; the run passing its own checkers plus the pool
+/// free-list audit pins it.
 #[test]
 fn victim_arena_is_retired_and_survivors_drain() {
     let seed = 0xA4E4A;
@@ -161,11 +156,11 @@ fn detectable_queue_campaign_cell_is_clean() {
 /// volatile arm — must leave residue that is *inert* to the surviving
 /// mutators' barriers. The software barrier path (Espresso/SFCCD/fence-
 /// free) used to trust the persistent frag bit + PMFT alone; once a later
-/// cycle armed on the same shard, survivors relocated live objects through
+/// cycle armed, survivors relocated live objects through
 /// the dead summary's half-built mapping into a destination frame the
 /// exit-time rollback then rightly released — leaving reachable pointers
 /// into a free frame. The barrier now requires the frame to be indexed by
-/// its domain's armed cycle mirror.
+/// the armed cycle mirror.
 #[test]
 fn orphaned_summary_residue_is_inert_to_barriers() {
     // The 1-minimal campaign triples that exposed the bug, one per
@@ -212,64 +207,5 @@ fn allocation_torn_by_thread_death_is_rolled_back() {
     assert_eq!(
         r.image.media().fingerprint(),
         again.image.media().fingerprint()
-    );
-}
-
-/// Satellite: the persisted shard count wins at reopen even when a victim
-/// died while the collector was running on a non-zero shard. The restart
-/// inside `run_mt_faulted` validates recovery; this pins the reopened
-/// topology and a deterministic fingerprint of the recovered key sets for
-/// one fixed `(seed, kill_site, victim)` triple.
-#[test]
-fn shard_header_reopen_after_thread_crash() {
-    let seed = 0x5AA4D;
-    let shards = 4usize;
-    let mut cfg = crash_cfg(Scheme::FfccdFenceFree, seed);
-    cfg.defrag.shards = shards;
-    let pool_cfg = PoolConfig {
-        machine: MachineConfig {
-            seed,
-            ..cfg.pool.machine.clone()
-        },
-        ..cfg.pool.clone()
-    };
-    let (reg, _) = mt_registry(ll().registry(), THREADS);
-    let heap = DefragHeap::create(pool_cfg, reg, cfg.defrag).expect("sharded pool");
-    let reference = run_mt_faulted_on(&ll, THREADS, &cfg, &heap, &ThreadFaultPlan::default());
-    drop(heap);
-    let plan = ThreadFaultPlan::single(3, reference.events_per_thread[3] / 2);
-    let pool_cfg = PoolConfig {
-        machine: MachineConfig {
-            seed,
-            ..cfg.pool.machine.clone()
-        },
-        ..cfg.pool.clone()
-    };
-    let (reg, _) = mt_registry(ll().registry(), THREADS);
-    let heap = DefragHeap::create(pool_cfg, reg, cfg.defrag).expect("sharded pool");
-    let out = run_mt_faulted_on(&ll, THREADS, &cfg, &heap, &plan);
-    assert!(out.victims[0].fired, "pinned kill fires");
-    assert_eq!(heap.num_shards(), shards, "live heap keeps its shards");
-    // Reopen from a crash image of the post-run heap: the persisted
-    // HDR_SHARDS count must win, and the recovered per-shard key sets
-    // must fingerprint identically across runs and machines.
-    let image = heap.engine().crash_image();
-    let (reg, _) = mt_registry(ll().registry(), THREADS);
-    let (heap2, _) =
-        DefragHeap::open_recovered(&image, reg, cfg.defrag).expect("reopen sharded heap");
-    assert_eq!(
-        heap2.num_shards(),
-        shards,
-        "persisted shard count wins at reopen after a thread crash"
-    );
-    // Deterministic fingerprint of the recovered heap: the reachable
-    // object graph after restart is a pure function of the pinned
-    // `(seed, kill_site, victim)` triple, so the validation summary must
-    // never drift.
-    let summary = ffccd::validate_heap(&heap2).expect("recovered heap validates");
-    assert_eq!(
-        (summary.reachable_objects, summary.reachable_bytes),
-        (126, 25648),
-        "recovered-heap fingerprint drifted for the pinned kill triple"
     );
 }
