@@ -106,7 +106,6 @@ fn barrier_walk(c: &mut Criterion) {
         while !cur.is_null() {
             cur = heap.load_ref(&mut ctx, cur, NEXT);
         }
-        heap.flush_stats(&mut ctx);
         let invocations = heap.gc_stats().barrier_invocations - inv0;
         eprintln!(
             "[ablation] {scheme}: {} simulated cycles over {} barrier invocations ({:.1}/barrier)",

@@ -71,9 +71,6 @@ pub struct DefragConfig {
     /// Compact until the projected fragR reaches this ratio (§6: 1.25
     /// normal, 1.5 relaxed).
     pub target_ratio: f64,
-    /// Objects relocated per [`crate::DefragHeap::step_compaction`] batch
-    /// when the driver interleaves compaction with application work.
-    pub compaction_batch: usize,
     /// Don't trigger below this many live bytes (avoids churning a heap
     /// that fits in a handful of pages).
     pub min_live_bytes: u64,
@@ -97,7 +94,6 @@ impl DefragConfig {
             scheme,
             trigger_ratio: 1.5,
             target_ratio: 1.25,
-            compaction_batch: 64,
             min_live_bytes: 1 << 16,
             max_pages_per_cycle: 256,
             cooldown_ops: 1024,

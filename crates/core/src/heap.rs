@@ -9,14 +9,14 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use ffccd_arch::{CheckLookupUnit, GcMetaLayout, LookupResult, Pmft, PmftEntry, Rbb};
-use ffccd_pmem::{CounterSink, Ctx, PmEngine};
+use ffccd_pmem::{Ctx, PmEngine};
 use ffccd_pmop::{
     PmPool, PmPtr, PoolConfig, PoolError, TypeId, TypeRegistry, FRAME_BYTES, OBJ_HEADER_BYTES,
     SLOT_BYTES,
 };
 
 use crate::config::{DefragConfig, Scheme};
-use crate::stats::{gc_counter, GcStats, GcStatsSnapshot};
+use crate::stats::{GcStats, GcStatsSnapshot};
 
 /// State of one in-flight defragmentation cycle (driver bookkeeping only —
 /// lookups live in [`CycleMirror`]). Clonable so cycle termination can work
@@ -126,10 +126,7 @@ pub(crate) struct HeapInner {
     /// read-modify-write of that byte exclusive — and the `moved`-bit
     /// double-check under the stripe preserves exactly-once relocation.
     pub reloc_stripes: [Mutex<()>; RELOC_STRIPES],
-    pub stats: Arc<GcStats>,
-    /// `stats` as a counter sink (same allocation), pre-coerced once so the
-    /// barrier hot path installs it with a pointer compare.
-    pub stats_sink: Arc<dyn CounterSink>,
+    pub stats: GcStats,
     /// Allocator operations observed (the §5 monitor's clock).
     pub op_counter: AtomicU64,
 }
@@ -347,8 +344,6 @@ impl DefragHeap {
             .scheme
             .uses_checklookup()
             .then(|| CheckLookupUnit::new(pmft));
-        let stats = Arc::new(GcStats::default());
-        let stats_sink: Arc<dyn CounterSink> = stats.clone();
         DefragHeap {
             inner: Arc::new(HeapInner {
                 pool,
@@ -364,8 +359,7 @@ impl DefragHeap {
                 inflight: Mutex::new(Vec::new()),
                 last_cycle_start: AtomicU64::new(0),
                 reloc_stripes: std::array::from_fn(|_| Mutex::new(())),
-                stats,
-                stats_sink,
+                stats: GcStats::default(),
                 op_counter: AtomicU64::new(0),
             }),
         }
@@ -409,31 +403,15 @@ impl DefragHeap {
         MutatorGuard
     }
 
-    /// Snapshot of GC phase statistics.
-    ///
-    /// Hot-path barrier counters batch inside each [`Ctx`] and reach the
-    /// shared stats on periodic flush, context drop, and cycle termination
-    /// — call [`DefragHeap::flush_stats`] on a live context first when the
-    /// snapshot must include its very latest activity.
+    /// Snapshot of GC phase statistics. Every counter is a shared atomic
+    /// updated where the event happens, so the snapshot is current.
     pub fn gc_stats(&self) -> GcStatsSnapshot {
         self.inner.stats.snapshot()
     }
 
-    /// Flushes `ctx`'s batched barrier counters into this heap's stats so a
-    /// subsequent [`DefragHeap::gc_stats`] snapshot includes them.
-    pub fn flush_stats(&self, ctx: &mut Ctx) {
-        ctx.ensure_counter_sink(&self.inner.stats_sink);
-        ctx.flush_counters();
-    }
-
-    /// Reconciles a dead thread's batched counter deltas (its
-    /// [`ffccd_pmem::OrphanDeposit`]) into this heap's stats. An injected
-    /// thread crash skips the victim's drop-flush; the driver deposits the
-    /// orphaned deltas here at join so counter totals conserve exactly as
-    /// if the thread had wound down normally.
-    pub fn absorb_orphan_deltas(&self, deltas: &[u64; ffccd_pmem::COUNTER_SLOTS]) {
-        self.inner.stats_sink.flush_deltas(deltas);
-    }
+    // Shim for the frozen `benchmark/` (flushes nothing); its next PR removes the call.
+    #[doc(hidden)]
+    pub fn flush_stats(&self, _ctx: &mut Ctx) {}
 
     /// Returns a dead thread's allocation arena to general service (see
     /// [`ffccd_pmop::PmPool::retire_arena`]): its active bump frames become
@@ -441,14 +419,6 @@ impl DefragHeap {
     /// holding capacity hostage until out-of-memory.
     pub fn retire_arena(&self, arena: u32) {
         self.inner.pool.retire_arena(arena);
-    }
-
-    /// Batches `n` into the Ctx-local counter for slot `idx` (see
-    /// [`gc_counter`]), installing this heap's stats as the sink.
-    #[inline]
-    fn bump(&self, ctx: &mut Ctx, idx: usize, n: u64) {
-        ctx.ensure_counter_sink(&self.inner.stats_sink);
-        ctx.bump_counter(idx, n);
     }
 
     /// Clones the active cycle's mirror handle (`None` outside a cycle).
@@ -736,7 +706,8 @@ impl DefragHeap {
             // persist barrier — recovery redoes or undoes it from the PMFT.
             let t0 = ctx.cycles();
             self.engine().write_u64(ctx, slot_off, fwd.raw());
-            self.bump(ctx, gc_counter::REF_FIXUP_CYCLES, ctx.cycles() - t0);
+            let stats = &self.inner.stats;
+            stats.add_cycles(&stats.ref_fixup_cycles, ctx.cycles() - t0);
         }
         fwd
     }
@@ -748,7 +719,8 @@ impl DefragHeap {
             return ptr;
         }
         let inner = &*self.inner;
-        self.bump(ctx, gc_counter::BARRIER_INVOCATIONS, 1);
+        let stats = &inner.stats;
+        stats.add_cycles(&stats.barrier_invocations, 1);
         let hdr_off = ptr.offset() - OBJ_HEADER_BYTES;
         let Some(frame) = inner.pool.layout().frame_of(hdr_off) else {
             return ptr;
@@ -797,7 +769,7 @@ impl DefragHeap {
                 }
             }
         };
-        self.bump(ctx, gc_counter::CHECK_LOOKUP_CYCLES, ctx.cycles() - t0);
+        stats.add_cycles(&stats.check_lookup_cycles, ctx.cycles() - t0);
         let Some((dest_frame, dest_slot)) = fwd else {
             return ptr;
         };
@@ -825,9 +797,10 @@ impl DefragHeap {
         release: bool,
     ) {
         let inner = &*self.inner;
+        let stats = &inner.stats;
         let t0 = ctx.cycles();
         if self.read_moved(ctx, frame, slot) {
-            self.bump(ctx, gc_counter::STATE_CYCLES, ctx.cycles() - t0);
+            stats.add_cycles(&stats.state_cycles, ctx.cycles() - t0);
             return;
         }
         // §4.5 per-object critical section: the stripe covering this
@@ -836,10 +809,10 @@ impl DefragHeap {
         // first-touch relocation exactly-once per object.
         let _g = inner.reloc_stripes[Self::stripe_of(frame, slot)].lock();
         if self.read_moved(ctx, frame, slot) {
-            self.bump(ctx, gc_counter::STATE_CYCLES, ctx.cycles() - t0);
+            stats.add_cycles(&stats.state_cycles, ctx.cycles() - t0);
             return;
         }
-        self.bump(ctx, gc_counter::STATE_CYCLES, ctx.cycles() - t0);
+        stats.add_cycles(&stats.state_cycles, ctx.cycles() - t0);
 
         let src = inner.pool.layout().frame_start(frame) + slot as u64 * SLOT_BYTES;
         let dst = inner.pool.layout().frame_start(dest_frame) + dest_slot as u64 * SLOT_BYTES;
@@ -849,8 +822,8 @@ impl DefragHeap {
         // 4. moved[x] = 1 — persistence again differs per scheme.
         let t2 = ctx.cycles();
         self.write_moved(ctx, frame, slot);
-        self.bump(ctx, gc_counter::STATE_CYCLES, ctx.cycles() - t2);
-        self.bump(ctx, gc_counter::OBJECTS_RELOCATED, 1);
+        stats.add_cycles(&stats.state_cycles, ctx.cycles() - t2);
+        stats.add_cycles(&stats.objects_relocated, 1);
 
         // Progressive release (§5): once every object of the source frame
         // has moved, the frame stops counting toward the footprint — the
@@ -896,7 +869,8 @@ impl DefragHeap {
                 ffccd_arch::relocate(ctx, self.engine(), src, dst, total);
             }
         }
-        self.bump(ctx, gc_counter::COPY_CYCLES, ctx.cycles() - t1);
+        let stats = &self.inner.stats;
+        stats.add_cycles(&stats.copy_cycles, ctx.cycles() - t1);
     }
 
     /// Relocation-lock stripe for the object at `(frame, slot)`, keyed by

@@ -534,9 +534,6 @@ impl DefragHeap {
         inner.inflight.lock().clear();
         inner.in_cycle.store(false, Ordering::Release);
         inner.stats.add_cycles(&inner.stats.cycles_completed, 1);
-        // Terminating is a natural synchronization point: make this
-        // context's batched barrier counters visible in the shared stats.
-        self.flush_stats(ctx);
         engine.note_phase_site(phase_sites::TERMINATE_END);
     }
 
@@ -604,7 +601,6 @@ impl DefragHeap {
     pub fn exit(&self, ctx: &mut Ctx) {
         self.finish_cycle(ctx);
         self.heal_orphaned_summaries(ctx);
-        self.flush_stats(ctx);
     }
 }
 

@@ -2,27 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ffccd_pmem::{CounterSink, COUNTER_SLOTS};
 use serde::{Deserialize, Serialize};
-
-/// Slot indices of the barrier-path counters a [`ffccd_pmem::Ctx`] batches
-/// locally and flushes into [`GcStats`] (its [`CounterSink`] impl). Only the
-/// counters bumped on every `forward()` live here; rare-path counters (mark,
-/// sweep, termination) keep their direct atomic updates.
-pub mod gc_counter {
-    /// [`GcStats::barrier_invocations`].
-    pub const BARRIER_INVOCATIONS: usize = 0;
-    /// [`GcStats::check_lookup_cycles`].
-    pub const CHECK_LOOKUP_CYCLES: usize = 1;
-    /// [`GcStats::state_cycles`].
-    pub const STATE_CYCLES: usize = 2;
-    /// [`GcStats::copy_cycles`].
-    pub const COPY_CYCLES: usize = 3;
-    /// [`GcStats::ref_fixup_cycles`].
-    pub const REF_FIXUP_CYCLES: usize = 4;
-    /// [`GcStats::objects_relocated`].
-    pub const OBJECTS_RELOCATED: usize = 5;
-}
 
 /// Cycle counters per defragmentation phase, accumulated atomically from
 /// every thread (application barriers and the compaction driver alike).
@@ -87,25 +67,6 @@ pub struct GcStatsSnapshot {
     pub objects_swept: u64,
 }
 
-impl CounterSink for GcStats {
-    fn flush_deltas(&self, deltas: &[u64; COUNTER_SLOTS]) {
-        use gc_counter::*;
-        let map: [(&AtomicU64, usize); 6] = [
-            (&self.barrier_invocations, BARRIER_INVOCATIONS),
-            (&self.check_lookup_cycles, CHECK_LOOKUP_CYCLES),
-            (&self.state_cycles, STATE_CYCLES),
-            (&self.copy_cycles, COPY_CYCLES),
-            (&self.ref_fixup_cycles, REF_FIXUP_CYCLES),
-            (&self.objects_relocated, OBJECTS_RELOCATED),
-        ];
-        for (counter, idx) in map {
-            if deltas[idx] != 0 {
-                counter.fetch_add(deltas[idx], Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 impl GcStats {
     /// Adds `n` cycles to a phase counter.
     pub fn add_cycles(&self, counter: &AtomicU64, n: u64) {
@@ -167,21 +128,5 @@ mod tests {
         let s = GcStats::default();
         s.add_cycles(&s.recovery_cycles, 100);
         assert_eq!(s.snapshot().total_gc_cycles(), 0);
-    }
-
-    #[test]
-    fn sink_flush_lands_on_the_right_counters() {
-        let s = GcStats::default();
-        let mut deltas = [0u64; COUNTER_SLOTS];
-        deltas[gc_counter::BARRIER_INVOCATIONS] = 3;
-        deltas[gc_counter::COPY_CYCLES] = 41;
-        deltas[gc_counter::OBJECTS_RELOCATED] = 2;
-        s.flush_deltas(&deltas);
-        s.flush_deltas(&deltas);
-        let snap = s.snapshot();
-        assert_eq!(snap.barrier_invocations, 6);
-        assert_eq!(snap.copy_cycles, 82);
-        assert_eq!(snap.objects_relocated, 4);
-        assert_eq!(snap.mark_cycles, 0);
     }
 }

@@ -169,7 +169,6 @@ fn barrier_relocates_on_access() {
     assert!(heap.defrag_now(&mut ctx));
     // Touch the whole list through barriers — no explicit compaction steps.
     assert_eq!(list_digest(&heap, &mut ctx), digest);
-    heap.flush_stats(&mut ctx);
     let relocated = heap.gc_stats().objects_relocated;
     assert!(
         relocated > 0,
@@ -354,7 +353,6 @@ fn ffccd_issues_no_fences_in_barriers() {
     let clwbs_before = ctx.stats.clwbs;
     // Walk the list: barrier relocations happen, with zero fences.
     let _ = list_digest(&heap, &mut ctx);
-    heap.flush_stats(&mut ctx);
     assert!(heap.gc_stats().objects_relocated > 0);
     assert_eq!(
         ctx.stats.sfences, sfences_before,
@@ -374,7 +372,6 @@ fn espresso_pays_two_fences_per_relocation() {
     let sfences_before = ctx.stats.sfences;
     let relocated_before = heap.gc_stats().objects_relocated;
     let _ = list_digest(&heap, &mut ctx);
-    heap.flush_stats(&mut ctx);
     let relocated = heap.gc_stats().objects_relocated - relocated_before;
     let sfences = ctx.stats.sfences - sfences_before;
     assert!(relocated > 0);
@@ -471,7 +468,6 @@ fn d_ro_applies_the_same_barrier() {
     while !cur.is_null() {
         cur = heap.load_ref_ro(&mut ctx, cur, NEXT_OFF);
     }
-    heap.flush_stats(&mut ctx);
     assert!(heap.gc_stats().objects_relocated > before);
     heap.finish_cycle(&mut ctx);
     validate_heap(&heap).expect("consistent");

@@ -78,7 +78,6 @@ fn armed(scheme: Scheme, seed: u64, n: u64) -> (DefragHeap, (u64, u64)) {
     }
     let digest = walk_digest(&heap, &mut ctx);
     assert!(heap.defrag_now(&mut ctx), "cycle must arm");
-    heap.flush_stats(&mut ctx);
     (heap, digest)
 }
 
@@ -103,7 +102,6 @@ fn single_threaded_walk(scheme: Scheme, seed: u64, n: u64) -> ((u64, u64), u64) 
     let walked = walk_digest(&heap, &mut ctx);
     assert_eq!(walked, digest, "the lone walk must preserve the list");
     while heap.step_compaction(&mut ctx, 4) {}
-    heap.flush_stats(&mut ctx);
     (digest, heap.gc_stats().objects_relocated)
 }
 
@@ -124,9 +122,7 @@ fn racing_walk(
             let heap = Arc::clone(&heap);
             std::thread::spawn(move || {
                 let mut ctx = heap.ctx();
-                let d = walk_digest(&heap, &mut ctx);
-                heap.flush_stats(&mut ctx);
-                d
+                walk_digest(&heap, &mut ctx)
             })
         })
         .collect();
@@ -142,7 +138,6 @@ fn racing_walk(
     // the whole heap must validate.
     while heap.step_compaction(&mut ctx, 4) {}
     validate_heap(&heap).expect("heap validates after racing relocation");
-    heap.flush_stats(&mut ctx);
     heap.gc_stats().objects_relocated
 }
 

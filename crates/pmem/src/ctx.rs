@@ -12,24 +12,6 @@ use crate::tlb::Tlb;
 /// returned buffers are simply dropped.
 const BUF_POOL_CAP: usize = 8;
 
-/// Number of batched counter slots a [`CounterSink`] flush carries.
-pub const COUNTER_SLOTS: usize = 8;
-
-/// Bumps between automatic counter flushes (see [`Ctx::bump_counter`]).
-const DEFAULT_FLUSH_EVERY: u32 = 64;
-
-/// Receives batched counter deltas from a [`Ctx`].
-///
-/// Hot paths that used to do a shared-atomic RMW per event instead bump a
-/// thread-local slot ([`Ctx::bump_counter`]) and flush the accumulated
-/// deltas here periodically, on context drop, and at explicit
-/// synchronization points. The sink assigns its own meaning to each slot
-/// index; unused slots stay zero.
-pub trait CounterSink: Send + Sync {
-    /// Adds each `deltas[i]` into the sink's counter `i`.
-    fn flush_deltas(&self, deltas: &[u64; COUNTER_SLOTS]);
-}
-
 /// Sentinel `kill_at` value: the arm counts durability events but never
 /// fires. Campaign reference runs use this to measure each thread's event
 /// total before sampling kill sites from it.
@@ -44,34 +26,6 @@ pub struct ThreadCrashUnwind {
     pub victim: usize,
     /// Durability-event ordinal (1-based) the kill fired at.
     pub events: u64,
-}
-
-/// Everything a dead thread's contexts leave behind: batched counter
-/// deltas that never reached the sink, simulated cycles, and event stats.
-/// The driver reconciles this into the shared stats at join — an injected
-/// kill must not silently lose counters (the conservation contract).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OrphanDeposit {
-    /// Unflushed batched counter deltas, summed over the thread's contexts.
-    pub deltas: [u64; COUNTER_SLOTS],
-    /// Simulated cycles the dead thread had accumulated (app + GC contexts
-    /// combined; the morgue cannot attribute them further).
-    pub cycles: u64,
-    /// Merged event stats of the dead thread's contexts.
-    pub stats: ThreadStats,
-    /// How many contexts deposited (one per [`Ctx`] sharing the arm).
-    pub deposits: u32,
-}
-
-impl OrphanDeposit {
-    fn absorb(&mut self, deltas: &[u64; COUNTER_SLOTS], cycles: u64, stats: &ThreadStats) {
-        for (slot, d) in self.deltas.iter_mut().zip(deltas) {
-            *slot += d;
-        }
-        self.cycles += cycles;
-        self.stats.merge(stats);
-        self.deposits += 1;
-    }
 }
 
 /// Arms one simulated thread for an injected crash.
@@ -92,7 +46,6 @@ pub struct ThreadCrashArm {
     kill_at: u64,
     events: AtomicU64,
     fired: AtomicBool,
-    morgue: parking_lot::Mutex<OrphanDeposit>,
 }
 
 impl ThreadCrashArm {
@@ -104,7 +57,6 @@ impl ThreadCrashArm {
             kill_at: kill_at.max(1),
             events: AtomicU64::new(0),
             fired: AtomicBool::new(false),
-            morgue: parking_lot::Mutex::new(OrphanDeposit::default()),
         })
     }
 
@@ -130,11 +82,6 @@ impl ThreadCrashArm {
     pub(crate) fn tick(&self) -> bool {
         let n = self.events.fetch_add(1, Ordering::Relaxed) + 1;
         n >= self.kill_at && !self.fired.swap(true, Ordering::AcqRel)
-    }
-
-    /// Takes the dead thread's deposited state (driver-side, after join).
-    pub fn take_orphan(&self) -> OrphanDeposit {
-        std::mem::take(&mut self.morgue.lock())
     }
 }
 
@@ -179,13 +126,6 @@ pub struct Ctx {
     pub(crate) evict_scratch: Vec<Evicted>,
     /// Pooled byte buffers for [`take_buf`](Ctx::take_buf)/[`put_buf`](Ctx::put_buf).
     buf_pool: Vec<Vec<u8>>,
-    /// Destination of batched counters (see [`CounterSink`]).
-    sink: Option<Arc<dyn CounterSink>>,
-    /// Thread-local counter deltas not yet pushed to the sink.
-    pending_counters: [u64; COUNTER_SLOTS],
-    /// Bumps since the last flush; at `flush_every` the deltas are pushed.
-    pending_bumps: u32,
-    flush_every: u32,
     /// Allocation arena this core allocates from (see the pool's
     /// per-arena active frames). Arena 0 is the default and reproduces
     /// single-arena behaviour exactly.
@@ -207,7 +147,6 @@ impl std::fmt::Debug for Ctx {
             .field("cycles", &self.cycles)
             .field("stats", &self.stats)
             .field("unfenced_clwbs", &self.unfenced_clwbs)
-            .field("pending_counters", &self.pending_counters)
             .finish_non_exhaustive()
     }
 }
@@ -226,10 +165,6 @@ impl Ctx {
             dirty_banks: 0,
             evict_scratch: Vec::new(),
             buf_pool: Vec::new(),
-            sink: None,
-            pending_counters: [0; COUNTER_SLOTS],
-            pending_bumps: 0,
-            flush_every: DEFAULT_FLUSH_EVERY,
             arena: 0,
             root_shard: None,
             crash_arm: None,
@@ -282,49 +217,6 @@ impl Ctx {
         self.root_shard = shard;
     }
 
-    /// Installs `sink` as the receiver of this context's batched counters.
-    /// Cheap when `sink` is already installed (one pointer compare); on a
-    /// switch, deltas pending for the previous sink are flushed first.
-    pub fn ensure_counter_sink(&mut self, sink: &Arc<dyn CounterSink>) {
-        let same = self.sink.as_ref().is_some_and(|s| Arc::ptr_eq(s, sink));
-        if !same {
-            self.flush_counters();
-            self.sink = Some(sink.clone());
-        }
-    }
-
-    /// Adds `n` to batched counter slot `idx`; the accumulated deltas reach
-    /// the sink every `flush_every` bumps (and on drop), turning per-event
-    /// shared-atomic RMWs into rare batched ones.
-    #[inline]
-    pub fn bump_counter(&mut self, idx: usize, n: u64) {
-        self.pending_counters[idx] += n;
-        self.pending_bumps += 1;
-        if self.pending_bumps >= self.flush_every {
-            self.flush_counters();
-        }
-    }
-
-    /// Pushes all pending counter deltas to the installed sink. With no
-    /// sink installed, deltas keep accumulating until one is.
-    pub fn flush_counters(&mut self) {
-        self.pending_bumps = 0;
-        if self.pending_counters.iter().all(|&d| d == 0) {
-            return;
-        }
-        if let Some(sink) = &self.sink {
-            sink.flush_deltas(&self.pending_counters);
-            self.pending_counters = [0; COUNTER_SLOTS];
-        }
-    }
-
-    /// Sets the batched-bump count between automatic flushes (min 1; a
-    /// value of 1 flushes on every bump, reproducing the per-event
-    /// shared-atomic update pattern exactly).
-    pub fn set_counter_flush_every(&mut self, n: u32) {
-        self.flush_every = n.max(1);
-    }
-
     /// Borrows a zeroed scratch buffer of `len` bytes from this context's
     /// pool (allocating only when the pool is empty). Return it with
     /// [`Ctx::put_buf`] once done so hot copy loops stop churning the
@@ -352,25 +244,6 @@ impl Ctx {
     /// Charges `n` extra cycles (compute work outside the memory system).
     pub fn charge(&mut self, n: u64) {
         self.cycles += n;
-    }
-}
-
-impl Drop for Ctx {
-    fn drop(&mut self) {
-        if let Some(arm) = &self.crash_arm {
-            if arm.fired() {
-                // The thread died mid-run: its batched state must not flow
-                // into the live sink as if the thread had wound down
-                // normally. Deposit everything in the arm's morgue for the
-                // driver to reconcile at join (the conservation contract).
-                arm.morgue
-                    .lock()
-                    .absorb(&self.pending_counters, self.cycles, &self.stats);
-                self.pending_counters = [0; COUNTER_SLOTS];
-                return;
-            }
-        }
-        self.flush_counters();
     }
 }
 
@@ -402,77 +275,15 @@ mod tests {
         assert!(b2.capacity() >= cap.min(64));
     }
 
-    #[derive(Default)]
-    struct VecSink {
-        totals: std::sync::Mutex<[u64; COUNTER_SLOTS]>,
-        flushes: std::sync::atomic::AtomicU64,
-    }
-
-    impl CounterSink for VecSink {
-        fn flush_deltas(&self, deltas: &[u64; COUNTER_SLOTS]) {
-            let mut t = self.totals.lock().unwrap();
-            for (slot, d) in t.iter_mut().zip(deltas) {
-                *slot += d;
-            }
-            self.flushes
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
     #[test]
-    fn counters_batch_and_flush_on_drop() {
-        let sink: Arc<VecSink> = Arc::new(VecSink::default());
-        let dynsink: Arc<dyn CounterSink> = sink.clone();
-        {
-            let mut ctx = Ctx::new(&MachineConfig::default());
-            ctx.ensure_counter_sink(&dynsink);
-            for _ in 0..10 {
-                ctx.bump_counter(2, 3);
-            }
-            // Below the default threshold: nothing reached the sink yet.
-            assert_eq!(sink.flushes.load(std::sync::atomic::Ordering::Relaxed), 0);
-        }
-        // Drop flushed the remainder.
-        assert_eq!(sink.totals.lock().unwrap()[2], 30);
-    }
-
-    #[test]
-    fn flush_every_one_flushes_each_bump() {
-        let sink: Arc<VecSink> = Arc::new(VecSink::default());
-        let dynsink: Arc<dyn CounterSink> = sink.clone();
-        let mut ctx = Ctx::new(&MachineConfig::default());
-        ctx.ensure_counter_sink(&dynsink);
-        ctx.set_counter_flush_every(1);
-        ctx.bump_counter(0, 1);
-        ctx.bump_counter(1, 5);
-        assert_eq!(sink.flushes.load(std::sync::atomic::Ordering::Relaxed), 2);
-        assert_eq!(sink.totals.lock().unwrap()[..2], [1, 5]);
-    }
-
-    #[test]
-    fn fired_arm_routes_drop_state_to_the_morgue() {
-        let sink: Arc<VecSink> = Arc::new(VecSink::default());
-        let dynsink: Arc<dyn CounterSink> = sink.clone();
+    fn arm_fires_once_at_its_ordinal() {
         let arm = ThreadCrashArm::new(3, 2);
-        {
-            let mut ctx = Ctx::new(&MachineConfig::default());
-            ctx.ensure_counter_sink(&dynsink);
-            ctx.arm_thread_crash(&arm);
-            ctx.bump_counter(1, 9);
-            ctx.charge(40);
-            assert!(!ctx.durability_tick(), "event 1 of 2");
-            assert!(ctx.durability_tick(), "event 2 fires");
-            assert!(!ctx.durability_tick(), "an arm fires at most once");
-            assert!(arm.fired());
-        }
-        // Nothing reached the sink; everything landed in the morgue.
-        assert_eq!(sink.flushes.load(std::sync::atomic::Ordering::Relaxed), 0);
-        let orphan = arm.take_orphan();
-        assert_eq!(orphan.deltas[1], 9);
-        assert_eq!(orphan.cycles, 40);
-        assert_eq!(orphan.deposits, 1);
-        // take_orphan drains: a second take is empty.
-        assert_eq!(arm.take_orphan().deposits, 0);
+        let mut ctx = Ctx::new(&MachineConfig::default());
+        ctx.arm_thread_crash(&arm);
+        assert!(!ctx.durability_tick(), "event 1 of 2");
+        assert!(ctx.durability_tick(), "event 2 fires");
+        assert!(!ctx.durability_tick(), "an arm fires at most once");
+        assert!(arm.fired());
     }
 
     #[test]
@@ -488,27 +299,5 @@ mod tests {
         }
         assert_eq!(arm.events(), 100);
         assert!(!arm.fired());
-        drop(ctx);
-        // An unfired arm leaves drop behaviour alone (normal flush path).
-        assert_eq!(arm.take_orphan().deposits, 0);
-    }
-
-    #[test]
-    fn sink_switch_flushes_pending_to_old_sink() {
-        let a: Arc<VecSink> = Arc::new(VecSink::default());
-        let b: Arc<VecSink> = Arc::new(VecSink::default());
-        let dyn_a: Arc<dyn CounterSink> = a.clone();
-        let dyn_b: Arc<dyn CounterSink> = b.clone();
-        let mut ctx = Ctx::new(&MachineConfig::default());
-        ctx.ensure_counter_sink(&dyn_a);
-        ctx.bump_counter(0, 7);
-        // Re-ensuring the same sink is a no-op (no flush).
-        ctx.ensure_counter_sink(&dyn_a);
-        assert_eq!(a.flushes.load(std::sync::atomic::Ordering::Relaxed), 0);
-        ctx.ensure_counter_sink(&dyn_b);
-        assert_eq!(a.totals.lock().unwrap()[0], 7);
-        ctx.bump_counter(0, 2);
-        drop(ctx);
-        assert_eq!(b.totals.lock().unwrap()[0], 2);
     }
 }

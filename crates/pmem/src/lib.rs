@@ -56,10 +56,7 @@ mod wpq;
 pub use addr::{line_of, line_start, lines_spanning, Line, CACHELINE_BYTES};
 pub use cache::{CacheLine, CacheSim};
 pub use crash::{CrashImage, MaybeLine, MaybeOrigin, MaybeSet, SubsetMaskError};
-pub use ctx::{
-    CounterSink, Ctx, OrphanDeposit, ThreadCrashArm, ThreadCrashUnwind, COUNTER_SLOTS,
-    THREAD_CRASH_OBSERVE,
-};
+pub use ctx::{Ctx, ThreadCrashArm, ThreadCrashUnwind, THREAD_CRASH_OBSERVE};
 pub use engine::PmEngine;
 pub use media::Media;
 pub use observer::{NullObserver, PersistObserver};

@@ -1231,23 +1231,6 @@ impl PmPool {
         }
     }
 
-    /// Indices of frames currently holding ordinary allocations, ascending.
-    pub fn active_frames(&self) -> Vec<u64> {
-        let inner = self.inner.lock();
-        (0..inner.frames.len())
-            .filter(|&i| inner.frames[i].kind == FrameKind::Active)
-            .map(|i| i as u64)
-            .collect()
-    }
-
-    /// (live bytes, free slots) for an active frame — the summary phase's
-    /// per-page fragmentation statistic.
-    pub fn frame_occupancy(&self, frame: u64) -> (u32, u16) {
-        let inner = self.inner.lock();
-        let st = &inner.frames[frame as usize];
-        (st.live_bytes, st.free_slots)
-    }
-
     /// Test oracle for the free list: it must hold each of its frames once,
     /// and only `Free` ones — what lets [`AllocInner::purge`] skip it for
     /// every other kind.

@@ -68,8 +68,9 @@ pub struct DriverConfig {
     /// Objects the GC relocates per pump (models the concurrent GC
     /// thread's progress between application ops).
     pub gc_batch: usize,
-    /// Multi-threaded driver knobs (ignored by the single-thread runner).
-    pub mt: MtConfig,
+    /// How `run_mt*` schedules its mutator threads (ignored by the
+    /// single-thread runner).
+    pub schedule: MtSchedule,
 }
 
 /// Scheduling discipline for the multi-threaded driver.
@@ -86,26 +87,6 @@ pub enum MtSchedule {
     /// Byte-deterministic replay even over a banked engine — the
     /// determinism and interleaving tests run in this mode.
     Seeded(u64),
-}
-
-/// Multi-threaded driver configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MtConfig {
-    /// How mutator threads are scheduled.
-    pub schedule: MtSchedule,
-    /// Override for each thread context's batched-counter flush cadence
-    /// (`None`: the context default). Stats-conservation tests pin this to
-    /// 1 and compare against the batched default.
-    pub counter_flush_every: Option<u32>,
-}
-
-impl Default for MtConfig {
-    fn default() -> Self {
-        MtConfig {
-            schedule: MtSchedule::Free,
-            counter_flush_every: None,
-        }
-    }
 }
 
 impl DriverConfig {
@@ -127,7 +108,7 @@ impl DriverConfig {
             seed: 0xFFCCD,
             sample_every: 64,
             gc_batch: 32,
-            mt: MtConfig::default(),
+            schedule: MtSchedule::Free,
         }
     }
 }
@@ -172,6 +153,45 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// Closes a run over `heap`: averages the fragmentation samples (or
+    /// reads the pool once when there are none), snapshots the GC counters
+    /// and summarises the per-op latencies.
+    fn collect<T: Copy + Ord + Into<u64>>(
+        workload: String,
+        heap: &DefragHeap,
+        ops: u64,
+        (app_cycles, gc_driver_cycles): (u64, u64),
+        samples: Vec<Sample>,
+        latencies: &mut [T],
+    ) -> Self {
+        let (avg_footprint, avg_live) = if samples.is_empty() {
+            let st = heap.pool().stats();
+            (st.footprint_bytes as f64, st.live_bytes as f64)
+        } else {
+            (
+                samples.iter().map(|s| s.footprint as f64).sum::<f64>() / samples.len() as f64,
+                samples.iter().map(|s| s.live as f64).sum::<f64>() / samples.len() as f64,
+            )
+        };
+        RunResult {
+            workload,
+            scheme: heap.scheme(),
+            ops,
+            avg_footprint,
+            avg_live,
+            avg_frag: if avg_live > 0.0 {
+                avg_footprint / avg_live
+            } else {
+                1.0
+            },
+            app_cycles,
+            gc_driver_cycles,
+            gc: heap.gc_stats(),
+            samples,
+            latency: latency_summary(latencies),
+        }
+    }
+
     /// Footprint reduction versus a baseline run, as the paper's Equation 1
     /// fragmentation-reduction percentage.
     pub fn fragmentation_reduction_vs(&self, baseline: &RunResult) -> f64 {
@@ -282,9 +302,9 @@ pub struct VictimReport {
     pub ops_completed: u64,
 }
 
-/// Everything a thread-crash run produced: the usual metrics (victim
-/// cycles reconciled from the morgue), per-kill reports, and each thread's
-/// observed durability-event total (the sampling range for kill sites).
+/// Everything a thread-crash run produced: the usual metrics, per-kill
+/// reports, and each thread's observed durability-event total (the
+/// sampling range for kill sites).
 #[derive(Clone, Debug)]
 pub struct ThreadCrashOutcome {
     /// Run metrics over survivors plus the victims' pre-death work.
@@ -369,6 +389,19 @@ fn install_quiet_thread_crash_hook() {
     });
 }
 
+/// A fresh heap for `cfg`: its pool geometry with the machine seeded from
+/// the run seed.
+fn create_heap(cfg: &DriverConfig, registry: TypeRegistry) -> DefragHeap {
+    let pool_cfg = PoolConfig {
+        machine: MachineConfig {
+            seed: cfg.seed,
+            ..cfg.pool.machine.clone()
+        },
+        ..cfg.pool.clone()
+    };
+    DefragHeap::create(pool_cfg, registry, cfg.defrag).expect("driver pool creation")
+}
+
 /// Runs one private `workload` instance (from `make`) per application
 /// thread, all over one shared heap, plus the concurrent defragmentation
 /// work pumped from every thread. There is **no global turn lock on the op
@@ -390,15 +423,7 @@ pub fn run_mt(
     threads: usize,
     cfg: &DriverConfig,
 ) -> RunResult {
-    let pool_cfg = PoolConfig {
-        machine: MachineConfig {
-            seed: cfg.seed,
-            ..cfg.pool.machine.clone()
-        },
-        ..cfg.pool.clone()
-    };
-    let (reg, _) = mt_registry(make().registry(), threads);
-    let heap = DefragHeap::create(pool_cfg, reg, cfg.defrag).expect("driver pool creation");
+    let heap = create_heap(cfg, mt_registry(make().registry(), threads).0);
     run_mt_on(make, threads, cfg, &heap, None)
 }
 
@@ -433,15 +458,7 @@ pub fn run_mt_faulted(
     cfg: &DriverConfig,
     plan: &ThreadFaultPlan,
 ) -> ThreadCrashOutcome {
-    let pool_cfg = PoolConfig {
-        machine: MachineConfig {
-            seed: cfg.seed,
-            ..cfg.pool.machine.clone()
-        },
-        ..cfg.pool.clone()
-    };
-    let (reg, _) = mt_registry(make().registry(), threads);
-    let heap = DefragHeap::create(pool_cfg, reg, cfg.defrag).expect("driver pool creation");
+    let heap = create_heap(cfg, mt_registry(make().registry(), threads).0);
     run_mt_faulted_on(make, threads, cfg, &heap, plan)
 }
 
@@ -508,18 +525,15 @@ fn run_mt_impl(
         heap.set_root(&mut ctx, dir);
     }
     // Per-thread contexts: private arena (allocation fast path contends on
-    // nothing), private root-directory slot, and the caller's counter
-    // batching override. Setup runs on the main thread so a workload's
-    // volatile-index construction needs no extra synchronization.
+    // nothing) and private root-directory slot. Setup runs on the main
+    // thread so a workload's volatile-index construction needs no extra
+    // synchronization.
     let mut ctxs: Vec<ffccd_pmem::Ctx> = Vec::with_capacity(threads);
     let mut arms: Vec<Option<Arc<ThreadCrashArm>>> = Vec::with_capacity(threads);
     for (tid, w) in insts.iter_mut().enumerate() {
         let mut ctx = heap.ctx();
         ctx.set_arena(tid as u32);
         ctx.set_root_shard(Some(tid as u64));
-        if let Some(n) = cfg.mt.counter_flush_every {
-            ctx.set_counter_flush_every(n);
-        }
         w.setup(&heap, &mut ctx);
         // Arm *after* setup so the kill ordinal counts only main-loop
         // durability events: the reference run and every kill run then
@@ -539,7 +553,7 @@ fn run_mt_impl(
     // Seeded mode wraps each whole op in a PRNG-ordered turn; Free mode
     // has no gate at all — the shared atomic below only numbers ops for
     // the sampling cadence and external progress, it serializes nothing.
-    let turns: Option<Arc<(Mutex<SeededTurns>, Condvar)>> = match cfg.mt.schedule {
+    let turns: Option<Arc<(Mutex<SeededTurns>, Condvar)>> = match cfg.schedule {
         MtSchedule::Free => None,
         MtSchedule::Seeded(seed) => Some(Arc::new((
             Mutex::new(SeededTurns::new(seed, threads, per_thread_ops)),
@@ -734,18 +748,13 @@ fn run_mt_impl(
                     cv.notify_all();
                 }
             }
-            if died.is_none() {
-                // Push any batched barrier counters into the shared GcStats
-                // before the main thread snapshots it. A victim skips this:
-                // its contexts' drops route their state into the arm's
-                // morgue, reconciled by the main thread at join.
-                heap.flush_stats(&mut ctx);
-                heap.flush_stats(&mut gc_ctx);
-            }
             let events = arm.as_ref().map(|a| a.events()).unwrap_or(0);
+            // A kill is caught inside the op loop above, so a victim's
+            // contexts are as alive here as a survivor's: both report the
+            // cycles each context accumulated.
             ThreadOutcome {
-                app_cycles: if died.is_some() { 0 } else { ctx.cycles() },
-                gc_cycles: if died.is_some() { 0 } else { gc_ctx.cycles() },
+                app_cycles: ctx.cycles(),
+                gc_cycles: gc_ctx.cycles(),
                 live,
                 oplog,
                 samples,
@@ -780,18 +789,6 @@ fn run_mt_impl(
             victims.push(v);
         }
         slots.push((out.live.to_btree_set(), out.oplog));
-    }
-    // Reconcile orphaned per-thread state: a victim's context drops routed
-    // their batched counters, cycles and stats into the arm's morgue (a
-    // dead thread can no longer flush into the shared sinks); absorbing the
-    // deposit here restores the conservation contract — totals come out
-    // exactly as if the thread had wound down normally.
-    for arm in arms.iter().flatten() {
-        if arm.fired() {
-            let orphan = arm.take_orphan();
-            heap.absorb_orphan_deltas(&orphan.deltas);
-            app_cycles += orphan.cycles;
-        }
     }
     if let Some(p) = plan {
         // A kill planned past the thread's last durability event never
@@ -836,33 +833,15 @@ fn run_mt_impl(
         }
         check_slots(make, &heap2, &slots, &victims);
     }
-    let (avg_footprint, avg_live) = if samples.is_empty() {
-        let st = heap.pool().stats();
-        (st.footprint_bytes as f64, st.live_bytes as f64)
-    } else {
-        (
-            samples.iter().map(|s| s.footprint as f64).sum::<f64>() / samples.len() as f64,
-            samples.iter().map(|s| s.live as f64).sum::<f64>() / samples.len() as f64,
-        )
-    };
     ThreadCrashOutcome {
-        result: RunResult {
-            workload: name,
-            scheme: heap.scheme(),
-            ops: total_ops,
-            avg_footprint,
-            avg_live,
-            avg_frag: if avg_live > 0.0 {
-                avg_footprint / avg_live
-            } else {
-                1.0
-            },
-            app_cycles,
-            gc_driver_cycles: gc_cycles,
-            gc: heap.gc_stats(),
+        result: RunResult::collect(
+            name,
+            &heap,
+            total_ops,
+            (app_cycles, gc_cycles),
             samples,
-            latency: latency_summary(&mut latencies),
-        },
+            &mut latencies,
+        ),
         victims,
         events_per_thread,
     }
@@ -974,15 +953,7 @@ fn check_slots(
 
 /// Runs `workload` under `cfg`, returning the collected metrics.
 pub fn run(workload: &mut dyn Workload, cfg: &DriverConfig) -> RunResult {
-    let pool_cfg = PoolConfig {
-        machine: MachineConfig {
-            seed: cfg.seed,
-            ..cfg.pool.machine.clone()
-        },
-        ..cfg.pool.clone()
-    };
-    let heap = DefragHeap::create(pool_cfg, workload.registry(), cfg.defrag)
-        .expect("driver pool creation");
+    let heap = create_heap(cfg, workload.registry());
     run_on(workload, cfg, &heap, &mut None)
 }
 
@@ -1094,39 +1065,17 @@ pub fn run_on(
         }
     }
 
-    // Wind down: let any in-flight cycle terminate (exit(), §5), then
-    // flush the app context's batched barrier counters before the
-    // GcStats snapshot below (exit() already flushed the GC context's).
+    // Wind down: let any in-flight cycle terminate (exit(), §5).
     heap.exit(&mut gc_ctx);
-    heap.flush_stats(&mut app_ctx);
 
-    let (avg_footprint, avg_live) = if samples.is_empty() {
-        let st = heap.pool().stats();
-        (st.footprint_bytes as f64, st.live_bytes as f64)
-    } else {
-        (
-            samples.iter().map(|s| s.footprint as f64).sum::<f64>() / samples.len() as f64,
-            samples.iter().map(|s| s.live as f64).sum::<f64>() / samples.len() as f64,
-        )
-    };
-    let latency = latency_summary(&mut latencies);
-    RunResult {
-        workload: workload.name().to_owned(),
-        scheme: heap.scheme(),
-        ops: op_index,
-        avg_footprint,
-        avg_live,
-        avg_frag: if avg_live > 0.0 {
-            avg_footprint / avg_live
-        } else {
-            1.0
-        },
-        app_cycles: app_ctx.cycles(),
-        gc_driver_cycles: gc_ctx.cycles(),
-        gc: heap.gc_stats(),
+    RunResult::collect(
+        workload.name().to_owned(),
+        heap,
+        op_index,
+        (app_ctx.cycles(), gc_ctx.cycles()),
         samples,
-        latency,
-    }
+        &mut latencies,
+    )
 }
 
 /// `(p50, p90, p99, max)` of per-op latencies; zeros when there are none.

@@ -25,8 +25,8 @@ use ffccd_pmem::MaybeSet;
 
 use crate::campaign::{deterministic_pool, fault_defrag, Failure, Replay, Report};
 use crate::driver::{
-    mt_registry, run_mt_faulted_on, DriverConfig, MtConfig, MtSchedule, PhaseMix,
-    ThreadCrashOutcome, ThreadFaultPlan, ThreadKill,
+    mt_registry, run_mt_faulted_on, DriverConfig, MtSchedule, PhaseMix, ThreadCrashOutcome,
+    ThreadFaultPlan, ThreadKill,
 };
 use crate::workload::Workload;
 
@@ -43,10 +43,7 @@ pub fn campaign_config(scheme: Scheme, seed: u64) -> DriverConfig {
     cfg.seed = seed;
     cfg.pool = deterministic_pool(&cfg, seed);
     cfg.pool.data_bytes = 8 << 20;
-    cfg.mt = MtConfig {
-        schedule: MtSchedule::Seeded(seed.rotate_left(21) ^ 0x7C4A_55ED),
-        counter_flush_every: None,
-    };
+    cfg.schedule = MtSchedule::Seeded(seed.rotate_left(21) ^ 0x7C4A_55ED);
     cfg
 }
 

@@ -7,7 +7,7 @@
 use ffccd::{DefragHeap, ProbeId, Scheme};
 use ffccd_pmem::MachineConfig;
 use ffccd_workloads::campaign::{replay, sec71_config};
-use ffccd_workloads::driver::{DriverConfig, MtConfig, MtSchedule, PhaseMix};
+use ffccd_workloads::driver::{DriverConfig, MtSchedule, PhaseMix};
 use ffccd_workloads::faults::{choose_targets, run_crash_site_sweep, CrashPlan};
 use ffccd_workloads::{AvlTree, LinkedList, Workload};
 
@@ -144,10 +144,7 @@ fn pinned_triples_replay_byte_identically() {
             if mt_knobs {
                 // The config a 4-thread mt caller would hand over; replay
                 // is single-threaded and must not look at any of it.
-                cfg.mt = MtConfig {
-                    schedule: MtSchedule::Seeded(0x4444),
-                    counter_flush_every: Some(1),
-                };
+                cfg.schedule = MtSchedule::Seeded(0x4444);
             }
             let r = replay(make, scheme, ProbeId::new(seed, site, 0), &cfg)
                 .expect("pinned site must fire");

@@ -81,7 +81,7 @@ fn seeded_mt_is_deterministic_across_reruns() {
             for banks in [0usize, 8] {
                 let mut cfg = tiny_cfg(scheme);
                 cfg.pool.machine.banks = banks;
-                cfg.mt.schedule = MtSchedule::Seeded(0xC0FFEE ^ threads as u64);
+                cfg.schedule = MtSchedule::Seeded(0xC0FFEE ^ threads as u64);
                 let a = run_mt(&|| Box::new(LinkedList::new()), threads, &cfg);
                 let b = run_mt(&|| Box::new(LinkedList::new()), threads, &cfg);
                 assert_runs_match(&a, &b, &format!("{scheme} x{threads} banks={banks}"));
@@ -89,23 +89,6 @@ fn seeded_mt_is_deterministic_across_reruns() {
             }
         }
     }
-}
-
-/// Per-thread counter batching must only change *when* deltas reach the
-/// shared stats, never the totals: a seeded run with flush-every-bump must
-/// report byte-identical results to the same run with the default batch.
-#[test]
-fn seeded_stats_conserve_across_counter_batching() {
-    let threads = 4;
-    let mut eager = tiny_cfg(Scheme::FfccdCheckLookup);
-    eager.mt.schedule = MtSchedule::Seeded(0xBA7C4);
-    eager.mt.counter_flush_every = Some(1);
-    let mut batched = eager.clone();
-    batched.mt.counter_flush_every = Some(64);
-    let a = run_mt(&|| Box::new(LinkedList::new()), threads, &eager);
-    let b = run_mt(&|| Box::new(LinkedList::new()), threads, &batched);
-    assert_runs_match(&a, &b, "flush_every 1 vs 64");
-    assert!(a.gc.barrier_invocations > 0, "barriers fired");
 }
 
 #[test]
@@ -245,7 +228,7 @@ fn free_running_threads_overlap_op_windows() {
 fn free_running_kill_one_of_four_survivors_drain() {
     for scheme in [Scheme::Sfccd, Scheme::FfccdFenceFree] {
         let mut cfg = tiny_cfg(scheme);
-        cfg.mt.schedule = MtSchedule::Free;
+        cfg.schedule = MtSchedule::Free;
         let make = || Box::new(LinkedList::new()) as Box<dyn Workload>;
         let reference = run_mt_faulted(&make, 4, &cfg, &ThreadFaultPlan::default());
         let site = (reference.events_per_thread.iter().min().copied().unwrap() / 8).max(1);
