@@ -11,6 +11,7 @@
 
 #![warn(missing_docs)]
 
+pub mod arch_sweep;
 pub mod campaign;
 
 use ffccd::{DefragConfig, Scheme};

@@ -21,8 +21,6 @@ fn sec71_config_is_what_sec7_1_built_from_driver_config() {
         assert_eq!(format!("{:?}", new.pool), format!("{:?}", old.pool));
         assert_eq!(new.value_size, old.value_size);
         assert_eq!(new.seed, old.seed);
-        assert_eq!(new.sample_every, old.sample_every);
-        assert_eq!(new.gc_batch, old.gc_batch);
         assert_eq!(new.schedule, old.schedule);
     }
 }

@@ -163,7 +163,7 @@ impl DefragHeap {
                 let need = obj.slots;
                 let ok = cur.map(|(_, next)| 256 - next >= need).unwrap_or(false);
                 if !ok {
-                    let Ok(d) = pool.take_destination_frame_avoiding(ctx, &empty) else {
+                    let Ok(d) = pool.take_destination_frame(&empty) else {
                         break;
                     };
                     cur = Some((d, 0));

@@ -74,11 +74,6 @@ pub struct DefragConfig {
     /// Don't trigger below this many live bytes (avoids churning a heap
     /// that fits in a handful of pages).
     pub min_live_bytes: u64,
-    /// Most OS pages one cycle may evacuate. Destination frames commit at
-    /// summary but sources release only as they evacuate, so unbounded
-    /// cycles transiently double the footprint; smaller, re-triggered
-    /// cycles keep the transient small.
-    pub max_pages_per_cycle: usize,
     /// Minimum allocator operations between cycle starts (trigger
     /// hysteresis). Without it a falling live set re-triggers immediately
     /// after every cycle, re-relocating the same survivors over and over —
@@ -95,7 +90,6 @@ impl DefragConfig {
             trigger_ratio: 1.5,
             target_ratio: 1.25,
             min_live_bytes: 1 << 16,
-            max_pages_per_cycle: 256,
             cooldown_ops: 1024,
         }
     }

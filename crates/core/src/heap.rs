@@ -272,17 +272,32 @@ impl DefragHeap {
         registry: TypeRegistry,
         cfg: DefragConfig,
     ) -> Result<(Self, crate::RecoveryReport), PoolError> {
+        Self::recover_then_open(image, restart_seed, registry, cfg, |_, _| Ok(()))
+            .map(|(heap, report, ())| (heap, report))
+    }
+
+    /// The one restart → recover → open body: `gate` runs on the recovered
+    /// machine before the pool opens, and only the first recovery's cycles
+    /// are charged to `recovery_cycles`.
+    fn recover_then_open<T>(
+        image: &ffccd_pmem::CrashImage,
+        restart_seed: Option<u64>,
+        registry: TypeRegistry,
+        cfg: DefragConfig,
+        gate: impl FnOnce(&PmEngine, &TypeRegistry) -> Result<T, PoolError>,
+    ) -> Result<(Self, crate::RecoveryReport, T), PoolError> {
         let engine = match restart_seed {
             Some(seed) => image.restart_with_seed(seed),
             None => image.restart(),
         };
         let report = crate::recovery::recover(&engine, &registry, cfg.scheme)?;
+        let gated = gate(&engine, &registry)?;
         let pool = PmPool::open(engine, registry)?;
         let heap = Self::from_pool(pool, cfg);
         heap.inner
             .stats
             .add_cycles(&heap.inner.stats.recovery_cycles, report.cycles);
-        Ok((heap, report))
+        Ok((heap, report, gated))
     }
 
     /// [`DefragHeap::open_recovered_with_seed`] with the idempotence gate:
@@ -297,7 +312,7 @@ impl DefragHeap {
     /// Only the *first* report's cycles are charged to
     /// [`GcStats`](crate::GcStats)`::recovery_cycles` — the rerun is gate
     /// overhead, not recovered work, and charging both runs would double
-    /// the accounting (the stats-conservation regression pins this).
+    /// the accounting (`recovery_cycles_are_counted_once` pins this).
     ///
     /// # Errors
     ///
@@ -308,19 +323,16 @@ impl DefragHeap {
         registry: TypeRegistry,
         cfg: DefragConfig,
     ) -> Result<(Self, RecoveryRerun), PoolError> {
-        let engine = match restart_seed {
-            Some(seed) => image.restart_with_seed(seed),
-            None => image.restart(),
-        };
-        let report = crate::recovery::recover(&engine, &registry, cfg.scheme)?;
-        let fingerprint = engine.crash_image().media().fingerprint();
-        let rerun = crate::recovery::recover(&engine, &registry, cfg.scheme)?;
-        let rerun_fingerprint = engine.crash_image().media().fingerprint();
-        let pool = PmPool::open(engine, registry)?;
-        let heap = Self::from_pool(pool, cfg);
-        heap.inner
-            .stats
-            .add_cycles(&heap.inner.stats.recovery_cycles, report.cycles);
+        let (heap, report, (fingerprint, rerun, rerun_fingerprint)) =
+            Self::recover_then_open(image, restart_seed, registry, cfg, |engine, registry| {
+                let fingerprint = engine.crash_image().media().fingerprint();
+                let rerun = crate::recovery::recover(engine, registry, cfg.scheme)?;
+                Ok((
+                    fingerprint,
+                    rerun,
+                    engine.crash_image().media().fingerprint(),
+                ))
+            })?;
         Ok((
             heap,
             RecoveryRerun {
@@ -502,18 +514,12 @@ impl DefragHeap {
     }
 
     /// `D_RW`/`D_RO`: reads the reference field at `obj + field` through the
-    /// read barrier, updating the stored reference if the target moved.
+    /// read barrier, updating the stored reference if the target moved. A
+    /// read-only dereference still relocates on first touch (paper Figure
+    /// 6: both `D_RW` and `D_RO` carry the barrier).
     pub fn load_ref(&self, ctx: &mut Ctx, obj: PmPtr, field: u64) -> PmPtr {
         let _g = self.enter_world();
         self.load_slot(ctx, obj.offset() + field)
-    }
-
-    /// `D_RO`: identical barrier path to [`DefragHeap::load_ref`] — a
-    /// read-only dereference still relocates on first touch (paper Figure
-    /// 6: both `D_RW` and `D_RO` carry the barrier), it merely signals
-    /// intent at the call site.
-    pub fn load_ref_ro(&self, ctx: &mut Ctx, obj: PmPtr, field: u64) -> PmPtr {
-        self.load_ref(ctx, obj, field)
     }
 
     /// Stores a reference field (plus persist, as PM programs must).

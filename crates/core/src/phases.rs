@@ -16,6 +16,12 @@ use crate::walk::{walk_refs, MarkSet};
 /// fuller pages cost more copies than the footprint they release.
 const MAX_EVACUATION_OCCUPANCY: f64 = 0.9;
 
+/// Most OS pages one cycle may evacuate. Destination frames commit at
+/// summary but sources release only as they evacuate, so unbounded cycles
+/// transiently double the footprint; smaller, re-triggered cycles keep the
+/// transient small.
+const MAX_PAGES_PER_CYCLE: usize = 256;
+
 /// Phase-transition codes reported to the engine's crash-site tracker
 /// (`PmEngine::note_phase_site`): each marks a durability-relevant GC state
 /// change that a crash-site sweep wants to probe right after.
@@ -179,7 +185,7 @@ impl DefragHeap {
         let mut selected: Vec<Cand> = Vec::new();
         let mut sel_slots: u64 = 0; // estimated destination slots needed
         for c in cands {
-            if selected.len() >= inner.cfg.max_pages_per_cycle {
+            if selected.len() >= MAX_PAGES_PER_CYCLE {
                 break;
             }
             // Projection includes the pages new destination frames commit:
@@ -229,7 +235,7 @@ impl DefragHeap {
                     .map(|(_, next)| Self::SLOTS_PER_FRAME - next >= needed)
                     .unwrap_or(false);
                 if !dest_ok {
-                    match pool.take_destination_frame_avoiding(ctx, &avoid) {
+                    match pool.take_destination_frame(&avoid) {
                         Ok(d) => {
                             // Fresh reached word for the new destination.
                             engine.write_u64(ctx, inner.meta.reached_word(d), 0);

@@ -466,7 +466,7 @@ fn d_ro_applies_the_same_barrier() {
     // Read-only traversal must still relocate on touch.
     let mut cur = heap.root(&mut ctx);
     while !cur.is_null() {
-        cur = heap.load_ref_ro(&mut ctx, cur, NEXT_OFF);
+        cur = heap.load_ref(&mut ctx, cur, NEXT_OFF);
     }
     assert!(heap.gc_stats().objects_relocated > before);
     heap.finish_cycle(&mut ctx);
@@ -531,7 +531,7 @@ fn summary_crash_before_commit_rolls_back() {
         .expect("node in data region");
     let dest = heap
         .pool()
-        .take_destination_frame(&mut ctx)
+        .take_destination_frame(&std::collections::HashSet::new())
         .expect("dest frame");
     let objs = heap.pool().peek_frame_objects(src_frame);
     let mut entry = PmftEntry::new(src_frame, dest);

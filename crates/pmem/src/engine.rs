@@ -27,7 +27,7 @@
 //! explicitly; throughput runs opt into more banks.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
@@ -39,7 +39,7 @@ use crate::ctx::{Ctx, ThreadCrashUnwind};
 use crate::media::Media;
 use crate::observer::PersistObserver;
 use crate::sites::{SiteCapture, SiteKind, SitePhase, SiteSummary, SiteTracker};
-use crate::stats::EngineStats;
+use crate::stats::{BankCounters, EngineStats};
 use crate::timing::MachineConfig;
 use crate::wpq::{Wpq, WpqEntry};
 
@@ -56,17 +56,6 @@ struct Bank {
     /// meaningful.
     inflight: VecDeque<(u64, WpqEntry)>,
     evict_roll: u64,
-}
-
-/// Per-bank counters, cacheline-aligned so concurrent banks do not
-/// false-share; summed (relaxed) by [`PmEngine::stats`].
-#[repr(align(64))]
-#[derive(Default)]
-struct BankCounters {
-    media_line_writes: AtomicU64,
-    evictions: AtomicU64,
-    pending_lines_queued: AtomicU64,
-    pending_lines_persisted: AtomicU64,
 }
 
 /// State shared by all banks.
@@ -232,14 +221,7 @@ impl PmEngine {
     /// Engine-global counters, summed from the per-bank relaxed atomics —
     /// takes no lock.
     pub fn stats(&self) -> EngineStats {
-        let mut s = EngineStats::default();
-        for c in self.shared.counters.iter() {
-            s.media_line_writes += c.media_line_writes.load(Ordering::Relaxed);
-            s.evictions += c.evictions.load(Ordering::Relaxed);
-            s.pending_lines_queued += c.pending_lines_queued.load(Ordering::Relaxed);
-            s.pending_lines_persisted += c.pending_lines_persisted.load(Ordering::Relaxed);
-        }
-        s
+        EngineStats::sum(&self.shared.counters)
     }
 
     // ---- simulated accesses -------------------------------------------------

@@ -1,76 +1,123 @@
 //! Statistic counters, per-thread and engine-global.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use serde::{Deserialize, Serialize};
 
-/// Counters accumulated by one execution context ([`crate::Ctx`]).
-///
-/// All counts are raw event counts; cycle attribution lives in
-/// [`crate::Ctx::cycles`]. Merge per-thread stats with [`ThreadStats::merge`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ThreadStats {
-    /// Loads that hit the simulated cache.
-    pub cache_hits: u64,
-    /// Loads/stores that missed and filled from media.
-    pub cache_misses: u64,
-    /// Stores issued.
-    pub stores: u64,
-    /// Loads issued.
-    pub loads: u64,
-    /// `clwb` instructions issued.
-    pub clwbs: u64,
-    /// `sfence` instructions issued.
-    pub sfences: u64,
-    /// Lines synchronously drained on this thread's behalf (backpressure).
-    pub wpq_drained: u64,
-    /// TLB level-1 hits.
-    pub tlb_l1_hits: u64,
-    /// TLB level-2 hits.
-    pub tlb_l2_hits: u64,
-    /// Full TLB misses (page-walk penalties paid).
-    pub tlb_misses: u64,
-    /// `relocate` instructions issued (FFCCD hardware).
-    pub relocates: u64,
-    /// `checklookup` instructions issued (FFCCD hardware).
-    pub checklookups: u64,
-    /// Cache-hit line reads served under a *shared* bank acquisition (the
-    /// lock-light read fast path); a subset of `cache_hits`. Purely a
-    /// host-side contention metric — it never affects cycle accounting.
-    pub shared_line_reads: u64,
-    // Shim: never incremented; the frozen `benchmark/` reads it, its next PR removes it.
-    #[doc(hidden)]
-    pub barrier_fastpath_hits: u64,
+/// Declares a counter set from its documented field list, once.
+macro_rules! counters {
+    // Per-thread: a plain struct whose `merge` adds every listed field; the
+    // `unmerged` fields are declared but skipped.
+    (
+        $(#[$meta:meta])*
+        pub struct $Plain:ident { $($(#[$fmeta:meta])* pub $f:ident,)+ }
+        unmerged { $($(#[$umeta:meta])* pub $u:ident,)* }
+    ) => {
+        $(#[$meta])*
+        pub struct $Plain {
+            $($(#[$fmeta])* pub $f: u64,)+
+            $($(#[$umeta])* pub $u: u64,)*
+        }
+
+        impl $Plain {
+            /// Adds every counter of `other` into `self`.
+            pub fn merge(&mut self, other: &$Plain) {
+                $(self.$f += other.$f;)+
+            }
+        }
+    };
+    // Engine-global: a plain struct, its per-bank atomic twin, and the sum
+    // over banks that turns the second into the first.
+    (
+        $(#[$meta:meta])*
+        pub struct $Plain:ident { $($(#[$fmeta:meta])* pub $f:ident,)+ }
+        $(#[$ameta:meta])*
+        pub(crate) struct $Atomic:ident;
+    ) => {
+        $(#[$meta])*
+        pub struct $Plain {
+            $($(#[$fmeta])* pub $f: u64,)+
+        }
+
+        $(#[$ameta])*
+        pub(crate) struct $Atomic {
+            $(pub(crate) $f: AtomicU64,)+
+        }
+
+        impl $Plain {
+            /// Sums the per-bank relaxed atomics — takes no lock.
+            pub(crate) fn sum(banks: &[$Atomic]) -> Self {
+                let mut s = Self::default();
+                for c in banks {
+                    $(s.$f += c.$f.load(Ordering::Relaxed);)+
+                }
+                s
+            }
+        }
+    };
 }
 
-impl ThreadStats {
-    /// Adds every counter of `other` into `self`.
-    pub fn merge(&mut self, other: &ThreadStats) {
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.stores += other.stores;
-        self.loads += other.loads;
-        self.clwbs += other.clwbs;
-        self.sfences += other.sfences;
-        self.wpq_drained += other.wpq_drained;
-        self.tlb_l1_hits += other.tlb_l1_hits;
-        self.tlb_l2_hits += other.tlb_l2_hits;
-        self.tlb_misses += other.tlb_misses;
-        self.relocates += other.relocates;
-        self.checklookups += other.checklookups;
-        self.shared_line_reads += other.shared_line_reads;
+counters! {
+    /// Counters accumulated by one execution context ([`crate::Ctx`]).
+    ///
+    /// All counts are raw event counts; cycle attribution lives in
+    /// [`crate::Ctx::cycles`]. Merge per-thread stats with [`ThreadStats::merge`].
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ThreadStats {
+        /// Loads that hit the simulated cache.
+        pub cache_hits,
+        /// Loads/stores that missed and filled from media.
+        pub cache_misses,
+        /// Stores issued.
+        pub stores,
+        /// Loads issued.
+        pub loads,
+        /// `clwb` instructions issued.
+        pub clwbs,
+        /// `sfence` instructions issued.
+        pub sfences,
+        /// Lines synchronously drained on this thread's behalf (backpressure).
+        pub wpq_drained,
+        /// TLB level-1 hits.
+        pub tlb_l1_hits,
+        /// TLB level-2 hits.
+        pub tlb_l2_hits,
+        /// Full TLB misses (page-walk penalties paid).
+        pub tlb_misses,
+        /// `relocate` instructions issued (FFCCD hardware).
+        pub relocates,
+        /// `checklookup` instructions issued (FFCCD hardware).
+        pub checklookups,
+        /// Cache-hit line reads served under a *shared* bank acquisition (the
+        /// lock-light read fast path); a subset of `cache_hits`. Purely a
+        /// host-side contention metric — it never affects cycle accounting.
+        pub shared_line_reads,
+    }
+    unmerged {
+        // Shim: never incremented; the frozen `benchmark/` reads it, its next PR removes it.
+        #[doc(hidden)]
+        pub barrier_fastpath_hits,
     }
 }
 
-/// Counters owned by the engine (shared across threads).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EngineStats {
-    /// Lines written to media (durability events), from any drain path.
-    pub media_line_writes: u64,
-    /// Lines evicted from the cache by capacity or background eviction.
-    pub evictions: u64,
-    /// Lines that entered the WPQ carrying the FFCCD pending bit.
-    pub pending_lines_queued: u64,
-    /// Pending lines that reached media (reached-bitmap updates).
-    pub pending_lines_persisted: u64,
+counters! {
+    /// Counters owned by the engine (shared across threads).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct EngineStats {
+        /// Lines written to media (durability events), from any drain path.
+        pub media_line_writes,
+        /// Lines evicted from the cache by capacity or background eviction.
+        pub evictions,
+        /// Lines that entered the WPQ carrying the FFCCD pending bit.
+        pub pending_lines_queued,
+        /// Pending lines that reached media (reached-bitmap updates).
+        pub pending_lines_persisted,
+    }
+    /// Per-bank counters, cacheline-aligned so concurrent banks do not
+    /// false-share; summed (relaxed) by [`crate::PmEngine::stats`].
+    #[repr(align(64))]
+    #[derive(Default)]
+    pub(crate) struct BankCounters;
 }
 
 #[cfg(test)]
@@ -79,20 +126,33 @@ mod tests {
 
     #[test]
     fn merge_adds_all_fields() {
-        let mut a = ThreadStats {
-            cache_hits: 1,
-            sfences: 2,
-            ..ThreadStats::default()
+        // Every field named, no `..default()`: a field the macro's list
+        // gains fails to compile here until it is given a value, and one
+        // `merge` skips fails the equality.
+        let of = |k: u64| ThreadStats {
+            cache_hits: k,
+            cache_misses: 2 * k,
+            stores: 3 * k,
+            loads: 4 * k,
+            clwbs: 5 * k,
+            sfences: 6 * k,
+            wpq_drained: 7 * k,
+            tlb_l1_hits: 8 * k,
+            tlb_l2_hits: 9 * k,
+            tlb_misses: 10 * k,
+            relocates: 11 * k,
+            checklookups: 12 * k,
+            shared_line_reads: 13 * k,
+            barrier_fastpath_hits: 14 * k,
         };
-        let b = ThreadStats {
-            cache_hits: 10,
-            tlb_misses: 3,
-            ..ThreadStats::default()
+        let mut sum = of(1);
+        sum.merge(&of(2));
+        // The `#[doc(hidden)]` shim is the one field never merged.
+        let want = ThreadStats {
+            barrier_fastpath_hits: 14,
+            ..of(3)
         };
-        a.merge(&b);
-        assert_eq!(a.cache_hits, 11);
-        assert_eq!(a.sfences, 2);
-        assert_eq!(a.tlb_misses, 3);
+        assert_eq!(sum, want);
     }
 
     #[test]

@@ -1050,25 +1050,16 @@ impl PmPool {
             .collect()
     }
 
-    /// Takes a free frame for GC destination use, committing its page.
-    ///
-    /// # Errors
-    ///
-    /// [`PoolError::OutOfMemory`] when the pool has no free frame.
-    pub fn take_destination_frame(&self, ctx: &mut Ctx) -> Result<u64, PoolError> {
-        self.take_destination_frame_avoiding(ctx, &std::collections::HashSet::new())
-    }
-
-    /// Like [`PmPool::take_destination_frame`] but never returns a frame on
-    /// one of the `avoid` OS pages (the pages selected for evacuation —
-    /// placing a destination there would make them unreleasable).
+    /// Takes a free frame for GC destination use, committing its page, but
+    /// never a frame on one of the `avoid` OS pages (the pages selected for
+    /// evacuation — placing a destination there would make them
+    /// unreleasable).
     ///
     /// # Errors
     ///
     /// [`PoolError::OutOfMemory`] when no eligible free frame exists.
-    pub fn take_destination_frame_avoiding(
+    pub fn take_destination_frame(
         &self,
-        _ctx: &mut Ctx,
         avoid: &std::collections::HashSet<u64>,
     ) -> Result<u64, PoolError> {
         let mut inner = self.inner.lock();
@@ -1269,6 +1260,7 @@ pub fn peek_all_objects(pool: &PmPool) -> Vec<FrameObject> {
 mod tests {
     use super::*;
     use crate::types::TypeDesc;
+    use std::collections::HashSet;
 
     fn test_pool() -> (PmPool, Ctx, TypeId) {
         let mut reg = TypeRegistry::new();
@@ -1558,7 +1550,7 @@ mod tests {
             ptrs.push(pool.pmalloc(&mut ctx, t, 128).expect("alloc"));
         }
         let pages_full = pool.stats().committed_pages;
-        let dest = pool.take_destination_frame(&mut ctx).expect("dest");
+        let dest = pool.take_destination_frame(&HashSet::new()).expect("dest");
         pool.reserve_destination_slots(&mut ctx, dest, 0, 9, 144);
         assert_eq!(pool.frame_state(dest).kind, FrameKind::Destination);
         pool.finish_destination_frame(dest);
@@ -1610,7 +1602,7 @@ mod tests {
 
         // A destination frame is popped, then released unfilled (an
         // aborted cycle): Destination → Free puts it back.
-        let dest = pool.take_destination_frame(&mut ctx).expect("dest");
+        let dest = pool.take_destination_frame(&HashSet::new()).expect("dest");
         assert_eq!(want.pop(), Some(dest as u32), "LIFO reuse");
         pool.reserve_destination_slots(&mut ctx, dest, 0, 9, 144);
         pool.assert_free_list_sound();

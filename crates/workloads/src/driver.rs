@@ -50,6 +50,13 @@ impl PhaseMix {
     }
 }
 
+/// A fragmentation sample is recorded every this many ops.
+pub const SAMPLE_EVERY: u64 = 64;
+
+/// Objects the GC relocates per pump (models the concurrent GC thread's
+/// progress between application ops).
+pub const GC_BATCH: usize = 32;
+
 /// Full driver configuration.
 #[derive(Clone, Debug)]
 pub struct DriverConfig {
@@ -63,11 +70,6 @@ pub struct DriverConfig {
     pub mix: PhaseMix,
     /// Seed for keys and machine.
     pub seed: u64,
-    /// Record a fragmentation sample every this many ops.
-    pub sample_every: usize,
-    /// Objects the GC relocates per pump (models the concurrent GC
-    /// thread's progress between application ops).
-    pub gc_batch: usize,
     /// How `run_mt*` schedules its mutator threads (ignored by the
     /// single-thread runner).
     pub schedule: MtSchedule,
@@ -106,8 +108,6 @@ impl DriverConfig {
             value_size: (128, 128),
             mix: PhaseMix::paper_scaled(500),
             seed: 0xFFCCD,
-            sample_every: 64,
-            gc_batch: 32,
             schedule: MtSchedule::Free,
         }
     }
@@ -573,8 +573,7 @@ fn run_mt_impl(
         let mix = cfg.mix;
         let value_size = cfg.value_size;
         let seed = cfg.seed ^ (tid as u64 + 1).wrapping_mul(0x9E37_79B9);
-        let stride = (cfg.sample_every.max(1) * threads) as u64;
-        let gc_batch = cfg.gc_batch;
+        let stride = SAMPLE_EVERY * threads as u64;
         let turns = turns.clone();
         let global_op = global_op.clone();
         let op_progress = op_progress.clone();
@@ -679,7 +678,7 @@ fn run_mt_impl(
                         // dies) triggers — that keeps the pinned
                         // deterministic totals.
                         if heap.in_cycle() {
-                            heap.step_compaction(&mut gc_ctx, gc_batch);
+                            heap.step_compaction(&mut gc_ctx, GC_BATCH);
                         } else if tid == trigger_owner.load(Ordering::Relaxed)
                             && (op + 1).is_multiple_of(32)
                         {
@@ -1004,11 +1003,11 @@ pub fn run_on(
 
         // Concurrent GC pump: the collector makes progress between ops.
         if heap.in_cycle() {
-            heap.step_compaction(gc_ctx, cfg.gc_batch);
+            heap.step_compaction(gc_ctx, GC_BATCH);
         } else if (*op_index).is_multiple_of(32) {
             heap.maybe_defrag(gc_ctx);
         }
-        if (*op_index).is_multiple_of(cfg.sample_every as u64) {
+        if (*op_index).is_multiple_of(SAMPLE_EVERY) {
             let st = heap.pool().stats();
             samples.push(Sample {
                 op: *op_index,

@@ -21,6 +21,7 @@ use ffccd::{DefragHeap, Scheme};
 use ffccd_pmem::Ctx;
 use ffccd_workloads::driver::{
     run, run_mt, run_mt_faulted, DriverConfig, MtSchedule, PhaseMix, RunResult, ThreadFaultPlan,
+    SAMPLE_EVERY,
 };
 use ffccd_workloads::{LinkedList, Workload};
 
@@ -96,7 +97,7 @@ fn run_mt_samples_on_the_global_op_cadence() {
     let cfg = tiny_cfg(Scheme::Sfccd);
     let threads = 4;
     let r = run_mt(&|| Box::new(LinkedList::new()), threads, &cfg);
-    let stride = (cfg.sample_every * threads) as u64;
+    let stride = SAMPLE_EVERY * threads as u64;
     for (i, s) in r.samples.iter().enumerate() {
         assert_eq!(
             s.op,
