@@ -2,7 +2,7 @@
 //!
 //! Three pieces of hardware make the fence-free design possible:
 //!
-//! * [`relocate`] — a copy instruction that tags every destination cacheline
+//! * [`relocate()`] — a copy instruction that tags every destination cacheline
 //!   with a *pending* bit; when a tagged line drains from the WPQ into PM,
 //!   the [`Rbb`] (Reached Bitmap Buffer, a tiny cache in the memory
 //!   controller) records it in the persistent *reached bitmap*. Recovery

@@ -103,6 +103,12 @@ pub(crate) struct HeapInner {
     /// ([`DefragHeap::enter_world`]); stop-the-world phases (marking,
     /// summary, termination) hold it for write ([`DefragHeap::stop_world`]).
     pub world: RwLock<()>,
+    /// The world lock's queue: a stop-the-world request holds it while it
+    /// waits for `world`, and an operation's outermost entry passes through
+    /// it first. std's `RwLock` lets new readers in while it wakes a
+    /// waiting writer, so without this a stream of operations overtakes a
+    /// stop-the-world request (`world_lock.rs` checks it cannot).
+    pub world_queue: Mutex<()>,
     pub cycle: Mutex<Option<CycleState>>,
     /// Snapshot handle to the active cycle mirror (`None` outside a cycle).
     /// Barrier paths clone the `Arc` and work lock-free from there.
@@ -159,7 +165,7 @@ thread_local! {
     /// `(heap, depth)`: the heap whose world lock this thread holds through
     /// [`DefragHeap::enter_world`] (its `HeapInner` address) and how many
     /// entries deep. One slot, because a structure operation runs on one
-    /// heap; a second heap entered meanwhile locks untracked.
+    /// heap; entering a second heap meanwhile panics.
     static WORLD_ENTRY: Cell<(usize, u32)> = const { Cell::new((0, 0)) };
 }
 
@@ -168,18 +174,14 @@ thread_local! {
 pub(crate) struct WorldEntry<'a> {
     /// `None` for an entry nested inside another on the same heap.
     _lock: Option<RwLockReadGuard<'a, ()>>,
-    /// Whether `WORLD_ENTRY` counts this entry.
-    counted: bool,
 }
 
 impl Drop for WorldEntry<'_> {
     fn drop(&mut self) {
-        if self.counted {
-            WORLD_ENTRY.with(|e| {
-                let (heap, depth) = e.get();
-                e.set((heap, depth - 1));
-            });
-        }
+        WORLD_ENTRY.with(|e| {
+            let (heap, depth) = e.get();
+            e.set((heap, depth - 1));
+        });
     }
 }
 
@@ -365,6 +367,7 @@ impl DefragHeap {
                 rbb,
                 clu,
                 world: RwLock::new(()),
+                world_queue: Mutex::new(()),
                 cycle: Mutex::new(None),
                 mirror: RwLock::new(None),
                 in_cycle: AtomicBool::new(false),
@@ -603,32 +606,39 @@ impl DefragHeap {
     /// thread's outermost entry on a heap locks — fairly, behind any
     /// stop-the-world phase already waiting, which is safe exactly because
     /// the thread holds nothing of this heap's yet; entries nested inside
-    /// it just count. A thread inside heap A's section that enters heap B
-    /// locks B on every entry (the slot tracks one heap), recursively since
-    /// those entries may themselves nest.
+    /// it just count.
+    ///
+    /// # Panics
+    ///
+    /// When the calling thread is inside another heap's critical section:
+    /// the slot tracks one heap, so this heap's nested entries would
+    /// re-read its lock, which can deadlock behind a waiting
+    /// stop-the-world phase.
     pub(crate) fn enter_world(&self) -> WorldEntry<'_> {
         let me = Arc::as_ptr(&self.inner) as usize;
-        WORLD_ENTRY.with(|e| match e.get() {
-            (_, 0) => {
-                let lock = self.inner.world.read();
-                e.set((me, 1));
-                WorldEntry {
-                    _lock: Some(lock),
-                    counted: true,
-                }
-            }
-            (heap, depth) if heap == me => {
-                e.set((me, depth + 1));
-                WorldEntry {
-                    _lock: None,
-                    counted: true,
-                }
-            }
-            _ => WorldEntry {
-                _lock: Some(self.inner.world.read_recursive()),
-                counted: false,
-            },
+        WORLD_ENTRY.with(|e| {
+            let (heap, depth) = e.get();
+            let lock = if depth == 0 {
+                Some(self.join_world())
+            } else {
+                assert!(
+                    heap == me,
+                    "DefragHeap entered from inside another heap's DefragHeap::critical"
+                );
+                None
+            };
+            e.set((me, depth + 1));
+            WorldEntry { _lock: lock }
         })
+    }
+
+    /// An outermost entry's acquisition: through the queue, then
+    /// `world.read()`. Out of line, so the nested entries every heap call
+    /// makes stay small enough to inline.
+    #[inline(never)]
+    fn join_world(&self) -> RwLockReadGuard<'_, ()> {
+        drop(self.inner.world_queue.lock());
+        self.inner.world.read()
     }
 
     /// Takes the world lock for a stop-the-world phase, waiting out every
@@ -644,6 +654,7 @@ impl DefragHeap {
             depth == 0 || heap != Arc::as_ptr(&self.inner) as usize,
             "stop-the-world phase requested from inside DefragHeap::critical"
         );
+        let _queue = self.inner.world_queue.lock();
         self.inner.world.write()
     }
 
@@ -975,23 +986,10 @@ mod tests {
     }
 
     #[test]
-    fn another_heaps_critical_does_not_stand_in_for_this_heaps_lock() {
+    #[should_panic(expected = "inside another heap's DefragHeap::critical")]
+    fn entering_a_second_heap_inside_critical_panics() {
         let (a, b) = (heap(), heap());
-        let mut ctx = b.ctx();
-        a.critical(|| {
-            assert!(world_is_free(&b));
-            b.critical(|| {
-                assert!(!world_is_free(&b), "B locked although the slot tracks A");
-                // B's own nested entries lock recursively, untracked.
-                let obj = b.alloc(&mut ctx, TypeId(0), 16).expect("alloc");
-                b.write_u64(&mut ctx, obj, 0, 1);
-                assert_eq!(depth(), 1);
-                assert!(!world_is_free(&b));
-            });
-            assert!(world_is_free(&b));
-            assert!(!world_is_free(&a));
-        });
-        assert!(world_is_free(&a));
+        a.critical(|| b.critical(|| {}));
     }
 
     #[test]

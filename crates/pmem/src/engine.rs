@@ -872,7 +872,7 @@ impl Bank {
         self.access_line_fill(eng, idx, ctx, line, store, missed, true)
     }
 
-    /// [`PmBank::access_line`] with an explicit `fill` switch: a store that
+    /// [`Bank::access_line`] with an explicit `fill` switch: a store that
     /// covers the whole line passes `fill = false` to skip the pointless
     /// inflight/WPQ/media fill read — the caller overwrites all 64 bytes
     /// before anything can observe them. Charges, statistics and eviction

@@ -28,6 +28,9 @@
 //! on every run it makes.
 //!
 //! A failing site is replayable forever from the `(seed, site_id)` pair.
+//!
+//! [`PmEngine::site_tracking_enumerate`]: crate::PmEngine::site_tracking_enumerate
+//! [`PmEngine::site_tracking_capture`]: crate::PmEngine::site_tracking_capture
 
 use std::collections::BTreeSet;
 
