@@ -7,21 +7,23 @@
 //! replay_site LL sfccd '(seed=0x517e01, site=271422, subset=0x0)'
 //! replay_site LL sfccd '(seed=0x517e01, site=271422/20, phase=recovery, subset=0x1)'
 //! replay_site LL sfccd '(seed=0x7c4a01, kill_site=2681, victim=0)'
+//! replay_site BzTree checklookup '(seed=0x517f01, site=144445, subset=0x0, threads=4)'
 //! ```
 //!
 //! The probe is exactly what the campaign printed
-//! ([`ffccd::ProbeId`]'s `Display`): a §7.1b/c crash site with the
+//! ([`ffccd::ProbeId`]'s `Display`): a §7.1/§7.1b/c crash site with the
 //! maybe-persisted subset to materialize (`subset=0x0` is the base,
 //! nothing-persisted image; `window=N` appears when the campaign ran under
-//! a non-zero `FFCCD_ADV_WINDOW`), a §7.1d crash *inside recovery* at
+//! a non-zero `FFCCD_ADV_WINDOW`, `threads=N` when the run was the seeded
+//! multi-threaded driver), a §7.1d crash *inside recovery* at
 //! `site=OUTER/INNER`, or a §7.1e thread kill. The run configuration is the
 //! campaigns' ([`sec71_config`]), so the site ID resolves to the same
 //! durability event and the mask to the same lattice entries.
 //!
 //! Exit codes: 0 = PASS, 1 = the oracle FAILed, 2 = the site never fired
 //! (wrong seed/workload/scheme), 101 = bad arguments. Workloads:
-//! LL|DQ|AVL|pmemkv (any `sec7_1` row name); schemes:
-//! espresso|sfccd|ffccd|checklookup.
+//! LL|DQ|AVL|pmemkv|… (any `sec7_1` row's workload, without a thread
+//! count); schemes: espresso|sfccd|ffccd|checklookup.
 
 use ffccd::{ProbeId, ProbePhase};
 use ffccd_bench::campaign::{campaign_workload, parse_scheme, sec71_config};
@@ -61,6 +63,11 @@ fn main() {
             r.op,
             r.maybe.len()
         ),
+        (ProbePhase::Mutator, _) if probe.threads > 1 => format!(
+            "site fired in a {}-thread run (maybe set {})",
+            probe.threads,
+            r.maybe.len()
+        ),
         (ProbePhase::Mutator, _) => {
             format!(
                 "site fired during op {} (maybe set {})",
@@ -72,6 +79,7 @@ fn main() {
     let oracle = match probe.phase {
         ProbePhase::ThreadKill { .. } => "survivors drained + checker suite + restart",
         ProbePhase::Recovery => "idempotent recovery + validation",
+        ProbePhase::Mutator if probe.threads > 1 => "recovery + heap validation",
         ProbePhase::Mutator => "recovery + validation",
     };
     match r.outcome {

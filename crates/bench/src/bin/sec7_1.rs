@@ -1,13 +1,13 @@
 //! §7.1 — crash-consistency fault-injection campaigns.
 //!
 //! With no flag, runs the paper's op-boundary campaign — every workload
-//! under each crash-consistent scheme with crash images injected at
-//! operation boundaries throughout the run, plus the concurrent trees at
-//! 2/4/8 threads; the paper executes one thousand injections across 26
-//! settings — followed by the §7.1b crash-site sweep, which captures images
-//! right after individual durability events (stores, clwb, sfence, WPQ
-//! traffic, evictions, GC phase transitions) instead. One flag selects one
-//! of the deeper campaigns:
+//! under each crash-consistent scheme with crash images taken at the last
+//! durability event before evenly spaced operations; the paper executes
+//! one thousand injections across 26 settings — followed by the §7.1b
+//! crash-site sweep, which captures images right after individual
+//! durability events (stores, clwb, sfence, WPQ traffic, evictions, GC
+//! phase transitions) anywhere in the run, the concurrent trees at 2/4/8
+//! threads included. One flag selects one of the deeper campaigns:
 //!
 //! * `--adversary` (§7.1c) — at each targeted site, *maybe-persisted
 //!   subsets*: every combination of dirty-cache and in-flight lines is a
@@ -35,9 +35,7 @@ use ffccd_bench::campaign::{campaign_workload, scheme_key, sec71_config, Campaig
 use ffccd_bench::{header, jobs, rule, FIG_SCHEMES};
 use ffccd_workloads::adversary::{run_adversary_sweep, AdversaryPlan};
 use ffccd_workloads::campaign::Report;
-use ffccd_workloads::faults::{
-    run_crash_site_sweep, run_fault_injection, run_mt_fault_injection, CrashPlan,
-};
+use ffccd_workloads::faults::{run_crash_site_sweep, run_op_boundary_injection, CrashPlan};
 use ffccd_workloads::nested::{run_nested_crash_sweep, NestedPlan};
 use ffccd_workloads::par::parallel_map;
 use ffccd_workloads::thread_crash::run_thread_crash_campaign;
@@ -45,10 +43,13 @@ use ffccd_workloads::thread_crash::run_thread_crash_campaign;
 /// One table row to compute: a workload under a scheme at a seed.
 struct Setting {
     label: String,
+    /// The workload's name without the thread count, as `replay_site`
+    /// takes it.
+    workload: &'static str,
     make: Factory,
     scheme: Scheme,
     seed: u64,
-    /// Mutator threads of an op-boundary row (0: the single-thread runner).
+    /// Mutator threads of a sweep row (1: the single-thread driver).
     threads: usize,
 }
 
@@ -78,12 +79,13 @@ struct CampaignSpec {
 }
 
 impl Setting {
-    fn new(workload: &str, scheme: Scheme, seed: u64, threads: usize) -> Setting {
+    fn new(workload: &'static str, scheme: Scheme, seed: u64, threads: usize) -> Setting {
         Setting {
             label: match threads {
-                0 => workload.to_owned(),
+                1 => workload.to_owned(),
                 t => format!("{workload} {t}T"),
             },
+            workload,
             make: campaign_workload(workload).expect("campaign workload"),
             scheme,
             seed,
@@ -93,19 +95,19 @@ impl Setting {
 }
 
 /// `workloads × FIG_SCHEMES`, seeded `seed_base + 17·workload + scheme`.
-fn grid(workloads: &[&str], seed_base: u64) -> Vec<Setting> {
+fn grid(workloads: &[&'static str], seed_base: u64) -> Vec<Setting> {
     let mut settings = Vec::new();
-    for (wi, name) in workloads.iter().enumerate() {
+    for (wi, &name) in workloads.iter().enumerate() {
         for (si, &scheme) in FIG_SCHEMES.iter().enumerate() {
             let seed = seed_base + wi as u64 * 17 + si as u64;
-            settings.push(Setting::new(name, scheme, seed, 0));
+            settings.push(Setting::new(name, scheme, seed, 1));
         }
     }
     settings
 }
 
 impl Row {
-    /// A machine- or thread-crash row: failures print as replayable probes.
+    /// Every campaign's row: failures print as replayable probes.
     fn of(s: &Setting, report: &Report, ok: bool, cells: Vec<u64>) -> Row {
         let failures = report.failures.iter().map(|f| {
             format!(
@@ -117,7 +119,7 @@ impl Row {
                 f.message,
                 if f.minimal { " [1-minimal]" } else { "" },
                 if f.reproduced { " [reproduced]" } else { "" },
-                s.label,
+                s.workload,
                 scheme_key(s.scheme),
                 f.probe,
             )
@@ -131,8 +133,8 @@ impl Row {
     }
 }
 
-/// The paper's campaign: 9 workloads × 3 schemes single-threaded, then the
-/// concurrent trees at 2/4/8 threads (the 1-thread rows are above).
+/// The paper's campaign: 9 workloads × 3 schemes, single-threaded (the
+/// concurrent trees' 2/4/8-thread rows are in the sweep).
 fn op_boundary_spec(args: &CampaignArgs) -> CampaignSpec {
     let mut settings = Vec::new();
     let single = [
@@ -146,44 +148,38 @@ fn op_boundary_spec(args: &CampaignArgs) -> CampaignSpec {
     for name in single {
         for (si, &scheme) in schemes.iter().enumerate() {
             let seed = 0x710 + settings.len() as u64 * 31 + si as u64;
-            settings.push(Setting::new(name, scheme, seed, 0));
-        }
-    }
-    for name in ["BzTree", "FPTree"] {
-        for threads in [2, 4, 8] {
-            let seed = 0x7177 + settings.len() as u64;
-            settings.push(Setting::new(name, Scheme::FfccdCheckLookup, seed, threads));
+            settings.push(Setting::new(name, scheme, seed, 1));
         }
     }
     CampaignSpec {
-        title: "Section 7.1: crash-consistency fault injection",
-        tag: "",
+        title: "Section 7.1: crash-consistency fault injection (op boundaries)",
+        tag: "op-boundary",
         columns: &[("injections", 10), ("mid-cycle", 10), ("undone", 10)],
         rule: 76,
         settings,
         run: |s, args| {
-            // The campaign geometry on the figures' 64 MiB pool.
-            let mut cfg = sec71_config(s.scheme, s.seed);
-            cfg.pool.data_bytes = 64 << 20;
-            let (make, n) = (&*s.make, args.injections);
-            let report = match s.threads {
-                0 => run_fault_injection(&mut *make(), make, s.scheme, s.seed, n, &cfg),
-                t => run_mt_fault_injection(make, t, s.scheme, s.seed, n, &cfg),
-            };
-            Row {
-                cells: vec![report.injections, report.mid_cycle, report.undone_objects],
-                ok: report.failures.is_empty(),
-                failures: report.failures,
-                truncated: 0,
-            }
+            let cfg = sec71_config(s.scheme, s.seed);
+            let r = run_op_boundary_injection(&*s.make, s.scheme, s.seed, args.injections, &cfg);
+            let ok = r.failures.is_empty() && r.captured == r.targeted;
+            let cells = vec![r.images, r.mid_cycle, r.undone_objects];
+            Row::of(s, &r, ok, cells)
         },
-        geometry: format!(" x {} injections", args.injections),
+        geometry: format!(", {} injections", args.injections),
         pass_note: " (paper: both GC schemes passed all tests)",
         fail_note: "",
     }
 }
 
+/// `LL`/`AVL`/`pmemkv` × the four schemes single-threaded, then the
+/// concurrent trees under FFCCD at 2/4/8 threads.
 fn sweep_spec(args: &CampaignArgs) -> CampaignSpec {
+    let mut settings = grid(&["LL", "AVL", "pmemkv"], 0x517e00);
+    for (wi, name) in ["BzTree", "FPTree"].into_iter().enumerate() {
+        for (ti, threads) in [2, 4, 8].into_iter().enumerate() {
+            let seed = 0x517f00 + wi as u64 * 17 + ti as u64;
+            settings.push(Setting::new(name, Scheme::FfccdCheckLookup, seed, threads));
+        }
+    }
     CampaignSpec {
         title: "Section 7.1b: crash-site sweep (durability-event granularity)",
         tag: "sweep",
@@ -194,10 +190,13 @@ fn sweep_spec(args: &CampaignArgs) -> CampaignSpec {
             ("mid-cycle", 10),
         ],
         rule: 82,
-        settings: grid(&["LL", "AVL", "pmemkv"], 0x517e00),
+        settings,
         run: |s, args| {
             let cfg = sec71_config(s.scheme, s.seed);
-            let plan = CrashPlan::new(s.seed, args.site_budget);
+            let plan = CrashPlan {
+                threads: s.threads,
+                ..CrashPlan::new(s.seed, args.site_budget)
+            };
             let r = run_crash_site_sweep(&*s.make, s.scheme, &plan, &cfg);
             // The site space must be rich enough for a meaningful sweep,
             // every targeted site must fire on replay, and every image
@@ -396,14 +395,10 @@ fn run_campaign(spec: &CampaignSpec, args: &CampaignArgs, jobs: usize) -> u64 {
     } else {
         format!("{failures} settings FAILED{}", spec.fail_note)
     };
-    if spec.tag.is_empty() {
-        println!("{n} settings{}: {verdict}", spec.geometry);
-    } else {
-        println!(
-            "{}: {n} settings{}, jobs {jobs}: {verdict}",
-            spec.tag, spec.geometry
-        );
-    }
+    println!(
+        "{}: {n} settings{}, jobs {jobs}: {verdict}",
+        spec.tag, spec.geometry
+    );
     failures
 }
 

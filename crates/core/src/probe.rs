@@ -40,6 +40,9 @@ pub struct ProbeId {
     pub window: usize,
     /// Which tracking window the site belongs to.
     pub phase: ProbePhase,
+    /// Mutator threads of a machine-crash run; above 1 the run is the
+    /// seeded multi-threaded driver. Thread kills keep 1.
+    pub threads: usize,
 }
 
 /// Which execution phase a probe's site was enumerated in. The two
@@ -70,6 +73,7 @@ impl ProbeId {
             subset_mask,
             window: 0,
             phase: ProbePhase::Mutator,
+            threads: 1,
         }
     }
 
@@ -106,6 +110,11 @@ impl ProbeId {
             window: base,
             ..self
         }
+    }
+
+    /// The same probe in a run of `threads` mutator threads.
+    pub fn with_threads(self, threads: usize) -> Self {
+        ProbeId { threads, ..self }
     }
 
     /// Mutator-phase crash site the recovery ran from (recovery-phase
@@ -145,6 +154,9 @@ impl fmt::Display for ProbeId {
         if self.window != 0 {
             write!(f, ", window={}", self.window)?;
         }
+        if self.threads > 1 {
+            write!(f, ", threads={}", self.threads)?;
+        }
         write!(f, ")")
     }
 }
@@ -173,12 +185,13 @@ impl FromStr for ProbeId {
                 .trim()
                 .split_once('=')
                 .ok_or_else(|| format!("probe field {field:?} is not key=value"))?;
-            const KEYS: [&str; 7] = [
+            const KEYS: [&str; 8] = [
                 "seed",
                 "site",
                 "phase",
                 "subset",
                 "window",
+                "threads",
                 "kill_site",
                 "victim",
             ];
@@ -190,6 +203,10 @@ impl FromStr for ProbeId {
         let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
         let need = |key: &str| get(key).ok_or_else(|| format!("probe is missing {key}="));
         let seed = number(need("seed")?)?;
+        let threads = get("threads").map(number).transpose()?;
+        if let Some(t) = threads.filter(|&t| t < 2 || get("kill_site").is_some()) {
+            return Err(format!("threads={t} is never printed on this probe"));
+        }
         if let Some(kill_site) = get("kill_site") {
             let victim = number(need("victim")?)? as usize;
             return Ok(ProbeId::thread_kill(seed, number(kill_site)?, victim));
@@ -207,7 +224,8 @@ impl FromStr for ProbeId {
             _ => return Err("site=OUTER/INNER and phase=recovery go together".to_owned()),
         };
         let window = get("window").map(number).transpose()?.unwrap_or(0);
-        Ok(probe.at_window(window as usize))
+        let threads = threads.unwrap_or(1) as usize;
+        Ok(probe.at_window(window as usize).with_threads(threads))
     }
 }
 
@@ -226,6 +244,10 @@ mod tests {
         assert_eq!(
             ProbeId::thread_kill(0x7c4a01, 2681, 0).to_string(),
             "(seed=0x7c4a01, kill_site=2681, victim=0)"
+        );
+        assert_eq!(
+            p.with_threads(4).to_string(),
+            "(seed=0x517e01, site=42, subset=0xb, threads=4)"
         );
     }
 

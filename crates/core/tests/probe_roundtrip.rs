@@ -8,19 +8,34 @@ fn window() -> impl Strategy<Value = usize> {
     prop_oneof![Just(0usize), 0usize..4096]
 }
 
+fn threads() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), 1usize..64]
+}
+
 fn probes() -> impl Strategy<Value = ProbeId> {
     prop_oneof![
-        (any::<u64>(), any::<u64>(), any::<u64>(), window())
-            .prop_map(|(seed, site, mask, w)| ProbeId::new(seed, site, mask).at_window(w)),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            window(),
+            threads()
+        )
+            .prop_map(|(seed, site, mask, w, t)| ProbeId::new(seed, site, mask)
+                .at_window(w)
+                .with_threads(t)),
         (
             any::<u64>(),
             any::<u32>(),
             any::<u32>(),
             any::<u64>(),
-            window()
+            window(),
+            threads()
         )
-            .prop_map(|(seed, outer, inner, mask, w)| {
-                ProbeId::nested(seed, outer.into(), inner.into(), mask).at_window(w)
+            .prop_map(|(seed, outer, inner, mask, w, t)| {
+                ProbeId::nested(seed, outer.into(), inner.into(), mask)
+                    .at_window(w)
+                    .with_threads(t)
             }),
         (any::<u64>(), any::<u64>(), 0usize..64)
             .prop_map(|(seed, site, victim)| ProbeId::thread_kill(seed, site, victim)),
@@ -32,8 +47,9 @@ proptest! {
     fn display_then_parse_is_identity(probe in probes()) {
         let text = probe.to_string();
         prop_assert_eq!(text.parse::<ProbeId>(), Ok(probe), "{}", text);
-        // Base 0 prints exactly the text pinned in docs and logs.
+        // Base 0 and one thread print exactly the text pinned in docs and logs.
         prop_assert_eq!(probe.window == 0, !text.contains("window="));
+        prop_assert_eq!(probe.threads == 1, !text.contains("threads="));
     }
 }
 
@@ -47,6 +63,8 @@ fn parse_rejects_what_display_never_prints() {
         "(seed=0x1, site=4294967296/3, phase=recovery, subset=0x0)",
         "(seed=0x1, kill_site=9)",
         "(seed=0x1, site=2, subset=0x0, op=7)",
+        "(seed=0x1, site=2, subset=0x0, threads=1)",
+        "(seed=0x1, kill_site=9, victim=0, threads=4)",
         "(seed=zz, site=2, subset=0x0)",
     ] {
         assert!(bad.parse::<ProbeId>().is_err(), "{bad} parsed");

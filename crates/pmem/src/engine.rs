@@ -616,6 +616,12 @@ impl PmEngine {
         self.shared.sites.lock().drain()
     }
 
+    /// Sites fired so far in the current tracking window: the ID the next
+    /// event will get, so the last one fired is `sites_fired() - 1`.
+    pub fn sites_fired(&self) -> u64 {
+        self.shared.sites.lock().next_id
+    }
+
     /// The current maybe-persisted set: every line whose durability would
     /// be ambiguous if power failed right now — in-flight writebacks
     /// (post-`clwb`, pre-acceptance) followed by dirty cache residents.

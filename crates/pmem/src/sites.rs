@@ -211,7 +211,7 @@ enum Mode {
 pub(crate) struct SiteTracker {
     mode: Mode,
     phase: SitePhase,
-    next_id: u64,
+    pub(crate) next_id: u64,
     counts: [u64; SiteKind::ALL.len()],
     phase_marks: Vec<(u64, u64)>,
     targets: BTreeSet<u64>,

@@ -24,6 +24,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::campaign::{Report, Run};
 use crate::driver::DriverConfig;
+use crate::faults::choose_targets;
 use crate::workload::Workload;
 
 /// How an adversarial exploration chooses and bounds its work.
@@ -157,8 +158,11 @@ pub fn run_adversary_sweep(
         scheme,
         seed: plan.seed,
         cfg,
+        threads: 1,
     };
-    run.sweep(plan.site_budget, plan.images_per_site, plan.window_base)
+    let summary = run.enumerate(&mut None);
+    let targets = choose_targets(summary.total, plan.seed, plan.site_budget);
+    run.sweep(&summary, targets, plan.images_per_site, plan.window_base)
 }
 
 #[cfg(test)]

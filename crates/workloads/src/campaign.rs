@@ -1,4 +1,4 @@
-//! The §7.1 crash-campaign pipeline: what the four campaigns share.
+//! The §7.1 crash-campaign pipeline: what every campaign shares.
 //!
 //! ```text
 //! enumerate → target → capture → explore → oracle → shrink → confirm → replay
@@ -16,7 +16,9 @@
 //!
 //! The campaigns are probe generators over these functions:
 //! [`crate::faults::run_crash_site_sweep`] explores the one-mask lattice
-//! `{0}` (the base image) at every targeted site,
+//! `{0}` (the base image) at every targeted site, on one thread or many,
+//! [`crate::faults::run_op_boundary_injection`] at the last site before
+//! chosen operations,
 //! [`crate::adversary::run_adversary_sweep`] many masks,
 //! [`crate::nested::run_nested_crash_sweep`] repeats enumerate–explore
 //! *inside recovery* on each captured image, and
@@ -25,9 +27,10 @@
 //! types.
 //!
 //! Every run here forces the engine's single-bank deterministic mode
-//! (`banks = 1`) and the fault-campaign defragmentation thresholds, so
-//! site IDs and captured images are bit-reproducible from the probe alone
-//! whatever the caller's configuration asks for.
+//! (`banks = 1`), the fault-campaign defragmentation thresholds and, with
+//! more than one thread, the seeded turn schedule, so site IDs and captured
+//! images are bit-reproducible from the probe alone whatever the caller's
+//! configuration asks for.
 
 use std::collections::BTreeSet;
 
@@ -40,8 +43,8 @@ use ffccd_pmem::{
 use ffccd_pmop::{PoolConfig, PoolError, TypeRegistry};
 
 use crate::adversary::{choose_masks, shrink_subset};
-use crate::driver::{run_on, DriverConfig, OpHook, PhaseMix, VictimReport};
-use crate::faults::choose_targets;
+use crate::driver::{mt_registry, run_mt_on, run_on, DriverConfig, OpHook, PhaseMix, VictimReport};
+use crate::thread_crash::campaign_config;
 use crate::util::LiveKeys;
 use crate::workload::Workload;
 
@@ -174,31 +177,52 @@ pub(crate) fn fault_defrag(scheme: Scheme) -> DefragConfig {
     }
 }
 
-pub(crate) fn seeded_pool(cfg: &DriverConfig, seed: u64) -> PoolConfig {
+/// Operation indices at whose boundary op-boundary injection captures an
+/// image: evenly spaced across the *post-init* phase window — where the
+/// delete/insert churn and the compaction cycles it triggers actually
+/// happen — and never at op 0 (an untouched heap recovers trivially). If
+/// more injections are requested than the phase window has ops, spacing
+/// falls back to the whole run (still skipping op 0).
+pub(crate) fn injection_ops(mix: &PhaseMix, injections: u64) -> BTreeSet<u64> {
+    let total = (mix.init + mix.phase_ops * mix.phases) as u64;
+    let mut ops = BTreeSet::new();
+    if total == 0 || injections == 0 {
+        return ops;
+    }
+    let start = (mix.init as u64).min(total - 1);
+    let window = total - start;
+    if injections <= window {
+        for k in 1..=injections {
+            ops.insert(start + k * window / injections);
+        }
+    } else {
+        for k in 1..=injections {
+            ops.insert((k * total / injections).clamp(1, total));
+        }
+    }
+    ops
+}
+
+/// `cfg`'s pool with the machine seeded `seed` and pinned to the engine's
+/// single-bank deterministic mode: site IDs and the images captured at
+/// them must be byte-reproducible from a probe alone, and the engine
+/// itself rejects site tracking on a banked engine.
+pub(crate) fn deterministic_pool(cfg: &DriverConfig, seed: u64) -> PoolConfig {
     PoolConfig {
         machine: MachineConfig {
             seed,
+            banks: 1,
             ..cfg.pool.machine.clone()
         },
         ..cfg.pool.clone()
     }
 }
 
-/// Like [`seeded_pool`] but pinned to the engine's single-bank
-/// deterministic mode: site IDs and the images captured at them must be
-/// byte-reproducible from a probe alone, and the engine itself rejects
-/// site tracking on a banked engine.
-pub(crate) fn deterministic_pool(cfg: &DriverConfig, seed: u64) -> PoolConfig {
-    let mut pool = seeded_pool(cfg, seed);
-    pool.machine.banks = 1;
-    pool
-}
-
 /// The op a captured site fired during, bracketed by the key-set oracle.
 pub(crate) struct FiringOp<'a> {
     /// 1-based op index.
     pub op: u64,
-    /// Live keys before the op.
+    /// Live keys before the op (equals `after` for its last site).
     pub before: &'a BTreeSet<u64>,
     /// Live keys after the op (equals `before` for wind-down sites).
     pub after: &'a BTreeSet<u64>,
@@ -212,30 +236,59 @@ pub(crate) struct Run<'a> {
     /// Machine seed; also salts every selection stream.
     pub seed: u64,
     pub cfg: &'a DriverConfig,
+    /// Mutator threads; above 1 the multi-threaded driver runs.
+    pub threads: usize,
 }
 
 impl Run<'_> {
+    /// `w`'s registry, plus the multi-threaded driver's root directory.
+    pub(crate) fn registry(&self, w: &dyn Workload) -> TypeRegistry {
+        if self.threads > 1 {
+            mt_registry(w.registry(), self.threads).0
+        } else {
+            w.registry()
+        }
+    }
+
     fn heap(&self, w: &dyn Workload) -> DefragHeap {
         let pool = deterministic_pool(self.cfg, self.seed);
-        DefragHeap::create(pool, w.registry(), fault_defrag(self.scheme)).expect("campaign pool")
+        let registry = self.registry(w);
+        DefragHeap::create(pool, registry, fault_defrag(self.scheme)).expect("campaign pool")
+    }
+
+    /// Runs the §6 mix once on `heap`: the single-thread driver on `w`
+    /// with `hook` at every op boundary, or `threads` fresh instances
+    /// under the §7.1e runs' seeded turn schedule (no boundaries).
+    fn drive(&self, w: &mut dyn Workload, heap: &DefragHeap, hook: &mut OpHook<'_>) {
+        if self.threads > 1 {
+            let cfg = DriverConfig {
+                schedule: campaign_config(self.scheme, self.seed).schedule,
+                ..self.cfg.clone()
+            };
+            run_mt_on(self.make, self.threads, &cfg, heap, None);
+        } else {
+            run_on(w, self.cfg, heap, hook);
+        }
     }
 
     /// The reference run: counts every durability event (store, clwb,
     /// sfence, WPQ traffic, eviction, GC phase mark) as a deterministic
-    /// site.
-    pub(crate) fn enumerate(&self) -> SiteSummary {
+    /// site. `hook` sees every op boundary of a single-thread run.
+    pub(crate) fn enumerate(&self, hook: &mut OpHook<'_>) -> SiteSummary {
         let mut w = (self.make)();
         let heap = self.heap(&*w);
         heap.engine().site_tracking_enumerate();
-        run_on(&mut *w, self.cfg, &heap, &mut None);
+        self.drive(&mut *w, &heap, hook);
         heap.engine().site_tracking_stop()
     }
 
     /// Reruns with capture armed for `targets`, handing every capture to
     /// `on_capture` at the op boundary that drains it (memory stays
     /// bounded by the sites of one op), with the live key sets before and
-    /// after that op. `stop_at_first` truncates the run there (replays:
-    /// the shortest reproducing op prefix).
+    /// after that op — the post-op set twice for the op's last site, which
+    /// saw it complete. A multi-threaded run's captures drain after it.
+    /// `stop_at_first` truncates the run there (replays: the shortest
+    /// reproducing op prefix).
     pub(crate) fn capture(
         &self,
         targets: BTreeSet<u64>,
@@ -253,12 +306,13 @@ impl Run<'_> {
                 let caps = engine.drain_site_captures();
                 if !caps.is_empty() {
                     let (before, after) = (prev_live.to_btree_set(), live.to_btree_set());
-                    let at = FiringOp {
-                        op,
-                        before: &before,
-                        after: &after,
-                    };
+                    let last = engine.sites_fired() - 1;
                     for cap in caps {
+                        let at = FiringOp {
+                            op,
+                            before: if cap.site.id == last { &after } else { &before },
+                            after: &after,
+                        };
                         on_capture(cap, &at);
                     }
                     if stop_at_first {
@@ -270,7 +324,7 @@ impl Run<'_> {
                 true
             };
             let mut hook_dyn: OpHook<'_> = Some(&mut hook);
-            run_on(&mut *w, self.cfg, &heap, &mut hook_dyn);
+            self.drive(&mut *w, &heap, &mut hook_dyn);
         }
         if !stopped {
             // Sites firing during wind-down (`exit()`) see the final key set.
@@ -293,7 +347,8 @@ impl Run<'_> {
     /// the set before or after the firing op (a capture can land
     /// mid-operation, where the in-progress key is legitimately
     /// half-visible). `idempotent` adds the contract of recovery-phase
-    /// probes: a second `recover()` is a byte-identical no-op.
+    /// probes: a second `recover()` is a byte-identical no-op. A
+    /// multi-threaded run's images carry no key sets to check.
     pub(crate) fn oracle(
         &self,
         image: &CrashImage,
@@ -301,10 +356,11 @@ impl Run<'_> {
         idempotent: bool,
     ) -> Result<RecoveryReport, String> {
         let mut fresh = (self.make)();
+        let registry = self.registry(&*fresh);
         let defrag = fault_defrag(self.scheme);
         let (heap, rec) = if idempotent {
             let (heap, rerun) =
-                DefragHeap::open_recovered_idempotent(image, None, fresh.registry(), defrag)
+                DefragHeap::open_recovered_idempotent(image, None, registry, defrag)
                     .map_err(|e| format!("nested recovery failed: {e}"))?;
             if !rerun.is_noop() {
                 return Err(format!(
@@ -314,10 +370,13 @@ impl Run<'_> {
             }
             (heap, rerun.report)
         } else {
-            DefragHeap::open_recovered(image, fresh.registry(), defrag)
+            DefragHeap::open_recovered(image, registry, defrag)
                 .map_err(|e| format!("recovery failed: {e}"))?
         };
         validate_heap(&heap).map_err(|es| format!("GC metadata: {}", es.join("; ")))?;
+        if self.threads > 1 {
+            return Ok(rec);
+        }
         let mut ctx = Ctx::new(heap.pool().machine());
         fresh.reopen(&heap, &mut ctx);
         if fresh.validate(&heap, &mut ctx, at.after).is_err() {
@@ -397,18 +456,17 @@ impl Run<'_> {
         }
     }
 
-    /// The whole pipeline over mutator sites: up to `site_budget` sites
-    /// of the run (exhaustive under budget, seeded-random beyond), up to
-    /// `images_per_site` subsets at each, masks addressing maybe-set
-    /// entries from `window_base`. The §7.1b sweep is `(budget, 1, 0)`.
+    /// The whole pipeline over mutator sites of the run `summary` counted:
+    /// capture `targets`, explore up to `images_per_site` subsets at each
+    /// (masks addressing maybe-set entries from `window_base`), confirm.
+    /// The §7.1b sweep is `(choose_targets(…), 1, 0)`.
     pub(crate) fn sweep(
         &self,
-        site_budget: u64,
+        summary: &SiteSummary,
+        targets: BTreeSet<u64>,
         images_per_site: u64,
         window_base: usize,
     ) -> Report {
-        let summary = self.enumerate();
-        let targets = choose_targets(summary.total, self.seed, site_budget);
         let mut report = Report {
             total_sites: summary.total,
             targeted: targets.len() as u64,
@@ -416,7 +474,9 @@ impl Run<'_> {
             ..Report::default()
         };
         self.capture(targets, false, &mut |cap, at| {
-            let probe = ProbeId::new(self.seed, cap.site.id, 0).at_window(window_base);
+            let probe = ProbeId::new(self.seed, cap.site.id, 0)
+                .at_window(window_base)
+                .with_threads(self.threads);
             self.explore(&mut report, &cap, at, images_per_site, probe);
         });
         self.confirm(&mut report);
@@ -462,11 +522,11 @@ pub(crate) fn track_recovery(
 }
 
 /// Replays one probe from scratch, exactly as the campaign that printed it
-/// ran it: the workload reruns under `cfg` with capture armed for the
-/// probe's (outer) site and stops at the op it fires during; a
-/// recovery-phase probe then re-crashes `recover()` on that image at its
-/// recovery site; the probe's subset is materialized and judged by the
-/// oracle. A thread-kill probe instead reruns the §7.1e run
+/// ran it: the workload reruns under `cfg` on `probe.threads` threads with
+/// capture armed for the probe's (outer) site and stops at the op it fires
+/// during; a recovery-phase probe then re-crashes `recover()` on that image
+/// at its recovery site; the probe's subset is materialized and judged by
+/// the oracle. A thread-kill probe instead reruns the §7.1e run
 /// ([`crate::thread_crash::campaign_config`], which ignores `cfg`) with
 /// that one kill.
 ///
@@ -486,6 +546,7 @@ pub fn replay(
         scheme,
         seed: probe.seed,
         cfg,
+        threads: probe.threads,
     };
     let mut fired = None;
     run.capture(
@@ -497,7 +558,8 @@ pub fn replay(
     let nested = probe.phase == ProbePhase::Recovery;
     if nested {
         let targets = [probe.recovery_site()].into_iter().collect();
-        let (_, _, caps) = track_recovery(&cap.image, &make().registry(), scheme, Some(targets));
+        let registry = run.registry(&*make());
+        let (_, _, caps) = track_recovery(&cap.image, &registry, scheme, Some(targets));
         cap = caps.into_iter().next()?;
     }
     let at = FiringOp {
@@ -523,4 +585,85 @@ pub fn replay(
         outcome,
         kill: None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The last site before an op's boundary saw the op complete: its
+    /// image passes against the post-op key set and fails against the
+    /// pre-op one, and `capture` hands the oracle the post-op set alone.
+    #[test]
+    fn boundary_capture_is_judged_against_the_post_op_set() {
+        let make: &dyn Fn() -> Box<dyn Workload> = &|| Box::new(crate::LinkedList::new());
+        let (scheme, seed) = (Scheme::FfccdFenceFree, 0xB0DA);
+        let mut cfg = sec71_config(scheme, seed);
+        cfg.mix = PhaseMix::tiny();
+        let run = Run {
+            make,
+            scheme,
+            seed,
+            cfg: &cfg,
+            threads: 1,
+        };
+        // Op 100 inserts a key: the sets on either side of it differ.
+        let k = 100;
+        let (mut last, mut pre, mut post) = (0, BTreeSet::new(), BTreeSet::new());
+        let mut hook = |op: u64, heap: &DefragHeap, live: &LiveKeys| {
+            if op == k - 1 {
+                pre = live.to_btree_set();
+            } else if op == k {
+                last = heap.engine().sites_fired() - 1;
+                post = live.to_btree_set();
+            }
+            true
+        };
+        run.enumerate(&mut Some(&mut hook));
+        assert_eq!(post.len(), pre.len() + 1);
+
+        let mut captured = 0;
+        run.capture([last].into_iter().collect(), true, &mut |cap, at| {
+            captured += 1;
+            assert_eq!((at.op, at.before, at.after), (k, &post, &post));
+            run.oracle(&cap.image, at, false)
+                .expect("the image holds the post-op key set");
+            let before_op = FiringOp {
+                op: k,
+                before: &pre,
+                after: &pre,
+            };
+            assert!(
+                run.oracle(&cap.image, &before_op, false).is_err(),
+                "the completed insert must not pass as the pre-op set"
+            );
+        });
+        assert_eq!(captured, 1);
+    }
+
+    #[test]
+    fn injection_ops_skip_init_and_op_zero() {
+        let mix = PhaseMix {
+            init: 400,
+            phase_ops: 300,
+            phases: 3,
+        };
+        let ops = injection_ops(&mix, 12);
+        assert_eq!(ops.len(), 12, "distinct, evenly spaced targets");
+        assert!(ops.iter().all(|&op| op > 400), "init phase is skipped");
+        assert!(ops.iter().all(|&op| op <= 1300));
+        assert_eq!(*ops.iter().max().unwrap(), 1300, "window fully covered");
+    }
+
+    #[test]
+    fn injection_ops_fall_back_when_oversubscribed() {
+        let mix = PhaseMix {
+            init: 90,
+            phase_ops: 2,
+            phases: 3,
+        };
+        let ops = injection_ops(&mix, 64);
+        assert!(!ops.is_empty());
+        assert!(ops.iter().all(|&op| (1..=96).contains(&op)));
+    }
 }

@@ -427,21 +427,20 @@ pub fn run_mt(
     run_mt_on(make, threads, cfg, &heap, None)
 }
 
-/// Like [`run_mt`] but against a caller-provided heap (fault injection
-/// snapshots the heap from outside while this runs). The heap **must**
-/// have been created with the [`mt_registry`]-extended registry for the
-/// same `threads`. When `op_progress` is given, it is incremented once per
-/// completed application operation — external samplers gate on it instead
-/// of wall-clock time, so capture spacing tracks simulated work even when
-/// host scheduling stalls a run.
+/// Like [`run_mt`] but against a caller-provided heap (crash campaigns arm
+/// site tracking on it first). The heap **must** have been created with
+/// the [`mt_registry`]-extended registry for the same `threads`.
+///
+/// `_op_progress` is ignored; it stays only because the frozen
+/// `benchmark/` passes `None`.
 pub fn run_mt_on(
     make: &dyn Fn() -> Box<dyn Workload>,
     threads: usize,
     cfg: &DriverConfig,
     heap: &DefragHeap,
-    op_progress: Option<std::sync::Arc<std::sync::atomic::AtomicU64>>,
+    _op_progress: Option<Arc<AtomicU64>>,
 ) -> RunResult {
-    run_mt_impl(make, threads, cfg, heap, op_progress, None).result
+    run_mt_impl(make, threads, cfg, heap, None).result
 }
 
 /// [`run_mt`] with an injected [`ThreadFaultPlan`]: the planned victims die
@@ -472,7 +471,7 @@ pub fn run_mt_faulted_on(
     heap: &DefragHeap,
     plan: &ThreadFaultPlan,
 ) -> ThreadCrashOutcome {
-    run_mt_impl(make, threads, cfg, heap, None, Some(plan))
+    run_mt_impl(make, threads, cfg, heap, Some(plan))
 }
 
 /// Per-thread result of one mutator thread (shared between the normal and
@@ -496,7 +495,6 @@ fn run_mt_impl(
     threads: usize,
     cfg: &DriverConfig,
     heap: &DefragHeap,
-    op_progress: Option<std::sync::Arc<std::sync::atomic::AtomicU64>>,
     plan: Option<&ThreadFaultPlan>,
 ) -> ThreadCrashOutcome {
     if plan.is_some() {
@@ -552,7 +550,7 @@ fn run_mt_impl(
 
     // Seeded mode wraps each whole op in a PRNG-ordered turn; Free mode
     // has no gate at all — the shared atomic below only numbers ops for
-    // the sampling cadence and external progress, it serializes nothing.
+    // the sampling cadence, it serializes nothing.
     let turns: Option<Arc<(Mutex<SeededTurns>, Condvar)>> = match cfg.schedule {
         MtSchedule::Free => None,
         MtSchedule::Seeded(seed) => Some(Arc::new((
@@ -576,7 +574,6 @@ fn run_mt_impl(
         let stride = SAMPLE_EVERY * threads as u64;
         let turns = turns.clone();
         let global_op = global_op.clone();
-        let op_progress = op_progress.clone();
         let trigger_owner = trigger_owner.clone();
         let arm = arms[tid].clone();
         handles.push(std::thread::spawn(move || {
@@ -737,9 +734,6 @@ fn run_mt_impl(
                         ops_completed: oplog.len() as u64,
                     });
                     break;
-                }
-                if let Some(p) = &op_progress {
-                    p.fetch_add(1, Ordering::Release);
                 }
                 if let Some(st) = turn_guard.as_mut() {
                     st.advance();
@@ -957,9 +951,9 @@ pub fn run(workload: &mut dyn Workload, cfg: &DriverConfig) -> RunResult {
 }
 
 /// Like [`run`] but against a caller-provided heap, invoking `hook`
-/// between operations (fault injection uses this to snapshot crash
-/// images mid-run; crash-site replays return `false` from the hook to
-/// truncate the run at the shortest reproducing op prefix).
+/// between operations (crash campaigns drain site captures and note op
+/// boundaries there; replays return `false` from the hook to truncate the
+/// run at the shortest reproducing op prefix).
 pub fn run_on(
     workload: &mut dyn Workload,
     cfg: &DriverConfig,

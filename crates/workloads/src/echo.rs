@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 
 use ffccd::DefragHeap;
 use ffccd_pmem::Ctx;
-use ffccd_pmop::{PmPtr, TypeDesc, TypeId, TypeRegistry};
+use ffccd_pmop::{PmPtr, TypeDesc, TypeId, TypeRegistry, OBJ_HEADER_BYTES};
 
 use crate::util::{value_matches, value_pattern};
 use crate::workload::{check_key_set, Workload};
@@ -152,15 +152,26 @@ impl Workload for Echo {
     ) -> Result<(), String> {
         let arr = heap.root(ctx);
         let mut got = BTreeSet::new();
+        if arr.is_null() {
+            // Crashed before setup's root store persisted: an empty store.
+            return check_key_set("Echo", &got, expected);
+        }
+        if !in_data(heap, arr, self.buckets * 8) {
+            return Err(format!("Echo: bucket array {arr} outside the data region"));
+        }
         for b in 0..self.buckets {
             let mut cur = heap.load_ref(ctx, arr, b * 8);
             let mut hops = 0;
             while !cur.is_null() {
+                let header = in_data(heap, cur, VAL).then(|| heap.object_header(ctx, cur));
+                let size = header.map_or(0, |(_, size)| size);
+                if u64::from(size) < VAL || !in_data(heap, cur, size.into()) {
+                    return Err(format!("Echo: entry {cur} outside the data region"));
+                }
                 let key = heap.read_u64(ctx, cur, KEY);
                 if self.bucket(key) != b {
                     return Err(format!("Echo: key {key} in wrong bucket"));
                 }
-                let (_, size) = heap.object_header(ctx, cur);
                 let mut val = vec![0u8; size as usize - VAL as usize];
                 heap.read_bytes(ctx, cur, VAL, &mut val);
                 if !value_matches(key, &val) {
@@ -178,6 +189,13 @@ impl Workload for Echo {
         }
         check_key_set("Echo", &got, expected)
     }
+}
+
+/// Whether `ptr`'s header and first `len` payload bytes lie in the pool's
+/// data region: a crash image can hold any bits in a reference slot.
+fn in_data(heap: &DefragHeap, ptr: PmPtr, len: u64) -> bool {
+    let layout = heap.pool().layout();
+    ptr.offset() >= layout.data_start + OBJ_HEADER_BYTES && ptr.offset() + len <= layout.total_bytes
 }
 
 #[cfg(test)]
@@ -220,5 +238,23 @@ mod tests {
         }
         w.validate(&h, &mut ctx, &expected)
             .expect("chains consistent");
+    }
+
+    #[test]
+    fn a_bucket_pointer_off_the_media_is_an_error_not_a_panic() {
+        let mut w = Echo::new();
+        let h = heap(w.registry());
+        let mut ctx = h.ctx();
+        w.setup(&h, &mut ctx);
+        let arr = h.root(&mut ctx);
+        let bogus = PmPtr::new(
+            h.pool().pool_id(),
+            h.pool().layout().total_bytes + (1 << 20),
+        );
+        h.store_ref(&mut ctx, arr, 3 * 8, bogus);
+        let err = w
+            .validate(&h, &mut ctx, &BTreeSet::new())
+            .expect_err("a pointer past the pool must fail validation");
+        assert!(err.contains("outside the data region"), "{err}");
     }
 }

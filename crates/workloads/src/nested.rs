@@ -87,8 +87,9 @@ pub fn run_nested_crash_sweep(
         scheme,
         seed: plan.seed,
         cfg,
+        threads: 1,
     };
-    let summary = run.enumerate();
+    let summary = run.enumerate(&mut None);
     let windows = cycle_windows(&summary.phase_marks, summary.total);
     let outer_targets = choose_outer_targets(&summary, &windows, plan);
     let mut report = Report {
@@ -169,7 +170,7 @@ fn explore_outer(
     plan: &NestedPlan,
 ) {
     report.outer_captured += 1;
-    let registry = (run.make)().registry();
+    let registry = run.registry(&*(run.make)());
     let (outcome, summary, _) = track_recovery(&cap.image, &registry, run.scheme, None);
     if let Err(e) = outcome {
         // The base image failing recovery outright is a §7.1b sweep

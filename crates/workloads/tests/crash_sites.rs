@@ -9,7 +9,7 @@ use ffccd_pmem::MachineConfig;
 use ffccd_workloads::campaign::{replay, sec71_config};
 use ffccd_workloads::driver::{DriverConfig, MtSchedule, PhaseMix};
 use ffccd_workloads::faults::{choose_targets, run_crash_site_sweep, CrashPlan};
-use ffccd_workloads::{AvlTree, LinkedList, Workload};
+use ffccd_workloads::{AvlTree, BzTree, LinkedList, Workload};
 
 fn sweep_cfg(scheme: Scheme, seed: u64) -> DriverConfig {
     let mut cfg = DriverConfig::new(scheme);
@@ -497,4 +497,37 @@ fn single_site_replay_is_deterministic() {
         "replay validation failed: {:?}",
         a.outcome
     );
+}
+
+/// The seeded multi-threaded sweep is as replayable as the single-thread
+/// one: two enumerations of the 4-thread BzTree run agree site for site,
+/// and a printed `threads=4` probe — a mid-cycle image with a 479-line
+/// maybe set — replays through `campaign::replay` to the pinned bytes.
+#[test]
+fn mt_probe_replays_byte_identically() {
+    let make: &dyn Fn() -> Box<dyn Workload> = &|| Box::new(BzTree::new());
+    let (scheme, seed) = (Scheme::FfccdCheckLookup, 0x517f01);
+    let cfg = sec71_config(scheme, seed);
+    let plan = CrashPlan {
+        threads: 4,
+        ..CrashPlan::new(seed, 1)
+    };
+    let a = run_crash_site_sweep(make, scheme, &plan, &cfg);
+    let b = run_crash_site_sweep(make, scheme, &plan, &cfg);
+    assert_eq!(a.total_sites, 559_762, "the seeded schedule moved");
+    assert_eq!(
+        (a.total_sites, &a.site_counts),
+        (b.total_sites, &b.site_counts)
+    );
+    assert_eq!(a.captured, 1);
+    assert!(a.failures.is_empty(), "{:?}", a.failures);
+
+    let text = "(seed=0x517f01, site=144445, subset=0x0, threads=4)";
+    let probe: ProbeId = text.parse().expect("printed probe parses");
+    assert_eq!(probe, ProbeId::new(seed, 144_445, 0).with_threads(4));
+    assert_eq!(probe.to_string(), text);
+    let r = replay(make, scheme, probe, &cfg).expect("pinned site must fire");
+    assert!(r.outcome.is_ok(), "{:?}", r.outcome);
+    assert_eq!(r.maybe.len(), 479);
+    assert_eq!(r.image.media().fingerprint(), 0x7f1ee6d01c7d39a3);
 }

@@ -1,5 +1,6 @@
 //! Every workload through the driver under every scheme, with validation,
-//! plus per-workload fault injection (a scaled-down §7.1).
+//! plus per-workload op-boundary injection (a scaled-down §7.1) and
+//! seeded multi-threaded crash-site sweeps of the concurrent trees.
 
 use std::collections::BTreeSet;
 
@@ -7,7 +8,7 @@ use ffccd::Scheme;
 use ffccd_pmem::MachineConfig;
 use ffccd_pmop::PoolConfig;
 use ffccd_workloads::driver::{run, run_on, DriverConfig, PhaseMix};
-use ffccd_workloads::faults::run_fault_injection;
+use ffccd_workloads::faults::{run_crash_site_sweep, run_op_boundary_injection, CrashPlan};
 use ffccd_workloads::util::LiveKeys;
 use ffccd_workloads::{
     AvlTree, BplusTree, BzTree, Echo, FpTree, LinkedList, Pmemkv, RbTree, StringSwap, Workload,
@@ -84,17 +85,16 @@ macro_rules! workload_tests {
 
             #[test]
             fn fault_injection_passes() {
-                let mut w = $ctor;
                 let cfg = tiny_cfg(Scheme::FfccdCheckLookup, 104);
-                let report = run_fault_injection(
-                    &mut w,
+                let report = run_op_boundary_injection(
                     &|| Box::new($ctor),
                     Scheme::FfccdCheckLookup,
                     104,
                     6,
                     &cfg,
                 );
-                assert!(report.injections >= 4, "want several images");
+                assert!(report.images >= 4, "want several images");
+                assert_eq!(report.captured, report.targeted);
                 assert!(
                     report.failures.is_empty(),
                     "fault injection failures: {:#?}",
@@ -104,10 +104,9 @@ macro_rules! workload_tests {
 
             #[test]
             fn fault_injection_sfccd_passes() {
-                let mut w = $ctor;
                 let cfg = tiny_cfg(Scheme::Sfccd, 105);
                 let report =
-                    run_fault_injection(&mut w, &|| Box::new($ctor), Scheme::Sfccd, 105, 5, &cfg);
+                    run_op_boundary_injection(&|| Box::new($ctor), Scheme::Sfccd, 105, 5, &cfg);
                 assert!(
                     report.failures.is_empty(),
                     "fault injection failures: {:#?}",
@@ -179,33 +178,36 @@ fn echo_benefits_less_than_pmemkv() {
     );
 }
 
+/// The seeded multi-threaded crash-site sweep: four images per setting,
+/// each recovered and checked by `validate_heap`.
+fn mt_sweep(make: &dyn Fn() -> Box<dyn Workload>, scheme: Scheme, seed: u64, threads: usize) {
+    let plan = CrashPlan {
+        threads,
+        ..CrashPlan::new(seed, 4)
+    };
+    let report = run_crash_site_sweep(make, scheme, &plan, &tiny_cfg(scheme, seed));
+    assert_eq!(report.captured, 4, "{threads}T: every target fires");
+    assert!(
+        report.failures.is_empty(),
+        "{threads}T: {:?}",
+        report.failures
+    );
+}
+
 #[test]
 fn mt_fault_injection_bztree() {
-    use ffccd_workloads::faults::run_mt_fault_injection;
     for threads in [2usize, 4] {
-        let cfg = tiny_cfg(Scheme::FfccdCheckLookup, 300 + threads as u64);
-        let report = run_mt_fault_injection(
+        let seed = 300 + threads as u64;
+        mt_sweep(
             &|| Box::new(BzTree::new()),
-            threads,
             Scheme::FfccdCheckLookup,
-            300 + threads as u64,
-            4,
-            &cfg,
-        );
-        assert!(report.injections > 0);
-        assert!(
-            report.failures.is_empty(),
-            "{threads}T: {:?}",
-            report.failures
+            seed,
+            threads,
         );
     }
 }
 
 #[test]
 fn mt_fault_injection_fptree_sfccd() {
-    use ffccd_workloads::faults::run_mt_fault_injection;
-    let cfg = tiny_cfg(Scheme::Sfccd, 310);
-    let report =
-        run_mt_fault_injection(&|| Box::new(FpTree::new()), 4, Scheme::Sfccd, 310, 4, &cfg);
-    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    mt_sweep(&|| Box::new(FpTree::new()), Scheme::Sfccd, 310, 4);
 }

@@ -7,7 +7,7 @@ use ffccd::Scheme;
 use ffccd_pmem::MachineConfig;
 use ffccd_pmop::PoolConfig;
 use ffccd_workloads::driver::{DriverConfig, PhaseMix};
-use ffccd_workloads::faults::run_fault_injection;
+use ffccd_workloads::faults::run_op_boundary_injection;
 use ffccd_workloads::AvlTree;
 
 fn main() {
@@ -31,21 +31,13 @@ fn main() {
             os_page_size: 4096,
             machine: MachineConfig::default(),
         };
-        cfg.defrag.min_live_bytes = 1 << 12;
-        let mut w = AvlTree::new();
-        let report = run_fault_injection(
-            &mut w,
-            &|| Box::new(AvlTree::new()),
-            scheme,
-            0xC4A5,
-            8,
-            &cfg,
-        );
+        let report =
+            run_op_boundary_injection(&|| Box::new(AvlTree::new()), scheme, 0xC4A5, 8, &cfg);
         println!(
             "{:<22} {} injections, {} mid-cycle, {} objects finished by recovery, \
              {} undone, {}",
             scheme.label(),
-            report.injections,
+            report.images,
             report.mid_cycle,
             report.recovered_objects,
             report.undone_objects,

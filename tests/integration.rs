@@ -78,11 +78,11 @@ fn checklookup_beats_software_lookup() {
 #[test]
 fn crash_anywhere_in_a_full_run_recovers() {
     // One integration-level fault injection across the whole stack.
-    use ffccd_repro::workloads::faults::run_fault_injection;
+    use ffccd_repro::workloads::faults::run_op_boundary_injection;
     for scheme in [Scheme::Sfccd, Scheme::FfccdCheckLookup] {
-        let mut w = AvlTree::new();
         let cfg = small_driver(scheme, 4);
-        let report = run_fault_injection(&mut w, &|| Box::new(AvlTree::new()), scheme, 4, 5, &cfg);
+        let report = run_op_boundary_injection(&|| Box::new(AvlTree::new()), scheme, 4, 5, &cfg);
+        assert_eq!(report.images, 5, "{scheme}: one image per injection");
         assert!(
             report.failures.is_empty(),
             "{scheme}: {:?}",
