@@ -163,9 +163,21 @@ impl FrameState {
         }
     }
 
-    /// Iterates the slot indices where objects start.
-    pub fn start_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..SLOTS_PER_FRAME).filter(|&i| self.is_start(i))
+    /// Iterates the slot indices where objects start, in ascending order.
+    /// Walks the set bits of a copy of the start mask, so the iterator
+    /// borrows nothing.
+    pub fn start_slots(&self) -> impl Iterator<Item = usize> {
+        let start = self.start;
+        (0..start.len()).flat_map(move |w| {
+            let mut bits = start[w];
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + bit
+                })
+            })
+        })
     }
 
     /// Serializes the two masks into the 64-byte persistent record format.
@@ -200,6 +212,7 @@ impl FrameState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fresh_frame_is_all_free() {
@@ -272,5 +285,35 @@ mod tests {
         f.mark_allocated(200, 10, 160);
         let starts: Vec<_> = f.start_slots().collect();
         assert_eq!(starts, vec![0, 2, 200]);
+    }
+
+    /// A start-mask word: empty, full, a word-edge bit, or random bits.
+    fn start_word() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0),
+            Just(u64::MAX),
+            Just(1),
+            Just(1 << 63),
+            Just(1 | 1 << 63),
+            any::<u64>(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The set-bit walk yields exactly the slots a test of every slot
+        /// finds, in the same order.
+        #[test]
+        fn start_slots_equals_the_per_slot_scan(
+            words in (start_word(), start_word(), start_word(), start_word()),
+        ) {
+            let f = FrameState {
+                start: [words.0, words.1, words.2, words.3],
+                ..FrameState::default()
+            };
+            let scan: Vec<usize> = (0..SLOTS_PER_FRAME).filter(|&i| f.is_start(i)).collect();
+            prop_assert_eq!(f.start_slots().collect::<Vec<_>>(), scan);
+        }
     }
 }

@@ -361,55 +361,47 @@ impl PmPool {
             p.committed = false;
             p.used_frames = 0;
         }
-        let states: Vec<FrameState> = self.engine.with_media(|m| {
+        // Pass 1, under one media read: each frame's masks from its bitmap
+        // record; live bytes from its headers; huge runs; the frame's size
+        // class (mixed-class frames — former GC destinations — stay
+        // unclassified and are not refilled).
+        let rebuilt: Vec<FrameState> = self.engine.with_media(|m| {
+            let mut huge_tail = 0usize; // frames remaining in the current huge run
             (0..self.layout.num_frames)
                 .map(|f| {
-                    let rec: [u8; 64] = m
-                        .read_vec(self.layout.bitmap_record(f), 64)
-                        .try_into()
-                        .expect("64-byte record");
-                    FrameState::from_record(&rec)
+                    let mut rec = [0u8; 64];
+                    m.read(self.layout.bitmap_record(f), &mut rec);
+                    let mut st = FrameState::from_record(&rec);
+                    if huge_tail > 0 {
+                        st.kind = FrameKind::Huge;
+                        huge_tail -= 1;
+                        return st;
+                    }
+                    let mut live = 0u32;
+                    let mut class: Option<u8> = None;
+                    let mut mixed = false;
+                    for slot in st.start_slots() {
+                        let hdr_off = self.layout.frame_start(f) + slot as u64 * SLOT_BYTES;
+                        let size = (m.read_u64(hdr_off) & 0xFFFF_FFFF) as u32;
+                        live += size + OBJ_HEADER_BYTES as u32;
+                        let total = size as u64 + OBJ_HEADER_BYTES;
+                        let c = class_of(Self::slots_for(size as u64));
+                        match class {
+                            None => class = Some(c),
+                            Some(prev) if prev != c => mixed = true,
+                            _ => {}
+                        }
+                        if total > FRAME_BYTES {
+                            st.kind = FrameKind::Huge;
+                            huge_tail = total.div_ceil(FRAME_BYTES) as usize - 1;
+                        }
+                    }
+                    st.live_bytes = live;
+                    st.class = if mixed { None } else { class };
+                    st
                 })
                 .collect()
         });
-        // Pass 1: compute per-frame live bytes from headers; detect huge
-        // runs; infer the frame's size class (mixed-class frames — former
-        // GC destinations — stay unclassified and are not refilled).
-        let mut huge_tail = 0usize; // frames remaining in the current huge run
-        let mut rebuilt: Vec<FrameState> = Vec::with_capacity(states.len());
-        for (idx, mut st) in states.into_iter().enumerate() {
-            if huge_tail > 0 {
-                st.kind = FrameKind::Huge;
-                huge_tail -= 1;
-                rebuilt.push(st);
-                continue;
-            }
-            let mut live = 0u32;
-            let mut spill_frames = 0usize;
-            let mut class: Option<u8> = None;
-            let mut mixed = false;
-            for slot in st.start_slots().collect::<Vec<_>>() {
-                let hdr_off = self.layout.frame_start(idx as u64) + slot as u64 * SLOT_BYTES;
-                let word = self.engine.with_media(|m| m.read_u64(hdr_off));
-                let size = (word & 0xFFFF_FFFF) as u32;
-                live += size + OBJ_HEADER_BYTES as u32;
-                let total = size as u64 + OBJ_HEADER_BYTES;
-                let c = class_of(Self::slots_for(size as u64));
-                match class {
-                    None => class = Some(c),
-                    Some(prev) if prev != c => mixed = true,
-                    _ => {}
-                }
-                if total > FRAME_BYTES {
-                    st.kind = FrameKind::Huge;
-                    spill_frames = total.div_ceil(FRAME_BYTES) as usize - 1;
-                }
-            }
-            st.live_bytes = live;
-            st.class = if mixed { None } else { class };
-            huge_tail = spill_frames;
-            rebuilt.push(st);
-        }
         // Pass 2: rebuild lists and page accounting.
         for (idx, st) in rebuilt.into_iter().enumerate() {
             let kind = st.kind;
@@ -669,9 +661,14 @@ impl PmPool {
         let _stripe = self.stripe(frame).lock();
         {
             let mut inner = self.inner.lock();
+            // The pick left `frame` as this arena's active frame. A frame
+            // that emptied (or was released) since was purged from the
+            // active map and pushed onto the free list, where it must stay
+            // `Free`.
+            let still_ours = inner.active.get(&(ctx.arena(), class_of(n))) == Some(&frame);
             let st = &mut inner.frames[frame as usize];
             let usable = matches!(st.kind, FrameKind::Free | FrameKind::Active);
-            if !usable || !st.is_run_free(slot, n) {
+            if !still_ours || !usable || !st.is_run_free(slot, n) {
                 return false;
             }
             st.mark_allocated(slot, n, (payload + OBJ_HEADER_BYTES) as u32);
@@ -930,6 +927,10 @@ impl PmPool {
             st.free_slots = SLOTS_PER_FRAME as u16;
             st.live_bytes = 0;
             st.class = None;
+            // A huge allocation can take a frame another arena had just
+            // picked as its fresh active frame (still `Free` until that
+            // arena commits); drop that claim before the frame is listed.
+            inner.purge(f, FrameKind::Huge);
             inner.free_frames.push(f);
             let page = self.layout.os_page_of_frame(f as u64) as usize;
             inner.os_pages[page].used_frames -= 1;
@@ -1034,8 +1035,8 @@ impl PmPool {
     }
 
     fn collect_frame_objects(&self, frame: u64) -> Vec<FrameObject> {
-        let st = self.inner.lock().frames[frame as usize].clone();
-        st.start_slots()
+        let starts = self.inner.lock().frames[frame as usize].start_slots();
+        starts
             .map(|slot| {
                 let ptr = self.ptr_at(frame as u32, slot);
                 let (type_id, size) = self.peek_header(ptr);
@@ -1282,6 +1283,55 @@ mod tests {
         assert_eq!(ty, t);
         assert_eq!(size, 128);
         pool.pfree(&mut ctx, p).expect("free");
+    }
+
+    /// The free-running interleaving, forced step by step: thread A picks a
+    /// bump slot in its active frame, thread B frees the frame's last
+    /// object (the frame empties onto the free list), then A commits. The
+    /// commit must lose, or an in-use frame sits on the free list for the
+    /// next allocator or GC destination to take.
+    #[test]
+    fn a_pick_whose_frame_emptied_meanwhile_does_not_commit() {
+        let (pool, mut a, t) = test_pool();
+        let x = pool.pmalloc(&mut a, t, 128).expect("alloc");
+        let (frame, _) = pool.locate(x).expect("locate");
+        let n = PmPool::slots_for(128);
+        let (picked, slot) = pool.pick_slot(a.arena(), n, 128).expect("pick");
+        assert_eq!(picked, frame, "bump slot in the active frame");
+
+        let mut b = Ctx::new(pool.machine());
+        b.set_arena(1);
+        pool.pfree(&mut b, x).expect("free the frame's last object");
+        assert_eq!(pool.frame_state(frame as u64).kind, FrameKind::Free);
+
+        assert!(
+            !pool.commit_alloc(&mut a, frame, slot, n, t, 128),
+            "the frame left the arena's hands"
+        );
+        pool.assert_free_list_sound();
+        let y = pool.pmalloc(&mut a, t, 128).expect("re-pick");
+        pool.assert_free_list_sound();
+        assert_eq!(pool.object_header(&mut a, y), (t, 128));
+    }
+
+    /// The other way a picked frame reaches the free list: a huge
+    /// allocation takes the fresh frame an arena just picked (it is still
+    /// `Free`), and the huge object is freed before that arena allocates
+    /// again. The arena's claim must not outlive the huge object.
+    #[test]
+    fn a_fresh_pick_taken_by_a_huge_allocation_is_dropped_on_its_free() {
+        let (pool, mut a, t) = test_pool();
+        let n = PmPool::slots_for(128);
+        let (frame, slot) = pool.pick_slot(a.arena(), n, 128).expect("pick");
+        let mut b = Ctx::new(pool.machine());
+        b.set_arena(1);
+        let huge = pool.pmalloc(&mut b, t, FRAME_BYTES).expect("huge alloc");
+        assert_eq!(pool.locate(huge).expect("locate").0, frame, "took the pick");
+        assert!(!pool.commit_alloc(&mut a, frame, slot, n, t, 128));
+        pool.pfree(&mut b, huge).expect("huge free");
+        pool.assert_free_list_sound();
+        pool.pmalloc(&mut a, t, 128).expect("re-pick");
+        pool.assert_free_list_sound();
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub fn choose_masks(window: u32, budget: u64, seed: u64, site_id: u64) -> (Vec<u
 /// up to `plan.images_per_site` subsets at each of up to `plan.site_budget`
 /// sites, chosen exactly like the sweep's.
 pub fn run_adversary_sweep(
-    make_workload: &dyn Fn() -> Box<dyn Workload>,
+    make_workload: &(dyn Fn() -> Box<dyn Workload> + Sync),
     scheme: Scheme,
     plan: &AdversaryPlan,
     cfg: &DriverConfig,

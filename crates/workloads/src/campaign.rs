@@ -31,8 +31,17 @@
 //! more than one thread, the seeded turn schedule, so site IDs and captured
 //! images are bit-reproducible from the probe alone whatever the caller's
 //! configuration asks for.
+//!
+//! Capture and validation overlap: the calling thread runs the capture
+//! run while one worker thread explores each capture it hands over
+//! (`Run::capture_and_validate`). Each capture needs nothing but its own
+//! image and key sets, so only host time changes; targets, images,
+//! verdicts and reports are those of running the steps in sequence.
 
 use std::collections::BTreeSet;
+use std::panic;
+use std::sync::{mpsc, Arc};
+use std::thread;
 
 use ffccd::{
     recover, validate_heap, DefragConfig, DefragHeap, ProbeId, ProbePhase, RecoveryReport, Scheme,
@@ -52,8 +61,13 @@ use crate::workload::Workload;
 /// of passes to fixpoint. Each probe is one image recovery + validation.
 const SHRINK_MAX_PROBES: usize = 2048;
 
+/// Captures that may wait for the validating worker. A few ride out one
+/// op's burst of sites; each queued image is a copy-on-write snapshot of
+/// the pool, so the bound is also what caps the pipeline's memory.
+const CAPTURE_QUEUE: usize = 4;
+
 /// One campaign failure with everything needed to replay it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Failure {
     /// The replayable identity. When `minimal` is set the mask is the
     /// shrunk 1-minimal culprit, not necessarily the one that first failed.
@@ -82,7 +96,7 @@ impl Failure {
 
 /// Counters of one campaign over one `(workload, scheme)` setting. Each
 /// campaign fills the groups its steps touch and leaves the rest zero.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Report {
     /// Mutator sites the reference run fired in total.
     pub total_sites: u64,
@@ -128,6 +142,62 @@ pub struct Report {
     /// Failures (must be empty), shrunk where possible; at most one per
     /// site — a broken site stops exploring after its first failing subset.
     pub failures: Vec<Failure>,
+}
+
+impl Report {
+    /// Merges `other` into this report: counters add, `max_maybe` takes
+    /// the larger, failures append (`Run::confirm` orders them).
+    pub(crate) fn absorb(&mut self, other: Report) {
+        let Report {
+            total_sites,
+            site_counts,
+            outer_targeted,
+            outer_captured,
+            nested_outer,
+            recovery_sites,
+            targeted,
+            captured,
+            images,
+            exhaustive_sites,
+            empty_lattices,
+            truncated_lattices,
+            max_maybe,
+            mid_cycle,
+            recovered_objects,
+            undone_objects,
+            runs,
+            kills_fired,
+            kills_unfired,
+            inflight_ops,
+            failures,
+        } = other;
+        for (kind, n) in site_counts {
+            match self.site_counts.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, count)) => *count += n,
+                None => self.site_counts.push((kind, n)),
+            }
+        }
+        self.total_sites += total_sites;
+        self.outer_targeted += outer_targeted;
+        self.outer_captured += outer_captured;
+        self.nested_outer += nested_outer;
+        self.recovery_sites += recovery_sites;
+        self.targeted += targeted;
+        self.captured += captured;
+        self.images += images;
+        self.exhaustive_sites += exhaustive_sites;
+        self.empty_lattices += empty_lattices;
+        self.truncated_lattices += truncated_lattices;
+        self.max_maybe = self.max_maybe.max(max_maybe);
+        self.mid_cycle += mid_cycle;
+        self.recovered_objects += recovered_objects;
+        self.undone_objects += undone_objects;
+        self.runs += runs;
+        self.kills_fired += kills_fired;
+        self.kills_unfired += kills_unfired;
+        self.inflight_ops += inflight_ops;
+        self.failures.extend(failures);
+    }
 }
 
 /// What [`replay`] produced.
@@ -219,19 +289,22 @@ pub(crate) fn deterministic_pool(cfg: &DriverConfig, seed: u64) -> PoolConfig {
 }
 
 /// The op a captured site fired during, bracketed by the key-set oracle.
-pub(crate) struct FiringOp<'a> {
+/// Every capture drained at one op boundary shares its two key sets.
+#[derive(Clone)]
+pub(crate) struct FiringOp {
     /// 1-based op index.
     pub op: u64,
     /// Live keys before the op (equals `after` for its last site).
-    pub before: &'a BTreeSet<u64>,
+    pub before: Arc<BTreeSet<u64>>,
     /// Live keys after the op (equals `before` for wind-down sites).
-    pub after: &'a BTreeSet<u64>,
+    pub after: Arc<BTreeSet<u64>>,
 }
 
 /// One deterministic run identity: every pipeline step reruns exactly this.
 #[derive(Clone, Copy)]
 pub(crate) struct Run<'a> {
-    pub make: &'a dyn Fn() -> Box<dyn Workload>,
+    /// Called on the validating worker too, hence `Sync`.
+    pub make: &'a (dyn Fn() -> Box<dyn Workload> + Sync),
     pub scheme: Scheme,
     /// Machine seed; also salts every selection stream.
     pub seed: u64,
@@ -283,17 +356,17 @@ impl Run<'_> {
     }
 
     /// Reruns with capture armed for `targets`, handing every capture to
-    /// `on_capture` at the op boundary that drains it (memory stays
-    /// bounded by the sites of one op), with the live key sets before and
-    /// after that op — the post-op set twice for the op's last site, which
-    /// saw it complete. A multi-threaded run's captures drain after it.
-    /// `stop_at_first` truncates the run there (replays: the shortest
-    /// reproducing op prefix).
+    /// `on_capture` at the op boundary that drains it (under
+    /// [`Run::capture_and_validate`] memory stays bounded by the channel
+    /// plus one op), with the live key sets before and after that op — the
+    /// post-op set twice for the op's last site, which saw it complete.
+    /// A multi-threaded run's captures drain after it. `on_capture`
+    /// returning `false` stops the run at that boundary (replays: the
+    /// shortest reproducing op prefix; the pipeline: its worker died).
     pub(crate) fn capture(
         &self,
         targets: BTreeSet<u64>,
-        stop_at_first: bool,
-        on_capture: &mut dyn FnMut(SiteCapture, &FiringOp<'_>),
+        on_capture: &mut dyn FnMut(SiteCapture, FiringOp) -> bool,
     ) {
         let mut w = (self.make)();
         let heap = self.heap(&*w);
@@ -305,19 +378,19 @@ impl Run<'_> {
             let mut hook = |op: u64, _heap: &DefragHeap, live: &LiveKeys| {
                 let caps = engine.drain_site_captures();
                 if !caps.is_empty() {
-                    let (before, after) = (prev_live.to_btree_set(), live.to_btree_set());
+                    let before = Arc::new(prev_live.to_btree_set());
+                    let after = Arc::new(live.to_btree_set());
                     let last = engine.sites_fired() - 1;
                     for cap in caps {
                         let at = FiringOp {
                             op,
-                            before: if cap.site.id == last { &after } else { &before },
-                            after: &after,
+                            before: Arc::clone(if cap.site.id == last { &after } else { &before }),
+                            after: Arc::clone(&after),
                         };
-                        on_capture(cap, &at);
-                    }
-                    if stop_at_first {
-                        stopped = true;
-                        return false;
+                        if !on_capture(cap, at) {
+                            stopped = true;
+                            return false;
+                        }
                     }
                 }
                 prev_live.clone_from(live);
@@ -328,18 +401,51 @@ impl Run<'_> {
         }
         if !stopped {
             // Sites firing during wind-down (`exit()`) see the final key set.
-            let live = prev_live.to_btree_set();
+            let live = Arc::new(prev_live.to_btree_set());
             let mix = &self.cfg.mix;
             let at = FiringOp {
                 op: (mix.init + mix.phase_ops * mix.phases) as u64,
-                before: &live,
-                after: &live,
+                before: Arc::clone(&live),
+                after: live,
             };
             for cap in heap.engine().drain_site_captures() {
-                on_capture(cap, &at);
+                if !on_capture(cap, at.clone()) {
+                    break;
+                }
             }
         }
         heap.engine().site_tracking_stop();
+    }
+
+    /// The capture run on the calling thread, with `check` run on each
+    /// capture, in capture order, by one scoped worker thread into a report
+    /// of its own, which is returned. Captures wait in a channel of
+    /// [`CAPTURE_QUEUE`] entries. A panic in `check` stops the capture run
+    /// at its next op boundary and is re-raised here with its original
+    /// payload.
+    ///
+    /// One worker, not a pool: the capture run keeps one core busy, and
+    /// `sec7_1 --jobs N` already spreads settings over the others.
+    pub(crate) fn capture_and_validate(
+        &self,
+        targets: BTreeSet<u64>,
+        mut check: impl FnMut(&mut Report, &SiteCapture, &FiringOp) + Send,
+    ) -> Report {
+        let (tx, rx) = mpsc::sync_channel::<(SiteCapture, FiringOp)>(CAPTURE_QUEUE);
+        thread::scope(|s| {
+            let worker = s.spawn(move || {
+                let mut report = Report::default();
+                for (cap, at) in rx {
+                    check(&mut report, &cap, &at);
+                }
+                report
+            });
+            self.capture(targets, &mut |cap, at| tx.send((cap, at)).is_ok());
+            drop(tx);
+            worker
+                .join()
+                .unwrap_or_else(|payload| panic::resume_unwind(payload))
+        })
     }
 
     /// Recovers `image` and runs both validators: GC metadata
@@ -352,7 +458,7 @@ impl Run<'_> {
     pub(crate) fn oracle(
         &self,
         image: &CrashImage,
-        at: &FiringOp<'_>,
+        at: &FiringOp,
         idempotent: bool,
     ) -> Result<RecoveryReport, String> {
         let mut fresh = (self.make)();
@@ -379,9 +485,9 @@ impl Run<'_> {
         }
         let mut ctx = Ctx::new(heap.pool().machine());
         fresh.reopen(&heap, &mut ctx);
-        if fresh.validate(&heap, &mut ctx, at.after).is_err() {
+        if fresh.validate(&heap, &mut ctx, &at.after).is_err() {
             fresh
-                .validate(&heap, &mut ctx, at.before)
+                .validate(&heap, &mut ctx, &at.before)
                 .map_err(|e| format!("matches neither pre- nor post-op key set: {e}"))?;
         }
         Ok(rec)
@@ -399,7 +505,7 @@ impl Run<'_> {
         &self,
         report: &mut Report,
         cap: &SiteCapture,
-        at: &FiringOp<'_>,
+        at: &FiringOp,
         images_per_site: u64,
         probe: ProbeId,
     ) {
@@ -458,8 +564,8 @@ impl Run<'_> {
 
     /// The whole pipeline over mutator sites of the run `summary` counted:
     /// capture `targets`, explore up to `images_per_site` subsets at each
-    /// (masks addressing maybe-set entries from `window_base`), confirm.
-    /// The §7.1b sweep is `(choose_targets(…), 1, 0)`.
+    /// (masks addressing maybe-set entries from `window_base`) on the
+    /// worker, confirm. The §7.1b sweep is `(choose_targets(…), 1, 0)`.
     pub(crate) fn sweep(
         &self,
         summary: &SiteSummary,
@@ -473,12 +579,12 @@ impl Run<'_> {
             site_counts: summary.nonzero(),
             ..Report::default()
         };
-        self.capture(targets, false, &mut |cap, at| {
+        report.absorb(self.capture_and_validate(targets, |report, cap, at| {
             let probe = ProbeId::new(self.seed, cap.site.id, 0)
                 .at_window(window_base)
                 .with_threads(self.threads);
-            self.explore(&mut report, &cap, at, images_per_site, probe);
-        });
+            self.explore(report, cap, at, images_per_site, probe);
+        }));
         self.confirm(&mut report);
         report
     }
@@ -533,7 +639,7 @@ pub(crate) fn track_recovery(
 /// Returns `None` when a site never fires (wrong seed, workload, scheme or
 /// configuration).
 pub fn replay(
-    make: &dyn Fn() -> Box<dyn Workload>,
+    make: &(dyn Fn() -> Box<dyn Workload> + Sync),
     scheme: Scheme,
     probe: ProbeId,
     cfg: &DriverConfig,
@@ -551,10 +657,12 @@ pub fn replay(
     let mut fired = None;
     run.capture(
         [probe.outer_site()].into_iter().collect(),
-        true,
-        &mut |cap, at| fired = Some((cap, at.op, at.before.clone(), at.after.clone())),
+        &mut |cap, at| {
+            fired = Some((cap, at));
+            false
+        },
     );
-    let (mut cap, op, before, after) = fired?;
+    let (mut cap, at) = fired?;
     let nested = probe.phase == ProbePhase::Recovery;
     if nested {
         let targets = [probe.recovery_site()].into_iter().collect();
@@ -562,11 +670,6 @@ pub fn replay(
         let (_, _, caps) = track_recovery(&cap.image, &registry, scheme, Some(targets));
         cap = caps.into_iter().next()?;
     }
-    let at = FiringOp {
-        op,
-        before: &before,
-        after: &after,
-    };
     let (image, outcome) =
         match cap
             .image
@@ -579,7 +682,7 @@ pub fn replay(
             Err(e) => (cap.image, Err(e.to_string())),
         };
     Some(Replay {
-        op,
+        op: at.op,
         maybe: cap.maybe,
         image,
         outcome,
@@ -596,7 +699,7 @@ mod tests {
     /// pre-op one, and `capture` hands the oracle the post-op set alone.
     #[test]
     fn boundary_capture_is_judged_against_the_post_op_set() {
-        let make: &dyn Fn() -> Box<dyn Workload> = &|| Box::new(crate::LinkedList::new());
+        let make: &(dyn Fn() -> Box<dyn Workload> + Sync) = &|| Box::new(crate::LinkedList::new());
         let (scheme, seed) = (Scheme::FfccdFenceFree, 0xB0DA);
         let mut cfg = sec71_config(scheme, seed);
         cfg.mix = PhaseMix::tiny();
@@ -623,20 +726,22 @@ mod tests {
         assert_eq!(post.len(), pre.len() + 1);
 
         let mut captured = 0;
-        run.capture([last].into_iter().collect(), true, &mut |cap, at| {
+        run.capture([last].into_iter().collect(), &mut |cap, at| {
             captured += 1;
-            assert_eq!((at.op, at.before, at.after), (k, &post, &post));
-            run.oracle(&cap.image, at, false)
+            assert_eq!((at.op, &*at.before, &*at.after), (k, &post, &post));
+            run.oracle(&cap.image, &at, false)
                 .expect("the image holds the post-op key set");
+            let pre = Arc::new(pre.clone());
             let before_op = FiringOp {
                 op: k,
-                before: &pre,
-                after: &pre,
+                before: Arc::clone(&pre),
+                after: pre,
             };
             assert!(
                 run.oracle(&cap.image, &before_op, false).is_err(),
                 "the completed insert must not pass as the pre-op set"
             );
+            false
         });
         assert_eq!(captured, 1);
     }

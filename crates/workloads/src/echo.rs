@@ -16,10 +16,10 @@ use std::collections::BTreeSet;
 
 use ffccd::DefragHeap;
 use ffccd_pmem::Ctx;
-use ffccd_pmop::{PmPtr, TypeDesc, TypeId, TypeRegistry, OBJ_HEADER_BYTES};
+use ffccd_pmop::{PmPtr, TypeDesc, TypeId, TypeRegistry};
 
 use crate::util::{value_matches, value_pattern};
-use crate::workload::{check_key_set, Workload};
+use crate::workload::{check_key_set, in_data, Workload};
 
 const DEFAULT_BUCKETS: u64 = 4096;
 const NEXT: u64 = 0;
@@ -189,13 +189,6 @@ impl Workload for Echo {
         }
         check_key_set("Echo", &got, expected)
     }
-}
-
-/// Whether `ptr`'s header and first `len` payload bytes lie in the pool's
-/// data region: a crash image can hold any bits in a reference slot.
-fn in_data(heap: &DefragHeap, ptr: PmPtr, len: u64) -> bool {
-    let layout = heap.pool().layout();
-    ptr.offset() >= layout.data_start + OBJ_HEADER_BYTES && ptr.offset() + len <= layout.total_bytes
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ impl CrashPlan {
 /// Runs under the fault-campaign defragmentation thresholds whatever
 /// `cfg.defrag` says.
 pub fn run_crash_site_sweep(
-    make_workload: &dyn Fn() -> Box<dyn Workload>,
+    make_workload: &(dyn Fn() -> Box<dyn Workload> + Sync),
     scheme: Scheme,
     plan: &CrashPlan,
     cfg: &DriverConfig,
@@ -84,7 +84,7 @@ pub fn run_crash_site_sweep(
 /// spread over the post-init phases, validated against that operation's
 /// post-op key set. Failures are ordinary site probes.
 pub fn run_op_boundary_injection(
-    make_workload: &dyn Fn() -> Box<dyn Workload>,
+    make_workload: &(dyn Fn() -> Box<dyn Workload> + Sync),
     scheme: Scheme,
     seed: u64,
     injections: u64,

@@ -77,7 +77,7 @@ impl NestedPlan {
 /// Explores nested crashes for one workload under one scheme (see the
 /// module docs).
 pub fn run_nested_crash_sweep(
-    make_workload: &dyn Fn() -> Box<dyn Workload>,
+    make_workload: &(dyn Fn() -> Box<dyn Workload> + Sync),
     scheme: Scheme,
     plan: &NestedPlan,
     cfg: &DriverConfig,
@@ -97,9 +97,9 @@ pub fn run_nested_crash_sweep(
         outer_targeted: outer_targets.len() as u64,
         ..Report::default()
     };
-    run.capture(outer_targets, false, &mut |cap, at| {
-        explore_outer(&run, &mut report, &cap, at, plan);
-    });
+    report.absorb(run.capture_and_validate(outer_targets, |report, cap, at| {
+        explore_outer(&run, report, cap, at, plan);
+    }));
     run.confirm(&mut report);
     report
 }
@@ -166,7 +166,7 @@ fn explore_outer(
     run: &Run<'_>,
     report: &mut Report,
     cap: &SiteCapture,
-    at: &FiringOp<'_>,
+    at: &FiringOp,
     plan: &NestedPlan,
 ) {
     report.outer_captured += 1;

@@ -19,7 +19,7 @@ use ffccd_pmem::Ctx;
 use ffccd_pmop::{PmPtr, TypeDesc, TypeId, TypeRegistry};
 
 use crate::util::{value_matches, value_pattern};
-use crate::workload::{check_key_set, Workload};
+use crate::workload::{check_key_set, in_data, Workload};
 
 const WAYS: u64 = 256;
 const NEXT: u64 = 0;
@@ -154,12 +154,23 @@ impl Workload for StringSwap {
     ) -> Result<(), String> {
         let dir = heap.root(ctx);
         let mut got = BTreeSet::new();
+        if dir.is_null() {
+            // Crashed before setup's root store persisted: an empty store.
+            return check_key_set("SS", &got, expected);
+        }
+        if !in_data(heap, dir, WAYS * 8) {
+            return Err(format!("SS: directory {dir} outside the data region"));
+        }
         for way in 0..WAYS {
             let mut cur = heap.load_ref(ctx, dir, way * 8);
             let mut hops = 0;
             while !cur.is_null() {
+                let header = in_data(heap, cur, VAL).then(|| heap.object_header(ctx, cur));
+                let size = header.map_or(0, |(_, size)| size);
+                if u64::from(size) < VAL || !in_data(heap, cur, size.into()) {
+                    return Err(format!("SS: string {cur} outside the data region"));
+                }
                 let key = heap.read_u64(ctx, cur, KEY);
-                let (_, size) = heap.object_header(ctx, cur);
                 let mut val = vec![0u8; size as usize - VAL as usize];
                 heap.read_bytes(ctx, cur, VAL, &mut val);
                 if !value_matches(key, &val) {
@@ -219,5 +230,24 @@ mod tests {
         }
         let live_after = h.pool().stats().live_bytes;
         assert_eq!(live_before, live_after, "swap churn must not leak");
+    }
+
+    #[test]
+    fn a_directory_pointer_off_the_media_is_an_error_not_a_panic() {
+        let mut w = StringSwap::new();
+        let h = heap(w.registry());
+        let mut ctx = h.ctx();
+        w.validate(&h, &mut ctx, &BTreeSet::new())
+            .expect("a null root is an empty store");
+        w.setup(&h, &mut ctx);
+        let bogus = PmPtr::new(
+            h.pool().pool_id(),
+            h.pool().layout().total_bytes + (1 << 20),
+        );
+        h.set_root(&mut ctx, bogus);
+        let err = w
+            .validate(&h, &mut ctx, &BTreeSet::new())
+            .expect_err("a directory past the pool must fail validation");
+        assert!(err.contains("outside the data region"), "{err}");
     }
 }

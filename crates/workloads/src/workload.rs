@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 
 use ffccd::DefragHeap;
 use ffccd_pmem::Ctx;
-use ffccd_pmop::TypeRegistry;
+use ffccd_pmop::{PmPtr, TypeRegistry, OBJ_HEADER_BYTES};
 
 /// A keyed persistent data structure under test.
 ///
@@ -74,6 +74,14 @@ pub trait Workload: Send {
         let _ = (heap, ctx, key, insert);
         None
     }
+}
+
+/// Whether `ptr`'s header and first `len` payload bytes lie in the pool's
+/// data region: a crash image can hold any bits in a reference slot, so a
+/// validator checks a pointer with this before reading through it.
+pub(crate) fn in_data(heap: &DefragHeap, ptr: PmPtr, len: u64) -> bool {
+    let layout = heap.pool().layout();
+    ptr.offset() >= layout.data_start + OBJ_HEADER_BYTES && ptr.offset() + len <= layout.total_bytes
 }
 
 /// Shared helper: compare a collected key set against the expected one.

@@ -4,12 +4,18 @@
 //! adversarially chosen maybe-persisted subsets and arbitrary post-crash
 //! restart seeds.
 
+use std::collections::BTreeSet;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::Mutex;
+use std::thread;
+
 use ffccd::{DefragHeap, ProbeId, Scheme};
-use ffccd_pmem::MachineConfig;
+use ffccd_pmem::{Ctx, MachineConfig};
+use ffccd_pmop::TypeRegistry;
 use ffccd_workloads::campaign::{replay, sec71_config};
 use ffccd_workloads::driver::{DriverConfig, MtSchedule, PhaseMix};
 use ffccd_workloads::faults::{choose_targets, run_crash_site_sweep, CrashPlan};
-use ffccd_workloads::{AvlTree, BzTree, LinkedList, Workload};
+use ffccd_workloads::{AvlTree, BplusTree, BzTree, LinkedList, Workload};
 
 fn sweep_cfg(scheme: Scheme, seed: u64) -> DriverConfig {
     let mut cfg = DriverConfig::new(scheme);
@@ -57,7 +63,7 @@ fn sweep_validates_every_targeted_site() {
 }
 
 fn assert_site_recovers(
-    make: &dyn Fn() -> Box<dyn Workload>,
+    make: &(dyn Fn() -> Box<dyn Workload> + Sync),
     scheme: Scheme,
     seed: u64,
     site: u64,
@@ -99,7 +105,7 @@ fn teardown_crash_recovers_fence_free() {
 /// single persisted root store.
 #[test]
 fn avl_crash_sites_recover() {
-    let make_avl: &dyn Fn() -> Box<dyn Workload> = &|| Box::new(AvlTree::new());
+    let make_avl: &(dyn Fn() -> Box<dyn Workload> + Sync) = &|| Box::new(AvlTree::new());
     assert_site_recovers(make_avl, Scheme::Sfccd, 0x517e12, 262140);
     assert_site_recovers(make_avl, Scheme::FfccdFenceFree, 0x517e13, 683398);
 }
@@ -120,15 +126,15 @@ fn pinned_triples_replay_byte_identically() {
     /// (workload, factory, scheme, seed, site, firing op, media FNV-1a).
     type PinnedCase<'a> = (
         &'a str,
-        &'a dyn Fn() -> Box<dyn Workload>,
+        &'a (dyn Fn() -> Box<dyn Workload> + Sync),
         Scheme,
         u64,
         u64,
         u64,
         u64,
     );
-    let make_ll: &dyn Fn() -> Box<dyn Workload> = &|| Box::new(LinkedList::new());
-    let make_avl: &dyn Fn() -> Box<dyn Workload> = &|| Box::new(AvlTree::new());
+    let make_ll: &(dyn Fn() -> Box<dyn Workload> + Sync) = &|| Box::new(LinkedList::new());
+    let make_avl: &(dyn Fn() -> Box<dyn Workload> + Sync) = &|| Box::new(AvlTree::new());
     #[rustfmt::skip]
     let pinned: Vec<PinnedCase<'_>> = vec![
         ("LL",  make_ll,  Scheme::Sfccd,          0x517e01, 271422, 3322, 0x6b4b559862761232),
@@ -174,7 +180,7 @@ fn pinned_adversarial_triples_replay_byte_identically() {
     /// (workload, factory, scheme, seed, site, mask, maybe_len, op, FNV).
     type PinnedCase<'a> = (
         &'a str,
-        &'a dyn Fn() -> Box<dyn Workload>,
+        &'a (dyn Fn() -> Box<dyn Workload> + Sync),
         Scheme,
         u64,
         u64,
@@ -183,8 +189,8 @@ fn pinned_adversarial_triples_replay_byte_identically() {
         u64,
         u64,
     );
-    let make_ll: &dyn Fn() -> Box<dyn Workload> = &|| Box::new(LinkedList::new());
-    let make_avl: &dyn Fn() -> Box<dyn Workload> = &|| Box::new(AvlTree::new());
+    let make_ll: &(dyn Fn() -> Box<dyn Workload> + Sync) = &|| Box::new(LinkedList::new());
+    let make_avl: &(dyn Fn() -> Box<dyn Workload> + Sync) = &|| Box::new(AvlTree::new());
     #[rustfmt::skip]
     let pinned: Vec<PinnedCase<'_>> = vec![
         ("LL",  make_ll,  Scheme::FfccdFenceFree, 0x517e02, 20000,  0x7,              3,  606,  0xafaf65fa1ddc43d2),
@@ -358,7 +364,7 @@ fn pinned_nested_triples_replay_byte_identically() {
     /// op, FNV).
     type PinnedCase<'a> = (
         &'a str,
-        &'a dyn Fn() -> Box<dyn Workload>,
+        &'a (dyn Fn() -> Box<dyn Workload> + Sync),
         Scheme,
         u64,
         u64,
@@ -368,7 +374,7 @@ fn pinned_nested_triples_replay_byte_identically() {
         u64,
         u64,
     );
-    let make_ll: &dyn Fn() -> Box<dyn Workload> = &|| Box::new(LinkedList::new());
+    let make_ll: &(dyn Fn() -> Box<dyn Workload> + Sync) = &|| Box::new(LinkedList::new());
     #[rustfmt::skip]
     let pinned: Vec<PinnedCase<'_>> = vec![
         ("LL", make_ll, Scheme::Sfccd,          0x517e01, 271422, 0,  0x0, 1, 3322, 0x6b4b559862761232),
@@ -411,9 +417,9 @@ fn pinned_nested_triples_replay_byte_identically() {
 #[test]
 fn recovery_is_idempotent_at_pinned_sites() {
     /// (factory, scheme, seed, site).
-    type PinnedCase<'a> = (&'a dyn Fn() -> Box<dyn Workload>, Scheme, u64, u64);
-    let make_ll: &dyn Fn() -> Box<dyn Workload> = &|| Box::new(LinkedList::new());
-    let make_avl: &dyn Fn() -> Box<dyn Workload> = &|| Box::new(AvlTree::new());
+    type PinnedCase<'a> = (&'a (dyn Fn() -> Box<dyn Workload> + Sync), Scheme, u64, u64);
+    let make_ll: &(dyn Fn() -> Box<dyn Workload> + Sync) = &|| Box::new(LinkedList::new());
+    let make_avl: &(dyn Fn() -> Box<dyn Workload> + Sync) = &|| Box::new(AvlTree::new());
     #[rustfmt::skip]
     let cases: Vec<PinnedCase<'_>> = vec![
         (make_ll,  Scheme::Sfccd,           0x517e01, 271422),
@@ -505,7 +511,7 @@ fn single_site_replay_is_deterministic() {
 /// maybe set — replays through `campaign::replay` to the pinned bytes.
 #[test]
 fn mt_probe_replays_byte_identically() {
-    let make: &dyn Fn() -> Box<dyn Workload> = &|| Box::new(BzTree::new());
+    let make: &(dyn Fn() -> Box<dyn Workload> + Sync) = &|| Box::new(BzTree::new());
     let (scheme, seed) = (Scheme::FfccdCheckLookup, 0x517f01);
     let cfg = sec71_config(scheme, seed);
     let plan = CrashPlan {
@@ -530,4 +536,92 @@ fn mt_probe_replays_byte_identically() {
     assert!(r.outcome.is_ok(), "{:?}", r.outcome);
     assert_eq!(r.maybe.len(), 479);
     assert_eq!(r.image.media().fingerprint(), 0x7f1ee6d01c7d39a3);
+}
+
+/// The enumerate and capture runs make their instances on the calling
+/// thread; every oracle makes its own on the validating worker.
+#[test]
+fn sweep_validates_off_the_capture_thread() {
+    let made_on = Mutex::new(Vec::new());
+    let make = || {
+        made_on.lock().unwrap().push(thread::current().id());
+        make_ll()
+    };
+    let (scheme, seed) = (Scheme::FfccdFenceFree, 0xC0FFEE);
+    let report = run_crash_site_sweep(
+        &make,
+        scheme,
+        &CrashPlan::new(seed, 6),
+        &sweep_cfg(scheme, seed),
+    );
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert_eq!(report.images, 6);
+    let caller = thread::current().id();
+    let made_on = made_on.into_inner().unwrap();
+    let elsewhere = made_on.iter().filter(|&&id| id != caller).count();
+    assert_eq!(made_on.len() - elsewhere, 2, "enumerate + capture");
+    assert_eq!(elsewhere as u64, report.images, "one instance per oracle");
+}
+
+/// A linked list whose validator panics.
+struct PanickingValidator(LinkedList);
+
+impl Workload for PanickingValidator {
+    fn name(&self) -> &'static str {
+        "LL"
+    }
+
+    fn registry(&self) -> TypeRegistry {
+        self.0.registry()
+    }
+
+    fn setup(&mut self, heap: &DefragHeap, ctx: &mut Ctx) {
+        self.0.setup(heap, ctx)
+    }
+
+    fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
+        self.0.insert(heap, ctx, key, value_size)
+    }
+
+    fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
+        self.0.delete(heap, ctx, key)
+    }
+
+    fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
+        self.0.contains(heap, ctx, key)
+    }
+
+    fn validate(&self, _: &DefragHeap, _: &mut Ctx, _: &BTreeSet<u64>) -> Result<(), String> {
+        panic!("validator exploded")
+    }
+}
+
+/// A panic inside the oracle, on the worker, stops the capture run and
+/// reaches the sweep's caller with its own payload.
+#[test]
+fn oracle_panic_reaches_the_caller() {
+    let make = || Box::new(PanickingValidator(LinkedList::new())) as Box<dyn Workload>;
+    let (scheme, seed) = (Scheme::FfccdFenceFree, 0xC0FFEE);
+    let cfg = sweep_cfg(scheme, seed);
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        run_crash_site_sweep(&make, scheme, &CrashPlan::new(seed, 6), &cfg)
+    }));
+    let payload = outcome.expect_err("the validator's panic must reach the caller");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"validator exploded"));
+}
+
+/// Failures come out of the pipeline in one order whatever the worker's
+/// timing: two sweeps of a setting with several failing sites (BT is not
+/// crash-atomic inside an op, ROADMAP item 11) report identically, down
+/// to each failure's probe and message.
+#[test]
+fn pipelined_reports_are_identical() {
+    let make = || Box::new(BplusTree::new()) as Box<dyn Workload>;
+    let (scheme, seed) = (Scheme::Sfccd, 0x517e45);
+    let cfg = sec71_config(scheme, seed);
+    let plan = CrashPlan::new(seed, 16);
+    let a = run_crash_site_sweep(&make, scheme, &plan, &cfg);
+    let b = run_crash_site_sweep(&make, scheme, &plan, &cfg);
+    assert!(a.failures.len() >= 2, "{:?}", a.failures);
+    assert_eq!(a, b);
 }

@@ -182,7 +182,7 @@ fn orphaned_summary_residue_is_inert_to_barriers() {
 /// Replays a pinned §7.1e probe exactly as `replay_site` would: the kill
 /// must fire and the checker suite must pass.
 fn replay_pinned_kill(
-    make: &dyn Fn() -> Box<dyn Workload>,
+    make: &(dyn Fn() -> Box<dyn Workload> + Sync),
     scheme: Scheme,
     probe: ProbeId,
 ) -> Replay {

@@ -180,7 +180,12 @@ fn echo_benefits_less_than_pmemkv() {
 
 /// The seeded multi-threaded crash-site sweep: four images per setting,
 /// each recovered and checked by `validate_heap`.
-fn mt_sweep(make: &dyn Fn() -> Box<dyn Workload>, scheme: Scheme, seed: u64, threads: usize) {
+fn mt_sweep(
+    make: &(dyn Fn() -> Box<dyn Workload> + Sync),
+    scheme: Scheme,
+    seed: u64,
+    threads: usize,
+) {
     let plan = CrashPlan {
         threads,
         ..CrashPlan::new(seed, 4)
