@@ -8,7 +8,7 @@
 
 use ffccd::Scheme;
 use ffccd_bench::{driver_config, header, jobs, mib, rule};
-use ffccd_workloads::driver::{run, run_mt};
+use ffccd_workloads::driver::{run_mt, DriverConfig, MtSchedule};
 use ffccd_workloads::par::parallel_map;
 use ffccd_workloads::{BzTree, Echo, FpTree, Pmemkv, Workload};
 
@@ -19,27 +19,18 @@ type Row = (f64, f64, f64, f64);
 /// One row's recipe: label, workload factory, driver thread count, seed.
 type Spec = (&'static str, fn() -> Box<dyn Workload>, usize, u64);
 
-fn single(mut w: Box<dyn Workload>, seed: u64) -> Row {
-    let base = run(&mut *w, &driver_config(Scheme::Baseline, true, seed));
-    let ours = run(
-        &mut *w,
-        &driver_config(Scheme::FfccdCheckLookup, true, seed),
-    );
-    (
-        mib(base.avg_footprint),
-        mib(base.avg_live),
-        mib(ours.avg_footprint),
-        ours.fragmentation_reduction_vs(&base),
-    )
-}
-
-fn multi(make: &dyn Fn() -> Box<dyn Workload>, seed: u64) -> Row {
-    let base = run_mt(make, 4, &driver_config(Scheme::Baseline, true, seed));
-    let ours = run_mt(
-        make,
-        4,
-        &driver_config(Scheme::FfccdCheckLookup, true, seed),
-    );
+/// Baseline against FFCCD (+checklookup) on `threads` mutators. The
+/// seeded turn schedule makes the threaded rows reproducible.
+fn row(make: &dyn Fn() -> Box<dyn Workload>, threads: usize, seed: u64) -> Row {
+    let run_under = |scheme| {
+        let cfg = DriverConfig {
+            schedule: MtSchedule::Seeded(seed),
+            ..driver_config(scheme, true, seed)
+        };
+        run_mt(make, threads, &cfg)
+    };
+    let base = run_under(Scheme::Baseline);
+    let ours = run_under(Scheme::FfccdCheckLookup);
     (
         mib(base.avg_footprint),
         mib(base.avg_live),
@@ -64,12 +55,7 @@ fn main() {
         ("pmemkv", || Box::new(Pmemkv::new()), 1, 0x7AB46),
     ];
     let rows: Vec<(&str, Row)> = parallel_map(&specs, jobs(), |_, &(name, make, threads, seed)| {
-        let row = if threads > 1 {
-            multi(&make, seed)
-        } else {
-            single(make(), seed)
-        };
-        (name, row)
+        (name, row(&make, threads, seed))
     });
     let mut sums = [0.0f64; 4];
     for (name, (pmdk, actual, ours, red)) in &rows {

@@ -47,12 +47,13 @@ use ffccd::{
     recover, validate_heap, DefragConfig, DefragHeap, ProbeId, ProbePhase, RecoveryReport, Scheme,
 };
 use ffccd_pmem::{
-    CrashImage, Ctx, MachineConfig, MaybeSet, SiteCapture, SiteKind, SitePhase, SiteSummary,
+    CrashImage, Ctx, MachineConfig, MaybeSet, PmEngine, SiteCapture, SiteKind, SitePhase,
+    SiteSummary,
 };
 use ffccd_pmop::{PoolConfig, PoolError, TypeRegistry};
 
 use crate::adversary::{choose_masks, shrink_subset};
-use crate::driver::{mt_registry, run_mt_on, run_on, DriverConfig, OpHook, PhaseMix, VictimReport};
+use crate::driver::{mt_registry, run_mt_hooked, DriverConfig, OpHook, PhaseMix, VictimReport};
 use crate::thread_crash::campaign_config;
 use crate::util::LiveKeys;
 use crate::workload::Workload;
@@ -289,7 +290,9 @@ pub(crate) fn deterministic_pool(cfg: &DriverConfig, seed: u64) -> PoolConfig {
 }
 
 /// The op a captured site fired during, bracketed by the key-set oracle.
-/// Every capture drained at one op boundary shares its two key sets.
+/// Every capture drained at one op boundary shares its two key sets. In a
+/// multi-threaded run they are the turn holders' live sets, which the
+/// oracle does not check.
 #[derive(Clone)]
 pub(crate) struct FiringOp {
     /// 1-based op index.
@@ -309,49 +312,40 @@ pub(crate) struct Run<'a> {
     /// Machine seed; also salts every selection stream.
     pub seed: u64,
     pub cfg: &'a DriverConfig,
-    /// Mutator threads; above 1 the multi-threaded driver runs.
+    /// Mutator threads, one workload instance each.
     pub threads: usize,
 }
 
 impl Run<'_> {
-    /// `w`'s registry, plus the multi-threaded driver's root directory.
-    pub(crate) fn registry(&self, w: &dyn Workload) -> TypeRegistry {
-        if self.threads > 1 {
-            mt_registry(w.registry(), self.threads).0
-        } else {
-            w.registry()
-        }
+    /// The workload's registry, plus the multi-threaded driver's root
+    /// directory when there is more than one thread.
+    pub(crate) fn registry(&self) -> TypeRegistry {
+        mt_registry((self.make)().registry(), self.threads).0
     }
 
-    fn heap(&self, w: &dyn Workload) -> DefragHeap {
+    /// Runs the §6 mix once on a fresh heap with `hook` at every op
+    /// boundary: `threads` instances, above one under the §7.1e runs'
+    /// seeded turn schedule. `track` arms site tracking first.
+    fn drive(&self, track: impl FnOnce(&PmEngine), hook: &mut OpHook<'_>) -> DefragHeap {
+        let workloads: Vec<Box<dyn Workload>> = (0..self.threads).map(|_| (self.make)()).collect();
         let pool = deterministic_pool(self.cfg, self.seed);
-        let registry = self.registry(w);
-        DefragHeap::create(pool, registry, fault_defrag(self.scheme)).expect("campaign pool")
-    }
-
-    /// Runs the §6 mix once on `heap`: the single-thread driver on `w`
-    /// with `hook` at every op boundary, or `threads` fresh instances
-    /// under the §7.1e runs' seeded turn schedule (no boundaries).
-    fn drive(&self, w: &mut dyn Workload, heap: &DefragHeap, hook: &mut OpHook<'_>) {
-        if self.threads > 1 {
-            let cfg = DriverConfig {
-                schedule: campaign_config(self.scheme, self.seed).schedule,
-                ..self.cfg.clone()
-            };
-            run_mt_on(self.make, self.threads, &cfg, heap, None);
-        } else {
-            run_on(w, self.cfg, heap, hook);
-        }
+        let registry = mt_registry(workloads[0].registry(), self.threads).0;
+        let heap =
+            DefragHeap::create(pool, registry, fault_defrag(self.scheme)).expect("campaign pool");
+        track(heap.engine());
+        let cfg = DriverConfig {
+            schedule: campaign_config(self.scheme, self.seed).schedule,
+            ..self.cfg.clone()
+        };
+        run_mt_hooked(self.make, workloads, &cfg, &heap, hook);
+        heap
     }
 
     /// The reference run: counts every durability event (store, clwb,
     /// sfence, WPQ traffic, eviction, GC phase mark) as a deterministic
-    /// site. `hook` sees every op boundary of a single-thread run.
+    /// site. `hook` sees every op boundary.
     pub(crate) fn enumerate(&self, hook: &mut OpHook<'_>) -> SiteSummary {
-        let mut w = (self.make)();
-        let heap = self.heap(&*w);
-        heap.engine().site_tracking_enumerate();
-        self.drive(&mut *w, &heap, hook);
+        let heap = self.drive(PmEngine::site_tracking_enumerate, hook);
         heap.engine().site_tracking_stop()
     }
 
@@ -360,45 +354,39 @@ impl Run<'_> {
     /// [`Run::capture_and_validate`] memory stays bounded by the channel
     /// plus one op), with the live key sets before and after that op — the
     /// post-op set twice for the op's last site, which saw it complete.
-    /// A multi-threaded run's captures drain after it. `on_capture`
-    /// returning `false` stops the run at that boundary (replays: the
-    /// shortest reproducing op prefix; the pipeline: its worker died).
+    /// `on_capture` returning `false` stops the run at that boundary
+    /// (replays: the shortest reproducing op prefix; the pipeline: its
+    /// worker died).
     pub(crate) fn capture(
         &self,
         targets: BTreeSet<u64>,
-        on_capture: &mut dyn FnMut(SiteCapture, FiringOp) -> bool,
+        on_capture: &mut (dyn FnMut(SiteCapture, FiringOp) -> bool + Send),
     ) {
-        let mut w = (self.make)();
-        let heap = self.heap(&*w);
-        heap.engine().site_tracking_capture(targets);
-        let engine = heap.engine().clone();
         let mut prev_live = LiveKeys::new();
         let mut stopped = false;
-        {
-            let mut hook = |op: u64, _heap: &DefragHeap, live: &LiveKeys| {
-                let caps = engine.drain_site_captures();
-                if !caps.is_empty() {
-                    let before = Arc::new(prev_live.to_btree_set());
-                    let after = Arc::new(live.to_btree_set());
-                    let last = engine.sites_fired() - 1;
-                    for cap in caps {
-                        let at = FiringOp {
-                            op,
-                            before: Arc::clone(if cap.site.id == last { &after } else { &before }),
-                            after: Arc::clone(&after),
-                        };
-                        if !on_capture(cap, at) {
-                            stopped = true;
-                            return false;
-                        }
+        let mut hook = |op: u64, heap: &DefragHeap, live: &LiveKeys| {
+            let engine = heap.engine();
+            let caps = engine.drain_site_captures();
+            if !caps.is_empty() {
+                let before = Arc::new(prev_live.to_btree_set());
+                let after = Arc::new(live.to_btree_set());
+                let last = engine.sites_fired() - 1;
+                for cap in caps {
+                    let at = FiringOp {
+                        op,
+                        before: Arc::clone(if cap.site.id == last { &after } else { &before }),
+                        after: Arc::clone(&after),
+                    };
+                    if !on_capture(cap, at) {
+                        stopped = true;
+                        return false;
                     }
                 }
-                prev_live.clone_from(live);
-                true
-            };
-            let mut hook_dyn: OpHook<'_> = Some(&mut hook);
-            self.drive(&mut *w, &heap, &mut hook_dyn);
-        }
+            }
+            prev_live.clone_from(live);
+            true
+        };
+        let heap = self.drive(|e| e.site_tracking_capture(targets), &mut Some(&mut hook));
         if !stopped {
             // Sites firing during wind-down (`exit()`) see the final key set.
             let live = Arc::new(prev_live.to_btree_set());
@@ -462,7 +450,7 @@ impl Run<'_> {
         idempotent: bool,
     ) -> Result<RecoveryReport, String> {
         let mut fresh = (self.make)();
-        let registry = self.registry(&*fresh);
+        let registry = mt_registry(fresh.registry(), self.threads).0;
         let defrag = fault_defrag(self.scheme);
         let (heap, rec) = if idempotent {
             let (heap, rerun) =
@@ -666,7 +654,7 @@ pub fn replay(
     let nested = probe.phase == ProbePhase::Recovery;
     if nested {
         let targets = [probe.recovery_site()].into_iter().collect();
-        let registry = run.registry(&*make());
+        let registry = run.registry();
         let (_, _, caps) = track_recovery(&cap.image, &registry, scheme, Some(targets));
         cap = caps.into_iter().next()?;
     }

@@ -37,7 +37,8 @@ pub struct CrashPlan {
     /// sites, seeded-random selection across the whole run beyond that.
     pub budget: u64,
     /// Mutator threads; above 1 the sweep runs the multi-threaded driver
-    /// under the seeded turn schedule and checks no key sets.
+    /// under the seeded turn schedule, and its oracle checks GC metadata
+    /// but no key sets.
     pub threads: usize,
 }
 

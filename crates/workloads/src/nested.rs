@@ -170,7 +170,7 @@ fn explore_outer(
     plan: &NestedPlan,
 ) {
     report.outer_captured += 1;
-    let registry = run.registry(&*(run.make)());
+    let registry = run.registry();
     let (outcome, summary, _) = track_recovery(&cap.image, &registry, run.scheme, None);
     if let Err(e) = outcome {
         // The base image failing recovery outright is a §7.1b sweep
