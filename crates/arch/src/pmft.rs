@@ -118,17 +118,18 @@ impl Pmft {
 
     /// Loads the entry for `reloc_frame` from the *logical* PM state
     /// without charging cycles (hardware fill / recovery path; callers
-    /// charge the latency that fits their context).
+    /// charge the latency that fits their context). The tag word is read
+    /// first and an invalid entry stops there, so [`Pmft::load_all`]'s
+    /// scan over every frame copies only the entries that exist.
     pub fn load(&self, engine: &PmEngine, reloc_frame: u64) -> Option<PmftEntry> {
         let off = self.meta.pmft_entry(reloc_frame);
-        let buf = engine.peek_vec(off, 272);
-        let tag = u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes"));
+        let tag = engine.peek_u64(off);
         if tag == 0 {
             return None;
         }
-        let dest_frame = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
+        let dest_frame = engine.peek_u64(off + 8);
         let mut minor = [MINOR_NONE; 256];
-        minor.copy_from_slice(&buf[16..272]);
+        minor.copy_from_slice(&engine.peek_vec(off + 16, 256));
         Some(PmftEntry {
             reloc_frame: tag - 1,
             dest_frame,

@@ -99,16 +99,20 @@ impl DefragHeap {
     fn sweep(&self, ctx: &mut Ctx, marked: &MarkSet) {
         let pool = &self.inner.pool;
         let mut dead: Vec<PmPtr> = Vec::new();
-        for frame in 0..pool.layout().num_frames {
-            let st = pool.frame_state(frame);
+        // Only payload pointers are needed: the start mask gives them, and
+        // the simulated record read is charged per head frame as
+        // `frame_objects` charges it.
+        for (frame, st) in (0u64..).zip(pool.frame_states()) {
             let is_head =
                 st.kind == FrameKind::Active || (st.kind == FrameKind::Huge && st.is_start(0));
             if !is_head {
                 continue;
             }
-            for obj in pool.frame_objects(ctx, frame) {
-                if !marked.contains(obj.ptr.offset()) {
-                    dead.push(obj.ptr);
+            pool.touch_frame_record(ctx, frame);
+            for slot in st.start_slots() {
+                let ptr = pool.object_ptr(frame, slot);
+                if !marked.contains(ptr.offset()) {
+                    dead.push(ptr);
                 }
             }
         }
@@ -139,6 +143,7 @@ impl DefragHeap {
             frames: Vec<u64>,
         }
         let mut cands: Vec<Cand> = Vec::new();
+        let states = pool.frame_states();
         for page in 0..layout.num_os_pages() {
             if !pool.page_committed(page) {
                 continue;
@@ -147,7 +152,7 @@ impl DefragHeap {
             let mut live = 0u64;
             let mut evacuable = true;
             for f in page * fpp..(page + 1) * fpp {
-                let st = pool.frame_state(f);
+                let st = &states[f as usize];
                 match st.kind {
                     FrameKind::Free => {}
                     FrameKind::Active => {
@@ -155,10 +160,13 @@ impl DefragHeap {
                         // to a third; a frame whose objects cannot fit one
                         // destination frame cannot honor the single-major-
                         // distance PMFT entry, so its page stays put.
-                        let needed: usize = pool
-                            .frame_objects(ctx, f)
-                            .iter()
-                            .map(|o| o.slots.div_ceil(4) * 4)
+                        // Extents come from the masks (no header reads);
+                        // the record read is charged as `frame_objects`
+                        // charges it.
+                        pool.touch_frame_record(ctx, f);
+                        let needed: usize = st
+                            .object_extents()
+                            .map(|(_, slots)| slots.div_ceil(4) * 4)
                             .sum();
                         if needed > Self::SLOTS_PER_FRAME {
                             evacuable = false;
@@ -439,14 +447,17 @@ impl DefragHeap {
         // Only frames still in Relocation kind get their references
         // rewritten: on re-entry after an interrupted teardown, a released
         // frame may already hold fresh allocations whose references must
-        // not be redirected through the stale mapping.
-        let reloc_set: HashSet<u64> = cs
-            .reloc_frames
-            .iter()
-            .copied()
-            .filter(|&f| inner.pool.frame_state(f).kind == FrameKind::Relocation)
-            .collect();
-        let dest_set: HashSet<u64> = cs.dest_frames.iter().copied().collect();
+        // not be redirected through the stale mapping. Roles are indexed
+        // by frame, so each visited reference costs one array read.
+        let mut roles = vec![FixupRole::None; layout.num_frames as usize];
+        for &d in &cs.dest_frames {
+            roles[d as usize] = FixupRole::Destination;
+        }
+        for &f in &cs.reloc_frames {
+            if inner.pool.frame_state(f).kind == FrameKind::Relocation {
+                roles[f as usize] = FixupRole::Relocation;
+            }
+        }
         {
             let engine2 = engine.clone();
             let entries = &mirror;
@@ -463,18 +474,20 @@ impl DefragHeap {
                     let hdr_off = target.offset() - OBJ_HEADER_BYTES;
                     let frame = layout.frame_of(hdr_off)?;
                     let slot = ((hdr_off - layout.frame_start(frame)) / SLOT_BYTES) as usize;
-                    if reloc_set.contains(&frame) {
-                        let e = entries.entry(frame)?;
-                        let d = e.lookup(slot)?;
-                        let new = me.dest_ptr(e, d);
-                        engine2.write_u64(ctx, slot_off, new.raw());
-                        engine2.clwb(ctx, slot_off);
-                        Some(new)
-                    } else if dest_set.contains(&frame) {
-                        engine2.clwb(ctx, slot_off);
-                        None
-                    } else {
-                        None
+                    match roles[frame as usize] {
+                        FixupRole::Relocation => {
+                            let e = entries.entry(frame)?;
+                            let d = e.lookup(slot)?;
+                            let new = me.dest_ptr(e, d);
+                            engine2.write_u64(ctx, slot_off, new.raw());
+                            engine2.clwb(ctx, slot_off);
+                            Some(new)
+                        }
+                        FixupRole::Destination => {
+                            engine2.clwb(ctx, slot_off);
+                            None
+                        }
+                        FixupRole::None => None,
                     }
                 },
             );
@@ -565,13 +578,10 @@ impl DefragHeap {
         // Frames still parked in a GC role with no cycle to back them (a
         // partially-assembled summary may take a destination frame before
         // storing any entry against it).
-        let stray: Vec<u64> = (0..inner.pool.layout().num_frames)
-            .filter(|&f| {
-                matches!(
-                    inner.pool.frame_state(f).kind,
-                    FrameKind::Relocation | FrameKind::Destination
-                )
-            })
+        let stray: Vec<u64> = (0u64..)
+            .zip(inner.pool.frame_states())
+            .filter(|(_, st)| matches!(st.kind, FrameKind::Relocation | FrameKind::Destination))
+            .map(|(f, _)| f)
             .collect();
         if hdr_state == 0 && entries.is_empty() && stray.is_empty() {
             return;
@@ -608,6 +618,17 @@ impl DefragHeap {
         self.finish_cycle(ctx);
         self.heal_orphaned_summaries(ctx);
     }
+}
+
+/// What termination's reference-fixup walk does with a reference into a
+/// frame.
+#[derive(Clone, Copy)]
+enum FixupRole {
+    None,
+    /// A relocation frame still in that role: rewrite through the PMFT.
+    Relocation,
+    /// A destination frame: flush the (barrier-updated) reference.
+    Destination,
 }
 
 /// Persistent code identifying the scheme in the cycle header (recovery

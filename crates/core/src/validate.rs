@@ -9,9 +9,10 @@
 
 use std::collections::HashSet;
 
-use ffccd_pmop::{FrameKind, PmPtr, OBJ_HEADER_BYTES, SLOT_BYTES};
+use ffccd_pmop::{FrameKind, PmPtr, PoolLayout, OBJ_HEADER_BYTES, SLOT_BYTES};
 
 use crate::heap::DefragHeap;
+use crate::walk::MarkSet;
 
 /// Summary of a successful validation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -50,19 +51,22 @@ pub fn validate_heap(heap: &DefragHeap) -> Result<ValidationSummary, Vec<String>
     if header != 0 {
         problems.push(format!("persistent cycle header is {header}, expected 0"));
     }
+    // The frag map is one bit per frame, contiguous from frame 0's byte.
+    let fragmap = engine.peek_vec(heap.meta().fragmap_byte(0), layout.num_frames.div_ceil(8));
     for f in 0..layout.num_frames {
         if engine.peek_u64(heap.meta().pmft_entry(f)) != 0 {
             problems.push(format!("stale PMFT entry for frame {f}"));
         }
-        let byte = engine.peek_vec(heap.meta().fragmap_byte(f), 1)[0];
-        if byte >> (f % 8) & 1 == 1 {
+        if fragmap[(f / 8) as usize] >> (f % 8) & 1 == 1 {
             problems.push(format!("stale frag-page bit for frame {f}"));
         }
     }
 
-    // Graph walk on logical (peek) state.
+    // Graph walk on logical (peek) state, against one snapshot of the
+    // (quiescent) frame table.
+    let frames = pool.frame_states();
     let mut summary = ValidationSummary::default();
-    let mut visited: HashSet<u64> = HashSet::new();
+    let mut visited = Visited::new(&layout);
     let mut stack: Vec<(u64, PmPtr)> = Vec::new();
     let root = PmPtr::from_raw(engine.peek_u64(ffccd_pmop::HDR_ROOT));
     stack.push((ffccd_pmop::HDR_ROOT, root));
@@ -88,7 +92,7 @@ pub fn validate_heap(heap: &DefragHeap) -> Result<ValidationSummary, Vec<String>
             continue;
         };
         let slot = ((hdr_off - layout.frame_start(frame)) / SLOT_BYTES) as usize;
-        let st = pool.frame_state(frame);
+        let st = &frames[frame as usize];
         if matches!(st.kind, FrameKind::Free) {
             problems.push(format!(
                 "pointer {ptr} at slot {slot_off:#x} into a free frame {frame}"
@@ -132,5 +136,33 @@ pub fn validate_heap(heap: &DefragHeap) -> Result<ValidationSummary, Vec<String>
         Ok(summary)
     } else {
         Err(problems)
+    }
+}
+
+/// The graph walk's visited set over payload offsets: the collector's
+/// [`MarkSet`] for offsets on the pool's slot grid (every valid object
+/// pointer), an exact set for the rest, which can only be corrupt.
+struct Visited {
+    grid: MarkSet,
+    pool_bytes: u64,
+    off_grid: HashSet<u64>,
+}
+
+impl Visited {
+    fn new(layout: &PoolLayout) -> Self {
+        Visited {
+            grid: MarkSet::new(layout),
+            pool_bytes: layout.total_bytes,
+            off_grid: HashSet::new(),
+        }
+    }
+
+    /// Adds `offset`, returning whether it was new.
+    fn insert(&mut self, offset: u64) -> bool {
+        if offset.is_multiple_of(SLOT_BYTES) && offset < self.pool_bytes {
+            self.grid.insert(offset)
+        } else {
+            self.off_grid.insert(offset)
+        }
     }
 }

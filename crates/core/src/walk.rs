@@ -15,7 +15,7 @@ pub(crate) struct MarkSet {
 }
 
 impl MarkSet {
-    fn new(layout: &PoolLayout) -> Self {
+    pub(crate) fn new(layout: &PoolLayout) -> Self {
         MarkSet {
             bits: vec![0; (layout.total_bytes / SLOT_BYTES).div_ceil(64) as usize],
         }
@@ -31,7 +31,7 @@ impl MarkSet {
     }
 
     /// Adds `off`, returning whether it was new.
-    fn insert(&mut self, off: u64) -> bool {
+    pub(crate) fn insert(&mut self, off: u64) -> bool {
         let (word, mask) = Self::bit(off);
         let new = self.bits[word] & mask == 0;
         self.bits[word] |= mask;

@@ -221,6 +221,43 @@ fn baseline_never_triggers() {
     assert_eq!(heap.gc_stats().cycles_completed, 0);
 }
 
+/// The validator's reports, verbatim and in order, for a stale PMFT entry,
+/// a stale frag-page bit on the pool's last frame, and a reachable
+/// pointer that lands between slots of a live frame.
+#[test]
+fn validator_reports_stale_metadata_and_off_grid_pointers() {
+    let heap = heap_with(Scheme::Sfccd, 0x7a11);
+    let mut ctx = heap.ctx();
+    let nodes = push_nodes(&heap, &mut ctx, 3);
+    validate_heap(&heap).expect("fresh list is consistent");
+
+    let engine = heap.engine();
+    let layout = *heap.pool().layout();
+    let last = layout.num_frames - 1;
+    let fb = heap.meta().fragmap_byte(last);
+    let byte = engine.read_u8(&mut ctx, fb) | 1 << (last % 8);
+    engine.write(&mut ctx, fb, &[byte]);
+    engine.write_u64(&mut ctx, heap.meta().pmft_entry(5), 5 + 1);
+    // The tail node's next field points 8 bytes past the slot after its
+    // header: inside the node, on no slot boundary.
+    let tail = nodes[0];
+    let hdr = tail.offset() - ffccd_pmop::OBJ_HEADER_BYTES;
+    let stray = PmPtr::new(tail.pool_id(), tail.offset() + ffccd_pmop::SLOT_BYTES + 8);
+    engine.write_u64(&mut ctx, tail.offset() + NEXT_OFF, stray.raw());
+
+    let frame = layout.frame_of(hdr).expect("in the data region");
+    let slot = (hdr - layout.frame_start(frame)) / ffccd_pmop::SLOT_BYTES + 1;
+    let problems = validate_heap(&heap).expect_err("corrupt heap");
+    assert_eq!(
+        problems,
+        vec![
+            "stale PMFT entry for frame 5".to_owned(),
+            format!("stale frag-page bit for frame {last}"),
+            format!("dangling pointer {stray}: no object starts at frame {frame} slot {slot}"),
+        ]
+    );
+}
+
 #[test]
 fn sweep_reclaims_unreachable_objects() {
     let heap = heap_with(Scheme::FfccdFenceFree, 13);

@@ -23,14 +23,17 @@
 //! the original global-lock engine — this is the **deterministic mode**
 //! crash-site tracking requires, and [`PmEngine::site_tracking_enumerate`]/
 //! [`PmEngine::site_tracking_capture`] refuse to run with more banks. The
-//! fault-injection harness constructs its engines with `banks: 1`
-//! explicitly; throughput runs opt into more banks.
+//! site tracker therefore lives in bank 0, under the bank lock every
+//! durability event already holds: tracking adds no lock of its own, and
+//! an untracked event pays one mode check. The fault-injection harness
+//! constructs its engines with `banks: 1` explicitly; throughput runs opt
+//! into more banks.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockWriteGuard};
 
 use crate::addr::{line_of, lines_spanning, Line, CACHELINE_BYTES};
 use crate::cache::{CacheSim, Evicted};
@@ -38,7 +41,7 @@ use crate::crash::{CrashImage, MaybeLine, MaybeOrigin, MaybeSet};
 use crate::ctx::{Ctx, ThreadCrashUnwind};
 use crate::media::Media;
 use crate::observer::PersistObserver;
-use crate::sites::{SiteCapture, SiteKind, SitePhase, SiteSummary, SiteTracker};
+use crate::sites::{SiteCapture, SiteKind, SitePhase, SiteSummary, SiteTrace, SiteTracker};
 use crate::stats::{BankCounters, EngineStats};
 use crate::timing::MachineConfig;
 use crate::wpq::{Wpq, WpqEntry};
@@ -56,6 +59,9 @@ struct Bank {
     /// meaningful.
     inflight: VecDeque<(u64, WpqEntry)>,
     evict_roll: u64,
+    /// The crash-site tracker. Only bank 0's is ever armed: tracking
+    /// requires the single-bank engine.
+    sites: SiteTracker,
 }
 
 /// State shared by all banks.
@@ -66,10 +72,6 @@ struct Shared {
     /// Fast-path gate: lines that persist check this before touching the
     /// observer lock at all.
     has_observer: AtomicBool,
-    sites: Mutex<SiteTracker>,
-    /// Fast-path gate mirroring `sites` mode, so untracked runs pay one
-    /// relaxed load per durability event instead of a lock.
-    sites_active: AtomicBool,
     counters: Box<[BankCounters]>,
 }
 
@@ -149,6 +151,7 @@ impl PmEngine {
                     wpq: Wpq::new(bank_share(cfg.wpq_capacity, nbanks, b)),
                     inflight: VecDeque::new(),
                     evict_roll: (cfg.seed ^ bank_salt(b)) | 1,
+                    sites: SiteTracker::default(),
                 })
             })
             .collect();
@@ -160,8 +163,6 @@ impl PmEngine {
                 media: RwLock::new(media),
                 observer: RwLock::new(None),
                 has_observer: AtomicBool::new(false),
-                sites: Mutex::new(SiteTracker::default()),
-                sites_active: AtomicBool::new(false),
                 counters: counters.into(),
             }),
             cfg: Arc::new(cfg),
@@ -491,10 +492,9 @@ impl PmEngine {
         // Stamp the kill in the site stream when tracking is armed — noted
         // only on fire, so an armed-but-unfired kill never perturbs the
         // deterministic site-ID sequence.
-        if self.shared.sites_active.load(Ordering::Acquire) {
-            let bank = self.banks[0].write();
-            bank.site_event(self, SiteKind::ThreadCrash, arm.victim() as u64);
-        }
+        self.banks[0]
+            .write()
+            .site_event(self, SiteKind::ThreadCrash, arm.victim() as u64);
         if std::env::var("FFCCD_TRACE_KILL").is_ok() {
             eprintln!(
                 "TRACE kill fires victim={} events={}\n{}",
@@ -574,8 +574,7 @@ impl PmEngine {
     /// Panics unless the engine runs in deterministic mode (one bank).
     pub fn site_tracking_enumerate_phase(&self, phase: SitePhase) {
         self.assert_deterministic("site_tracking_enumerate");
-        self.shared.sites.lock().start_enumerate(phase);
-        self.shared.sites_active.store(true, Ordering::Release);
+        self.banks[0].write().sites.start_enumerate(phase);
     }
 
     /// Begins crash-site capture: events get the same deterministic IDs an
@@ -600,26 +599,24 @@ impl PmEngine {
     /// Panics unless the engine runs in deterministic mode (one bank).
     pub fn site_tracking_capture_phase(&self, targets: BTreeSet<u64>, phase: SitePhase) {
         self.assert_deterministic("site_tracking_capture");
-        self.shared.sites.lock().start_capture(targets, phase);
-        self.shared.sites_active.store(true, Ordering::Release);
+        self.banks[0].write().sites.start_capture(targets, phase);
     }
 
     /// Stops tracking, returning totals per event kind.
     pub fn site_tracking_stop(&self) -> SiteSummary {
-        self.shared.sites_active.store(false, Ordering::Release);
-        self.shared.sites.lock().stop()
+        self.banks[0].write().sites.stop()
     }
 
     /// Takes the crash images captured since the last drain (bounded-memory
     /// sweeps drain and validate at every op boundary).
     pub fn drain_site_captures(&self) -> Vec<SiteCapture> {
-        self.shared.sites.lock().drain()
+        self.banks[0].write().sites.drain()
     }
 
     /// Sites fired so far in the current tracking window: the ID the next
     /// event will get, so the last one fired is `sites_fired() - 1`.
     pub fn sites_fired(&self) -> u64 {
-        self.shared.sites.lock().next_id
+        self.banks[0].read().sites.next_id
     }
 
     /// The current maybe-persisted set: every line whose durability would
@@ -641,15 +638,14 @@ impl PmEngine {
     }
 
     /// Reports a GC phase transition from the heap layer as a crash site
-    /// ([`SiteKind::Phase`] with `code` as detail). Cheap no-op while
-    /// tracking is off.
+    /// ([`SiteKind::Phase`] with `code` as detail). A no-op while
+    /// tracking is off, but it still takes bank 0's lock: phase
+    /// transitions are a handful per GC cycle.
     pub fn note_phase_site(&self, code: u64) {
-        if !self.shared.sites_active.load(Ordering::Acquire) {
-            return;
-        }
         // Tracking implies deterministic mode, so bank 0 is the only bank.
-        let bank = self.banks[0].write();
-        bank.site_event(self, SiteKind::Phase, code);
+        self.banks[0]
+            .write()
+            .site_event(self, SiteKind::Phase, code);
     }
 
     /// Runs `f` with a read-only view of the raw media (validators).
@@ -807,20 +803,23 @@ impl Bank {
         entries[start..].reverse();
     }
 
-    /// Registers a durability-relevant event with the site tracker and
-    /// captures a crash image — plus the maybe-persisted set at the same
-    /// instant — when the site is targeted.
-    fn site_event(&self, eng: &PmEngine, kind: SiteKind, detail: u64) {
-        if !eng.shared.sites_active.load(Ordering::Acquire) {
-            return;
+    /// Registers a durability-relevant event with this bank's site
+    /// tracker (armed only on bank 0 of a single-bank engine) and captures
+    /// a crash image — plus the maybe-persisted set at the same instant —
+    /// when the site is targeted.
+    #[inline]
+    fn site_event(&mut self, eng: &PmEngine, kind: SiteKind, detail: u64) {
+        if let Some(trace) = self.sites.note(kind, detail) {
+            self.capture_site(eng, trace);
         }
-        let mut sites = eng.shared.sites.lock();
-        if let Some(trace) = sites.note(kind, detail) {
-            let image = self.snapshot_single(eng);
-            let mut maybe = Vec::new();
-            self.collect_maybe_into(eng, &mut maybe);
-            sites.push_capture(trace, image, MaybeSet::new(maybe));
-        }
+    }
+
+    #[cold]
+    fn capture_site(&mut self, eng: &PmEngine, trace: SiteTrace) {
+        let image = self.snapshot_single(eng);
+        let mut maybe = Vec::new();
+        self.collect_maybe_into(eng, &mut maybe);
+        self.sites.push_capture(trace, image, MaybeSet::new(maybe));
     }
 
     /// Asynchronous acceptance: one of this core's in-flight writebacks

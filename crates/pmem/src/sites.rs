@@ -20,6 +20,10 @@
 //!    bank lock is still held, so the image reflects exactly the machine
 //!    state at that event.
 //!
+//! The tracker itself is part of the engine's single bank: the bank lock
+//! an event already holds is the tracker's only guard, and an untracked
+//! event costs one mode check.
+//!
 //! Site tracking requires the engine's **single-bank deterministic mode**
 //! (`MachineConfig::banks <= 1`): with multiple banks, per-bank RNG
 //! streams interleave by thread schedule and a global event order no
@@ -203,10 +207,11 @@ enum Mode {
     Capture,
 }
 
-/// Engine-internal tracker; lives behind its own mutex in the engine's
-/// shared state, and only runs on single-bank engines, so events and
-/// captures stay globally ordered and atomic with respect to other
-/// threads.
+/// Engine-internal tracker. It lives in bank 0 of the engine and only
+/// runs on single-bank engines, so it is guarded by the one bank lock
+/// every durability event already holds: events and captures stay
+/// globally ordered and atomic with respect to other threads, with no
+/// lock or gate of their own.
 #[derive(Debug, Default)]
 pub(crate) struct SiteTracker {
     mode: Mode,
@@ -214,7 +219,10 @@ pub(crate) struct SiteTracker {
     pub(crate) next_id: u64,
     counts: [u64; SiteKind::ALL.len()],
     phase_marks: Vec<(u64, u64)>,
-    targets: BTreeSet<u64>,
+    /// Capture targets, ascending; IDs fire in ascending order too, so
+    /// `cursor` (the next target not yet fired) is the whole lookup.
+    targets: Vec<u64>,
+    cursor: usize,
     captures: Vec<SiteCapture>,
 }
 
@@ -231,7 +239,7 @@ impl SiteTracker {
         *self = SiteTracker {
             mode: Mode::Capture,
             phase,
-            targets,
+            targets: targets.into_iter().collect(),
             ..SiteTracker::default()
         };
     }
@@ -244,18 +252,33 @@ impl SiteTracker {
         };
         self.mode = Mode::Off;
         self.targets.clear();
+        self.cursor = 0;
         summary
     }
 
     /// Registers an event; returns the trace when a capture is wanted.
+    /// A no-op while tracking is off: every durability event of every
+    /// bank calls this, so only the mode check is inlined.
+    #[inline]
     pub(crate) fn note(&mut self, kind: SiteKind, detail: u64) -> Option<SiteTrace> {
+        if self.mode == Mode::Off {
+            return None;
+        }
+        self.note_tracked(kind, detail)
+    }
+
+    fn note_tracked(&mut self, kind: SiteKind, detail: u64) -> Option<SiteTrace> {
         let id = self.next_id;
         self.next_id += 1;
         self.counts[kind.index()] += 1;
         if kind == SiteKind::Phase {
             self.phase_marks.push((id, detail));
         }
-        (self.mode == Mode::Capture && self.targets.contains(&id)).then_some(SiteTrace {
+        if self.targets.get(self.cursor) != Some(&id) {
+            return None;
+        }
+        self.cursor += 1;
+        Some(SiteTrace {
             id,
             kind,
             detail,
@@ -321,8 +344,35 @@ mod tests {
     #[test]
     fn off_mode_records_nothing() {
         let mut t = SiteTracker::default();
-        // The engine gates events on its `sites_active` flag; a stray note
-        // would still be harmless but must not capture.
+        // Every durability event reaches the tracker; off, it neither
+        // numbers nor captures.
         assert!(t.note(SiteKind::Store, 0).is_none());
+        assert_eq!(t.next_id, 0);
+    }
+
+    /// Targets `{0, last, ≥ total}` capture exactly the in-range sites, in
+    /// order, and stopping resets the tracker: later events are not
+    /// numbered, and the next window starts from ID 0 with a fresh cursor.
+    #[test]
+    fn capture_cursor_walks_targets_in_order() {
+        const TOTAL: u64 = 6;
+        let mut t = SiteTracker::default();
+        t.start_capture(
+            [0, TOTAL - 1, TOTAL, TOTAL + 40].into_iter().collect(),
+            SitePhase::Mutator,
+        );
+        let fired: Vec<u64> = (0..TOTAL)
+            .filter_map(|i| t.note(SiteKind::Store, i * 64))
+            .map(|trace| trace.id)
+            .collect();
+        assert_eq!(fired, vec![0, TOTAL - 1]);
+        assert_eq!(t.stop().total, TOTAL);
+        assert!(t.note(SiteKind::Store, 0).is_none());
+        assert_eq!(t.next_id, TOTAL, "nothing numbered after stop");
+
+        t.start_capture([1u64].into_iter().collect(), SitePhase::Mutator);
+        assert!(t.note(SiteKind::Store, 0).is_none());
+        assert_eq!(t.note(SiteKind::Clwb, 0).map(|trace| trace.id), Some(1));
+        assert_eq!(t.stop().total, 2);
     }
 }

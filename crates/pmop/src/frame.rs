@@ -77,6 +77,25 @@ fn clear_bit(mask: &mut [u64; 4], i: usize) {
     mask[i / 64] &= !(1 << (i % 64));
 }
 
+/// The first set bit of `mask` at or above `from`, or [`SLOTS_PER_FRAME`].
+fn next_set_bit(mask: &[u64; 4], from: usize) -> usize {
+    let mut w = from / 64;
+    if w >= mask.len() {
+        return SLOTS_PER_FRAME;
+    }
+    let mut bits = mask[w] & (!0u64 << (from % 64));
+    loop {
+        if bits != 0 {
+            return w * 64 + bits.trailing_zeros() as usize;
+        }
+        w += 1;
+        if w == mask.len() {
+            return SLOTS_PER_FRAME;
+        }
+        bits = mask[w];
+    }
+}
+
 impl FrameState {
     /// Whether slot `i` is allocated.
     pub fn is_allocated(&self, i: usize) -> bool {
@@ -180,6 +199,19 @@ impl FrameState {
         })
     }
 
+    /// Iterates `(first slot, slots)` of every object starting in this
+    /// frame, in ascending order, from the masks alone: an object runs
+    /// from its start bit through the allocated slots before the next
+    /// start bit or free slot. For an object that fits its frame this is
+    /// the extent its header size gives (`alloc` marks exactly those
+    /// slots), so GC scans that need no type or size read no header.
+    pub fn object_extents(&self) -> impl Iterator<Item = (usize, usize)> {
+        // A slot ends the preceding object when it is free or starts one.
+        let boundary: [u64; 4] = std::array::from_fn(|w| !self.alloc[w] | self.start[w]);
+        self.start_slots()
+            .map(move |slot| (slot, next_set_bit(&boundary, slot + 1) - slot))
+    }
+
     /// Serializes the two masks into the 64-byte persistent record format.
     pub fn to_record(&self) -> [u8; 64] {
         let mut rec = [0u8; 64];
@@ -220,6 +252,17 @@ mod tests {
         assert_eq!(f.kind, FrameKind::Free);
         assert_eq!(f.free_slots as usize, SLOTS_PER_FRAME);
         assert_eq!(f.find_free_run(256), Some(0));
+    }
+
+    #[test]
+    fn object_extents_stop_at_starts_and_free_slots() {
+        let mut f = FrameState::default();
+        f.mark_allocated(0, 3, 48);
+        f.mark_allocated(3, 1, 16);
+        f.mark_allocated(10, 9, 144);
+        f.mark_allocated(250, 6, 96);
+        let got: Vec<_> = f.object_extents().collect();
+        assert_eq!(got, vec![(0, 3), (3, 1), (10, 9), (250, 6)]);
     }
 
     #[test]

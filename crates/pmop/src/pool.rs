@@ -1009,6 +1009,29 @@ impl PmPool {
         self.inner.lock().frames[frame as usize].clone()
     }
 
+    /// Volatile snapshot of every frame's allocator state, indexed by
+    /// frame, under one lock acquisition — for scans over the whole frame
+    /// table.
+    pub fn frame_states(&self) -> Vec<FrameState> {
+        self.inner.lock().frames.clone()
+    }
+
+    /// Payload pointer of the object whose header starts at `slot` of
+    /// `frame`.
+    pub fn object_ptr(&self, frame: u64, slot: usize) -> PmPtr {
+        self.ptr_at(frame as u32, slot)
+    }
+
+    /// Charges the one simulated read of `frame`'s 64-byte bitmap record
+    /// that models the GC touching the frame's allocation state: what
+    /// [`PmPool::frame_objects`] costs, for scans that enumerate from a
+    /// [`PmPool::frame_states`] snapshot instead.
+    pub fn touch_frame_record(&self, ctx: &mut Ctx, frame: u64) {
+        let mut rec = [0u8; 64];
+        self.engine
+            .read(ctx, self.layout.bitmap_record(frame), &mut rec);
+    }
+
     /// Changes a frame's role (GC: Active↔Relocation/Destination).
     pub fn set_frame_kind(&self, frame: u64, kind: FrameKind) {
         let mut inner = self.inner.lock();
@@ -1021,11 +1044,9 @@ impl PmPool {
 
     /// Enumerates live objects in `frame`, charging one bitmap-record read.
     pub fn frame_objects(&self, ctx: &mut Ctx, frame: u64) -> Vec<FrameObject> {
-        // One simulated read of the 64-byte record models the GC touching
-        // the bitmap; enumeration itself uses the volatile mirror.
-        let mut rec = [0u8; 64];
-        self.engine
-            .read(ctx, self.layout.bitmap_record(frame), &mut rec);
+        // The simulated record read models the GC touching the bitmap;
+        // enumeration itself uses the volatile mirror.
+        self.touch_frame_record(ctx, frame);
         self.collect_frame_objects(frame)
     }
 

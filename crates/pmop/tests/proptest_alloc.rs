@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use ffccd_pmem::Ctx;
-use ffccd_pmop::{PmPool, PmPtr, PoolConfig, TypeDesc, TypeRegistry, OBJ_HEADER_BYTES};
+use ffccd_pmop::{PmPool, PmPtr, PoolConfig, TypeDesc, TypeRegistry, OBJ_HEADER_BYTES, SLOT_BYTES};
 
 fn registry() -> TypeRegistry {
     let mut reg = TypeRegistry::new();
@@ -98,6 +98,46 @@ proptest! {
         for _ in 0..16 {
             let _ = pool2.pmalloc(&mut ctx2, t, 64);
         }
+    }
+
+    /// Whatever the alloc/free sequence, the object extents the GC derives
+    /// from a frame's allocation masks alone equal the ones each object's
+    /// header size gives, frame by frame and object by object.
+    #[test]
+    fn mask_extents_match_header_sizes(ops in ops(), seed in any::<u64>()) {
+        let cfg = PoolConfig {
+            data_bytes: 2 << 20,
+            os_page_size: 4096,
+            machine: ffccd_pmem::MachineConfig { seed, ..Default::default() },
+        };
+        let pool = PmPool::create(cfg, registry()).expect("create");
+        let mut ctx = Ctx::new(pool.machine());
+        let t = ffccd_pmop::TypeId(0);
+        let mut live: Vec<PmPtr> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Alloc(size) => live.extend(pool.pmalloc(&mut ctx, t, size as u64).ok()),
+                Op::FreeNth(n) => {
+                    if !live.is_empty() {
+                        let p = live.swap_remove(n as usize % live.len());
+                        pool.pfree(&mut ctx, p).expect("free live object");
+                    }
+                }
+            }
+        }
+        let mut objects = 0;
+        for (frame, st) in (0u64..).zip(pool.frame_states()) {
+            prop_assert_eq!(st.kind, pool.frame_state(frame).kind);
+            let from_masks: Vec<(usize, usize)> = st.object_extents().collect();
+            let from_headers: Vec<(usize, usize)> = pool
+                .peek_frame_objects(frame)
+                .iter()
+                .map(|o| (o.slot, (o.size as u64 + OBJ_HEADER_BYTES).div_ceil(SLOT_BYTES) as usize))
+                .collect();
+            prop_assert_eq!(&from_masks, &from_headers, "frame {}", frame);
+            objects += from_masks.len();
+        }
+        prop_assert_eq!(objects, live.len());
     }
 
     /// Double frees and garbage pointers are always rejected, never UB.

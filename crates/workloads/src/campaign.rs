@@ -53,7 +53,9 @@ use ffccd_pmem::{
 use ffccd_pmop::{PoolConfig, PoolError, TypeRegistry};
 
 use crate::adversary::{choose_masks, shrink_subset};
-use crate::driver::{mt_registry, run_mt_hooked, DriverConfig, OpHook, PhaseMix, VictimReport};
+use crate::driver::{
+    mt_registry, run_mt_hooked, DriverConfig, OpHook, OpRecord, PhaseMix, VictimReport,
+};
 use crate::thread_crash::campaign_config;
 use crate::util::LiveKeys;
 use crate::workload::Workload;
@@ -291,8 +293,9 @@ pub(crate) fn deterministic_pool(cfg: &DriverConfig, seed: u64) -> PoolConfig {
 
 /// The op a captured site fired during, bracketed by the key-set oracle.
 /// Every capture drained at one op boundary shares its two key sets. In a
-/// multi-threaded run they are the turn holders' live sets, which the
-/// oracle does not check.
+/// multi-threaded run they are the turn holder's live set after its op
+/// and that set with the op's key toggled, which the oracle does not
+/// check.
 #[derive(Clone)]
 pub(crate) struct FiringOp {
     /// 1-based op index.
@@ -354,45 +357,60 @@ impl Run<'_> {
     /// [`Run::capture_and_validate`] memory stays bounded by the channel
     /// plus one op), with the live key sets before and after that op — the
     /// post-op set twice for the op's last site, which saw it complete.
-    /// `on_capture` returning `false` stops the run at that boundary
-    /// (replays: the shortest reproducing op prefix; the pipeline: its
-    /// worker died).
+    /// Key sets are built only at boundaries where captures drain: the
+    /// pre-op set is the post-op one with the op's key toggled. Sites
+    /// firing during wind-down (`exit()`) see the final key set and are
+    /// labelled with the last boundary's op.
+    ///
+    /// The run stops at the boundary where it hands over its last target,
+    /// or where `on_capture` returns `false` (replays: the shortest
+    /// reproducing op prefix; the pipeline: its worker died).
     pub(crate) fn capture(
         &self,
         targets: BTreeSet<u64>,
         on_capture: &mut (dyn FnMut(SiteCapture, FiringOp) -> bool + Send),
     ) {
-        let mut prev_live = LiveKeys::new();
+        let last_target = targets.last().copied();
+        let end = (self.cfg.mix.per_thread_ops(self.threads) * self.threads) as u64;
+        let mut final_live = None;
         let mut stopped = false;
-        let mut hook = |op: u64, heap: &DefragHeap, live: &LiveKeys| {
+        let mut hook = |op: u64, heap: &DefragHeap, live: &LiveKeys, done: OpRecord| {
             let engine = heap.engine();
+            if op == end {
+                final_live = Some(Arc::new(live.to_btree_set()));
+            }
             let caps = engine.drain_site_captures();
-            if !caps.is_empty() {
-                let before = Arc::new(prev_live.to_btree_set());
-                let after = Arc::new(live.to_btree_set());
-                let last = engine.sites_fired() - 1;
-                for cap in caps {
-                    let at = FiringOp {
-                        op,
-                        before: Arc::clone(if cap.site.id == last { &after } else { &before }),
-                        after: Arc::clone(&after),
-                    };
-                    if !on_capture(cap, at) {
-                        stopped = true;
-                        return false;
-                    }
+            if caps.is_empty() {
+                return true;
+            }
+            let after = live.to_btree_set();
+            let mut before = after.clone();
+            if done.insert {
+                before.remove(&done.key);
+            } else {
+                before.insert(done.key);
+            }
+            let (before, after) = (Arc::new(before), Arc::new(after));
+            let last = engine.sites_fired() - 1;
+            for cap in caps {
+                let id = cap.site.id;
+                let at = FiringOp {
+                    op,
+                    before: Arc::clone(if id == last { &after } else { &before }),
+                    after: Arc::clone(&after),
+                };
+                if !on_capture(cap, at) || Some(id) == last_target {
+                    stopped = true;
+                    return false;
                 }
             }
-            prev_live.clone_from(live);
             true
         };
         let heap = self.drive(|e| e.site_tracking_capture(targets), &mut Some(&mut hook));
         if !stopped {
-            // Sites firing during wind-down (`exit()`) see the final key set.
-            let live = Arc::new(prev_live.to_btree_set());
-            let mix = &self.cfg.mix;
+            let live = final_live.unwrap_or_default();
             let at = FiringOp {
-                op: (mix.init + mix.phase_ops * mix.phases) as u64,
+                op: end,
                 before: Arc::clone(&live),
                 after: live,
             };
@@ -701,7 +719,7 @@ mod tests {
         // Op 100 inserts a key: the sets on either side of it differ.
         let k = 100;
         let (mut last, mut pre, mut post) = (0, BTreeSet::new(), BTreeSet::new());
-        let mut hook = |op: u64, heap: &DefragHeap, live: &LiveKeys| {
+        let mut hook = |op: u64, heap: &DefragHeap, live: &LiveKeys, _: OpRecord| {
             if op == k - 1 {
                 pre = live.to_btree_set();
             } else if op == k {
@@ -732,6 +750,64 @@ mod tests {
             false
         });
         assert_eq!(captured, 1);
+    }
+
+    /// A capture run that stops where it hands over its last target hands
+    /// over exactly what a run going on to a wind-down target does up to
+    /// there — same sites, ops, key sets and images — and the wind-down
+    /// capture is labelled with the last boundary's op and sees the final
+    /// key set on both sides of it.
+    #[test]
+    fn capture_stopping_at_its_last_target_loses_nothing() {
+        let make: &(dyn Fn() -> Box<dyn Workload> + Sync) = &|| Box::new(crate::LinkedList::new());
+        let (scheme, seed) = (Scheme::Sfccd, 0x5700);
+        let mut cfg = sec71_config(scheme, seed);
+        // 1216 ops = 38 × 32: the last op may trigger a cycle, and at this
+        // seed one does, so `exit()` winds it down.
+        cfg.mix = PhaseMix {
+            init: 400,
+            phase_ops: 272,
+            phases: 3,
+        };
+        let run = Run {
+            make,
+            scheme,
+            seed,
+            cfg: &cfg,
+            threads: 1,
+        };
+        let (mut boundary, mut last_op, mut last_keys) = (0, 0, BTreeSet::new());
+        let mut hook = |op: u64, heap: &DefragHeap, live: &LiveKeys, _: OpRecord| {
+            (boundary, last_op) = (heap.engine().sites_fired(), op);
+            last_keys = live.to_btree_set();
+            true
+        };
+        let summary = run.enumerate(&mut Some(&mut hook));
+        assert!(
+            summary.total > boundary,
+            "the run must wind down a cycle in flight"
+        );
+        let early: BTreeSet<u64> = (1..=8).map(|k| k * boundary / 10).collect();
+        let captures = |targets: BTreeSet<u64>| {
+            let mut got = Vec::new();
+            run.capture(targets, &mut |cap, at| {
+                let fp = cap.image.media().fingerprint();
+                got.push((cap.site.id, at.op, at.before, at.after, fp));
+                true
+            });
+            got
+        };
+        let stopped = captures(early.clone());
+        let mut to_the_end = captures(early.iter().copied().chain([boundary]).collect());
+        let (id, op, before, after, _) = to_the_end.pop().expect("the wind-down capture");
+        assert_eq!(stopped.len(), early.len());
+        assert_eq!(stopped, to_the_end);
+        assert_eq!((id, op), (boundary, last_op));
+        assert_eq!(
+            last_op,
+            (cfg.mix.init + cfg.mix.phase_ops * cfg.mix.phases) as u64
+        );
+        assert_eq!((&*before, &*after), (&last_keys, &last_keys));
     }
 
     #[test]

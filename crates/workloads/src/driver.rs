@@ -48,6 +48,13 @@ impl PhaseMix {
             phases: 3,
         }
     }
+
+    /// Ops each of `threads` mutators runs: an equal slice of the mix, so
+    /// a run executes `threads` times this many ops in all (the remainder
+    /// of an uneven split is dropped).
+    pub fn per_thread_ops(&self, threads: usize) -> usize {
+        (self.init + self.phase_ops * self.phases) / threads
+    }
 }
 
 /// A fragmentation sample is recorded every this many ops.
@@ -215,13 +222,15 @@ impl RunResult {
 /// Per-operation hook of a deterministic run — one thread, or
 /// [`MtSchedule::Seeded`] at any thread count. It runs after every op and
 /// its GC pump, on the thread whose turn it is, with the 1-based global op
-/// index, the heap and that thread's live key set. Returning `false` stops
-/// every thread at its next turn; the run still winds down (`exit()`) and
-/// runs its checkers over the logs as they stand.
+/// index, the heap, that thread's live key set and the op it just ran
+/// (so the live set before the op is the one passed with `op.key`
+/// toggled). Returning `false` stops every thread at its next turn; the
+/// run still winds down (`exit()`) and runs its checkers over the logs as
+/// they stand.
 pub type OpHook<'h> = Option<&'h mut HookFn<'h>>;
 
 /// The function behind an [`OpHook`].
-pub type HookFn<'h> = dyn FnMut(u64, &DefragHeap, &LiveKeys) -> bool + Send + 'h;
+pub type HookFn<'h> = dyn FnMut(u64, &DefragHeap, &LiveKeys, OpRecord) -> bool + Send + 'h;
 
 /// Extends a workload's type registry with the multi-threaded driver's
 /// root-directory type: one 8-byte reference slot per thread, registered
@@ -242,17 +251,20 @@ pub fn mt_registry(mut reg: TypeRegistry, threads: usize) -> (TypeRegistry, Type
     (reg, id)
 }
 
-/// One entry of a mutator thread's operation log, replayed by the post-run
-/// checker to reconstruct the expected key set of the thread's
-/// root-directory slot.
+/// One completed structure op: an entry of a mutator thread's operation
+/// log, replayed by the post-run checker to reconstruct the expected key
+/// set of the thread's root-directory slot, and what an [`OpHook`] is
+/// told the op was.
 #[derive(Clone, Copy, Debug)]
-struct OpRecord {
-    insert: bool,
-    key: u64,
+pub struct OpRecord {
+    /// Insert (of a fresh key) or delete (of a live one).
+    pub insert: bool,
+    /// The key inserted or deleted.
+    pub key: u64,
     /// For deletes: what the structure reported. Every driver delete
     /// targets a key the thread itself inserted under its own slot, so a
     /// miss means another thread's traffic corrupted the structure.
-    found: bool,
+    pub found: bool,
 }
 
 /// One injected per-thread kill: `victim` dies at its `kill_site`-th
@@ -647,7 +659,7 @@ fn drive<'w>(
     hook: &mut OpHook<'_>,
 ) -> Vec<Mutator<'w>> {
     let threads = workloads.len();
-    let per_thread_ops = (cfg.mix.init + cfg.mix.phase_ops * cfg.mix.phases) / threads;
+    let per_thread_ops = cfg.mix.per_thread_ops(threads);
     // Seeded mode wraps each whole op in a PRNG-ordered turn; Free mode
     // has no gate at all. One thread needs no turns: its program order is
     // the op order.
@@ -825,7 +837,8 @@ impl Mutator<'_> {
                 });
             }
             if let Some(hook) = &shared.hook {
-                if !(*hook.lock().expect("op hook"))(g, heap, &self.live) {
+                let done = *self.oplog.last().expect("the op just logged");
+                if !(*hook.lock().expect("op hook"))(g, heap, &self.live, done) {
                     shared.stopped.store(true, Ordering::Relaxed);
                 }
             }

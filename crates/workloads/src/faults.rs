@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use ffccd::{DefragHeap, Scheme};
 
 use crate::campaign::{injection_ops, Report, Run};
-use crate::driver::DriverConfig;
+use crate::driver::{DriverConfig, OpRecord};
 use crate::util::LiveKeys;
 use crate::workload::Workload;
 
@@ -100,7 +100,7 @@ pub fn run_op_boundary_injection(
     };
     let ops = injection_ops(&cfg.mix, injections);
     let mut targets = BTreeSet::new();
-    let mut hook = |op: u64, heap: &DefragHeap, _: &LiveKeys| {
+    let mut hook = |op: u64, heap: &DefragHeap, _: &LiveKeys, _: OpRecord| {
         if ops.contains(&op) {
             targets.extend(heap.engine().sites_fired().checked_sub(1));
         }

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use ffccd::Scheme;
 use ffccd_pmem::MachineConfig;
 use ffccd_pmop::PoolConfig;
-use ffccd_workloads::driver::{run, run_on, DriverConfig, PhaseMix};
+use ffccd_workloads::driver::{run, run_on, DriverConfig, OpRecord, PhaseMix};
 use ffccd_workloads::faults::{run_crash_site_sweep, run_op_boundary_injection, CrashPlan};
 use ffccd_workloads::util::LiveKeys;
 use ffccd_workloads::{
@@ -41,7 +41,7 @@ fn exercise(mut w: Box<dyn Workload>, scheme: Scheme, seed: u64) {
     // Track the expected key set through the run with a final-state hook.
     let mut last_live = LiveKeys::new();
     {
-        let mut hook = |_op: u64, _h: &ffccd::DefragHeap, live: &LiveKeys| {
+        let mut hook = |_op: u64, _h: &ffccd::DefragHeap, live: &LiveKeys, _: OpRecord| {
             last_live.clone_from(live);
             true
         };
