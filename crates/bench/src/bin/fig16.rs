@@ -2,9 +2,9 @@
 //! tail latencies under PMDK (no defrag), STW compaction, Mesh, and FFCCD.
 //!
 //! The four variants are independent runs (each builds its own pool), so
-//! they fan out over `--jobs N` / `FFCCD_JOBS` host threads; the tables
-//! print in fixed variant order once the fan-out joins, so the output is
-//! job-count invariant.
+//! they fan out over `--jobs N` host threads; the tables print in fixed
+//! variant order once the fan-out joins, so the output is job-count
+//! invariant.
 
 use ffccd::{DefragConfig, DefragHeap, Scheme};
 use ffccd_bench::{header, jobs, mib, rule, scale};

@@ -63,11 +63,6 @@ fn main() {
             r.op,
             r.maybe.len()
         ),
-        (ProbePhase::Mutator, _) if probe.threads > 1 => format!(
-            "site fired in a {}-thread run (maybe set {})",
-            probe.threads,
-            r.maybe.len()
-        ),
         (ProbePhase::Mutator, _) => {
             format!(
                 "site fired during op {} (maybe set {})",
@@ -79,7 +74,6 @@ fn main() {
     let oracle = match probe.phase {
         ProbePhase::ThreadKill { .. } => "survivors drained + checker suite + restart",
         ProbePhase::Recovery => "idempotent recovery + validation",
-        ProbePhase::Mutator if probe.threads > 1 => "recovery + heap validation",
         ProbePhase::Mutator => "recovery + validation",
     };
     match r.outcome {

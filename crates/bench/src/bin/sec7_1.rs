@@ -18,11 +18,11 @@
 //! * `--thread-crash` (§7.1e) — K of N mutator *threads* die at sampled
 //!   durability-event ordinals while the survivors drain.
 //!
-//! `--smoke` selects the CI geometry; `--jobs N` (or `FFCCD_JOBS`) fans
-//! the settings of a campaign out over threads. Every machine-crash
-//! campaign pins the engine to its single-bank deterministic mode and
-//! rows print in fixed setting order after the fan-out joins, so tables
-//! are identical at every job count. Budgets come from the `FFCCD_*`
+//! `--smoke` selects the CI geometry; `--jobs N` fans the settings of a
+//! campaign out over threads. Every machine-crash campaign pins the engine
+//! to its single-bank deterministic mode and rows print in fixed setting
+//! order after the fan-out joins, so tables are identical at every job
+//! count. Budgets come from the `FFCCD_*`
 //! variables of [`CampaignArgs`].
 //!
 //! Every image is recovered and validated with both checkers

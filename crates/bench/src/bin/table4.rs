@@ -2,9 +2,8 @@
 //! and applications: BzTree and FPTree (1 and 4 threads), Echo, pmemkv.
 //!
 //! The six rows are independent runs (each builds its own pool), so they
-//! fan out over `--jobs N` / `FFCCD_JOBS` host threads; rows print in
-//! fixed order once the fan-out joins, so the output is job-count
-//! invariant.
+//! fan out over `--jobs N` host threads; rows print in fixed order once
+//! the fan-out joins, so the output is job-count invariant.
 
 use ffccd::Scheme;
 use ffccd_bench::{driver_config, header, jobs, mib, rule};

@@ -50,8 +50,7 @@ pub fn parse_scheme(key: &str) -> Option<Scheme> {
 }
 
 /// Every `FFCCD_*` variable that shapes a §7.1 campaign, parsed once.
-/// (`FFCCD_JOBS` and `FFCCD_SCALE` belong to all binaries: [`crate::jobs`],
-/// [`crate::scale`].)
+/// (`FFCCD_SCALE` belongs to all binaries: [`crate::scale`].)
 #[derive(Clone, Copy, Debug)]
 pub struct CampaignArgs {
     /// `--smoke`: the CI geometry.

@@ -34,9 +34,9 @@ pub const HUGE_PAGE_SIM: u64 = 64 << 10;
 
 /// Fan-out width for binaries that parallelize independent rows or sweep
 /// settings over host threads: `--jobs N` / `--jobs=N` on the command
-/// line, falling back to `FFCCD_JOBS`, then 1 (fully sequential). Every
-/// consumer runs rows through `ffccd_workloads::par::parallel_map`, whose
-/// results are input-ordered — output is identical at every job count.
+/// line, else 1 (fully sequential). Every consumer runs rows through
+/// `ffccd_workloads::par::parallel_map`, whose results are input-ordered —
+/// output is identical at every job count.
 pub fn jobs() -> usize {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -48,10 +48,7 @@ pub fn jobs() -> usize {
             return v;
         }
     }
-    std::env::var("FFCCD_JOBS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
+    1
 }
 
 /// Builds the standard driver configuration for a scheme at the current

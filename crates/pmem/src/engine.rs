@@ -67,7 +67,6 @@ struct Bank {
 /// State shared by all banks.
 struct Shared {
     media: RwLock<Media>,
-    media_len: u64,
     observer: RwLock<Option<Arc<dyn PersistObserver>>>,
     /// Fast-path gate: lines that persist check this before touching the
     /// observer lock at all.
@@ -105,6 +104,8 @@ pub struct PmEngine {
     shared: Arc<Shared>,
     cfg: Arc<MachineConfig>,
     nbanks: usize,
+    /// Media capacity, on the engine itself: every access checks it.
+    len: u64,
 }
 
 impl std::fmt::Debug for PmEngine {
@@ -158,8 +159,8 @@ impl PmEngine {
         let counters: Vec<BankCounters> = (0..nbanks).map(|_| BankCounters::default()).collect();
         PmEngine {
             banks: banks.into(),
+            len: media.len(),
             shared: Arc::new(Shared {
-                media_len: media.len(),
                 media: RwLock::new(media),
                 observer: RwLock::new(None),
                 has_observer: AtomicBool::new(false),
@@ -177,7 +178,7 @@ impl PmEngine {
 
     /// Media capacity in bytes.
     pub fn len(&self) -> u64 {
-        self.shared.media_len
+        self.len
     }
 
     /// Whether the media has zero capacity.
@@ -201,6 +202,16 @@ impl PmEngine {
                 (b.cache.capacity(), b.wpq.capacity())
             })
             .collect()
+    }
+
+    /// Panics unless `[off, off + len)` lies on the media, before the TLB's
+    /// page directory sizes itself to a wild `off`.
+    fn check_range(&self, off: u64, len: usize) {
+        let end = off.checked_add(len as u64);
+        assert!(
+            end.is_some_and(|end| end <= self.len()),
+            "simulated access out of range: off={off:#x} len={len}"
+        );
     }
 
     fn bank_of(&self, line: Line) -> usize {
@@ -234,6 +245,7 @@ impl PmEngine {
     /// bandwidth cost — a streaming `memcpy` is not a chain of serial
     /// misses.
     pub fn read(&self, ctx: &mut Ctx, off: u64, buf: &mut [u8]) {
+        self.check_range(off, buf.len());
         ctx.stats.loads += 1;
         // Lock-light fast path: with no clwb issued since this core's last
         // sfence (`dirty_banks == 0`), the per-op in-flight retirement is a
@@ -362,6 +374,7 @@ impl PmEngine {
     }
 
     fn write_impl(&self, ctx: &mut Ctx, off: u64, data: &[u8], pending: bool) {
+        self.check_range(off, data.len());
         self.thread_crash_tick(ctx);
         ctx.stats.stores += 1;
         let first_bank = self.bank_of(line_of(off));
@@ -1474,6 +1487,24 @@ mod banked_tests {
                 );
             }
         }
+    }
+
+    /// A wild offset panics before the TLB's page directory sizes itself
+    /// to it (which would try to allocate terabytes and abort).
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn wild_read_panics_instead_of_allocating() {
+        let e = engine_with(1);
+        let mut ctx = Ctx::new(e.config());
+        e.read_u64(&mut ctx, 1 << 47);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn wild_write_panics_instead_of_allocating() {
+        let e = engine_with(1);
+        let mut ctx = Ctx::new(e.config());
+        e.write_u64(&mut ctx, 1 << 47, 0);
     }
 
     #[test]

@@ -58,7 +58,7 @@ use crate::driver::{
 };
 use crate::thread_crash::campaign_config;
 use crate::util::LiveKeys;
-use crate::workload::Workload;
+use crate::workload::{check_slot, Workload};
 
 /// Probe budget for one greedy shrink: popcount ≤ 64 per pass, a handful
 /// of passes to fixpoint. Each probe is one image recovery + validation.
@@ -145,62 +145,6 @@ pub struct Report {
     /// Failures (must be empty), shrunk where possible; at most one per
     /// site — a broken site stops exploring after its first failing subset.
     pub failures: Vec<Failure>,
-}
-
-impl Report {
-    /// Merges `other` into this report: counters add, `max_maybe` takes
-    /// the larger, failures append (`Run::confirm` orders them).
-    pub(crate) fn absorb(&mut self, other: Report) {
-        let Report {
-            total_sites,
-            site_counts,
-            outer_targeted,
-            outer_captured,
-            nested_outer,
-            recovery_sites,
-            targeted,
-            captured,
-            images,
-            exhaustive_sites,
-            empty_lattices,
-            truncated_lattices,
-            max_maybe,
-            mid_cycle,
-            recovered_objects,
-            undone_objects,
-            runs,
-            kills_fired,
-            kills_unfired,
-            inflight_ops,
-            failures,
-        } = other;
-        for (kind, n) in site_counts {
-            match self.site_counts.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, count)) => *count += n,
-                None => self.site_counts.push((kind, n)),
-            }
-        }
-        self.total_sites += total_sites;
-        self.outer_targeted += outer_targeted;
-        self.outer_captured += outer_captured;
-        self.nested_outer += nested_outer;
-        self.recovery_sites += recovery_sites;
-        self.targeted += targeted;
-        self.captured += captured;
-        self.images += images;
-        self.exhaustive_sites += exhaustive_sites;
-        self.empty_lattices += empty_lattices;
-        self.truncated_lattices += truncated_lattices;
-        self.max_maybe = self.max_maybe.max(max_maybe);
-        self.mid_cycle += mid_cycle;
-        self.recovered_objects += recovered_objects;
-        self.undone_objects += undone_objects;
-        self.runs += runs;
-        self.kills_fired += kills_fired;
-        self.kills_unfired += kills_unfired;
-        self.inflight_ops += inflight_ops;
-        self.failures.extend(failures);
-    }
 }
 
 /// What [`replay`] produced.
@@ -291,19 +235,20 @@ pub(crate) fn deterministic_pool(cfg: &DriverConfig, seed: u64) -> PoolConfig {
     }
 }
 
-/// The op a captured site fired during, bracketed by the key-set oracle.
-/// Every capture drained at one op boundary shares its two key sets. In a
-/// multi-threaded run they are the turn holder's live set after its op
-/// and that set with the op's key toggled, which the oracle does not
-/// check.
+/// The op a captured site fired during, with what the key-set oracle
+/// checks each slot against. Every capture drained at one op boundary
+/// shares its `slots`.
 #[derive(Clone)]
 pub(crate) struct FiringOp {
     /// 1-based op index.
     pub op: u64,
-    /// Live keys before the op (equals `after` for its last site).
-    pub before: Arc<BTreeSet<u64>>,
-    /// Live keys after the op (equals `before` for wind-down sites).
-    pub after: Arc<BTreeSet<u64>>,
+    /// Every slot's live keys after the op (thread `i` owns slot `i`; the
+    /// final sets for wind-down sites).
+    pub slots: Arc<Vec<BTreeSet<u64>>>,
+    /// The turn holder's slot and the op the site fired inside, whose key
+    /// the image may hold either side of. `None` for the op's last site,
+    /// which saw it complete, and for wind-down sites.
+    pub inflight: Option<(usize, OpRecord)>,
 }
 
 /// One deterministic run identity: every pipeline step reruns exactly this.
@@ -355,11 +300,11 @@ impl Run<'_> {
     /// Reruns with capture armed for `targets`, handing every capture to
     /// `on_capture` at the op boundary that drains it (under
     /// [`Run::capture_and_validate`] memory stays bounded by the channel
-    /// plus one op), with the live key sets before and after that op — the
-    /// post-op set twice for the op's last site, which saw it complete.
-    /// Key sets are built only at boundaries where captures drain: the
-    /// pre-op set is the post-op one with the op's key toggled. Sites
-    /// firing during wind-down (`exit()`) see the final key set and are
+    /// plus one op), with every slot's key set after that op and the op
+    /// itself unless the site is its last ([`FiringOp`]). The hook's
+    /// [`OpRecord`]s keep the key sets; a drain shares them, so they are
+    /// copied at the next op only while a capture still holds them. Sites
+    /// firing during wind-down (`exit()`) see the final key sets and are
     /// labelled with the last boundary's op.
     ///
     /// The run stops at the boundary where it hands over its last target,
@@ -372,32 +317,27 @@ impl Run<'_> {
     ) {
         let last_target = targets.last().copied();
         let end = (self.cfg.mix.per_thread_ops(self.threads) * self.threads) as u64;
-        let mut final_live = None;
+        let mut slots = Arc::new(vec![BTreeSet::new(); self.threads]);
         let mut stopped = false;
-        let mut hook = |op: u64, heap: &DefragHeap, live: &LiveKeys, done: OpRecord| {
-            let engine = heap.engine();
-            if op == end {
-                final_live = Some(Arc::new(live.to_btree_set()));
+        let mut hook = |op: u64, heap: &DefragHeap, tid: usize, _: &LiveKeys, done: OpRecord| {
+            let set = &mut Arc::make_mut(&mut slots)[tid];
+            if done.insert {
+                set.insert(done.key);
+            } else {
+                set.remove(&done.key);
             }
+            let engine = heap.engine();
             let caps = engine.drain_site_captures();
             if caps.is_empty() {
                 return true;
             }
-            let after = live.to_btree_set();
-            let mut before = after.clone();
-            if done.insert {
-                before.remove(&done.key);
-            } else {
-                before.insert(done.key);
-            }
-            let (before, after) = (Arc::new(before), Arc::new(after));
             let last = engine.sites_fired() - 1;
             for cap in caps {
                 let id = cap.site.id;
                 let at = FiringOp {
                     op,
-                    before: Arc::clone(if id == last { &after } else { &before }),
-                    after: Arc::clone(&after),
+                    slots: Arc::clone(&slots),
+                    inflight: (id != last).then_some((tid, done)),
                 };
                 if !on_capture(cap, at) || Some(id) == last_target {
                     stopped = true;
@@ -408,11 +348,10 @@ impl Run<'_> {
         };
         let heap = self.drive(|e| e.site_tracking_capture(targets), &mut Some(&mut hook));
         if !stopped {
-            let live = final_live.unwrap_or_default();
             let at = FiringOp {
                 op: end,
-                before: Arc::clone(&live),
-                after: live,
+                slots,
+                inflight: None,
             };
             for cap in heap.engine().drain_site_captures() {
                 if !on_capture(cap, at.clone()) {
@@ -424,8 +363,8 @@ impl Run<'_> {
     }
 
     /// The capture run on the calling thread, with `check` run on each
-    /// capture, in capture order, by one scoped worker thread into a report
-    /// of its own, which is returned. Captures wait in a channel of
+    /// capture, in capture order, by one scoped worker thread into
+    /// `report`, which is returned. Captures wait in a channel of
     /// [`CAPTURE_QUEUE`] entries. A panic in `check` stops the capture run
     /// at its next op boundary and is re-raised here with its original
     /// payload.
@@ -435,12 +374,12 @@ impl Run<'_> {
     pub(crate) fn capture_and_validate(
         &self,
         targets: BTreeSet<u64>,
+        mut report: Report,
         mut check: impl FnMut(&mut Report, &SiteCapture, &FiringOp) + Send,
     ) -> Report {
         let (tx, rx) = mpsc::sync_channel::<(SiteCapture, FiringOp)>(CAPTURE_QUEUE);
         thread::scope(|s| {
             let worker = s.spawn(move || {
-                let mut report = Report::default();
                 for (cap, at) in rx {
                     check(&mut report, &cap, &at);
                 }
@@ -455,12 +394,14 @@ impl Run<'_> {
     }
 
     /// Recovers `image` and runs both validators: GC metadata
-    /// ([`validate_heap`]) and the workload's key set, which must equal
-    /// the set before or after the firing op (a capture can land
-    /// mid-operation, where the in-progress key is legitimately
-    /// half-visible). `idempotent` adds the contract of recovery-phase
-    /// probes: a second `recover()` is a byte-identical no-op. A
-    /// multi-threaded run's images carry no key sets to check.
+    /// ([`validate_heap`]) and every slot's key set ([`check_slot`]
+    /// through a fresh instance and, with more than one thread, a context
+    /// bound to the slot), which must equal the set after the firing op or,
+    /// in the turn holder's slot of a site inside the op, the set before
+    /// it (a capture can land mid-operation, where the in-progress key is
+    /// legitimately half-visible). `idempotent` adds the contract of
+    /// recovery-phase probes: a second `recover()` is a byte-identical
+    /// no-op.
     pub(crate) fn oracle(
         &self,
         image: &CrashImage,
@@ -486,15 +427,16 @@ impl Run<'_> {
                 .map_err(|e| format!("recovery failed: {e}"))?
         };
         validate_heap(&heap).map_err(|es| format!("GC metadata: {}", es.join("; ")))?;
-        if self.threads > 1 {
-            return Ok(rec);
-        }
-        let mut ctx = Ctx::new(heap.pool().machine());
-        fresh.reopen(&heap, &mut ctx);
-        if fresh.validate(&heap, &mut ctx, &at.after).is_err() {
-            fresh
-                .validate(&heap, &mut ctx, &at.before)
-                .map_err(|e| format!("matches neither pre- nor post-op key set: {e}"))?;
+        for (slot, expected) in at.slots.iter().enumerate() {
+            if slot > 0 {
+                fresh = (self.make)();
+            }
+            let mut ctx = Ctx::new(heap.pool().machine());
+            ctx.set_root_shard((self.threads > 1).then_some(slot as u64));
+            fresh.reopen(&heap, &mut ctx);
+            let inflight = at.inflight.filter(|&(s, _)| s == slot).map(|(_, op)| op);
+            check_slot(&mut *fresh, &heap, &mut ctx, expected, inflight)
+                .map_err(|e| format!("slot {slot}: {e}"))?;
         }
         Ok(rec)
     }
@@ -579,18 +521,18 @@ impl Run<'_> {
         images_per_site: u64,
         window_base: usize,
     ) -> Report {
-        let mut report = Report {
+        let report = Report {
             total_sites: summary.total,
             targeted: targets.len() as u64,
             site_counts: summary.nonzero(),
             ..Report::default()
         };
-        report.absorb(self.capture_and_validate(targets, |report, cap, at| {
+        let mut report = self.capture_and_validate(targets, report, |report, cap, at| {
             let probe = ProbeId::new(self.seed, cap.site.id, 0)
                 .at_window(window_base)
                 .with_threads(self.threads);
             self.explore(report, cap, at, images_per_site, probe);
-        }));
+        });
         self.confirm(&mut report);
         report
     }
@@ -719,7 +661,7 @@ mod tests {
         // Op 100 inserts a key: the sets on either side of it differ.
         let k = 100;
         let (mut last, mut pre, mut post) = (0, BTreeSet::new(), BTreeSet::new());
-        let mut hook = |op: u64, heap: &DefragHeap, live: &LiveKeys, _: OpRecord| {
+        let mut hook = |op: u64, heap: &DefragHeap, _: usize, live: &LiveKeys, _: OpRecord| {
             if op == k - 1 {
                 pre = live.to_btree_set();
             } else if op == k {
@@ -734,14 +676,16 @@ mod tests {
         let mut captured = 0;
         run.capture([last].into_iter().collect(), &mut |cap, at| {
             captured += 1;
-            assert_eq!((at.op, &*at.before, &*at.after), (k, &post, &post));
+            assert_eq!(
+                (at.op, &*at.slots, at.inflight),
+                (k, &vec![post.clone()], None)
+            );
             run.oracle(&cap.image, &at, false)
                 .expect("the image holds the post-op key set");
-            let pre = Arc::new(pre.clone());
             let before_op = FiringOp {
                 op: k,
-                before: Arc::clone(&pre),
-                after: pre,
+                slots: Arc::new(vec![pre.clone()]),
+                inflight: None,
             };
             assert!(
                 run.oracle(&cap.image, &before_op, false).is_err(),
@@ -756,7 +700,7 @@ mod tests {
     /// over exactly what a run going on to a wind-down target does up to
     /// there — same sites, ops, key sets and images — and the wind-down
     /// capture is labelled with the last boundary's op and sees the final
-    /// key set on both sides of it.
+    /// key set with no op in flight.
     #[test]
     fn capture_stopping_at_its_last_target_loses_nothing() {
         let make: &(dyn Fn() -> Box<dyn Workload> + Sync) = &|| Box::new(crate::LinkedList::new());
@@ -777,7 +721,7 @@ mod tests {
             threads: 1,
         };
         let (mut boundary, mut last_op, mut last_keys) = (0, 0, BTreeSet::new());
-        let mut hook = |op: u64, heap: &DefragHeap, live: &LiveKeys, _: OpRecord| {
+        let mut hook = |op: u64, heap: &DefragHeap, _: usize, live: &LiveKeys, _: OpRecord| {
             (boundary, last_op) = (heap.engine().sites_fired(), op);
             last_keys = live.to_btree_set();
             true
@@ -792,14 +736,14 @@ mod tests {
             let mut got = Vec::new();
             run.capture(targets, &mut |cap, at| {
                 let fp = cap.image.media().fingerprint();
-                got.push((cap.site.id, at.op, at.before, at.after, fp));
+                got.push((cap.site.id, at.op, at.slots, at.inflight, fp));
                 true
             });
             got
         };
         let stopped = captures(early.clone());
         let mut to_the_end = captures(early.iter().copied().chain([boundary]).collect());
-        let (id, op, before, after, _) = to_the_end.pop().expect("the wind-down capture");
+        let (id, op, slots, inflight, _) = to_the_end.pop().expect("the wind-down capture");
         assert_eq!(stopped.len(), early.len());
         assert_eq!(stopped, to_the_end);
         assert_eq!((id, op), (boundary, last_op));
@@ -807,7 +751,53 @@ mod tests {
             last_op,
             (cfg.mix.init + cfg.mix.phase_ops * cfg.mix.phases) as u64
         );
-        assert_eq!((&*before, &*after), (&last_keys, &last_keys));
+        assert_eq!((&*slots, inflight), (&vec![last_keys], None));
+    }
+
+    /// A threaded image is judged slot by slot: the image at an op's last
+    /// site passes against every slot's set, and fails, naming the slot,
+    /// once one key is missing from slot 1's.
+    #[test]
+    fn threaded_oracle_checks_every_slot() {
+        let make: &(dyn Fn() -> Box<dyn Workload> + Sync) = &|| Box::new(crate::LinkedList::new());
+        let (scheme, seed) = (Scheme::FfccdCheckLookup, 0x2510);
+        let mut cfg = sec71_config(scheme, seed);
+        cfg.mix = PhaseMix::tiny();
+        let run = Run {
+            make,
+            scheme,
+            seed,
+            cfg: &cfg,
+            threads: 2,
+        };
+        let mut last = 0;
+        let mut hook = |op: u64, heap: &DefragHeap, _: usize, _: &LiveKeys, _: OpRecord| {
+            if op == 600 {
+                last = heap.engine().sites_fired() - 1;
+            }
+            true
+        };
+        run.enumerate(&mut Some(&mut hook));
+        let mut captured = 0;
+        run.capture([last].into_iter().collect(), &mut |cap, at| {
+            captured += 1;
+            assert_eq!((at.op, at.slots.len(), at.inflight), (600, 2, None));
+            run.oracle(&cap.image, &at, false)
+                .expect("every slot holds its post-op set");
+            let mut slots = (*at.slots).clone();
+            let key = slots[1].pop_first().expect("slot 1 holds keys");
+            let lost = FiringOp {
+                slots: Arc::new(slots),
+                ..at
+            };
+            let err = run
+                .oracle(&cap.image, &lost, false)
+                .expect_err("slot 1 holds a key its set lacks");
+            assert!(err.starts_with("slot 1: "), "{err}");
+            assert!(err.contains(&key.to_string()), "{err}");
+            false
+        });
+        assert_eq!(captured, 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use ffccd_pmem::{Ctx, MachineConfig, ThreadCrashArm, ThreadCrashUnwind, THREAD_C
 use ffccd_pmop::{PmPtr, PoolConfig, TypeDesc, TypeId, TypeRegistry};
 
 use crate::util::{KeyGen, LiveKeys};
-use crate::workload::Workload;
+use crate::workload::{check_slot, Workload};
 
 /// The §6 op mix: `init` insertions, then `phases` alternating phases
 /// (delete, insert, delete, …) of `phase_ops` operations each.
@@ -222,15 +222,15 @@ impl RunResult {
 /// Per-operation hook of a deterministic run — one thread, or
 /// [`MtSchedule::Seeded`] at any thread count. It runs after every op and
 /// its GC pump, on the thread whose turn it is, with the 1-based global op
-/// index, the heap, that thread's live key set and the op it just ran
-/// (so the live set before the op is the one passed with `op.key`
+/// index, the heap, that thread's index and live key set, and the op it
+/// just ran (so the live set before the op is the one passed with `op.key`
 /// toggled). Returning `false` stops every thread at its next turn; the
 /// run still winds down (`exit()`) and runs its checkers over the logs as
 /// they stand.
 pub type OpHook<'h> = Option<&'h mut HookFn<'h>>;
 
 /// The function behind an [`OpHook`].
-pub type HookFn<'h> = dyn FnMut(u64, &DefragHeap, &LiveKeys, OpRecord) -> bool + Send + 'h;
+pub type HookFn<'h> = dyn FnMut(u64, &DefragHeap, usize, &LiveKeys, OpRecord) -> bool + Send + 'h;
 
 /// Extends a workload's type registry with the multi-threaded driver's
 /// root-directory type: one 8-byte reference slot per thread, registered
@@ -255,7 +255,7 @@ pub fn mt_registry(mut reg: TypeRegistry, threads: usize) -> (TypeRegistry, Type
 /// log, replayed by the post-run checker to reconstruct the expected key
 /// set of the thread's root-directory slot, and what an [`OpHook`] is
 /// told the op was.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OpRecord {
     /// Insert (of a fresh key) or delete (of a live one).
     pub insert: bool,
@@ -838,7 +838,7 @@ impl Mutator<'_> {
             }
             if let Some(hook) = &shared.hook {
                 let done = *self.oplog.last().expect("the op just logged");
-                if !(*hook.lock().expect("op hook"))(g, heap, &self.live, done) {
+                if !(*hook.lock().expect("op hook"))(g, heap, tid, &self.live, done) {
                     shared.stopped.store(true, Ordering::Relaxed);
                 }
             }
@@ -918,18 +918,16 @@ fn run_mt_impl(
 /// Post-run checker for multi-threaded runs (the §7.1 key-set oracle,
 /// applied per root-directory slot; a one-thread run has none): replays
 /// each thread's op log into that slot's expected key set, cross-checks
-/// it against the thread's own live set, and validates the persistent
-/// structure through a fresh instance and a context bound to the slot.
-/// Panics on the first divergence — a free-running mt run has no
-/// deterministic replay to fall back on, so the checker *is* its
-/// correctness story.
+/// it against the thread's own live set, and judges the persistent
+/// structure with [`check_slot`] through a fresh instance and a context
+/// bound to the slot. Panics on the first divergence — a free-running mt
+/// run has no deterministic replay to fall back on, so the checker *is*
+/// its correctness story.
 ///
 /// Survivors (every thread, when `victims` is empty) are checked
 /// strictly, while a victim killed *inside* a structure op gets the one
 /// admissible ambiguity — the in-flight op either fully happened or fully
-/// didn't. Workloads implementing [`Workload::decide_inflight`]
-/// (detectable structures) forfeit the ambiguity: the checker asks the
-/// structure which way the op went and validates that exact key set.
+/// didn't, unless the structure is detectable and decides which.
 fn check_slots(
     make: &dyn Fn() -> Box<dyn Workload>,
     heap: &DefragHeap,
@@ -964,32 +962,18 @@ fn check_slots(
         ctx.set_root_shard(Some(shard));
         let mut w = make();
         w.reopen(heap, &mut ctx);
+        // The logged set is exact, but for the op a victim died inside (not
+        // one that died between ops or in the GC pump).
         let inflight = victims
             .iter()
             .find(|v| v.victim == tid && v.fired)
-            .and_then(|v| v.inflight);
-        // Survivor, or victim that died between ops / in the GC pump: the
-        // logged set is exact.
-        let Some((insert, key)) = inflight else {
-            w.validate(heap, &mut ctx, &expected)
-                .unwrap_or_else(|e| panic!("mt post-run checker, thread {tid}: {e}"));
-            continue;
-        };
-        // The in-flight op toggles `key`: inserts are fresh, deletes live.
-        let done = &expected ^ &BTreeSet::from([key]);
-        let verdict = match w.decide_inflight(heap, &mut ctx, key, insert) {
-            Some(true) => w.validate(heap, &mut ctx, &done).map_err(|e| {
-                format!("structure decided the in-flight op on key {key:#x} completed, but the completed set does not validate: {e}")
-            }),
-            Some(false) => w.validate(heap, &mut ctx, &expected).map_err(|e| {
-                format!("structure decided the in-flight op on key {key:#x} did not complete, but the pre-op set does not validate: {e}")
-            }),
-            None => w.validate(heap, &mut ctx, &expected).or_else(|pre| {
-                w.validate(heap, &mut ctx, &done).map_err(|post| {
-                    format!("slot matches neither the pre-op nor the post-op key set for in-flight key {key:#x}: pre={pre:?} post={post:?}")
-                })
-            }),
-        };
-        verdict.unwrap_or_else(|e| panic!("thread-crash checker, thread {tid}: {e}"));
+            .and_then(|v| v.inflight)
+            .map(|(insert, key)| OpRecord {
+                insert,
+                key,
+                found: false,
+            });
+        check_slot(&mut *w, heap, &mut ctx, &expected, inflight)
+            .unwrap_or_else(|e| panic!("mt post-run checker, thread {tid}: {e}"));
     }
 }

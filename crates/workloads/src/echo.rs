@@ -19,7 +19,7 @@ use ffccd_pmem::Ctx;
 use ffccd_pmop::{PmPtr, TypeDesc, TypeId, TypeRegistry};
 
 use crate::util::{value_matches, value_pattern};
-use crate::workload::{check_key_set, in_data, Workload};
+use crate::workload::{check_key_set, checked_header, in_data, Workload};
 
 const DEFAULT_BUCKETS: u64 = 4096;
 const NEXT: u64 = 0;
@@ -163,16 +163,14 @@ impl Workload for Echo {
             let mut cur = heap.load_ref(ctx, arr, b * 8);
             let mut hops = 0;
             while !cur.is_null() {
-                let header = in_data(heap, cur, VAL).then(|| heap.object_header(ctx, cur));
-                let size = header.map_or(0, |(_, size)| size);
-                if u64::from(size) < VAL || !in_data(heap, cur, size.into()) {
+                let Some((_, size)) = checked_header(heap, ctx, cur, VAL) else {
                     return Err(format!("Echo: entry {cur} outside the data region"));
-                }
+                };
                 let key = heap.read_u64(ctx, cur, KEY);
                 if self.bucket(key) != b {
                     return Err(format!("Echo: key {key} in wrong bucket"));
                 }
-                let mut val = vec![0u8; size as usize - VAL as usize];
+                let mut val = vec![0u8; (size - VAL) as usize];
                 heap.read_bytes(ctx, cur, VAL, &mut val);
                 if !value_matches(key, &val) {
                     return Err(format!("Echo: corrupted value for key {key}"));

@@ -15,8 +15,9 @@
 //! Every image is restarted, recovered with the scheme's recovery
 //! procedure, and validated twice — GC-metadata consistency
 //! ([`ffccd::validate_heap`]) and workload topology/key-set consistency
-//! ([`crate::Workload::validate`]; single-thread runs only). A failing
-//! site replays from its printed probe via [`crate::campaign::replay`].
+//! ([`crate::Workload::validate`], per thread's slot when threaded). A
+//! failing site replays from its printed probe via
+//! [`crate::campaign::replay`].
 
 use std::collections::BTreeSet;
 
@@ -37,8 +38,8 @@ pub struct CrashPlan {
     /// sites, seeded-random selection across the whole run beyond that.
     pub budget: u64,
     /// Mutator threads; above 1 the sweep runs the multi-threaded driver
-    /// under the seeded turn schedule, and its oracle checks GC metadata
-    /// but no key sets.
+    /// under the seeded turn schedule, and its oracle checks each thread's
+    /// key set through that thread's slot of the root directory.
     pub threads: usize,
 }
 
@@ -100,7 +101,7 @@ pub fn run_op_boundary_injection(
     };
     let ops = injection_ops(&cfg.mix, injections);
     let mut targets = BTreeSet::new();
-    let mut hook = |op: u64, heap: &DefragHeap, _: &LiveKeys, _: OpRecord| {
+    let mut hook = |op: u64, heap: &DefragHeap, _: usize, _: &LiveKeys, _: OpRecord| {
         if ops.contains(&op) {
             targets.extend(heap.engine().sites_fired().checked_sub(1));
         }

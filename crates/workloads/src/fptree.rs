@@ -20,7 +20,7 @@ use ffccd_pmem::Ctx;
 use ffccd_pmop::{PmPtr, TypeDesc, TypeId, TypeRegistry};
 
 use crate::util::{value_matches, value_pattern};
-use crate::workload::{check_key_set, Workload};
+use crate::workload::{check_key_set, checked_header, in_data, Workload};
 
 const SLOTS: usize = 32;
 
@@ -72,7 +72,8 @@ impl FpTree {
         self.index.clear();
         let mut leaf = heap.root(ctx);
         let mut first = true;
-        while !leaf.is_null() {
+        // A wild link in a crash image ends the chain; `validate` reports it.
+        while !leaf.is_null() && in_data(heap, leaf, LEAF_SIZE) {
             let mut min_key = u64::MAX;
             for i in 0..SLOTS {
                 if !heap.load_ref(ctx, leaf, L_VALS + i as u64 * 8).is_null() {
@@ -263,6 +264,9 @@ impl Workload for FpTree {
         let mut leaf = heap.root(ctx);
         let mut hops = 0;
         while !leaf.is_null() {
+            if !in_data(heap, leaf, LEAF_SIZE) {
+                return Err(format!("FPTree: wild leaf {leaf}"));
+            }
             for i in 0..SLOTS {
                 let v = heap.load_ref(ctx, leaf, L_VALS + i as u64 * 8);
                 if v.is_null() {
@@ -274,11 +278,13 @@ impl Workload for FpTree {
                 if fp[0] != Self::fingerprint(key) {
                     return Err(format!("FPTree: stale fingerprint for key {key}"));
                 }
+                let Some((_, size)) = checked_header(heap, ctx, v, V_BYTES) else {
+                    return Err(format!("FPTree: wild value {v} for key {key}"));
+                };
                 if heap.read_u64(ctx, v, V_KEY) != key {
                     return Err(format!("FPTree: value key mismatch at {key}"));
                 }
-                let (_, size) = heap.object_header(ctx, v);
-                let mut bytes = vec![0u8; size as usize - V_BYTES as usize];
+                let mut bytes = vec![0u8; (size - V_BYTES) as usize];
                 heap.read_bytes(ctx, v, V_BYTES, &mut bytes);
                 if !value_matches(key, &bytes) {
                     return Err(format!("FPTree: corrupted value for key {key}"));

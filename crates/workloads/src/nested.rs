@@ -92,14 +92,14 @@ pub fn run_nested_crash_sweep(
     let summary = run.enumerate(&mut None);
     let windows = cycle_windows(&summary.phase_marks, summary.total);
     let outer_targets = choose_outer_targets(&summary, &windows, plan);
-    let mut report = Report {
+    let report = Report {
         total_sites: summary.total,
         outer_targeted: outer_targets.len() as u64,
         ..Report::default()
     };
-    report.absorb(run.capture_and_validate(outer_targets, |report, cap, at| {
+    let mut report = run.capture_and_validate(outer_targets, report, |report, cap, at| {
         explore_outer(&run, report, cap, at, plan);
-    }));
+    });
     run.confirm(&mut report);
     report
 }

@@ -4,7 +4,9 @@ use std::collections::BTreeSet;
 
 use ffccd::DefragHeap;
 use ffccd_pmem::Ctx;
-use ffccd_pmop::{PmPtr, TypeRegistry, OBJ_HEADER_BYTES};
+use ffccd_pmop::{PmPtr, TypeId, TypeRegistry, OBJ_HEADER_BYTES};
+
+use crate::driver::OpRecord;
 
 /// A keyed persistent data structure under test.
 ///
@@ -84,6 +86,19 @@ pub(crate) fn in_data(heap: &DefragHeap, ptr: PmPtr, len: u64) -> bool {
     ptr.offset() >= layout.data_start + OBJ_HEADER_BYTES && ptr.offset() + len <= layout.total_bytes
 }
 
+/// `ptr`'s header — type and payload size — if the object lies in the data
+/// region and its payload holds at least `min` bytes.
+pub(crate) fn checked_header(
+    heap: &DefragHeap,
+    ctx: &mut Ctx,
+    ptr: PmPtr,
+    min: u64,
+) -> Option<(TypeId, u64)> {
+    let (ty, size) = in_data(heap, ptr, min).then(|| heap.object_header(ctx, ptr))?;
+    let size = u64::from(size);
+    (size >= min && in_data(heap, ptr, size)).then_some((ty, size))
+}
+
 /// Shared helper: compare a collected key set against the expected one.
 pub(crate) fn check_key_set(
     name: &str,
@@ -100,6 +115,40 @@ pub(crate) fn check_key_set(
         got.len(),
         expected.len()
     ))
+}
+
+/// The §7.1 key-set oracle for one slot: `w`, reopened through `ctx`, must
+/// hold `expected`. With an op `inflight` (only its `insert` and `key` are
+/// read) the set with the op's key toggled also passes, unless the
+/// structure is detectable ([`Workload::decide_inflight`]) and picks the
+/// side itself.
+pub(crate) fn check_slot(
+    w: &mut dyn Workload,
+    heap: &DefragHeap,
+    ctx: &mut Ctx,
+    expected: &BTreeSet<u64>,
+    inflight: Option<OpRecord>,
+) -> Result<(), String> {
+    let Some(OpRecord { insert, key, .. }) = inflight else {
+        return w.validate(heap, ctx, expected);
+    };
+    let op = if insert { "insert" } else { "delete" };
+    let toggled = || expected ^ &BTreeSet::from([key]);
+    let Some(done) = w.decide_inflight(heap, ctx, key, insert) else {
+        return w.validate(heap, ctx, expected).or_else(|e| {
+            w.validate(heap, ctx, &toggled()).map_err(|_| {
+                format!("matches neither side of the in-flight {op} of key {key:#x}: {e}")
+            })
+        });
+    };
+    // The side where the op took effect holds `key` iff it inserts.
+    let verdict = if expected.contains(&key) == (done == insert) {
+        w.validate(heap, ctx, expected)
+    } else {
+        w.validate(heap, ctx, &toggled())
+    };
+    let did = if done { "happened" } else { "did not happen" };
+    verdict.map_err(|e| format!("the structure decided the in-flight {op} of key {key:#x} {did}, but that side does not validate: {e}"))
 }
 
 #[cfg(test)]
@@ -139,5 +188,132 @@ pub(crate) mod test_util {
             },
         )
         .expect("test heap")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::test_util::heap;
+    use super::*;
+    use crate::{DetectableQueue, LinkedList};
+
+    fn set(keys: impl IntoIterator<Item = u64>) -> BTreeSet<u64> {
+        keys.into_iter().collect()
+    }
+
+    fn op(insert: bool, key: u64) -> Option<OpRecord> {
+        Some(OpRecord {
+            insert,
+            key,
+            found: true,
+        })
+    }
+
+    /// A linked list holding `keys`, and a context on its heap.
+    fn list(keys: &BTreeSet<u64>) -> (LinkedList, DefragHeap, Ctx) {
+        let mut w = LinkedList::new();
+        let h = heap(w.registry());
+        let mut ctx = h.ctx();
+        w.setup(&h, &mut ctx);
+        for &k in keys {
+            w.insert(&h, &mut ctx, k, 32);
+        }
+        (w, h, ctx)
+    }
+
+    #[test]
+    fn with_no_op_in_flight_only_the_exact_set_passes() {
+        let held = set([3, 5, 8]);
+        let (mut w, h, mut ctx) = list(&held);
+        check_slot(&mut w, &h, &mut ctx, &held, None).expect("the exact set");
+        for wrong in [set([3, 5]), set([3, 5, 8, 13])] {
+            assert!(check_slot(&mut w, &h, &mut ctx, &wrong, None).is_err());
+        }
+    }
+
+    #[test]
+    fn with_an_op_in_flight_either_side_passes() {
+        let held = set([3, 5, 8]);
+        let (mut w, h, mut ctx) = list(&held);
+        // The insert of 0x77 did not happen, or the delete of 8 did not.
+        check_slot(&mut w, &h, &mut ctx, &set([3, 5, 8, 0x77]), op(true, 0x77))
+            .expect("the pre-insert side");
+        check_slot(&mut w, &h, &mut ctx, &held, op(true, 0x77)).expect("the post-insert side");
+        check_slot(&mut w, &h, &mut ctx, &set([3, 5]), op(false, 8)).expect("the pre-delete side");
+        let err = check_slot(&mut w, &h, &mut ctx, &set([3, 0x77]), op(true, 0x77))
+            .expect_err("neither {3} nor {3, 0x77} is held");
+        assert!(err.contains("insert of key 0x77"), "{err}");
+    }
+
+    /// A `DetectableQueue` that answers the opposite of what its
+    /// persistent state says.
+    struct Contrary(DetectableQueue);
+
+    impl Workload for Contrary {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn registry(&self) -> TypeRegistry {
+            self.0.registry()
+        }
+
+        fn setup(&mut self, heap: &DefragHeap, ctx: &mut Ctx) {
+            self.0.setup(heap, ctx)
+        }
+
+        fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
+            self.0.insert(heap, ctx, key, value_size)
+        }
+
+        fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
+            self.0.delete(heap, ctx, key)
+        }
+
+        fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
+            self.0.contains(heap, ctx, key)
+        }
+
+        fn validate(
+            &self,
+            heap: &DefragHeap,
+            ctx: &mut Ctx,
+            expected: &BTreeSet<u64>,
+        ) -> Result<(), String> {
+            self.0.validate(heap, ctx, expected)
+        }
+
+        fn decide_inflight(
+            &mut self,
+            heap: &DefragHeap,
+            ctx: &mut Ctx,
+            key: u64,
+            insert: bool,
+        ) -> Option<bool> {
+            self.0
+                .decide_inflight(heap, ctx, key, insert)
+                .map(|done| !done)
+        }
+    }
+
+    #[test]
+    fn a_detectable_queue_passes_only_the_side_it_decides() {
+        let mut w = DetectableQueue::new();
+        let h = heap(w.registry());
+        let mut ctx = h.ctx();
+        w.setup(&h, &mut ctx);
+        for k in 1..=5 {
+            w.insert(&h, &mut ctx, k, 32);
+        }
+        // The enqueue of 5 is reachable, so it completed: the side holding
+        // 5 is judged, whichever side `expected` is.
+        let (pre, post) = (set(1..=4), set(1..=5));
+        check_slot(&mut w, &h, &mut ctx, &pre, op(true, 5)).expect("decided: it happened");
+        check_slot(&mut w, &h, &mut ctx, &post, op(true, 5)).expect("decided: it happened");
+        // Deciding the other way fails although `post` is what is held.
+        let mut contrary = Contrary(w);
+        let err = check_slot(&mut contrary, &h, &mut ctx, &post, op(true, 5))
+            .expect_err("only the decided side may pass");
+        assert!(err.contains("insert of key 0x5 did not happen"), "{err}");
     }
 }

@@ -361,7 +361,7 @@ fn pinned_seeded_mt_totals() {
 fn run_hooked(
     threads: usize,
     cfg: &DriverConfig,
-    hook: &mut (dyn FnMut(u64, &DefragHeap, &LiveKeys, OpRecord) -> bool + Send),
+    hook: &mut (dyn FnMut(u64, &DefragHeap, usize, &LiveKeys, OpRecord) -> bool + Send),
 ) -> RunResult {
     let make = || Box::new(LinkedList::new()) as Box<dyn Workload>;
     let (reg, _) = mt_registry(make().registry(), threads);
@@ -378,7 +378,7 @@ fn seeded_hook_sees_every_op_boundary_in_order() {
         let mut cfg = tiny_cfg(Scheme::FfccdCheckLookup);
         cfg.schedule = MtSchedule::Seeded(0xC0FFEE ^ threads as u64);
         let mut seen = Vec::new();
-        let r = run_hooked(threads, &cfg, &mut |op, _, _, _| {
+        let r = run_hooked(threads, &cfg, &mut |op, _, _, _, _| {
             seen.push(op);
             true
         });
@@ -395,7 +395,7 @@ fn seeded_hook_stops_the_run() {
         let mut cfg = tiny_cfg(Scheme::Sfccd);
         cfg.schedule = MtSchedule::Seeded(0xC0FFEE ^ threads as u64);
         let k = 777;
-        let r = run_hooked(threads, &cfg, &mut |op, _, _, _| op < k);
+        let r = run_hooked(threads, &cfg, &mut |op, _, _, _, _| op < k);
         assert_eq!(r.ops, k, "x{threads}");
     }
 }
@@ -406,7 +406,7 @@ fn seeded_hook_stops_the_run() {
 fn free_running_hook_panics() {
     let mut cfg = tiny_cfg(Scheme::Sfccd);
     cfg.schedule = MtSchedule::Free;
-    run_hooked(2, &cfg, &mut |_, _, _, _| true);
+    run_hooked(2, &cfg, &mut |_, _, _, _, _| true);
 }
 
 /// A LinkedList whose `panic_at`-th insert panics, as an assertion inside
@@ -509,7 +509,7 @@ fn seeded_hook_panic_fails_the_run() {
         let msg = panic_message(move || {
             let mut cfg = tiny_cfg(Scheme::Sfccd);
             cfg.schedule = MtSchedule::Seeded(0xC0FFEE ^ threads as u64);
-            run_hooked(threads, &cfg, &mut |op, _, _, _| {
+            run_hooked(threads, &cfg, &mut |op, _, _, _, _| {
                 assert!(op < 50, "hook panic");
                 true
             });

@@ -41,10 +41,11 @@ fn exercise(mut w: Box<dyn Workload>, scheme: Scheme, seed: u64) {
     // Track the expected key set through the run with a final-state hook.
     let mut last_live = LiveKeys::new();
     {
-        let mut hook = |_op: u64, _h: &ffccd::DefragHeap, live: &LiveKeys, _: OpRecord| {
-            last_live.clone_from(live);
-            true
-        };
+        let mut hook =
+            |_op: u64, _h: &ffccd::DefragHeap, _: usize, live: &LiveKeys, _: OpRecord| {
+                last_live.clone_from(live);
+                true
+            };
         let mut hook_dyn: ffccd_workloads::driver::OpHook<'_> = Some(&mut hook);
         let result = run_on(&mut *w, &cfg, &heap, &mut hook_dyn);
         assert!(result.ops > 0);
