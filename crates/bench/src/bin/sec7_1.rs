@@ -1,13 +1,12 @@
 //! §7.1 — crash-consistency fault-injection campaigns.
 //!
-//! With no flag, runs the paper's op-boundary campaign — every workload
-//! under each crash-consistent scheme with crash images taken at the last
-//! durability event before evenly spaced operations; the paper executes
-//! one thousand injections across 26 settings — followed by the §7.1b
-//! crash-site sweep, which captures images right after individual
+//! With no flag, runs the §7.1b crash-site sweep — the paper's nine
+//! workloads under each crash-consistent scheme, and the concurrent trees
+//! at 2/4/8 threads — which captures images right after individual
 //! durability events (stores, clwb, sfence, WPQ traffic, evictions, GC
-//! phase transitions) anywhere in the run, the concurrent trees at 2/4/8
-//! threads included. One flag selects one of the deeper campaigns:
+//! phase transitions) anywhere in the run, inside operations included (the
+//! paper executes one thousand injections across 26 settings). One flag
+//! selects one of the deeper campaigns:
 //!
 //! * `--adversary` (§7.1c) — at each targeted site, *maybe-persisted
 //!   subsets*: every combination of dirty-cache and in-flight lines is a
@@ -35,7 +34,7 @@ use ffccd_bench::campaign::{campaign_workload, scheme_key, sec71_config, Campaig
 use ffccd_bench::{header, jobs, rule, FIG_SCHEMES};
 use ffccd_workloads::adversary::{run_adversary_sweep, AdversaryPlan};
 use ffccd_workloads::campaign::Report;
-use ffccd_workloads::faults::{run_crash_site_sweep, run_op_boundary_injection, CrashPlan};
+use ffccd_workloads::faults::{run_crash_site_sweep, CrashPlan};
 use ffccd_workloads::nested::{run_nested_crash_sweep, NestedPlan};
 use ffccd_workloads::par::parallel_map;
 use ffccd_workloads::thread_crash::run_thread_crash_campaign;
@@ -133,47 +132,13 @@ impl Row {
     }
 }
 
-/// The paper's campaign: 9 workloads × 3 schemes, single-threaded (the
-/// concurrent trees' 2/4/8-thread rows are in the sweep).
-fn op_boundary_spec(args: &CampaignArgs) -> CampaignSpec {
-    let mut settings = Vec::new();
-    let single = [
-        "LL", "AVL", "SS", "BT", "RBT", "BzTree", "FPTree", "Echo", "pmemkv",
-    ];
-    let schemes = [
-        Scheme::Sfccd,
-        Scheme::FfccdFenceFree,
-        Scheme::FfccdCheckLookup,
-    ];
-    for name in single {
-        for (si, &scheme) in schemes.iter().enumerate() {
-            let seed = 0x710 + settings.len() as u64 * 31 + si as u64;
-            settings.push(Setting::new(name, scheme, seed, 1));
-        }
-    }
-    CampaignSpec {
-        title: "Section 7.1: crash-consistency fault injection (op boundaries)",
-        tag: "op-boundary",
-        columns: &[("injections", 10), ("mid-cycle", 10), ("undone", 10)],
-        rule: 76,
-        settings,
-        run: |s, args| {
-            let cfg = sec71_config(s.scheme, s.seed);
-            let r = run_op_boundary_injection(&*s.make, s.scheme, s.seed, args.injections, &cfg);
-            let ok = r.failures.is_empty() && r.captured == r.targeted;
-            let cells = vec![r.images, r.mid_cycle, r.undone_objects];
-            Row::of(s, &r, ok, cells)
-        },
-        geometry: format!(", {} injections", args.injections),
-        pass_note: " (paper: both GC schemes passed all tests)",
-        fail_note: "",
-    }
-}
-
-/// `LL`/`AVL`/`pmemkv` × the four schemes single-threaded, then the
+/// The paper's nine single-thread workloads × the four schemes, then the
 /// concurrent trees under FFCCD at 2/4/8 threads.
 fn sweep_spec(args: &CampaignArgs) -> CampaignSpec {
-    let mut settings = grid(&["LL", "AVL", "pmemkv"], 0x517e00);
+    let single = [
+        "LL", "AVL", "pmemkv", "SS", "BT", "RBT", "BzTree", "FPTree", "Echo",
+    ];
+    let mut settings = grid(&single, 0x517e00);
     for (wi, name) in ["BzTree", "FPTree"].into_iter().enumerate() {
         for (ti, threads) in [2, 4, 8].into_iter().enumerate() {
             let seed = 0x517f00 + wi as u64 * 17 + ti as u64;
@@ -208,7 +173,7 @@ fn sweep_spec(args: &CampaignArgs) -> CampaignSpec {
             Row::of(s, &r, ok, cells)
         },
         geometry: format!(", budget {}", args.site_budget),
-        pass_note: "",
+        pass_note: " (paper: both GC schemes passed all tests)",
         fail_note: "",
     }
 }
@@ -411,10 +376,8 @@ fn main() {
         vec![nested_spec(&args)]
     } else if flag("--adversary") {
         vec![adversary_spec(&args)]
-    } else if args.sweep_only {
-        vec![sweep_spec(&args)]
     } else {
-        vec![op_boundary_spec(&args), sweep_spec(&args)]
+        vec![sweep_spec(&args)]
     };
     let mut failures = 0;
     for (i, spec) in specs.iter().enumerate() {

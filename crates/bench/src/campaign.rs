@@ -55,10 +55,6 @@ pub fn parse_scheme(key: &str) -> Option<Scheme> {
 pub struct CampaignArgs {
     /// `--smoke`: the CI geometry.
     pub smoke: bool,
-    /// `FFCCD_SWEEP_ONLY`: skip the op-boundary campaign.
-    pub sweep_only: bool,
-    /// `FFCCD_INJECTIONS`: op-boundary images per setting (default 12).
-    pub injections: u64,
     /// `FFCCD_SITE_BUDGET`: §7.1b sites per setting (default 64).
     pub site_budget: u64,
     /// `FFCCD_ADV_SITES`: §7.1c sites per setting (default 8, smoke 4).
@@ -90,8 +86,6 @@ impl CampaignArgs {
         };
         CampaignArgs {
             smoke,
-            sweep_only: std::env::var("FFCCD_SWEEP_ONLY").is_ok(),
-            injections: var("FFCCD_INJECTIONS", 12, 12),
             site_budget: var("FFCCD_SITE_BUDGET", 64, 64),
             adv_sites: var("FFCCD_ADV_SITES", 8, 4),
             adv_images: var("FFCCD_ADV_IMAGES", 64, 32),

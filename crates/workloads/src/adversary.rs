@@ -160,7 +160,7 @@ pub fn run_adversary_sweep(
         cfg,
         threads: 1,
     };
-    let summary = run.enumerate(&mut None);
+    let summary = run.enumerate();
     let targets = choose_targets(summary.total, plan.seed, plan.site_budget);
     run.sweep(&summary, targets, plan.images_per_site, plan.window_base)
 }

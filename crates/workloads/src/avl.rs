@@ -14,23 +14,19 @@
 //! Deletion uses successor *splicing* (pointer surgery), never copying
 //! values between nodes — values are variable-sized.
 //!
-//! Updates are crash-atomic via path copying: no node reachable from the
-//! persistent root is ever mutated. Every node on the search path (plus
-//! rotation participants) is cloned, the clones are linked up and persisted
-//! while still unreachable, and the operation commits with a single 8-byte
-//! persisted root store. A crash before the commit leaves the old tree
-//! intact; after it, the new one. Replaced originals are freed only after
-//! the commit (a crash in between leaks unreachable nodes, which is
-//! harmless).
+//! Updates are crash-atomic via path copying ([`PathCopy`]): every node on
+//! the search path (plus rotation participants) is cloned, the clones are
+//! linked up and persisted while still unreachable, and the operation
+//! commits with a single persisted root store.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use ffccd::DefragHeap;
 use ffccd_pmem::Ctx;
 use ffccd_pmop::{PmPtr, TypeDesc, TypeId, TypeRegistry};
 
 use crate::util::{value_matches, value_pattern};
-use crate::workload::{check_key_set, Workload};
+use crate::workload::{check_key_set, PathCopy, Workload};
 
 const LEFT: u64 = 0;
 const RIGHT: u64 = 8;
@@ -53,57 +49,34 @@ impl AvlTree {
 
 struct Ops<'a> {
     heap: &'a DefragHeap,
-    /// Nodes allocated by this operation — unreachable from the persistent
-    /// root until the commit, hence safe to mutate in place.
-    fresh: HashSet<u64>,
-    /// Originals superseded by clones, freed after the root commit.
-    replaced: Vec<PmPtr>,
+    pc: PathCopy<'a>,
+}
+
+/// AVL's node-copy body for [`PathCopy::shadow`].
+fn copy_node(heap: &DefragHeap, ctx: &mut Ctx, n: PmPtr, c: PmPtr, size: u64) {
+    let l = heap.load_ref(ctx, n, LEFT);
+    let r = heap.load_ref(ctx, n, RIGHT);
+    heap.store_ref(ctx, c, LEFT, l);
+    heap.store_ref(ctx, c, RIGHT, r);
+    let key = heap.read_u64(ctx, n, KEY);
+    let h = heap.read_u64(ctx, n, HEIGHT);
+    heap.write_u64(ctx, c, KEY, key);
+    heap.write_u64(ctx, c, HEIGHT, h);
+    let mut val = vec![0u8; (size - VAL) as usize];
+    heap.read_bytes(ctx, n, VAL, &mut val);
+    heap.write_bytes(ctx, c, VAL, &val);
 }
 
 impl<'a> Ops<'a> {
     fn new(heap: &'a DefragHeap) -> Self {
         Ops {
             heap,
-            fresh: HashSet::new(),
-            replaced: Vec::new(),
+            pc: PathCopy::new(heap),
         }
     }
 
-    /// Returns a node safe to mutate: `n` itself when this operation
-    /// allocated it, otherwise a fully persisted clone (the original is
-    /// queued for freeing after the commit).
     fn shadow(&mut self, ctx: &mut Ctx, n: PmPtr) -> PmPtr {
-        if self.fresh.contains(&n.offset()) {
-            return n;
-        }
-        let (ty, size) = self.heap.object_header(ctx, n);
-        let c = self
-            .heap
-            .alloc(ctx, ty, size as u64)
-            .expect("avl shadow node");
-        let l = self.heap.load_ref(ctx, n, LEFT);
-        let r = self.heap.load_ref(ctx, n, RIGHT);
-        self.heap.store_ref(ctx, c, LEFT, l);
-        self.heap.store_ref(ctx, c, RIGHT, r);
-        let key = self.heap.read_u64(ctx, n, KEY);
-        let h = self.heap.read_u64(ctx, n, HEIGHT);
-        self.heap.write_u64(ctx, c, KEY, key);
-        self.heap.write_u64(ctx, c, HEIGHT, h);
-        let mut val = vec![0u8; size as usize - VAL as usize];
-        self.heap.read_bytes(ctx, n, VAL, &mut val);
-        self.heap.write_bytes(ctx, c, VAL, &val);
-        self.heap.persist(ctx, c, 0, size as u64);
-        self.fresh.insert(c.offset());
-        self.replaced.push(n);
-        c
-    }
-
-    /// Frees the originals superseded during this operation. Call only
-    /// after the root commit.
-    fn reclaim(&mut self, ctx: &mut Ctx) {
-        for p in self.replaced.drain(..) {
-            self.heap.free(ctx, p).expect("free superseded avl node");
-        }
+        self.pc.shadow(ctx, n, copy_node)
     }
 
     fn height(&self, ctx: &mut Ctx, n: PmPtr) -> u64 {
@@ -271,9 +244,8 @@ impl Workload for AvlTree {
 
     fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
         heap.critical(|| {
-            let node = heap
-                .alloc(ctx, T_NODE, VAL + value_size as u64)
-                .expect("avl node");
+            let mut ops = Ops::new(heap);
+            let node = ops.pc.alloc(ctx, T_NODE, VAL + value_size as u64);
             heap.store_ref(ctx, node, LEFT, PmPtr::NULL);
             heap.store_ref(ctx, node, RIGHT, PmPtr::NULL);
             heap.write_u64(ctx, node, KEY, key);
@@ -282,13 +254,9 @@ impl Workload for AvlTree {
             value_pattern(key, &mut val);
             heap.write_bytes(ctx, node, VAL, &val);
             heap.persist(ctx, node, 0, VAL + value_size as u64);
-            let mut ops = Ops::new(heap);
-            ops.fresh.insert(node.offset());
             let root = heap.root(ctx);
             let new_root = ops.insert(ctx, root, key, node);
-            // Commit point: everything above went to unreachable clones.
-            heap.set_root(ctx, new_root);
-            ops.reclaim(ctx);
+            ops.pc.commit(ctx, None, new_root);
         })
     }
 
@@ -299,11 +267,8 @@ impl Workload for AvlTree {
             let (new_root, removed) = ops.delete(ctx, root, key);
             match removed {
                 Some(n) => {
-                    // Commit point: the clone path becomes reachable, the
-                    // deleted node and the superseded originals drop out.
-                    heap.set_root(ctx, new_root);
-                    ops.reclaim(ctx);
-                    heap.free(ctx, n).expect("free avl node");
+                    ops.pc.retire(n);
+                    ops.pc.commit(ctx, None, new_root);
                     true
                 }
                 None => false,

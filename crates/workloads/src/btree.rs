@@ -9,6 +9,13 @@
 //! Inner node (payload 128): `nkeys@0, keys[7]@8..64, children[8]@64..128`.
 //! Leaf (payload 224): `next@0, nkeys@8, keys[13]@16..120, vals[13]@120..224`.
 //! Value object: `key@0, bytes@8…`.
+//!
+//! Updates are crash-atomic via path copying ([`PathCopy`]): an insert or
+//! delete writes a fresh leaf — a split writes both halves and copies each
+//! inner node it propagates into — and commits with one persisted store of
+//! the topmost copy into its parent's child slot (or the root). A leaf
+//! chain would give each leaf a second incoming pointer, which one store
+//! cannot swing, so `next` stays in the layout but is always null.
 
 use std::collections::BTreeSet;
 
@@ -17,7 +24,7 @@ use ffccd_pmem::Ctx;
 use ffccd_pmop::{PmPtr, TypeDesc, TypeId, TypeRegistry};
 
 use crate::util::{value_matches, value_pattern};
-use crate::workload::{check_key_set, Workload};
+use crate::workload::{check_key_set, PathCopy, Workload};
 
 const INNER_KEYS: usize = 7;
 const LEAF_KEYS: usize = 13;
@@ -54,177 +61,198 @@ impl BplusTree {
     }
 }
 
-struct Ops<'a> {
-    heap: &'a DefragHeap,
+/// A node's replacement: the copy, plus the separator and right half when
+/// it split.
+type Replaced = (PmPtr, Option<(u64, PmPtr)>);
+
+fn is_leaf(heap: &DefragHeap, ctx: &mut Ctx, n: PmPtr) -> bool {
+    heap.object_header(ctx, n).0 == T_LEAF
 }
 
-enum Descend {
-    Done,
-    Split { sep: u64, right: PmPtr },
+/// A leaf's `(key, value)` entries, in order.
+fn leaf_entries(heap: &DefragHeap, ctx: &mut Ctx, leaf: PmPtr) -> Vec<(u64, PmPtr)> {
+    let n = heap.read_u64(ctx, leaf, L_NKEYS);
+    (0..n)
+        .map(|i| {
+            let k = heap.read_u64(ctx, leaf, L_KEYS + i * 8);
+            (k, heap.load_ref(ctx, leaf, L_VALS + i * 8))
+        })
+        .collect()
 }
 
-impl<'a> Ops<'a> {
-    fn is_leaf(&self, ctx: &mut Ctx, n: PmPtr) -> bool {
-        self.heap.object_header(ctx, n).0 == T_LEAF
-    }
+fn inner_keys(heap: &DefragHeap, ctx: &mut Ctx, node: PmPtr) -> Vec<u64> {
+    let n = heap.read_u64(ctx, node, I_NKEYS);
+    (0..n)
+        .map(|i| heap.read_u64(ctx, node, I_KEYS + i * 8))
+        .collect()
+}
 
-    fn new_leaf(&self, ctx: &mut Ctx) -> PmPtr {
-        let leaf = self.heap.alloc(ctx, T_LEAF, LEAF_SIZE).expect("leaf");
-        self.heap.store_ref(ctx, leaf, L_NEXT, PmPtr::NULL);
-        self.heap.write_u64(ctx, leaf, L_NKEYS, 0);
-        for i in 0..LEAF_KEYS as u64 {
-            self.heap.store_ref(ctx, leaf, L_VALS + i * 8, PmPtr::NULL);
-        }
-        self.heap.persist(ctx, leaf, 0, LEAF_SIZE);
-        leaf
-    }
+/// An inner node's keys and children.
+fn inner_entries(heap: &DefragHeap, ctx: &mut Ctx, node: PmPtr) -> (Vec<u64>, Vec<PmPtr>) {
+    let keys = inner_keys(heap, ctx, node);
+    let kids = (0..=keys.len() as u64)
+        .map(|i| heap.load_ref(ctx, node, I_CHILD + i * 8))
+        .collect();
+    (keys, kids)
+}
 
-    fn new_inner(&self, ctx: &mut Ctx) -> PmPtr {
-        let inner = self.heap.alloc(ctx, T_INNER, INNER_SIZE).expect("inner");
-        self.heap.write_u64(ctx, inner, I_NKEYS, 0);
-        for i in 0..=INNER_KEYS as u64 {
-            self.heap
-                .store_ref(ctx, inner, I_CHILD + i * 8, PmPtr::NULL);
-        }
-        self.heap.persist(ctx, inner, 0, INNER_SIZE);
-        inner
-    }
+/// The index of the child whose range holds `key`: child `i` holds
+/// `keys[i-1] <= k < keys[i]`.
+fn child_index(keys: &[u64], key: u64) -> usize {
+    keys.partition_point(|&k| k <= key)
+}
 
-    fn leaf_insert(&self, ctx: &mut Ctx, leaf: PmPtr, key: u64, val: PmPtr) -> Descend {
-        let heap = self.heap;
-        let n = heap.read_u64(ctx, leaf, L_NKEYS) as usize;
-        if n < LEAF_KEYS {
-            // Shift and insert sorted.
-            let mut pos = n;
-            while pos > 0 && heap.read_u64(ctx, leaf, L_KEYS + (pos as u64 - 1) * 8) > key {
-                let k = heap.read_u64(ctx, leaf, L_KEYS + (pos as u64 - 1) * 8);
-                let v = heap.load_ref(ctx, leaf, L_VALS + (pos as u64 - 1) * 8);
-                heap.write_u64(ctx, leaf, L_KEYS + pos as u64 * 8, k);
-                heap.store_ref(ctx, leaf, L_VALS + pos as u64 * 8, v);
-                pos -= 1;
-            }
-            heap.write_u64(ctx, leaf, L_KEYS + pos as u64 * 8, key);
-            heap.store_ref(ctx, leaf, L_VALS + pos as u64 * 8, val);
-            heap.write_u64(ctx, leaf, L_NKEYS, n as u64 + 1);
-            heap.persist(ctx, leaf, 0, LEAF_SIZE);
-            return Descend::Done;
-        }
-        // Split: right leaf takes the upper half.
-        let right = self.new_leaf(ctx);
-        let half = LEAF_KEYS / 2;
-        let mut moved = 0u64;
-        for i in half..LEAF_KEYS {
-            let k = heap.read_u64(ctx, leaf, L_KEYS + i as u64 * 8);
-            let v = heap.load_ref(ctx, leaf, L_VALS + i as u64 * 8);
-            heap.write_u64(ctx, right, L_KEYS + moved * 8, k);
-            heap.store_ref(ctx, right, L_VALS + moved * 8, v);
-            moved += 1;
-        }
-        heap.write_u64(ctx, right, L_NKEYS, moved);
-        heap.write_u64(ctx, leaf, L_NKEYS, half as u64);
-        // Null the vacated value refs: typed marking walks every ref slot
-        // of the node, so stale references would resurrect freed values.
-        for i in half..LEAF_KEYS {
-            heap.store_ref(ctx, leaf, L_VALS + i as u64 * 8, PmPtr::NULL);
-        }
-        let old_next = heap.load_ref(ctx, leaf, L_NEXT);
-        heap.store_ref(ctx, right, L_NEXT, old_next);
-        heap.persist(ctx, right, 0, LEAF_SIZE);
-        heap.store_ref(ctx, leaf, L_NEXT, right);
-        heap.persist(ctx, leaf, 0, LEAF_SIZE);
-        let sep = heap.read_u64(ctx, right, L_KEYS);
-        // Re-insert into the proper side.
-        if key >= sep {
-            self.leaf_insert(ctx, right, key, val);
-        } else {
-            self.leaf_insert(ctx, leaf, key, val);
-        }
-        Descend::Split { sep, right }
+/// Writes a fresh, persisted leaf holding `entries`.
+fn write_leaf(pc: &mut PathCopy<'_>, ctx: &mut Ctx, entries: &[(u64, PmPtr)]) -> PmPtr {
+    let heap = pc.heap;
+    let leaf = pc.alloc(ctx, T_LEAF, LEAF_SIZE);
+    heap.write_u64(ctx, leaf, L_NEXT, PmPtr::NULL.raw());
+    heap.write_u64(ctx, leaf, L_NKEYS, entries.len() as u64);
+    for i in 0..LEAF_KEYS {
+        let (k, v) = entries.get(i).copied().unwrap_or((0, PmPtr::NULL));
+        heap.write_u64(ctx, leaf, L_KEYS + i as u64 * 8, k);
+        heap.write_u64(ctx, leaf, L_VALS + i as u64 * 8, v.raw());
     }
+    heap.persist(ctx, leaf, 0, LEAF_SIZE);
+    leaf
+}
 
-    fn insert_rec(&self, ctx: &mut Ctx, node: PmPtr, key: u64, val: PmPtr) -> Descend {
-        let heap = self.heap;
-        if self.is_leaf(ctx, node) {
-            return self.leaf_insert(ctx, node, key, val);
+/// Writes a fresh, persisted inner node holding `keys` and `kids`.
+fn write_inner(pc: &mut PathCopy<'_>, ctx: &mut Ctx, keys: &[u64], kids: &[PmPtr]) -> PmPtr {
+    let heap = pc.heap;
+    let node = pc.alloc(ctx, T_INNER, INNER_SIZE);
+    heap.write_u64(ctx, node, I_NKEYS, keys.len() as u64);
+    for i in 0..=INNER_KEYS {
+        if let Some(&k) = keys.get(i) {
+            heap.write_u64(ctx, node, I_KEYS + i as u64 * 8, k);
         }
-        let n = heap.read_u64(ctx, node, I_NKEYS) as usize;
-        let mut idx = 0usize;
-        while idx < n && key >= heap.read_u64(ctx, node, I_KEYS + idx as u64 * 8) {
-            idx += 1;
-        }
-        let child = heap.load_ref(ctx, node, I_CHILD + idx as u64 * 8);
-        match self.insert_rec(ctx, child, key, val) {
-            Descend::Done => Descend::Done,
-            Descend::Split { sep, right } => {
-                if n < INNER_KEYS {
-                    // Shift keys/children right of idx.
-                    let mut i = n;
-                    while i > idx {
-                        let k = heap.read_u64(ctx, node, I_KEYS + (i as u64 - 1) * 8);
-                        heap.write_u64(ctx, node, I_KEYS + i as u64 * 8, k);
-                        let c = heap.load_ref(ctx, node, I_CHILD + i as u64 * 8);
-                        heap.store_ref(ctx, node, I_CHILD + (i as u64 + 1) * 8, c);
-                        i -= 1;
-                    }
-                    heap.write_u64(ctx, node, I_KEYS + idx as u64 * 8, sep);
-                    heap.store_ref(ctx, node, I_CHILD + (idx as u64 + 1) * 8, right);
-                    heap.write_u64(ctx, node, I_NKEYS, n as u64 + 1);
-                    heap.persist(ctx, node, 0, INNER_SIZE);
-                    return Descend::Done;
-                }
-                // Split the inner node.
-                let mut keys: Vec<u64> = (0..n)
-                    .map(|i| heap.read_u64(ctx, node, I_KEYS + i as u64 * 8))
-                    .collect();
-                let mut kids: Vec<PmPtr> = (0..=n)
-                    .map(|i| heap.load_ref(ctx, node, I_CHILD + i as u64 * 8))
-                    .collect();
-                keys.insert(idx, sep);
-                kids.insert(idx + 1, right);
-                let mid = keys.len() / 2;
-                let up = keys[mid];
-                let rnode = self.new_inner(ctx);
-                let rkeys = &keys[mid + 1..];
-                let rkids = &kids[mid + 1..];
-                for (i, &k) in rkeys.iter().enumerate() {
-                    heap.write_u64(ctx, rnode, I_KEYS + i as u64 * 8, k);
-                }
-                for (i, &c) in rkids.iter().enumerate() {
-                    heap.store_ref(ctx, rnode, I_CHILD + i as u64 * 8, c);
-                }
-                heap.write_u64(ctx, rnode, I_NKEYS, rkeys.len() as u64);
-                heap.persist(ctx, rnode, 0, INNER_SIZE);
-                for (i, &k) in keys[..mid].iter().enumerate() {
-                    heap.write_u64(ctx, node, I_KEYS + i as u64 * 8, k);
-                }
-                for (i, &c) in kids[..=mid].iter().enumerate() {
-                    heap.store_ref(ctx, node, I_CHILD + i as u64 * 8, c);
-                }
-                for i in mid + 1..=INNER_KEYS {
-                    heap.store_ref(ctx, node, I_CHILD + i as u64 * 8, PmPtr::NULL);
-                }
-                heap.write_u64(ctx, node, I_NKEYS, mid as u64);
-                heap.persist(ctx, node, 0, INNER_SIZE);
-                Descend::Split {
-                    sep: up,
-                    right: rnode,
-                }
-            }
-        }
+        let c = kids.get(i).copied().unwrap_or(PmPtr::NULL);
+        heap.write_u64(ctx, node, I_CHILD + i as u64 * 8, c.raw());
     }
+    heap.persist(ctx, node, 0, INNER_SIZE);
+    node
+}
 
-    fn find_leaf(&self, ctx: &mut Ctx, key: u64) -> PmPtr {
-        let mut node = self.heap.root(ctx);
-        while !node.is_null() && !self.is_leaf(ctx, node) {
-            let n = self.heap.read_u64(ctx, node, I_NKEYS) as usize;
-            let mut idx = 0usize;
-            while idx < n && key >= self.heap.read_u64(ctx, node, I_KEYS + idx as u64 * 8) {
-                idx += 1;
-            }
-            node = self.heap.load_ref(ctx, node, I_CHILD + idx as u64 * 8);
-        }
-        node
+/// Retires leaf `old` for fresh leaves holding `entries`: one, or two
+/// halves when they overflow it (the right half's first key separates
+/// them).
+fn replace_leaf(
+    pc: &mut PathCopy<'_>,
+    ctx: &mut Ctx,
+    old: PmPtr,
+    entries: &[(u64, PmPtr)],
+) -> Replaced {
+    pc.retire(old);
+    if entries.len() <= LEAF_KEYS {
+        return (write_leaf(pc, ctx, entries), None);
     }
+    let (lo, hi) = entries.split_at(entries.len() / 2);
+    let left = write_leaf(pc, ctx, lo);
+    (left, Some((hi[0].0, write_leaf(pc, ctx, hi))))
+}
+
+/// Retires inner `old` for fresh nodes holding `keys` and `kids`: one, or
+/// two halves when they overflow it (the middle key moves up).
+fn replace_inner(
+    pc: &mut PathCopy<'_>,
+    ctx: &mut Ctx,
+    old: PmPtr,
+    keys: &[u64],
+    kids: &[PmPtr],
+) -> Replaced {
+    pc.retire(old);
+    if keys.len() <= INNER_KEYS {
+        return (write_inner(pc, ctx, keys, kids), None);
+    }
+    let mid = keys.len() / 2;
+    let left = write_inner(pc, ctx, &keys[..mid], &kids[..=mid]);
+    let right = write_inner(pc, ctx, &keys[mid + 1..], &kids[mid + 1..]);
+    (left, Some((keys[mid], right)))
+}
+
+/// The inner nodes from the root down to `key`'s leaf, each with the
+/// index of the child taken, and the leaf.
+fn descend(heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> (Vec<(PmPtr, usize)>, PmPtr) {
+    let mut path = Vec::new();
+    let mut node = heap.root(ctx);
+    while !is_leaf(heap, ctx, node) {
+        let idx = child_index(&inner_keys(heap, ctx, node), key);
+        path.push((node, idx));
+        node = heap.load_ref(ctx, node, I_CHILD + idx as u64 * 8);
+    }
+    (path, node)
+}
+
+/// Commits `copy` in place of the child `path`'s last entry points at,
+/// or as the new root when `path` is empty.
+fn commit(pc: PathCopy<'_>, ctx: &mut Ctx, path: &[(PmPtr, usize)], copy: PmPtr) {
+    let at = path.last().map(|&(p, idx)| (p, I_CHILD + idx as u64 * 8));
+    pc.commit(ctx, at, copy);
+}
+
+/// The in-order walk behind [`BplusTree::validate`]: every key lies within
+/// its separator bounds `[lo, hi)` and exceeds every key before it, and
+/// every value matches its key.
+fn validate_rec(
+    heap: &DefragHeap,
+    ctx: &mut Ctx,
+    node: PmPtr,
+    (lo, hi): (Option<u64>, Option<u64>),
+    got: &mut BTreeSet<u64>,
+    depth: u64,
+) -> Result<(), String> {
+    if node.is_null() {
+        return Err("BT: null child".to_owned());
+    }
+    if depth > 64 {
+        return Err("BT: runaway depth (cycle?)".to_owned());
+    }
+    let outside = |k: u64| lo.is_some_and(|l| k < l) || hi.is_some_and(|h| k >= h);
+    if !is_leaf(heap, ctx, node) {
+        if heap.read_u64(ctx, node, I_NKEYS) > INNER_KEYS as u64 {
+            return Err("BT: inner node overfull".to_owned());
+        }
+        let (keys, kids) = inner_entries(heap, ctx, node);
+        if keys.windows(2).any(|w| w[0] >= w[1]) || keys.iter().any(|&k| outside(k)) {
+            return Err(format!("BT: separators {keys:?} out of order"));
+        }
+        for (i, &kid) in kids.iter().enumerate() {
+            let bounds = (
+                i.checked_sub(1).map_or(lo, |j| Some(keys[j])),
+                keys.get(i).copied().or(hi),
+            );
+            validate_rec(heap, ctx, kid, bounds, got, depth + 1)?;
+        }
+        return Ok(());
+    }
+    if !heap.load_ref(ctx, node, L_NEXT).is_null() {
+        return Err("BT: leaf links a sibling".to_owned());
+    }
+    if heap.read_u64(ctx, node, L_NKEYS) > LEAF_KEYS as u64 {
+        return Err("BT: leaf overfull".to_owned());
+    }
+    for (key, val) in leaf_entries(heap, ctx, node) {
+        if outside(key) {
+            return Err(format!("BT: key {key} outside its separator bounds"));
+        }
+        if got.last().is_some_and(|&l| key <= l) {
+            return Err(format!("BT: keys out of order at key {key}"));
+        }
+        if val.is_null() {
+            return Err(format!("BT: null value for key {key}"));
+        }
+        if heap.read_u64(ctx, val, V_KEY) != key {
+            return Err(format!("BT: value key mismatch at {key}"));
+        }
+        let (_, size) = heap.object_header(ctx, val);
+        let mut bytes = vec![0u8; size as usize - V_BYTES as usize];
+        heap.read_bytes(ctx, val, V_BYTES, &mut bytes);
+        if !value_matches(key, &bytes) {
+            return Err(format!("BT: corrupted value for key {key}"));
+        }
+        got.insert(key);
+    }
+    Ok(())
 }
 
 impl Workload for BplusTree {
@@ -246,9 +274,9 @@ impl Workload for BplusTree {
     }
 
     fn setup(&mut self, heap: &DefragHeap, ctx: &mut Ctx) {
-        let ops = Ops { heap };
-        let leaf = ops.new_leaf(ctx);
-        heap.set_root(ctx, leaf);
+        let mut pc = PathCopy::new(heap);
+        let leaf = write_leaf(&mut pc, ctx, &[]);
+        pc.commit(ctx, None, leaf);
     }
 
     fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
@@ -261,61 +289,49 @@ impl Workload for BplusTree {
             value_pattern(key, &mut bytes);
             heap.write_bytes(ctx, val, V_BYTES, &bytes);
             heap.persist(ctx, val, 0, V_BYTES + value_size as u64);
-            let ops = Ops { heap };
-            let root = heap.root(ctx);
-            match ops.insert_rec(ctx, root, key, val) {
-                Descend::Done => {}
-                Descend::Split { sep, right } => {
-                    let new_root = ops.new_inner(ctx);
-                    heap.write_u64(ctx, new_root, I_NKEYS, 1);
-                    heap.write_u64(ctx, new_root, I_KEYS, sep);
-                    let old_root = heap.root(ctx);
-                    heap.store_ref(ctx, new_root, I_CHILD, old_root);
-                    heap.store_ref(ctx, new_root, I_CHILD + 8, right);
-                    heap.persist(ctx, new_root, 0, INNER_SIZE);
-                    heap.set_root(ctx, new_root);
-                }
+            let mut pc = PathCopy::new(heap);
+            let (mut path, leaf) = descend(heap, ctx, key);
+            let mut entries = leaf_entries(heap, ctx, leaf);
+            let pos = entries.partition_point(|&(k, _)| k < key);
+            entries.insert(pos, (key, val));
+            let (mut copy, mut split) = replace_leaf(&mut pc, ctx, leaf, &entries);
+            // A split copies the parent too, up to the first node that
+            // absorbs it; above that only one child pointer changes.
+            while let Some((sep, right)) = split {
+                let Some((parent, idx)) = path.pop() else {
+                    copy = write_inner(&mut pc, ctx, &[sep], &[copy, right]);
+                    break;
+                };
+                let (mut keys, mut kids) = inner_entries(heap, ctx, parent);
+                kids[idx] = copy;
+                keys.insert(idx, sep);
+                kids.insert(idx + 1, right);
+                (copy, split) = replace_inner(&mut pc, ctx, parent, &keys, &kids);
             }
+            commit(pc, ctx, &path, copy);
         })
     }
 
     fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
         heap.critical(|| {
-            let ops = Ops { heap };
-            let leaf = ops.find_leaf(ctx, key);
-            if leaf.is_null() {
+            let (path, leaf) = descend(heap, ctx, key);
+            let mut entries = leaf_entries(heap, ctx, leaf);
+            let Some(pos) = entries.iter().position(|&(k, _)| k == key) else {
                 return false;
-            }
-            let n = heap.read_u64(ctx, leaf, L_NKEYS) as usize;
-            for i in 0..n {
-                if heap.read_u64(ctx, leaf, L_KEYS + i as u64 * 8) == key {
-                    let val = heap.load_ref(ctx, leaf, L_VALS + i as u64 * 8);
-                    for j in i..n - 1 {
-                        let k = heap.read_u64(ctx, leaf, L_KEYS + (j as u64 + 1) * 8);
-                        let v = heap.load_ref(ctx, leaf, L_VALS + (j as u64 + 1) * 8);
-                        heap.write_u64(ctx, leaf, L_KEYS + j as u64 * 8, k);
-                        heap.store_ref(ctx, leaf, L_VALS + j as u64 * 8, v);
-                    }
-                    heap.store_ref(ctx, leaf, L_VALS + (n as u64 - 1) * 8, PmPtr::NULL);
-                    heap.write_u64(ctx, leaf, L_NKEYS, n as u64 - 1);
-                    heap.persist(ctx, leaf, 0, LEAF_SIZE);
-                    heap.free(ctx, val).expect("free value");
-                    return true;
-                }
-            }
-            false
+            };
+            let mut pc = PathCopy::new(heap);
+            pc.retire(entries.remove(pos).1);
+            let (copy, _) = replace_leaf(&mut pc, ctx, leaf, &entries);
+            commit(pc, ctx, &path, copy);
+            true
         })
     }
 
     fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
         heap.critical(|| {
-            let ops = Ops { heap };
-            let leaf = ops.find_leaf(ctx, key);
-            if leaf.is_null() {
-                return false;
-            }
-            let n = heap.read_u64(ctx, leaf, L_NKEYS) as usize;
-            (0..n).any(|i| heap.read_u64(ctx, leaf, L_KEYS + i as u64 * 8) == key)
+            let (_, leaf) = descend(heap, ctx, key);
+            let n = heap.read_u64(ctx, leaf, L_NKEYS);
+            (0..n).any(|i| heap.read_u64(ctx, leaf, L_KEYS + i * 8) == key)
         })
     }
 
@@ -325,46 +341,10 @@ impl Workload for BplusTree {
         ctx: &mut Ctx,
         expected: &BTreeSet<u64>,
     ) -> Result<(), String> {
-        // Walk the leaf chain from the leftmost leaf.
-        let ops = Ops { heap };
-        let mut node = heap.root(ctx);
-        if node.is_null() {
-            return check_key_set("BT", &BTreeSet::new(), expected);
-        }
-        while !ops.is_leaf(ctx, node) {
-            node = heap.load_ref(ctx, node, I_CHILD);
-        }
+        let root = heap.root(ctx);
         let mut got = BTreeSet::new();
-        let mut last: Option<u64> = None;
-        let mut leaves = 0u64;
-        while !node.is_null() {
-            let n = heap.read_u64(ctx, node, L_NKEYS) as usize;
-            for i in 0..n {
-                let key = heap.read_u64(ctx, node, L_KEYS + i as u64 * 8);
-                if last.is_some_and(|l| key <= l) {
-                    return Err(format!("BT: leaf chain out of order at key {key}"));
-                }
-                last = Some(key);
-                let val = heap.load_ref(ctx, node, L_VALS + i as u64 * 8);
-                if val.is_null() {
-                    return Err(format!("BT: null value for key {key}"));
-                }
-                if heap.read_u64(ctx, val, V_KEY) != key {
-                    return Err(format!("BT: value key mismatch at {key}"));
-                }
-                let (_, size) = heap.object_header(ctx, val);
-                let mut bytes = vec![0u8; size as usize - V_BYTES as usize];
-                heap.read_bytes(ctx, val, V_BYTES, &mut bytes);
-                if !value_matches(key, &bytes) {
-                    return Err(format!("BT: corrupted value for key {key}"));
-                }
-                got.insert(key);
-            }
-            leaves += 1;
-            if leaves > 10_000_000 {
-                return Err("BT: leaf chain cycle".to_owned());
-            }
-            node = heap.load_ref(ctx, node, L_NEXT);
+        if !root.is_null() {
+            validate_rec(heap, ctx, root, (None, None), &mut got, 0)?;
         }
         check_key_set("BT", &got, expected)
     }

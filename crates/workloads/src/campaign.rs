@@ -17,8 +17,6 @@
 //! The campaigns are probe generators over these functions:
 //! [`crate::faults::run_crash_site_sweep`] explores the one-mask lattice
 //! `{0}` (the base image) at every targeted site, on one thread or many,
-//! [`crate::faults::run_op_boundary_injection`] at the last site before
-//! chosen operations,
 //! [`crate::adversary::run_adversary_sweep`] many masks,
 //! [`crate::nested::run_nested_crash_sweep`] repeats enumerate–explore
 //! *inside recovery* on each captured image, and
@@ -194,32 +192,6 @@ pub(crate) fn fault_defrag(scheme: Scheme) -> DefragConfig {
     }
 }
 
-/// Operation indices at whose boundary op-boundary injection captures an
-/// image: evenly spaced across the *post-init* phase window — where the
-/// delete/insert churn and the compaction cycles it triggers actually
-/// happen — and never at op 0 (an untouched heap recovers trivially). If
-/// more injections are requested than the phase window has ops, spacing
-/// falls back to the whole run (still skipping op 0).
-pub(crate) fn injection_ops(mix: &PhaseMix, injections: u64) -> BTreeSet<u64> {
-    let total = (mix.init + mix.phase_ops * mix.phases) as u64;
-    let mut ops = BTreeSet::new();
-    if total == 0 || injections == 0 {
-        return ops;
-    }
-    let start = (mix.init as u64).min(total - 1);
-    let window = total - start;
-    if injections <= window {
-        for k in 1..=injections {
-            ops.insert(start + k * window / injections);
-        }
-    } else {
-        for k in 1..=injections {
-            ops.insert((k * total / injections).clamp(1, total));
-        }
-    }
-    ops
-}
-
 /// `cfg`'s pool with the machine seeded `seed` and pinned to the engine's
 /// single-bank deterministic mode: site IDs and the images captured at
 /// them must be byte-reproducible from a probe alone, and the engine
@@ -291,9 +263,9 @@ impl Run<'_> {
 
     /// The reference run: counts every durability event (store, clwb,
     /// sfence, WPQ traffic, eviction, GC phase mark) as a deterministic
-    /// site. `hook` sees every op boundary.
-    pub(crate) fn enumerate(&self, hook: &mut OpHook<'_>) -> SiteSummary {
-        let heap = self.drive(PmEngine::site_tracking_enumerate, hook);
+    /// site.
+    pub(crate) fn enumerate(&self) -> SiteSummary {
+        let heap = self.drive(PmEngine::site_tracking_enumerate, &mut None);
         heap.engine().site_tracking_stop()
     }
 
@@ -670,7 +642,7 @@ mod tests {
             }
             true
         };
-        run.enumerate(&mut Some(&mut hook));
+        run.drive(PmEngine::site_tracking_enumerate, &mut Some(&mut hook));
         assert_eq!(post.len(), pre.len() + 1);
 
         let mut captured = 0;
@@ -726,7 +698,8 @@ mod tests {
             last_keys = live.to_btree_set();
             true
         };
-        let summary = run.enumerate(&mut Some(&mut hook));
+        let heap = run.drive(PmEngine::site_tracking_enumerate, &mut Some(&mut hook));
+        let summary = heap.engine().site_tracking_stop();
         assert!(
             summary.total > boundary,
             "the run must wind down a cycle in flight"
@@ -777,7 +750,7 @@ mod tests {
             }
             true
         };
-        run.enumerate(&mut Some(&mut hook));
+        run.drive(PmEngine::site_tracking_enumerate, &mut Some(&mut hook));
         let mut captured = 0;
         run.capture([last].into_iter().collect(), &mut |cap, at| {
             captured += 1;
@@ -798,31 +771,5 @@ mod tests {
             false
         });
         assert_eq!(captured, 1);
-    }
-
-    #[test]
-    fn injection_ops_skip_init_and_op_zero() {
-        let mix = PhaseMix {
-            init: 400,
-            phase_ops: 300,
-            phases: 3,
-        };
-        let ops = injection_ops(&mix, 12);
-        assert_eq!(ops.len(), 12, "distinct, evenly spaced targets");
-        assert!(ops.iter().all(|&op| op > 400), "init phase is skipped");
-        assert!(ops.iter().all(|&op| op <= 1300));
-        assert_eq!(*ops.iter().max().unwrap(), 1300, "window fully covered");
-    }
-
-    #[test]
-    fn injection_ops_fall_back_when_oversubscribed() {
-        let mix = PhaseMix {
-            init: 90,
-            phase_ops: 2,
-            phases: 3,
-        };
-        let ops = injection_ops(&mix, 64);
-        assert!(!ops.is_empty());
-        assert!(ops.iter().all(|&op| (1..=96).contains(&op)));
     }
 }

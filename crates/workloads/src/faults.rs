@@ -1,16 +1,12 @@
-//! Machine-crash injection (paper §7.1), two generators over the shared
-//! [`crate::campaign`] pipeline:
-//!
-//! * **Crash-site sweep** ([`run_crash_site_sweep`], §7.1b) — images at
-//!   *durability-event granularity*: the engine enumerates every store /
-//!   clwb / sfence / WPQ / eviction / GC-phase event as a deterministic
-//!   site, and a replay run captures an image right after each chosen
-//!   site. This probes the persist-ordering windows inside operations,
-//!   which op spacing can never reach. With [`CrashPlan::threads`] above
-//!   1 the run is the multi-threaded driver under the seeded schedule.
-//! * **Op-boundary injection** ([`run_op_boundary_injection`]) — the
-//!   paper's original method: images at the last site before evenly
-//!   spaced operations, judged against the exact post-op key set.
+//! Machine-crash injection (paper §7.1): the crash-site sweep
+//! ([`run_crash_site_sweep`], §7.1b) over the shared [`crate::campaign`]
+//! pipeline. Images are taken at *durability-event granularity*: the
+//! engine enumerates every store / clwb / sfence / WPQ / eviction /
+//! GC-phase event as a deterministic site, and a replay run captures an
+//! image right after each chosen site — between operations and inside
+//! them, in the persist-ordering windows that op spacing never reaches.
+//! With [`CrashPlan::threads`] above 1 the run is the multi-threaded
+//! driver under the seeded schedule.
 //!
 //! Every image is restarted, recovered with the scheme's recovery
 //! procedure, and validated twice — GC-metadata consistency
@@ -21,11 +17,10 @@
 
 use std::collections::BTreeSet;
 
-use ffccd::{DefragHeap, Scheme};
+use ffccd::Scheme;
 
-use crate::campaign::{injection_ops, Report, Run};
-use crate::driver::{DriverConfig, OpRecord};
-use crate::util::LiveKeys;
+use crate::campaign::{Report, Run};
+use crate::driver::DriverConfig;
 use crate::workload::Workload;
 
 /// How a crash-site sweep chooses and bounds its work.
@@ -76,38 +71,8 @@ pub fn run_crash_site_sweep(
         cfg,
         threads: plan.threads,
     };
-    let summary = run.enumerate(&mut None);
+    let summary = run.enumerate();
     let targets = choose_targets(summary.total, plan.seed, plan.budget);
-    run.sweep(&summary, targets, 1, 0)
-}
-
-/// Op-boundary injection for one workload under one scheme: the base
-/// image at the last site fired before each of `injections` operations
-/// spread over the post-init phases, validated against that operation's
-/// post-op key set. Failures are ordinary site probes.
-pub fn run_op_boundary_injection(
-    make_workload: &(dyn Fn() -> Box<dyn Workload> + Sync),
-    scheme: Scheme,
-    seed: u64,
-    injections: u64,
-    cfg: &DriverConfig,
-) -> Report {
-    let run = Run {
-        make: make_workload,
-        scheme,
-        seed,
-        cfg,
-        threads: 1,
-    };
-    let ops = injection_ops(&cfg.mix, injections);
-    let mut targets = BTreeSet::new();
-    let mut hook = |op: u64, heap: &DefragHeap, _: usize, _: &LiveKeys, _: OpRecord| {
-        if ops.contains(&op) {
-            targets.extend(heap.engine().sites_fired().checked_sub(1));
-        }
-        true
-    };
-    let summary = run.enumerate(&mut Some(&mut hook));
     run.sweep(&summary, targets, 1, 0)
 }
 

@@ -12,6 +12,10 @@
 //! Leaf layout (payload 560): `next@0, fps[32]@8..40 (1 B each),
 //! keys[32]@48..304, vals[32]@304..560`; a slot is live iff its value
 //! reference is non-null.
+//!
+//! Every update commits with one persisted store ([`PathCopy`]): a slot
+//! insert or delete with its value-reference store, a split — both halves
+//! written fresh — by swinging the predecessor's `next` (or the root).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -20,7 +24,7 @@ use ffccd_pmem::Ctx;
 use ffccd_pmop::{PmPtr, TypeDesc, TypeId, TypeRegistry};
 
 use crate::util::{value_matches, value_pattern};
-use crate::workload::{check_key_set, checked_header, in_data, Workload};
+use crate::workload::{check_key_set, checked_header, in_data, PathCopy, Workload};
 
 const SLOTS: usize = 32;
 
@@ -90,7 +94,8 @@ impl FpTree {
     }
 
     /// DRAM index lookup + barrier resolution; updates the cached pointer.
-    fn leaf_for(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> PmPtr {
+    /// Returns the leaf's lower bound too.
+    fn leaf_for(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> (u64, PmPtr) {
         let (&bound, &ptr) = self
             .index
             .range(..=key)
@@ -100,7 +105,44 @@ impl FpTree {
         if resolved != ptr {
             self.index.insert(bound, resolved);
         }
-        resolved
+        (bound, resolved)
+    }
+
+    /// The field holding the persistent link to the leaf at `bound`: the
+    /// root for the first leaf, else its chain predecessor's `next`, found
+    /// from the index's previous leaf (empty leaves are not indexed).
+    fn link_to(
+        &self,
+        heap: &DefragHeap,
+        ctx: &mut Ctx,
+        bound: u64,
+        leaf: PmPtr,
+    ) -> Option<(PmPtr, u64)> {
+        let (_, &prev) = self.index.range(..bound).next_back()?;
+        let mut pred = heap.resolve(ctx, prev);
+        loop {
+            let next = heap.load_ref(ctx, pred, L_NEXT);
+            if next == leaf {
+                return Some((pred, L_NEXT));
+            }
+            assert!(!next.is_null(), "FPTree: indexed leaf is off the chain");
+            pred = next;
+        }
+    }
+
+    /// Reads a leaf's live `(key, fingerprint, value)` entries.
+    fn entries(heap: &DefragHeap, ctx: &mut Ctx, leaf: PmPtr) -> Vec<(u64, u8, PmPtr)> {
+        let mut entries = Vec::new();
+        for i in 0..SLOTS as u64 {
+            let v = heap.load_ref(ctx, leaf, L_VALS + i * 8);
+            if !v.is_null() {
+                let k = heap.read_u64(ctx, leaf, L_KEYS + i * 8);
+                let mut fp = [0u8; 1];
+                heap.read_bytes(ctx, leaf, L_FPS + i, &mut fp);
+                entries.push((k, fp[0], v));
+            }
+        }
+        entries
     }
 
     fn slot_scan(heap: &DefragHeap, ctx: &mut Ctx, leaf: PmPtr, key: u64) -> Option<usize> {
@@ -126,11 +168,22 @@ impl FpTree {
         (0..SLOTS).find(|&i| heap.load_ref(ctx, leaf, L_VALS + i as u64 * 8).is_null())
     }
 
-    fn new_leaf(heap: &DefragHeap, ctx: &mut Ctx) -> PmPtr {
-        let leaf = heap.alloc(ctx, T_LEAF, LEAF_SIZE).expect("leaf");
-        heap.store_ref(ctx, leaf, L_NEXT, PmPtr::NULL);
+    /// Writes a fresh, persisted leaf holding `entries` and linking `next`.
+    fn write_leaf(
+        pc: &mut PathCopy<'_>,
+        ctx: &mut Ctx,
+        entries: &[(u64, u8, PmPtr)],
+        next: PmPtr,
+    ) -> PmPtr {
+        let heap = pc.heap;
+        let leaf = pc.alloc(ctx, T_LEAF, LEAF_SIZE);
+        heap.write_u64(ctx, leaf, L_NEXT, next.raw());
         for i in 0..SLOTS {
-            heap.store_ref(ctx, leaf, L_VALS + i as u64 * 8, PmPtr::NULL);
+            let (k, fp, v) = entries.get(i).copied().unwrap_or((0, 0, PmPtr::NULL));
+            let i = i as u64;
+            heap.write_u64(ctx, leaf, L_KEYS + i * 8, k);
+            heap.write_bytes(ctx, leaf, L_FPS + i, &[fp]);
+            heap.write_u64(ctx, leaf, L_VALS + i * 8, v.raw());
         }
         heap.persist(ctx, leaf, 0, LEAF_SIZE);
         leaf
@@ -152,8 +205,9 @@ impl Workload for FpTree {
     }
 
     fn setup(&mut self, heap: &DefragHeap, ctx: &mut Ctx) {
-        let leaf = Self::new_leaf(heap, ctx);
-        heap.set_root(ctx, leaf);
+        let mut pc = PathCopy::new(heap);
+        let leaf = Self::write_leaf(&mut pc, ctx, &[], PmPtr::NULL);
+        pc.commit(ctx, None, leaf);
         self.index.clear();
         self.index.insert(0, leaf);
     }
@@ -177,78 +231,56 @@ impl Workload for FpTree {
             heap.write_bytes(ctx, val, V_BYTES, &bytes);
             heap.persist(ctx, val, 0, V_BYTES + value_size as u64);
 
-            let mut leaf = self.leaf_for(heap, ctx, key);
-            if Self::free_slot(heap, ctx, leaf).is_none() {
-                // Split: move the upper half into a new linked leaf.
-                let mut entries: Vec<(u64, u8, PmPtr)> = (0..SLOTS)
-                    .map(|i| {
-                        let k = heap.read_u64(ctx, leaf, L_KEYS + i as u64 * 8);
-                        let mut fp = [0u8; 1];
-                        heap.read_bytes(ctx, leaf, L_FPS + i as u64, &mut fp);
-                        let v = heap.load_ref(ctx, leaf, L_VALS + i as u64 * 8);
-                        (k, fp[0], v)
-                    })
-                    .collect();
-                entries.sort_by_key(|&(k, _, _)| k);
-                let mid_key = entries[SLOTS / 2].0;
-                let right = Self::new_leaf(heap, ctx);
-                for (ri, &(k, fp, v)) in entries
-                    .iter()
-                    .filter(|&&(k, _, _)| k >= mid_key)
-                    .enumerate()
-                {
-                    let ri = ri as u64;
-                    heap.write_u64(ctx, right, L_KEYS + ri * 8, k);
-                    heap.write_bytes(ctx, right, L_FPS + ri, &[fp]);
-                    heap.store_ref(ctx, right, L_VALS + ri * 8, v);
-                }
-                heap.persist(ctx, right, 0, LEAF_SIZE);
-                let next = heap.load_ref(ctx, leaf, L_NEXT);
-                heap.store_ref(ctx, right, L_NEXT, next);
-                heap.store_ref(ctx, leaf, L_NEXT, right);
-                // Clear moved slots in the left leaf.
-                for i in 0..SLOTS {
-                    let k = heap.read_u64(ctx, leaf, L_KEYS + i as u64 * 8);
-                    if k >= mid_key {
-                        heap.store_ref(ctx, leaf, L_VALS + i as u64 * 8, PmPtr::NULL);
-                    }
-                }
-                heap.persist(ctx, leaf, 0, LEAF_SIZE);
-                self.index.insert(mid_key, right);
-                if key >= mid_key {
-                    leaf = right;
-                }
+            let mut pc = PathCopy::new(heap);
+            let (bound, leaf) = self.leaf_for(heap, ctx, key);
+            let entry = (key, Self::fingerprint(key), val);
+            if let Some(slot) = Self::free_slot(heap, ctx, leaf) {
+                // Key and fingerprint go to a free slot, invisible until
+                // the value-ref store commits them.
+                let slot = slot as u64;
+                heap.write_u64(ctx, leaf, L_KEYS + slot * 8, key);
+                heap.write_bytes(ctx, leaf, L_FPS + slot, &[entry.1]);
+                heap.persist(ctx, leaf, L_KEYS + slot * 8, 8);
+                heap.persist(ctx, leaf, L_FPS + slot, 1);
+                pc.commit(ctx, Some((leaf, L_VALS + slot * 8)), val);
+                return;
             }
-            let slot = Self::free_slot(heap, ctx, leaf).expect("slot after split") as u64;
-            heap.write_u64(ctx, leaf, L_KEYS + slot * 8, key);
-            heap.write_bytes(ctx, leaf, L_FPS + slot, &[Self::fingerprint(key)]);
-            heap.persist(ctx, leaf, L_KEYS + slot * 8, 8);
-            heap.persist(ctx, leaf, L_FPS + slot, 1);
-            // The value-ref store is the atomic commit point.
-            heap.store_ref(ctx, leaf, L_VALS + slot * 8, val);
+            // Split: both halves, the new entry included, are fresh leaves
+            // replacing the full one in the chain with one link store.
+            let mut entries = Self::entries(heap, ctx, leaf);
+            entries.push(entry);
+            entries.sort_by_key(|&(k, _, _)| k);
+            let (lo, hi) = entries.split_at(entries.len() / 2);
+            let next = heap.load_ref(ctx, leaf, L_NEXT);
+            let right = Self::write_leaf(&mut pc, ctx, hi, next);
+            let left = Self::write_leaf(&mut pc, ctx, lo, right);
+            let link = self.link_to(heap, ctx, bound, leaf);
+            pc.retire(leaf);
+            pc.commit(ctx, link, left);
+            self.index.insert(bound, left);
+            self.index.insert(hi[0].0, right);
         })
     }
 
     fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
         heap.critical(|| {
             self.refresh_epoch(heap, ctx);
-            let leaf = self.leaf_for(heap, ctx, key);
-            match Self::slot_scan(heap, ctx, leaf, key) {
-                Some(i) => {
-                    let val = heap.load_ref(ctx, leaf, L_VALS + i as u64 * 8);
-                    heap.store_ref(ctx, leaf, L_VALS + i as u64 * 8, PmPtr::NULL);
-                    heap.free(ctx, val).expect("free value");
-                    true
-                }
-                None => false,
-            }
+            let (_, leaf) = self.leaf_for(heap, ctx, key);
+            let Some(i) = Self::slot_scan(heap, ctx, leaf, key) else {
+                return false;
+            };
+            let field = L_VALS + i as u64 * 8;
+            let mut pc = PathCopy::new(heap);
+            pc.retire(heap.load_ref(ctx, leaf, field));
+            pc.commit(ctx, Some((leaf, field)), PmPtr::NULL);
+            true
         })
     }
 
     fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
         heap.critical(|| {
             self.refresh_epoch(heap, ctx);
-            let leaf = self.leaf_for(heap, ctx, key);
+            let (_, leaf) = self.leaf_for(heap, ctx, key);
             Self::slot_scan(heap, ctx, leaf, key).is_some()
         })
     }

@@ -89,7 +89,7 @@ pub fn run_nested_crash_sweep(
         cfg,
         threads: 1,
     };
-    let summary = run.enumerate(&mut None);
+    let summary = run.enumerate();
     let windows = cycle_windows(&summary.phase_marks, summary.total);
     let outer_targets = choose_outer_targets(&summary, &windows, plan);
     let report = Report {

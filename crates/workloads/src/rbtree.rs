@@ -1,20 +1,26 @@
 //! RBT — the red-black-tree microbenchmark.
 //!
-//! Top-down red-black tree with full insert fixup (recolor + rotations)
-//! through parent pointers. Deletion is BST splicing without color fixup —
-//! a common engineering simplification (the tree stays a valid BST; color
-//! balance degrades gracefully under the workload's random deletes, and the
-//! validator enforces a generous height bound instead of strict RB height).
-//! Node layout:
+//! Red-black tree with full insert fixup (recolor + rotations). Deletion is
+//! BST splicing without color fixup — a common engineering simplification
+//! (the tree stays a valid BST; color balance degrades gracefully under the
+//! workload's random deletes, and the validator enforces a generous height
+//! bound instead of strict RB height). Node layout:
 //!
 //! ```text
 //! +0   left    (persistent pointer)
 //! +8   right   (persistent pointer)
-//! +16  parent  (persistent pointer)
+//! +16  parent  (persistent pointer, always null)
 //! +24  key     u64
 //! +32  color   u64 (0 = black, 1 = red)
 //! +40… value   value_size bytes
 //! ```
+//!
+//! Updates are crash-atomic via path copying ([`PathCopy`]): every node an
+//! update changes is copied, with the search path up to it, and the
+//! operation commits with one persisted store of the topmost copy into its
+//! parent (or the root). Parent pointers would give each node a second
+//! incoming pointer, so the insert fixup walks an explicit path stack
+//! instead and `parent` is written null.
 
 use std::collections::BTreeSet;
 
@@ -23,7 +29,7 @@ use ffccd_pmem::Ctx;
 use ffccd_pmop::{PmPtr, TypeDesc, TypeId, TypeRegistry};
 
 use crate::util::{value_matches, value_pattern};
-use crate::workload::{check_key_set, Workload};
+use crate::workload::{check_key_set, PathCopy, Workload};
 
 const LEFT: u64 = 0;
 const RIGHT: u64 = 8;
@@ -48,11 +54,43 @@ impl RbTree {
     }
 }
 
-struct Ops<'a> {
-    heap: &'a DefragHeap,
+/// RBT's node-copy body for [`PathCopy::shadow`].
+fn copy_node(heap: &DefragHeap, ctx: &mut Ctx, n: PmPtr, c: PmPtr, size: u64) {
+    for side in [LEFT, RIGHT] {
+        let child = heap.load_ref(ctx, n, side);
+        heap.write_u64(ctx, c, side, child.raw());
+    }
+    heap.write_u64(ctx, c, PARENT, PmPtr::NULL.raw());
+    for field in [KEY, COLOR] {
+        let v = heap.read_u64(ctx, n, field);
+        heap.write_u64(ctx, c, field, v);
+    }
+    let mut val = vec![0u8; (size - VAL) as usize];
+    heap.read_bytes(ctx, n, VAL, &mut val);
+    heap.write_bytes(ctx, c, VAL, &val);
 }
 
-impl<'a> Ops<'a> {
+fn other(side: u64) -> u64 {
+    if side == LEFT {
+        RIGHT
+    } else {
+        LEFT
+    }
+}
+
+/// One insert's search path, copied lazily from the bottom: `path[i + 1]`
+/// hangs off `path[i]` at side `sides[i]`, and `path[fresh..]` are copies
+/// linked to each other; the nodes above are still the reachable
+/// originals. The commit stores `path[fresh]` into its original parent.
+struct Path<'a> {
+    heap: &'a DefragHeap,
+    pc: PathCopy<'a>,
+    path: Vec<PmPtr>,
+    sides: Vec<u64>,
+    fresh: usize,
+}
+
+impl<'a> Path<'a> {
     fn color(&self, ctx: &mut Ctx, n: PmPtr) -> u64 {
         if n.is_null() {
             BLACK
@@ -61,90 +99,98 @@ impl<'a> Ops<'a> {
         }
     }
 
-    fn set_color(&self, ctx: &mut Ctx, n: PmPtr, c: u64) {
-        self.heap.write_u64(ctx, n, COLOR, c);
-        self.heap.persist(ctx, n, COLOR, 8);
-    }
-
-    fn child(&self, ctx: &mut Ctx, n: PmPtr, side: u64) -> PmPtr {
-        self.heap.load_ref(ctx, n, side)
-    }
-
-    fn parent(&self, ctx: &mut Ctx, n: PmPtr) -> PmPtr {
-        self.heap.load_ref(ctx, n, PARENT)
-    }
-
-    /// Replaces `old` with `new` in `old`'s parent (or at the root).
-    fn replace_in_parent(&self, ctx: &mut Ctx, old: PmPtr, new: PmPtr) {
-        let p = self.parent(ctx, old);
-        if p.is_null() {
-            self.heap.set_root(ctx, new);
-        } else if self.child(ctx, p, LEFT) == old {
-            self.heap.store_ref(ctx, p, LEFT, new);
-        } else {
-            self.heap.store_ref(ctx, p, RIGHT, new);
-        }
-        if !new.is_null() {
-            self.heap.store_ref(ctx, new, PARENT, p);
+    /// Copies the path up to and including `path[j]`, so it may be mutated.
+    fn own(&mut self, ctx: &mut Ctx, j: usize) {
+        while self.fresh > j {
+            let k = self.fresh - 1;
+            let c = self.pc.shadow(ctx, self.path[k], copy_node);
+            self.heap.store_ref(ctx, c, self.sides[k], self.path[k + 1]);
+            self.path[k] = c;
+            self.fresh = k;
         }
     }
 
-    /// Rotates `n` toward `side` (side = LEFT means left-rotation).
-    fn rotate(&self, ctx: &mut Ctx, n: PmPtr, side: u64) {
-        let other = if side == LEFT { RIGHT } else { LEFT };
-        let c = self.child(ctx, n, other);
-        let gc = self.child(ctx, c, side);
-        self.replace_in_parent(ctx, n, c);
+    fn set_color(&mut self, ctx: &mut Ctx, j: usize, c: u64) {
+        self.own(ctx, j);
+        set_color(self.heap, ctx, self.path[j], c);
+    }
+
+    /// Rotates `path[j]` toward `side` (side = LEFT means left-rotation),
+    /// its fresh child `path[j + 1]` rising into its place. Linking it into
+    /// `path[j - 1]` is left to the commit when that node is an original.
+    fn rotate(&mut self, ctx: &mut Ctx, j: usize, side: u64) {
+        self.own(ctx, j);
+        let (n, c) = (self.path[j], self.path[j + 1]);
+        let gc = self.heap.load_ref(ctx, c, side);
+        self.heap.store_ref(ctx, n, other(side), gc);
         self.heap.store_ref(ctx, c, side, n);
-        self.heap.store_ref(ctx, n, PARENT, c);
-        self.heap.store_ref(ctx, n, other, gc);
-        if !gc.is_null() {
-            self.heap.store_ref(ctx, gc, PARENT, n);
+        if j > self.fresh {
+            self.heap
+                .store_ref(ctx, self.path[j - 1], self.sides[j - 1], c);
         }
+        self.path.swap(j, j + 1);
+        self.sides[j] = side;
     }
 
-    fn insert_fixup(&self, ctx: &mut Ctx, mut n: PmPtr) {
+    /// The insert fixup, from the new red node at the end of the path.
+    fn insert_fixup(&mut self, ctx: &mut Ctx) {
         loop {
-            let p = self.parent(ctx, n);
-            if p.is_null() {
-                self.set_color(ctx, n, BLACK);
+            let i = self.path.len() - 1;
+            if i == 0 {
+                return self.set_color(ctx, 0, BLACK);
+            }
+            if self.color(ctx, self.path[i - 1]) == BLACK {
                 return;
             }
-            if self.color(ctx, p) == BLACK {
-                return;
+            if i == 1 {
+                return self.set_color(ctx, 0, BLACK);
             }
-            let g = self.parent(ctx, p);
-            if g.is_null() {
-                self.set_color(ctx, p, BLACK);
-                return;
-            }
-            let p_is_left = self.child(ctx, g, LEFT) == p;
-            let uncle = self.child(ctx, g, if p_is_left { RIGHT } else { LEFT });
+            let (g, p_side) = (self.path[i - 2], self.sides[i - 2]);
+            let uncle = self.heap.load_ref(ctx, g, other(p_side));
             if self.color(ctx, uncle) == RED {
-                self.set_color(ctx, p, BLACK);
-                self.set_color(ctx, uncle, BLACK);
-                self.set_color(ctx, g, RED);
-                n = g;
+                self.own(ctx, i - 2);
+                let uncle = self.pc.shadow(ctx, uncle, copy_node);
+                self.heap
+                    .store_ref(ctx, self.path[i - 2], other(p_side), uncle);
+                set_color(self.heap, ctx, uncle, BLACK);
+                self.set_color(ctx, i - 1, BLACK);
+                self.set_color(ctx, i - 2, RED);
+                self.path.truncate(i - 1);
+                self.sides.truncate(i - 2);
                 continue;
             }
             // Uncle black: rotate.
-            let n_is_left = self.child(ctx, p, LEFT) == n;
-            if p_is_left && !n_is_left {
-                self.rotate(ctx, p, LEFT);
-                n = p;
+            if self.sides[i - 1] != p_side {
+                // The new node rises above its parent; continue from there.
+                self.rotate(ctx, i - 1, p_side);
                 continue;
             }
-            if !p_is_left && n_is_left {
-                self.rotate(ctx, p, RIGHT);
-                n = p;
-                continue;
-            }
-            self.set_color(ctx, p, BLACK);
-            self.set_color(ctx, g, RED);
-            self.rotate(ctx, g, if p_is_left { RIGHT } else { LEFT });
-            return;
+            self.set_color(ctx, i - 1, BLACK);
+            self.set_color(ctx, i - 2, RED);
+            return self.rotate(ctx, i - 2, other(p_side));
         }
     }
+}
+
+/// `n` must be fresh.
+fn set_color(heap: &DefragHeap, ctx: &mut Ctx, n: PmPtr, c: u64) {
+    heap.write_u64(ctx, n, COLOR, c);
+    heap.persist(ctx, n, COLOR, 8);
+}
+
+/// Removes the minimum node of the subtree `n`, copying the path to it;
+/// returns (new top, min). The min itself is *not* copied — the caller
+/// splices a copy of it.
+fn take_min(pc: &mut PathCopy<'_>, ctx: &mut Ctx, n: PmPtr) -> (PmPtr, PmPtr) {
+    let heap = pc.heap;
+    let l = heap.load_ref(ctx, n, LEFT);
+    if l.is_null() {
+        return (heap.load_ref(ctx, n, RIGHT), n);
+    }
+    let c = pc.shadow(ctx, n, copy_node);
+    let (nl, min) = take_min(pc, ctx, l);
+    heap.store_ref(ctx, c, LEFT, nl);
+    (c, min)
 }
 
 impl Workload for RbTree {
@@ -168,12 +214,11 @@ impl Workload for RbTree {
 
     fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
         heap.critical(|| {
-            let node = heap
-                .alloc(ctx, T_NODE, VAL + value_size as u64)
-                .expect("rbt node");
-            heap.store_ref(ctx, node, LEFT, PmPtr::NULL);
-            heap.store_ref(ctx, node, RIGHT, PmPtr::NULL);
-            heap.store_ref(ctx, node, PARENT, PmPtr::NULL);
+            let mut pc = PathCopy::new(heap);
+            let node = pc.alloc(ctx, T_NODE, VAL + value_size as u64);
+            for field in [LEFT, RIGHT, PARENT] {
+                heap.write_u64(ctx, node, field, PmPtr::NULL.raw());
+            }
             heap.write_u64(ctx, node, KEY, key);
             heap.write_u64(ctx, node, COLOR, RED);
             let mut val = vec![0u8; value_size];
@@ -181,80 +226,69 @@ impl Workload for RbTree {
             heap.write_bytes(ctx, node, VAL, &val);
             heap.persist(ctx, node, 0, VAL + value_size as u64);
 
-            // BST insert with parent tracking.
-            let ops = Ops { heap };
+            let mut p = Path {
+                heap,
+                pc,
+                path: Vec::new(),
+                sides: Vec::new(),
+                fresh: 0,
+            };
             let mut cur = heap.root(ctx);
-            if cur.is_null() {
-                ops.set_color(ctx, node, BLACK);
-                heap.set_root(ctx, node);
-                return;
+            while !cur.is_null() {
+                let side = if key < heap.read_u64(ctx, cur, KEY) {
+                    LEFT
+                } else {
+                    RIGHT
+                };
+                p.path.push(cur);
+                p.sides.push(side);
+                cur = heap.load_ref(ctx, cur, side);
             }
-            loop {
-                let k = heap.read_u64(ctx, cur, KEY);
-                let side = if key < k { LEFT } else { RIGHT };
-                let next = heap.load_ref(ctx, cur, side);
-                if next.is_null() {
-                    heap.store_ref(ctx, cur, side, node);
-                    heap.store_ref(ctx, node, PARENT, cur);
-                    break;
-                }
-                cur = next;
-            }
-            ops.insert_fixup(ctx, node);
+            // Attaching the new node is the commit store itself unless the
+            // fixup changes its parent too.
+            p.path.push(node);
+            p.fresh = p.path.len() - 1;
+            p.insert_fixup(ctx);
+            let at = p.fresh.checked_sub(1).map(|k| (p.path[k], p.sides[k]));
+            p.pc.commit(ctx, at, p.path[p.fresh]);
         })
     }
 
     fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
         heap.critical(|| {
-            let ops = Ops { heap };
-            let mut n = heap.root(ctx);
+            let (mut parent, mut n) = (None, heap.root(ctx));
             while !n.is_null() {
                 let k = heap.read_u64(ctx, n, KEY);
                 if k == key {
                     break;
                 }
-                n = heap.load_ref(ctx, n, if key < k { LEFT } else { RIGHT });
+                let side = if key < k { LEFT } else { RIGHT };
+                parent = Some((n, side));
+                n = heap.load_ref(ctx, n, side);
             }
             if n.is_null() {
                 return false;
             }
-            let l = ops.child(ctx, n, LEFT);
-            let r = ops.child(ctx, n, RIGHT);
-            if l.is_null() || r.is_null() {
-                let child = if l.is_null() { r } else { l };
-                ops.replace_in_parent(ctx, n, child);
+            let mut pc = PathCopy::new(heap);
+            let l = heap.load_ref(ctx, n, LEFT);
+            let r = heap.load_ref(ctx, n, RIGHT);
+            let new = if l.is_null() {
+                r
+            } else if r.is_null() {
+                l
             } else {
-                // Splice the in-order successor into n's place.
-                let mut succ = r;
-                loop {
-                    let sl = ops.child(ctx, succ, LEFT);
-                    if sl.is_null() {
-                        break;
-                    }
-                    succ = sl;
-                }
-                let succ_right = ops.child(ctx, succ, RIGHT);
-                let succ_color = ops.color(ctx, succ);
-                if succ != r {
-                    ops.replace_in_parent(ctx, succ, succ_right);
-                    let n_right = heap.load_ref(ctx, n, RIGHT);
-                    heap.store_ref(ctx, succ, RIGHT, n_right);
-                    let nr = heap.load_ref(ctx, succ, RIGHT);
-                    if !nr.is_null() {
-                        heap.store_ref(ctx, nr, PARENT, succ);
-                    }
-                }
-                ops.replace_in_parent(ctx, n, succ);
-                heap.store_ref(ctx, succ, LEFT, l);
-                if !l.is_null() {
-                    heap.store_ref(ctx, l, PARENT, succ);
-                }
-                // Keep n's color at its position (classic splice).
-                let ncolor = heap.read_u64(ctx, n, COLOR);
-                ops.set_color(ctx, succ, ncolor);
-                let _ = succ_color;
-            }
-            heap.free(ctx, n).expect("free rbt node");
+                // Splice a copy of the in-order successor into n's place,
+                // in n's color (classic splice).
+                let (nr, succ) = take_min(&mut pc, ctx, r);
+                let s = pc.shadow(ctx, succ, copy_node);
+                heap.store_ref(ctx, s, LEFT, l);
+                heap.store_ref(ctx, s, RIGHT, nr);
+                let color = heap.read_u64(ctx, n, COLOR);
+                set_color(heap, ctx, s, color);
+                s
+            };
+            pc.retire(n);
+            pc.commit(ctx, parent, new);
             true
         })
     }
@@ -281,23 +315,15 @@ impl Workload for RbTree {
     ) -> Result<(), String> {
         let mut got = BTreeSet::new();
         let root = heap.root(ctx);
-        if !root.is_null() {
-            let p = heap.load_ref(ctx, root, PARENT);
-            if !p.is_null() {
-                return Err("RBT: root has a parent".to_owned());
-            }
-        }
-        validate_rec(heap, ctx, root, PmPtr::NULL, None, None, &mut got, 0)?;
+        validate_rec(heap, ctx, root, None, None, &mut got, 0)?;
         check_key_set("RBT", &got, expected)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn validate_rec(
     heap: &DefragHeap,
     ctx: &mut Ctx,
     n: PmPtr,
-    expect_parent: PmPtr,
     lo: Option<u64>,
     hi: Option<u64>,
     got: &mut BTreeSet<u64>,
@@ -308,10 +334,6 @@ fn validate_rec(
     }
     if depth > 128 {
         return Err("RBT: runaway depth (cycle?)".to_owned());
-    }
-    let p = heap.load_ref(ctx, n, PARENT);
-    if p != expect_parent {
-        return Err(format!("RBT: wrong parent link at depth {depth}"));
     }
     let key = heap.read_u64(ctx, n, KEY);
     if lo.is_some_and(|l| key <= l) || hi.is_some_and(|h| key >= h) {
@@ -338,8 +360,8 @@ fn validate_rec(
     }
     let l = heap.load_ref(ctx, n, LEFT);
     let r = heap.load_ref(ctx, n, RIGHT);
-    validate_rec(heap, ctx, l, n, lo, Some(key), got, depth + 1)?;
-    validate_rec(heap, ctx, r, n, Some(key), hi, got, depth + 1)
+    validate_rec(heap, ctx, l, lo, Some(key), got, depth + 1)?;
+    validate_rec(heap, ctx, r, Some(key), hi, got, depth + 1)
 }
 
 #[cfg(test)]
@@ -365,8 +387,7 @@ mod tests {
             "root must be black"
         );
         let expected: BTreeSet<u64> = (0..256).collect();
-        w.validate(&h, &mut ctx, &expected)
-            .expect("ordered with parent links");
+        w.validate(&h, &mut ctx, &expected).expect("ordered");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The workload abstraction the driver and fault injector run against.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use ffccd::DefragHeap;
 use ffccd_pmem::Ctx;
@@ -75,6 +75,81 @@ pub trait Workload: Send {
     ) -> Option<bool> {
         let _ = (heap, ctx, key, insert);
         None
+    }
+}
+
+/// The commit discipline every tree shares: no node reachable from the
+/// persistent root is mutated in place. An operation builds what changes
+/// in nodes it allocated ([`PathCopy::alloc`]) or copied
+/// ([`PathCopy::shadow`]) — unreachable until the commit, hence safe to
+/// mutate — persists them, and commits with one persisted 8-byte store to
+/// the root or to a single field of a reachable node
+/// ([`PathCopy::commit`]). A crash before the commit leaves the old
+/// structure intact; after it, the new one. Replaced originals are freed
+/// only after the commit (a crash in between leaks unreachable nodes,
+/// which is harmless).
+pub(crate) struct PathCopy<'a> {
+    pub heap: &'a DefragHeap,
+    /// Nodes allocated by this operation.
+    fresh: HashSet<u64>,
+    /// Nodes the commit unlinks, freed after it.
+    retired: Vec<PmPtr>,
+}
+
+impl<'a> PathCopy<'a> {
+    pub fn new(heap: &'a DefragHeap) -> Self {
+        PathCopy {
+            heap,
+            fresh: HashSet::new(),
+            retired: Vec::new(),
+        }
+    }
+
+    /// Allocates a node of this operation.
+    pub fn alloc(&mut self, ctx: &mut Ctx, ty: TypeId, payload: u64) -> PmPtr {
+        let n = self.heap.alloc(ctx, ty, payload).expect("path-copy node");
+        self.fresh.insert(n.offset());
+        n
+    }
+
+    /// Returns a node safe to mutate: `n` itself when this operation
+    /// allocated it, otherwise a copy that `copy(heap, ctx, n, copy,
+    /// payload)` fills and that is persisted whole before it is returned
+    /// (the original is retired).
+    pub fn shadow(
+        &mut self,
+        ctx: &mut Ctx,
+        n: PmPtr,
+        copy: fn(&DefragHeap, &mut Ctx, PmPtr, PmPtr, u64),
+    ) -> PmPtr {
+        if self.fresh.contains(&n.offset()) {
+            return n;
+        }
+        let (ty, size) = self.heap.object_header(ctx, n);
+        let c = self.alloc(ctx, ty, u64::from(size));
+        copy(self.heap, ctx, n, c, u64::from(size));
+        self.heap.persist(ctx, c, 0, u64::from(size));
+        self.retired.push(n);
+        c
+    }
+
+    /// Queues `n` — a node or value the commit unlinks — for freeing after
+    /// the commit.
+    pub fn retire(&mut self, n: PmPtr) {
+        self.retired.push(n);
+    }
+
+    /// The commit point: one persisted store of `new` to the root, or to
+    /// field `at.1` of the reachable node `at.0`; then frees every retired
+    /// node in the order retired.
+    pub fn commit(mut self, ctx: &mut Ctx, at: Option<(PmPtr, u64)>, new: PmPtr) {
+        match at {
+            None => self.heap.set_root(ctx, new),
+            Some((node, field)) => self.heap.store_ref(ctx, node, field, new),
+        }
+        for p in self.retired.drain(..) {
+            self.heap.free(ctx, p).expect("free a replaced node");
+        }
     }
 }
 

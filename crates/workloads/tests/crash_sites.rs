@@ -11,11 +11,12 @@ use std::thread;
 
 use ffccd::{DefragHeap, ProbeId, Scheme};
 use ffccd_pmem::{Ctx, MachineConfig};
-use ffccd_pmop::TypeRegistry;
+use ffccd_pmop::{TypeId, TypeRegistry};
 use ffccd_workloads::campaign::{replay, sec71_config};
 use ffccd_workloads::driver::{DriverConfig, MtSchedule, PhaseMix};
 use ffccd_workloads::faults::{choose_targets, run_crash_site_sweep, CrashPlan};
-use ffccd_workloads::{AvlTree, BplusTree, BzTree, LinkedList, Workload};
+use ffccd_workloads::util::value_pattern;
+use ffccd_workloads::{AvlTree, BzTree, LinkedList, Workload};
 
 fn sweep_cfg(scheme: Scheme, seed: u64) -> DriverConfig {
     let mut cfg = DriverConfig::new(scheme);
@@ -610,15 +611,77 @@ fn oracle_panic_reaches_the_caller() {
     assert_eq!(payload.downcast_ref::<&str>(), Some(&"validator exploded"));
 }
 
+/// A linked list whose insert links the new node into its bucket before
+/// writing and persisting the node's key and value: torn inside every
+/// insert on purpose. It mirrors `LinkedList`'s layout (a 256-way
+/// directory at the root, nodes `next@0, key@8, value@16`) so everything
+/// but insert is the real list's.
+struct TornList(LinkedList);
+
+impl TornList {
+    /// `LinkedList`'s bucket of `key`, as a directory offset.
+    fn bucket_off(key: u64) -> u64 {
+        (key.wrapping_mul(0xFF51_AFD7_ED55_8CCD) >> 32) % 256 * 8
+    }
+}
+
+impl Workload for TornList {
+    fn name(&self) -> &'static str {
+        "LL"
+    }
+
+    fn registry(&self) -> TypeRegistry {
+        self.0.registry()
+    }
+
+    fn setup(&mut self, heap: &DefragHeap, ctx: &mut Ctx) {
+        self.0.setup(heap, ctx)
+    }
+
+    fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
+        heap.critical(|| {
+            let dir = heap.root(ctx);
+            let node = heap
+                .alloc(ctx, TypeId(1), 16 + value_size as u64)
+                .expect("node");
+            let head = heap.load_ref(ctx, dir, Self::bucket_off(key));
+            heap.store_ref(ctx, node, 0, head);
+            heap.store_ref(ctx, dir, Self::bucket_off(key), node);
+            heap.write_u64(ctx, node, 8, key);
+            let mut val = vec![0u8; value_size];
+            value_pattern(key, &mut val);
+            heap.write_bytes(ctx, node, 16, &val);
+            heap.persist(ctx, node, 0, 16 + value_size as u64);
+        })
+    }
+
+    fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
+        self.0.delete(heap, ctx, key)
+    }
+
+    fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
+        self.0.contains(heap, ctx, key)
+    }
+
+    fn validate(
+        &self,
+        heap: &DefragHeap,
+        ctx: &mut Ctx,
+        keys: &BTreeSet<u64>,
+    ) -> Result<(), String> {
+        self.0.validate(heap, ctx, keys)
+    }
+}
+
 /// Failures come out of the pipeline in one order whatever the worker's
-/// timing: two sweeps of a setting with several failing sites (BT is not
-/// crash-atomic inside an op, ROADMAP item 11) report identically, down
-/// to each failure's probe and message.
+/// timing: two sweeps of a setting with several failing sites (a list torn
+/// inside every insert) report identically, down to each failure's probe
+/// and message.
 #[test]
 fn pipelined_reports_are_identical() {
-    let make = || Box::new(BplusTree::new()) as Box<dyn Workload>;
+    let make = || Box::new(TornList(LinkedList::new())) as Box<dyn Workload>;
     let (scheme, seed) = (Scheme::Sfccd, 0x517e45);
-    let cfg = sec71_config(scheme, seed);
+    let cfg = sweep_cfg(scheme, seed);
     let plan = CrashPlan::new(seed, 16);
     let a = run_crash_site_sweep(&make, scheme, &plan, &cfg);
     let b = run_crash_site_sweep(&make, scheme, &plan, &cfg);

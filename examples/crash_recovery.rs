@@ -7,7 +7,7 @@ use ffccd::Scheme;
 use ffccd_pmem::MachineConfig;
 use ffccd_pmop::PoolConfig;
 use ffccd_workloads::driver::{DriverConfig, PhaseMix};
-use ffccd_workloads::faults::run_op_boundary_injection;
+use ffccd_workloads::faults::{run_crash_site_sweep, CrashPlan};
 use ffccd_workloads::AvlTree;
 
 fn main() {
@@ -31,13 +31,13 @@ fn main() {
             os_page_size: 4096,
             machine: MachineConfig::default(),
         };
-        let report =
-            run_op_boundary_injection(&|| Box::new(AvlTree::new()), scheme, 0xC4A5, 8, &cfg);
+        let plan = CrashPlan::new(0xC4A5, 8);
+        let report = run_crash_site_sweep(&|| Box::new(AvlTree::new()), scheme, &plan, &cfg);
         println!(
-            "{:<22} {} injections, {} mid-cycle, {} objects finished by recovery, \
+            "{:<22} {} crash sites, {} mid-cycle, {} objects finished by recovery, \
              {} undone, {}",
             scheme.label(),
-            report.images,
+            report.captured,
             report.mid_cycle,
             report.recovered_objects,
             report.undone_objects,

@@ -77,12 +77,13 @@ fn checklookup_beats_software_lookup() {
 
 #[test]
 fn crash_anywhere_in_a_full_run_recovers() {
-    // One integration-level fault injection across the whole stack.
-    use ffccd_repro::workloads::faults::run_op_boundary_injection;
+    // One integration-level crash-site sweep across the whole stack.
+    use ffccd_repro::workloads::faults::{run_crash_site_sweep, CrashPlan};
     for scheme in [Scheme::Sfccd, Scheme::FfccdCheckLookup] {
         let cfg = small_driver(scheme, 4);
-        let report = run_op_boundary_injection(&|| Box::new(AvlTree::new()), scheme, 4, 5, &cfg);
-        assert_eq!(report.images, 5, "{scheme}: one image per injection");
+        let plan = CrashPlan::new(4, 5);
+        let report = run_crash_site_sweep(&|| Box::new(AvlTree::new()), scheme, &plan, &cfg);
+        assert_eq!(report.captured, 5, "{scheme}: one image per targeted site");
         assert!(
             report.failures.is_empty(),
             "{scheme}: {:?}",
