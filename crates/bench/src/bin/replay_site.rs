@@ -11,14 +11,15 @@
 //! ```
 //!
 //! The probe is exactly what the campaign printed
-//! ([`ffccd::ProbeId`]'s `Display`): a §7.1/§7.1b/c crash site with the
+//! ([`ffccd::ProbeId`]'s `Display`): a §7.1b/c crash site with the
 //! maybe-persisted subset to materialize (`subset=0x0` is the base,
-//! nothing-persisted image; `window=N` appears when the campaign ran under
-//! a non-zero `FFCCD_ADV_WINDOW`, `threads=N` when the run was the seeded
-//! multi-threaded driver), a §7.1d crash *inside recovery* at
-//! `site=OUTER/INNER`, or a §7.1e thread kill. The run configuration is the
-//! campaigns' ([`sec71_config`]), so the site ID resolves to the same
-//! durability event and the mask to the same lattice entries.
+//! nothing-persisted image; bit `i` persists entry `i` of the site's
+//! maybe-set, so a mask addresses its first 64 entries; `threads=N`
+//! appears when the run was the seeded multi-threaded driver), a §7.1d
+//! crash *inside recovery* at `site=OUTER/INNER`, or a §7.1e thread kill.
+//! The run configuration is the campaigns' ([`sec71_config`]), so the site
+//! ID resolves to the same durability event and the mask to the same
+//! lattice entries. No environment variable is read.
 //!
 //! Exit codes: 0 = PASS, 1 = the oracle FAILed, 2 = the site never fired
 //! (wrong seed/workload/scheme), 101 = bad arguments. Workloads:

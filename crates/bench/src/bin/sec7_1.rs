@@ -18,11 +18,11 @@
 //!   durability-event ordinals while the survivors drain.
 //!
 //! `--smoke` selects the CI geometry; `--jobs N` fans the settings of a
-//! campaign out over threads. Every machine-crash campaign pins the engine
-//! to its single-bank deterministic mode and rows print in fixed setting
-//! order after the fan-out joins, so tables are identical at every job
-//! count. Budgets come from the `FFCCD_*`
-//! variables of [`CampaignArgs`].
+//! campaign out over threads. Each campaign's full and smoke budgets are
+//! constants of its spec, and nothing is read from the environment. Every
+//! machine-crash campaign pins the engine to its single-bank deterministic
+//! mode and rows print in fixed setting order after the fan-out joins, so
+//! tables are identical at every job count.
 //!
 //! Every image is recovered and validated with both checkers
 //! (program-data and GC-metadata consistency). A failing row prints its
@@ -30,9 +30,8 @@
 //! exactly that failure.
 
 use ffccd::Scheme;
-use ffccd_bench::campaign::{campaign_workload, scheme_key, sec71_config, CampaignArgs, Factory};
+use ffccd_bench::campaign::{campaign_workload, scheme_key, sec71_config, Factory};
 use ffccd_bench::{header, jobs, rule, FIG_SCHEMES};
-use ffccd_workloads::adversary::{run_adversary_sweep, AdversaryPlan};
 use ffccd_workloads::campaign::Report;
 use ffccd_workloads::faults::{run_crash_site_sweep, CrashPlan};
 use ffccd_workloads::nested::{run_nested_crash_sweep, NestedPlan};
@@ -70,7 +69,8 @@ struct CampaignSpec {
     columns: &'static [(&'static str, usize)],
     rule: usize,
     settings: Vec<Setting>,
-    run: fn(&Setting, &CampaignArgs) -> Row,
+    /// Computes one row at the spec's budgets.
+    run: Box<dyn Fn(&Setting) -> Row + Sync>,
     /// The budgets the summary line reports, e.g. `", budget 64"`.
     geometry: String,
     pass_note: &'static str,
@@ -133,8 +133,10 @@ impl Row {
 }
 
 /// The paper's nine single-thread workloads × the four schemes, then the
-/// concurrent trees under FFCCD at 2/4/8 threads.
-fn sweep_spec(args: &CampaignArgs) -> CampaignSpec {
+/// concurrent trees under FFCCD at 2/4/8 threads; 64 sites per setting
+/// (smoke: 4).
+fn sweep_spec(smoke: bool) -> CampaignSpec {
+    let budget = if smoke { 4 } else { 64 };
     let single = [
         "LL", "AVL", "pmemkv", "SS", "BT", "RBT", "BzTree", "FPTree", "Echo",
     ];
@@ -156,11 +158,11 @@ fn sweep_spec(args: &CampaignArgs) -> CampaignSpec {
         ],
         rule: 82,
         settings,
-        run: |s, args| {
+        run: Box::new(move |s| {
             let cfg = sec71_config(s.scheme, s.seed);
             let plan = CrashPlan {
                 threads: s.threads,
-                ..CrashPlan::new(s.seed, args.site_budget)
+                ..CrashPlan::new(s.seed, budget)
             };
             let r = run_crash_site_sweep(&*s.make, s.scheme, &plan, &cfg);
             // The site space must be rich enough for a meaningful sweep,
@@ -168,17 +170,20 @@ fn sweep_spec(args: &CampaignArgs) -> CampaignSpec {
             // must validate.
             let ok = r.failures.is_empty()
                 && r.captured == r.targeted
-                && (args.site_budget < 50 || r.targeted >= 50);
+                && (budget < 50 || r.targeted >= 50);
             let cells = vec![r.total_sites, r.targeted, r.captured, r.mid_cycle];
             Row::of(s, &r, ok, cells)
-        },
-        geometry: format!(", budget {}", args.site_budget),
+        }),
+        geometry: format!(", budget {budget}"),
         pass_note: " (paper: both GC schemes passed all tests)",
         fail_note: "",
     }
 }
 
-fn adversary_spec(args: &CampaignArgs) -> CampaignSpec {
+/// LL/AVL/pmemkv × the four schemes; 8 sites x 64 subset images per
+/// setting (smoke: 4 x 32).
+fn adversary_spec(smoke: bool) -> CampaignSpec {
+    let (sites, images) = if smoke { (4, 32) } else { (8, 64) };
     CampaignSpec {
         title: "Section 7.1c: adversarial persistence exploration (maybe-persisted subsets)",
         tag: "adversary",
@@ -192,13 +197,13 @@ fn adversary_spec(args: &CampaignArgs) -> CampaignSpec {
         ],
         rule: 92,
         settings: grid(&["LL", "AVL", "pmemkv"], 0xadfe00),
-        run: |s, args| {
+        run: Box::new(move |s| {
             let cfg = sec71_config(s.scheme, s.seed);
-            let plan = AdversaryPlan {
-                window_base: args.window_base,
-                ..AdversaryPlan::new(s.seed, args.adv_sites, args.adv_images)
+            let plan = CrashPlan {
+                images_per_site: images,
+                ..CrashPlan::new(s.seed, sites)
             };
-            let r = run_adversary_sweep(&*s.make, s.scheme, &plan, &cfg);
+            let r = run_crash_site_sweep(&*s.make, s.scheme, &plan, &cfg);
             // Every targeted site must fire on replay, each contributes at
             // least its base image, and every subset must recover — or the
             // failure must shrink to a replayable minimal triple (still
@@ -216,14 +221,17 @@ fn adversary_spec(args: &CampaignArgs) -> CampaignSpec {
                 truncated: r.truncated_lattices,
                 ..Row::of(s, &r, ok, cells)
             }
-        },
-        geometry: format!(", {} sites x {} images", args.adv_sites, args.adv_images),
+        }),
+        geometry: format!(", {sites} sites x {images} images"),
         pass_note: " (every explored durability outcome recovers)",
         fail_note: " (triples above replay the minimal subsets)",
     }
 }
 
-fn nested_spec(args: &CampaignArgs) -> CampaignSpec {
+/// LL/AVL/pmemkv × the four schemes; 16 outer images x 8 recovery sites
+/// x 64 subset images per setting (smoke: 6 x 3 x 16).
+fn nested_spec(smoke: bool) -> CampaignSpec {
+    let (outer, sites, images) = if smoke { (6, 3, 16) } else { (16, 8, 64) };
     CampaignSpec {
         title: "Section 7.1d: nested-crash exploration (crashes inside recovery)",
         tag: "nested",
@@ -239,17 +247,9 @@ fn nested_spec(args: &CampaignArgs) -> CampaignSpec {
         ],
         rule: 102,
         settings: grid(&["LL", "AVL", "pmemkv"], 0x9e57ed),
-        run: |s, args| {
+        run: Box::new(move |s| {
             let cfg = sec71_config(s.scheme, s.seed);
-            let plan = NestedPlan {
-                window_base: args.window_base,
-                ..NestedPlan::new(
-                    s.seed,
-                    args.nested_outer,
-                    args.nested_sites,
-                    args.nested_images,
-                )
-            };
+            let plan = NestedPlan::new(s.seed, outer, sites, images);
             let r = run_nested_crash_sweep(&*s.make, s.scheme, &plan, &cfg);
             // Every targeted outer site must fire on replay, at least one
             // outer image must yield a non-quiescent recovery (else the
@@ -273,11 +273,8 @@ fn nested_spec(args: &CampaignArgs) -> CampaignSpec {
                 truncated: r.truncated_lattices,
                 ..Row::of(s, &r, ok, cells)
             }
-        },
-        geometry: format!(
-            ", {} outer x {} sites x {} images",
-            args.nested_outer, args.nested_sites, args.nested_images
-        ),
+        }),
+        geometry: format!(", {outer} outer x {sites} sites x {images} images"),
         pass_note: " (every explored nested crash recovers idempotently)",
         fail_note: " (probes above replay the minimal subsets)",
     }
@@ -286,15 +283,15 @@ fn nested_spec(args: &CampaignArgs) -> CampaignSpec {
 /// 4 schemes × 4 workloads, including the detectable queue, which forfeits
 /// the in-flight ambiguity; each cell samples single-kill runs — plus
 /// double-kill runs in the full geometry — under the seeded turn scheduler.
-fn thread_crash_spec() -> CampaignSpec {
+fn thread_crash_spec(smoke: bool) -> CampaignSpec {
     CampaignSpec {
         title: "Section 7.1e: thread-crash exploration (K of N mutators die, survivors drain)",
         tag: "thread-crash",
         columns: &[("runs", 6), ("fired", 7), ("unfired", 8), ("in-flight", 9)],
         rule: 76,
         settings: grid(&["LL", "DQ", "AVL", "pmemkv"], 0x7c4a00),
-        run: |s, args| {
-            let (make, smoke) = (&*s.make, args.smoke);
+        run: Box::new(move |s| {
+            let make = &*s.make;
             let single_kill_runs = if smoke { 2 } else { 6 };
             let mut r = run_thread_crash_campaign(make, s.scheme, s.seed, single_kill_runs, 1);
             if !smoke {
@@ -313,7 +310,7 @@ fn thread_crash_spec() -> CampaignSpec {
             let ok = r.failures.is_empty() && r.kills_fired > 0;
             let cells = vec![r.runs, r.kills_fired, r.kills_unfired, r.inflight_ops];
             Row::of(s, &r, ok, cells)
-        },
+        }),
         geometry: String::new(),
         pass_note: " (every surviving cohort drains to a consistent heap)",
         fail_note: " (triples above replay the kills)",
@@ -321,7 +318,7 @@ fn thread_crash_spec() -> CampaignSpec {
 }
 
 /// Runs one campaign and prints its table; returns the failed settings.
-fn run_campaign(spec: &CampaignSpec, args: &CampaignArgs, jobs: usize) -> u64 {
+fn run_campaign(spec: &CampaignSpec, jobs: usize) -> u64 {
     header(spec.title);
     let mut head = format!("{:<8} {:<22}", "bench", "scheme");
     for (name, width) in spec.columns {
@@ -329,7 +326,7 @@ fn run_campaign(spec: &CampaignSpec, args: &CampaignArgs, jobs: usize) -> u64 {
     }
     println!("{head} {:>8}", "result");
     rule(spec.rule);
-    let rows = parallel_map(&spec.settings, jobs.max(1), |_, s| (spec.run)(s, args));
+    let rows = parallel_map(&spec.settings, jobs.max(1), |_, s| (spec.run)(s));
     let mut failures = 0;
     let mut truncated = 0;
     for (s, row) in spec.settings.iter().zip(rows) {
@@ -349,8 +346,7 @@ fn run_campaign(spec: &CampaignSpec, args: &CampaignArgs, jobs: usize) -> u64 {
     rule(spec.rule);
     if truncated > 0 {
         println!(
-            "{}: {truncated} lattices extended beyond the 64-entry window \
-             (slide it with FFCCD_ADV_WINDOW)",
+            "{}: {truncated} lattices extended beyond the 64-entry window",
             spec.tag
         );
     }
@@ -369,24 +365,17 @@ fn run_campaign(spec: &CampaignSpec, args: &CampaignArgs, jobs: usize) -> u64 {
 
 fn main() {
     let flag = |name: &str| std::env::args().any(|a| a == name);
-    let args = CampaignArgs::from_env(flag("--smoke"));
-    let specs = if flag("--thread-crash") {
-        vec![thread_crash_spec()]
+    let smoke = flag("--smoke");
+    let spec = if flag("--thread-crash") {
+        thread_crash_spec(smoke)
     } else if flag("--nested") {
-        vec![nested_spec(&args)]
+        nested_spec(smoke)
     } else if flag("--adversary") {
-        vec![adversary_spec(&args)]
+        adversary_spec(smoke)
     } else {
-        vec![sweep_spec(&args)]
+        sweep_spec(smoke)
     };
-    let mut failures = 0;
-    for (i, spec) in specs.iter().enumerate() {
-        if i > 0 {
-            println!();
-        }
-        failures += run_campaign(spec, &args, jobs());
-    }
-    if failures > 0 {
+    if run_campaign(&spec, jobs()) > 0 {
         std::process::exit(1);
     }
 }

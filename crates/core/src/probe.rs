@@ -22,7 +22,7 @@ use std::str::FromStr;
 /// * `site_id` names the durability event the image was captured at (or
 ///   the victim's event ordinal, for a thread kill);
 /// * `subset_mask` selects which maybe-persisted lines the materialized
-///   image contains (bit `i` ⇒ entry `window + i` of the site's
+///   image contains (bit `i` ⇒ entry `i` of the site's
 ///   `ffccd_pmem::MaybeSet` persisted).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProbeId {
@@ -32,12 +32,9 @@ pub struct ProbeId {
     /// probes this packs `outer_site << 32 | recovery_site` (see
     /// [`ProbeId::nested`]); for thread kills it is the kill ordinal.
     pub site_id: u64,
-    /// Subset bitmask over the site's maybe-persisted set.
+    /// Subset bitmask over the first 64 entries of the site's
+    /// maybe-persisted set.
     pub subset_mask: u64,
-    /// First maybe-set entry the 64-bit mask covers. Fence-free maybe-sets
-    /// run to thousands of lines, so campaigns can slide the window; a
-    /// probe found under a non-zero base needs it to replay.
-    pub window: usize,
     /// Which tracking window the site belongs to.
     pub phase: ProbePhase,
     /// Mutator threads of a machine-crash run; above 1 the run is the
@@ -71,7 +68,6 @@ impl ProbeId {
             seed,
             site_id,
             subset_mask,
-            window: 0,
             phase: ProbePhase::Mutator,
             threads: 1,
         }
@@ -100,15 +96,6 @@ impl ProbeId {
         ProbeId {
             phase: ProbePhase::ThreadKill { victim },
             ..ProbeId::new(seed, kill_site, 0)
-        }
-    }
-
-    /// The same probe with its subset window starting at maybe-set entry
-    /// `base`.
-    pub fn at_window(self, base: usize) -> Self {
-        ProbeId {
-            window: base,
-            ..self
         }
     }
 
@@ -151,9 +138,6 @@ impl fmt::Display for ProbeId {
             )?,
         }
         write!(f, ", subset=0x{:x}", self.subset_mask)?;
-        if self.window != 0 {
-            write!(f, ", window={}", self.window)?;
-        }
         if self.threads > 1 {
             write!(f, ", threads={}", self.threads)?;
         }
@@ -185,12 +169,11 @@ impl FromStr for ProbeId {
                 .trim()
                 .split_once('=')
                 .ok_or_else(|| format!("probe field {field:?} is not key=value"))?;
-            const KEYS: [&str; 8] = [
+            const KEYS: [&str; 7] = [
                 "seed",
                 "site",
                 "phase",
                 "subset",
-                "window",
                 "threads",
                 "kill_site",
                 "victim",
@@ -223,9 +206,7 @@ impl FromStr for ProbeId {
             }
             _ => return Err("site=OUTER/INNER and phase=recovery go together".to_owned()),
         };
-        let window = get("window").map(number).transpose()?.unwrap_or(0);
-        let threads = threads.unwrap_or(1) as usize;
-        Ok(probe.at_window(window as usize).with_threads(threads))
+        Ok(probe.with_threads(threads.unwrap_or(1) as usize))
     }
 }
 
@@ -237,10 +218,6 @@ mod tests {
     fn display_is_the_replay_triple() {
         let p = ProbeId::new(0x517e01, 42, 0b1011);
         assert_eq!(p.to_string(), "(seed=0x517e01, site=42, subset=0xb)");
-        assert_eq!(
-            p.at_window(64).to_string(),
-            "(seed=0x517e01, site=42, subset=0xb, window=64)"
-        );
         assert_eq!(
             ProbeId::thread_kill(0x7c4a01, 2681, 0).to_string(),
             "(seed=0x7c4a01, kill_site=2681, victim=0)"
@@ -271,5 +248,16 @@ mod tests {
         );
         // Same (outer, inner) numbers in mutator phase are a distinct probe.
         assert_ne!(p, ProbeId::new(0xadfe00, 120_000 << 32 | 37, 0b101));
+    }
+
+    /// A mask addresses the first 64 maybe-set entries and nothing else: a
+    /// pasted `window=` field is refused, not dropped, since the same mask
+    /// without it would replay a different image.
+    #[test]
+    fn a_window_field_is_rejected() {
+        let err = "(seed=0x517e02, site=120000, subset=0x15a5a, window=64)"
+            .parse::<ProbeId>()
+            .expect_err("window= is not a probe field");
+        assert!(err.contains("unknown probe field \"window\""), "{err}");
     }
 }

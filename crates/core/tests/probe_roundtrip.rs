@@ -4,38 +4,23 @@
 use ffccd::ProbeId;
 use proptest::prelude::*;
 
-fn window() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(0usize), 0usize..4096]
-}
-
 fn threads() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), 1usize..64]
 }
 
 fn probes() -> impl Strategy<Value = ProbeId> {
     prop_oneof![
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            window(),
-            threads()
-        )
-            .prop_map(|(seed, site, mask, w, t)| ProbeId::new(seed, site, mask)
-                .at_window(w)
-                .with_threads(t)),
+        (any::<u64>(), any::<u64>(), any::<u64>(), threads())
+            .prop_map(|(seed, site, mask, t)| ProbeId::new(seed, site, mask).with_threads(t)),
         (
             any::<u64>(),
             any::<u32>(),
             any::<u32>(),
             any::<u64>(),
-            window(),
             threads()
         )
-            .prop_map(|(seed, outer, inner, mask, w, t)| {
-                ProbeId::nested(seed, outer.into(), inner.into(), mask)
-                    .at_window(w)
-                    .with_threads(t)
+            .prop_map(|(seed, outer, inner, mask, t)| {
+                ProbeId::nested(seed, outer.into(), inner.into(), mask).with_threads(t)
             }),
         (any::<u64>(), any::<u64>(), 0usize..64)
             .prop_map(|(seed, site, victim)| ProbeId::thread_kill(seed, site, victim)),
@@ -47,8 +32,7 @@ proptest! {
     fn display_then_parse_is_identity(probe in probes()) {
         let text = probe.to_string();
         prop_assert_eq!(text.parse::<ProbeId>(), Ok(probe), "{}", text);
-        // Base 0 and one thread print exactly the text pinned in docs and logs.
-        prop_assert_eq!(probe.window == 0, !text.contains("window="));
+        // One thread prints exactly the text pinned in docs and logs.
         prop_assert_eq!(probe.threads == 1, !text.contains("threads="));
     }
 }

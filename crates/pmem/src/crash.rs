@@ -78,15 +78,6 @@ impl MaybeSet {
         self.entries.len().min(64) as u32
     }
 
-    /// Number of entries addressable by a subset bitmask whose window
-    /// starts at entry `base` (≤ 64). Large maybe-sets (measured up to
-    /// 2130 lines under fence-free) exceed one 64-bit mask; sliding the
-    /// base makes the deep entries reachable
-    /// ([`CrashImage::with_persisted_subset_at`]).
-    pub fn window_at(&self, base: usize) -> u32 {
-        self.entries.len().saturating_sub(base).min(64) as u32
-    }
-
     /// The mask selecting every in-window entry.
     pub fn full_mask(&self) -> u64 {
         match self.window() {
@@ -104,18 +95,16 @@ impl MaybeSet {
 pub struct SubsetMaskError {
     /// The offending mask.
     pub mask: u64,
-    /// Entries addressable from `base` (bits `0..window` are valid).
+    /// Addressable entries (bits `0..window` are valid).
     pub window: u32,
-    /// First maybe-set entry the window covers.
-    pub base: usize,
 }
 
 impl std::fmt::Display for SubsetMaskError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "subset mask 0x{:x} selects entries beyond the {}-entry window at base {}",
-            self.mask, self.window, self.base
+            "subset mask 0x{:x} selects entries beyond the {}-entry window",
+            self.mask, self.window
         )
     }
 }
@@ -175,45 +164,26 @@ impl CrashImage {
     /// recorded atomically with the line's drain, so any image containing
     /// the line must contain the bit.
     ///
-    /// # Panics
-    ///
-    /// Panics when `mask` has bits at or beyond [`MaybeSet::window`] —
-    /// those entries cannot be addressed from base 0; use
-    /// [`CrashImage::with_persisted_subset_at`] to slide the window
-    /// instead of silently dropping them.
-    pub fn with_persisted_subset(&self, maybe: &MaybeSet, mask: u64) -> CrashImage {
-        match self.with_persisted_subset_at(maybe, mask, 0) {
-            Ok(image) => image,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`CrashImage::with_persisted_subset`] over the 64-entry window
-    /// starting at maybe-set entry `base`: mask bit `i` selects entry
-    /// `base + i`. Entries outside the window stay unpersisted.
+    /// Entries beyond the 64-entry window stay unpersisted.
     ///
     /// # Errors
     ///
     /// Returns [`SubsetMaskError`] when `mask` has bits at or beyond
-    /// [`MaybeSet::window_at`]`(base)` — every validated image must
-    /// materialize exactly the subset its mask names.
-    pub fn with_persisted_subset_at(
+    /// [`MaybeSet::window`] — every validated image must materialize
+    /// exactly the subset its mask names.
+    pub fn with_persisted_subset(
         &self,
         maybe: &MaybeSet,
         mask: u64,
-        base: usize,
     ) -> Result<CrashImage, SubsetMaskError> {
-        let window = maybe.window_at(base);
-        let valid = match window {
-            0 => 0,
-            64 => u64::MAX,
-            w => (1u64 << w) - 1,
-        };
-        if mask & !valid != 0 {
-            return Err(SubsetMaskError { mask, window, base });
+        if mask & !maybe.full_mask() != 0 {
+            return Err(SubsetMaskError {
+                mask,
+                window: maybe.window(),
+            });
         }
         let mut media = self.media.clone();
-        for (i, e) in maybe.entries().iter().skip(base).take(64).enumerate() {
+        for (i, e) in maybe.entries().iter().take(64).enumerate() {
             if mask & (1u64 << i) == 0 {
                 continue;
             }
@@ -283,12 +253,16 @@ mod tests {
             maybe_entry(2, 0x22, None),
             maybe_entry(3, 0x33, None),
         ]);
-        let sub = img.with_persisted_subset(&maybe, 0b101);
+        let sub = img
+            .with_persisted_subset(&maybe, 0b101)
+            .expect("in-window mask");
         assert_eq!(sub.media().read_vec(64, 1), vec![0x11]);
         assert_eq!(sub.media().read_vec(128, 1), vec![0x00], "bit 1 unset");
         assert_eq!(sub.media().read_vec(192, 1), vec![0x33]);
         // The empty subset is the base image, byte-for-byte.
-        let empty = img.with_persisted_subset(&maybe, 0);
+        let empty = img
+            .with_persisted_subset(&maybe, 0)
+            .expect("in-window mask");
         assert_eq!(empty.media(), img.media());
     }
 
@@ -318,7 +292,9 @@ mod tests {
         // Subset materialization writes show neither in the base image nor
         // in the live engine.
         let maybe = MaybeSet::new(vec![maybe_entry(3, 0x77, Some((8, 1 << 5)))]);
-        let sub = img.with_persisted_subset(&maybe, 1);
+        let sub = img
+            .with_persisted_subset(&maybe, 1)
+            .expect("in-window mask");
         assert_eq!(sub.media().read_vec(192, 1), vec![0x77]);
         assert_eq!(sub.media().private_pages(img.media()), 1);
         assert_eq!(img.media().read_vec(192, 1), vec![0]);
@@ -343,9 +319,13 @@ mod tests {
         // at index 1: selecting both must leave the newer data.
         let img = CrashImage::new(Media::new(64 * 4), MachineConfig::default());
         let maybe = MaybeSet::new(vec![maybe_entry(2, 0xAA, None), maybe_entry(2, 0xBB, None)]);
-        let both = img.with_persisted_subset(&maybe, 0b11);
+        let both = img
+            .with_persisted_subset(&maybe, 0b11)
+            .expect("in-window mask");
         assert_eq!(both.media().read_vec(128, 1), vec![0xBB]);
-        let only_old = img.with_persisted_subset(&maybe, 0b01);
+        let only_old = img
+            .with_persisted_subset(&maybe, 0b01)
+            .expect("in-window mask");
         assert_eq!(only_old.media().read_vec(128, 1), vec![0xAA]);
     }
 
@@ -353,10 +333,14 @@ mod tests {
     fn pending_selection_applies_reached_fixup() {
         let img = CrashImage::new(Media::new(64 * 4), MachineConfig::default());
         let maybe = MaybeSet::new(vec![maybe_entry(3, 0x77, Some((8, 1 << 5)))]);
-        let sub = img.with_persisted_subset(&maybe, 1);
+        let sub = img
+            .with_persisted_subset(&maybe, 1)
+            .expect("in-window mask");
         assert_eq!(sub.media().read_vec(192, 1), vec![0x77]);
         assert_eq!(sub.media().read_u64(8), 1 << 5, "reached bit recorded");
-        let none = img.with_persisted_subset(&maybe, 0);
+        let none = img
+            .with_persisted_subset(&maybe, 0)
+            .expect("in-window mask");
         assert_eq!(none.media().read_u64(8), 0, "unselected line: no bit");
     }
 
@@ -364,7 +348,9 @@ mod tests {
     fn out_of_window_entries_never_persist() {
         let img = CrashImage::new(Media::new(64 * 128), MachineConfig::default());
         let maybe = MaybeSet::new((0..70).map(|i| maybe_entry(i, 0x5A, None)).collect());
-        let sub = img.with_persisted_subset(&maybe, u64::MAX);
+        let sub = img
+            .with_persisted_subset(&maybe, u64::MAX)
+            .expect("in-window mask");
         assert_eq!(sub.media().read_vec(63 * 64, 1), vec![0x5A]);
         assert_eq!(
             sub.media().read_vec(64 * 64, 1),
@@ -378,50 +364,18 @@ mod tests {
         let img = CrashImage::new(Media::new(64 * 8), MachineConfig::default());
         let maybe = MaybeSet::new((0..3).map(|i| maybe_entry(i, 0x5A, None)).collect());
         let err = img
-            .with_persisted_subset_at(&maybe, 0b1000, 0)
+            .with_persisted_subset(&maybe, 0b1000)
             .expect_err("bit 3 is beyond the 3-entry window");
         assert_eq!(
             err,
             SubsetMaskError {
                 mask: 0b1000,
-                window: 3,
-                base: 0
+                window: 3
             }
         );
         assert!(err.to_string().contains("0x8"));
+        assert!(err.to_string().contains("beyond the 3-entry window"));
         // In-window masks still materialize.
-        assert!(img.with_persisted_subset_at(&maybe, 0b111, 0).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond the 3-entry window")]
-    fn with_persisted_subset_panics_on_out_of_window_mask() {
-        let img = CrashImage::new(Media::new(64 * 8), MachineConfig::default());
-        let maybe = MaybeSet::new((0..3).map(|i| maybe_entry(i, 0x5A, None)).collect());
-        let _ = img.with_persisted_subset(&maybe, 0b1_0000);
-    }
-
-    #[test]
-    fn sliding_base_reaches_deep_entries() {
-        let img = CrashImage::new(Media::new(64 * 128), MachineConfig::default());
-        let maybe = MaybeSet::new((0..70).map(|i| maybe_entry(i, 0x5A, None)).collect());
-        assert_eq!(maybe.window_at(0), 64);
-        assert_eq!(maybe.window_at(64), 6);
-        assert_eq!(maybe.window_at(70), 0);
-        // Bit 0 at base 64 selects entry 64 — unreachable from base 0.
-        let sub = img
-            .with_persisted_subset_at(&maybe, 0b1, 64)
-            .expect("in-window at base 64");
-        assert_eq!(sub.media().read_vec(64 * 64, 1), vec![0x5A]);
-        assert_eq!(
-            sub.media().read_vec(0, 1),
-            vec![0x00],
-            "entries below the base stay unpersisted"
-        );
-        let err = img
-            .with_persisted_subset_at(&maybe, 0b100_0000, 64)
-            .expect_err("only 6 entries remain at base 64");
-        assert_eq!(err.window, 6);
-        assert_eq!(err.base, 64);
+        assert!(img.with_persisted_subset(&maybe, 0b111).is_ok());
     }
 }

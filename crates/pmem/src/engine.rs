@@ -1735,7 +1735,9 @@ mod maybe_tests {
         assert!(!maybe.entries()[0].pending);
         let base = e.crash_image();
         assert_eq!(base.media().read_vec(0, 8), vec![0u8; 8]);
-        let full = base.with_persisted_subset(&maybe, maybe.full_mask());
+        let full = base
+            .with_persisted_subset(&maybe, maybe.full_mask())
+            .expect("in-window mask");
         assert_eq!(full.media().read_vec(0, 8), vec![0xAB; 8]);
     }
 
@@ -1790,7 +1792,9 @@ mod maybe_tests {
         assert_eq!(dupes[1].origin, MaybeOrigin::DirtyCache);
         assert_eq!(dupes[1].data[0], 0x0B);
         let base = e.crash_image();
-        let both = base.with_persisted_subset(&maybe, maybe.full_mask());
+        let both = base
+            .with_persisted_subset(&maybe, maybe.full_mask())
+            .expect("in-window mask");
         assert_eq!(
             both.media().read_vec(0, 1),
             vec![0x0B],
@@ -1826,7 +1830,9 @@ mod maybe_tests {
             "non-pending lines never get a fixup"
         );
         let base = e.crash_image();
-        let full = base.with_persisted_subset(&maybe, maybe.full_mask());
+        let full = base
+            .with_persisted_subset(&maybe, maybe.full_mask())
+            .expect("in-window mask");
         assert_eq!(full.media().read_u64(1 << 18) & (1 << 3), 1 << 3);
     }
 
@@ -1857,7 +1863,10 @@ mod maybe_tests {
         assert_eq!(caps.len(), 1);
         let cap = &caps[0];
         assert_eq!(cap.maybe.len(), 3, "three dirty lines at site 2");
-        let empty = cap.image.with_persisted_subset(&cap.maybe, 0);
+        let empty = cap
+            .image
+            .with_persisted_subset(&cap.maybe, 0)
+            .expect("in-window mask");
         assert_eq!(
             empty.media(),
             cap.image.media(),

@@ -9,54 +9,18 @@
 //! ADR-guaranteed and excluded — is an equally legal durability outcome,
 //! because nothing orders non-fenced writebacks with respect to the
 //! failure. FFCCD's central claim is that recovery tolerates *any* of
-//! them. [`run_adversary_sweep`] checks it with the [`crate::campaign`]
-//! pipeline; this module owns the two lattice policies the pipeline's
-//! explorer calls — which masks to try ([`choose_masks`]) and how a
-//! failing one shrinks to a 1-minimal counterexample ([`shrink_subset`]),
-//! replayable forever from its `(seed, site_id, subset_bitmask)` triple
-//! ([`ffccd::ProbeId`], [`crate::campaign::replay`]).
+//! them. [`crate::faults::run_crash_site_sweep`] checks it when its plan's
+//! [`crate::faults::CrashPlan::images_per_site`] is above 1; this module
+//! owns the two lattice policies the pipeline's explorer calls — which
+//! masks to try ([`choose_masks`]) and how a failing one shrinks to a
+//! 1-minimal counterexample ([`shrink_subset`]), replayable forever from
+//! its `(seed, site_id, subset_bitmask)` triple ([`ffccd::ProbeId`],
+//! [`crate::campaign::replay`]).
 
 use std::collections::BTreeSet;
 
-use ffccd::Scheme;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-use crate::campaign::{Report, Run};
-use crate::driver::DriverConfig;
-use crate::faults::choose_targets;
-use crate::workload::Workload;
-
-/// How an adversarial exploration chooses and bounds its work.
-#[derive(Clone, Debug)]
-pub struct AdversaryPlan {
-    /// Machine seed; also seeds site and mask selection. A failure replays
-    /// from this seed plus its `(site_id, subset_mask)` alone.
-    pub seed: u64,
-    /// Maximum sites to capture (exhaustive when the run fires fewer).
-    pub site_budget: u64,
-    /// Maximum subset images per site: exhaustive lattice exploration when
-    /// `2^window` fits, corner-biased seeded sampling beyond.
-    pub images_per_site: u64,
-    /// First maybe-set entry the 64-bit subset window covers. Fence-free
-    /// maybe-sets run to thousands of lines — far past one mask — so
-    /// sliding the window makes the deep entries reachable; sites whose
-    /// sets still extend beyond the explored window are counted as
-    /// *truncated lattices* instead of being silently cut off.
-    pub window_base: usize,
-}
-
-impl AdversaryPlan {
-    /// A plan whose subset window starts at entry 0.
-    pub fn new(seed: u64, site_budget: u64, images_per_site: u64) -> Self {
-        AdversaryPlan {
-            seed,
-            site_budget,
-            images_per_site: images_per_site.max(1),
-            window_base: 0,
-        }
-    }
-}
 
 /// Greedy 1-minimal shrink of a failing subset bitmask.
 ///
@@ -142,27 +106,6 @@ pub fn choose_masks(window: u32, budget: u64, seed: u64, site_id: u64) -> (Vec<u
     }
     out.truncate(budget as usize);
     (out, false)
-}
-
-/// Explores the maybe-persisted lattice for one workload under one scheme:
-/// up to `plan.images_per_site` subsets at each of up to `plan.site_budget`
-/// sites, chosen exactly like the sweep's.
-pub fn run_adversary_sweep(
-    make_workload: &(dyn Fn() -> Box<dyn Workload> + Sync),
-    scheme: Scheme,
-    plan: &AdversaryPlan,
-    cfg: &DriverConfig,
-) -> Report {
-    let run = Run {
-        make: make_workload,
-        scheme,
-        seed: plan.seed,
-        cfg,
-        threads: 1,
-    };
-    let summary = run.enumerate();
-    let targets = choose_targets(summary.total, plan.seed, plan.site_budget);
-    run.sweep(&summary, targets, plan.images_per_site, plan.window_base)
 }
 
 #[cfg(test)]

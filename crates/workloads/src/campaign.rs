@@ -10,14 +10,14 @@
 //! (`Run::capture`); chosen subsets of that set are materialized, judged
 //! by recovery plus both validators, and a failing subset shrunk to a
 //! 1-minimal one (`Run::explore`, `Run::oracle`); failures are ordered
-//! and re-run from scratch (`Run::confirm`); and any failure reruns in
+//! and re-run from scratch (`confirm`); and any failure reruns in
 //! isolation from its printed [`ProbeId`] ([`replay`]). DESIGN.md §6.3
 //! tabulates the steps.
 //!
 //! The campaigns are probe generators over these functions:
 //! [`crate::faults::run_crash_site_sweep`] explores the one-mask lattice
 //! `{0}` (the base image) at every targeted site, on one thread or many,
-//! [`crate::adversary::run_adversary_sweep`] many masks,
+//! or many masks per site (§7.1c),
 //! [`crate::nested::run_nested_crash_sweep`] repeats enumerate–explore
 //! *inside recovery* on each captured image, and
 //! [`crate::thread_crash::run_thread_crash_campaign`] kills threads
@@ -419,8 +419,9 @@ impl Run<'_> {
     /// first failure to a 1-minimal subset ([`shrink_subset`]; shrink
     /// probes re-validate images, not runs) — then stop, further masks
     /// would mostly restate the same bug. `probe` identifies the site
-    /// (mask 0): its packed `site_id` salts the mask stream, its `window`
-    /// is the subset-window base and its phase picks the oracle.
+    /// (mask 0): its packed `site_id` salts the mask stream and its phase
+    /// picks the oracle. Entries beyond the 64-entry mask window are never
+    /// persisted; such a site counts as a truncated lattice.
     pub(crate) fn explore(
         &self,
         report: &mut Report,
@@ -434,8 +435,8 @@ impl Run<'_> {
         if cap.maybe.is_empty() {
             report.empty_lattices += 1;
         }
-        let window = cap.maybe.window_at(probe.window);
-        if cap.maybe.len() > probe.window + window as usize {
+        let window = cap.maybe.window();
+        if cap.maybe.len() > window as usize {
             report.truncated_lattices += 1;
         }
         let (masks, exhaustive) = choose_masks(window, images_per_site, self.seed, probe.site_id);
@@ -445,7 +446,7 @@ impl Run<'_> {
         let check = |mask: u64| -> Result<RecoveryReport, String> {
             let image = cap
                 .image
-                .with_persisted_subset_at(&cap.maybe, mask, probe.window)
+                .with_persisted_subset(&cap.maybe, mask)
                 .map_err(|e| e.to_string())?;
             self.oracle(&image, at, probe.phase == ProbePhase::Recovery)
         };
@@ -481,44 +482,21 @@ impl Run<'_> {
             return;
         }
     }
+}
 
-    /// The whole pipeline over mutator sites of the run `summary` counted:
-    /// capture `targets`, explore up to `images_per_site` subsets at each
-    /// (masks addressing maybe-set entries from `window_base`) on the
-    /// worker, confirm. The §7.1b sweep is `(choose_targets(…), 1, 0)`.
-    pub(crate) fn sweep(
-        &self,
-        summary: &SiteSummary,
-        targets: BTreeSet<u64>,
-        images_per_site: u64,
-        window_base: usize,
-    ) -> Report {
-        let report = Report {
-            total_sites: summary.total,
-            targeted: targets.len() as u64,
-            site_counts: summary.nonzero(),
-            ..Report::default()
-        };
-        let mut report = self.capture_and_validate(targets, report, |report, cap, at| {
-            let probe = ProbeId::new(self.seed, cap.site.id, 0)
-                .at_window(window_base)
-                .with_threads(self.threads);
-            self.explore(report, cap, at, images_per_site, probe);
-        });
-        self.confirm(&mut report);
-        report
-    }
-
-    /// Puts failures in a deterministic order and replays the first
-    /// eight from scratch.
-    pub(crate) fn confirm(&self, report: &mut Report) {
-        report
-            .failures
-            .sort_by_key(|f| (f.probe.site_id, f.probe.subset_mask));
-        for f in report.failures.iter_mut().take(8) {
-            let rerun = replay(self.make, self.scheme, f.probe, self.cfg);
-            f.reproduced = rerun.is_some_and(|r| r.outcome.is_err());
-        }
+/// Puts a campaign's failures in probe order and replays the first eight
+/// from scratch ([`replay`]), marking each one the replay fails again
+/// `reproduced`.
+pub(crate) fn confirm(
+    report: &mut Report,
+    make: &(dyn Fn() -> Box<dyn Workload> + Sync),
+    scheme: Scheme,
+    cfg: &DriverConfig,
+) {
+    report.failures.sort_by_key(|f| f.probe);
+    for f in report.failures.iter_mut().take(8) {
+        let rerun = replay(make, scheme, f.probe, cfg);
+        f.reproduced = rerun.is_some_and(|r| r.outcome.is_err());
     }
 }
 
@@ -590,17 +568,16 @@ pub fn replay(
         let (_, _, caps) = track_recovery(&cap.image, &registry, scheme, Some(targets));
         cap = caps.into_iter().next()?;
     }
-    let (image, outcome) =
-        match cap
-            .image
-            .with_persisted_subset_at(&cap.maybe, probe.subset_mask, probe.window)
-        {
-            Ok(image) => {
-                let outcome = run.oracle(&image, &at, nested).map(|_| ());
-                (image, outcome)
-            }
-            Err(e) => (cap.image, Err(e.to_string())),
-        };
+    let (image, outcome) = match cap
+        .image
+        .with_persisted_subset(&cap.maybe, probe.subset_mask)
+    {
+        Ok(image) => {
+            let outcome = run.oracle(&image, &at, nested).map(|_| ());
+            (image, outcome)
+        }
+        Err(e) => (cap.image, Err(e.to_string())),
+    };
     Some(Replay {
         op: at.op,
         maybe: cap.maybe,

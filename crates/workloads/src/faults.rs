@@ -1,6 +1,7 @@
 //! Machine-crash injection (paper §7.1): the crash-site sweep
-//! ([`run_crash_site_sweep`], §7.1b) over the shared [`crate::campaign`]
-//! pipeline. Images are taken at *durability-event granularity*: the
+//! ([`run_crash_site_sweep`], §7.1b, and with [`CrashPlan::images_per_site`]
+//! above 1 the §7.1c maybe-persisted subsets) over the shared
+//! [`crate::campaign`] pipeline. Images are taken at *durability-event granularity*: the
 //! engine enumerates every store / clwb / sfence / WPQ / eviction /
 //! GC-phase event as a deterministic site, and a replay run captures an
 //! image right after each chosen site — between operations and inside
@@ -17,9 +18,9 @@
 
 use std::collections::BTreeSet;
 
-use ffccd::Scheme;
+use ffccd::{ProbeId, Scheme};
 
-use crate::campaign::{Report, Run};
+use crate::campaign::{confirm, Report, Run};
 use crate::driver::DriverConfig;
 use crate::workload::Workload;
 
@@ -32,6 +33,11 @@ pub struct CrashPlan {
     /// Maximum sites to capture: exhaustive when the run fires fewer
     /// sites, seeded-random selection across the whole run beyond that.
     pub budget: u64,
+    /// Maximum subset images per site (at least 1): 1 is the base image
+    /// alone (§7.1b); above 1 the site's maybe-persisted lattice is
+    /// explored exhaustively when `2^window` fits, corner-biased seeded
+    /// sampling beyond (§7.1c, [`crate::adversary::choose_masks`]).
+    pub images_per_site: u64,
     /// Mutator threads; above 1 the sweep runs the multi-threaded driver
     /// under the seeded turn schedule, and its oracle checks each thread's
     /// key set through that thread's slot of the root directory.
@@ -39,22 +45,25 @@ pub struct CrashPlan {
 }
 
 impl CrashPlan {
-    /// A single-thread plan capturing up to `budget` sites of the run
-    /// seeded `seed`.
+    /// A single-thread plan capturing the base image of up to `budget`
+    /// sites of the run seeded `seed`.
     pub fn new(seed: u64, budget: u64) -> Self {
         CrashPlan {
             seed,
             budget,
+            images_per_site: 1,
             threads: 1,
         }
     }
 }
 
-/// Sweeps crash sites for one workload under one scheme (§7.1b): the
-/// [`crate::campaign`] pipeline with the one-mask lattice `{0}` — at every
-/// targeted site exactly the base image, in which nothing volatile
-/// persisted, is recovered and validated. Targets are exhaustive under
-/// `plan.budget`, seeded-random beyond ([`choose_targets`]).
+/// Sweeps crash sites for one workload under one scheme: the
+/// [`crate::campaign`] pipeline exploring up to `plan.images_per_site`
+/// subsets of each targeted site's maybe-persisted set. With one image
+/// (§7.1b) that is the one-mask lattice `{0}`: exactly the base image, in
+/// which nothing volatile persisted, is recovered and validated. Targets
+/// are exhaustive under `plan.budget`, seeded-random beyond
+/// ([`choose_targets`]).
 ///
 /// Runs under the fault-campaign defragmentation thresholds whatever
 /// `cfg.defrag` says.
@@ -73,7 +82,19 @@ pub fn run_crash_site_sweep(
     };
     let summary = run.enumerate();
     let targets = choose_targets(summary.total, plan.seed, plan.budget);
-    run.sweep(&summary, targets, 1, 0)
+    let report = Report {
+        total_sites: summary.total,
+        targeted: targets.len() as u64,
+        site_counts: summary.nonzero(),
+        ..Report::default()
+    };
+    let images = plan.images_per_site.max(1);
+    let mut report = run.capture_and_validate(targets, report, |report, cap, at| {
+        let probe = ProbeId::new(plan.seed, cap.site.id, 0).with_threads(plan.threads);
+        run.explore(report, cap, at, images, probe);
+    });
+    confirm(&mut report, make_workload, scheme, cfg);
+    report
 }
 
 /// Exhaustive under budget; seeded-random (distinct, whole-run) beyond.

@@ -35,7 +35,7 @@ use std::collections::BTreeSet;
 use ffccd::{phase_sites, ProbeId, Scheme};
 use ffccd_pmem::{SiteCapture, SiteSummary};
 
-use crate::campaign::{track_recovery, Failure, FiringOp, Report, Run};
+use crate::campaign::{confirm, track_recovery, Failure, FiringOp, Report, Run};
 use crate::driver::DriverConfig;
 use crate::faults::choose_targets;
 use crate::workload::Workload;
@@ -56,20 +56,16 @@ pub struct NestedPlan {
     /// Maximum subset images per recovery site (exhaustive lattice
     /// exploration when `2^window` fits).
     pub images_per_site: u64,
-    /// First maybe-set entry the 64-bit subset window covers (see
-    /// [`crate::adversary::AdversaryPlan::window_base`]).
-    pub window_base: usize,
 }
 
 impl NestedPlan {
-    /// A plan whose subset window starts at entry 0.
+    /// A plan with at least one recovery site and one image per site.
     pub fn new(seed: u64, outer_budget: u64, site_budget: u64, images_per_site: u64) -> Self {
         NestedPlan {
             seed,
             outer_budget,
             site_budget: site_budget.max(1),
             images_per_site: images_per_site.max(1),
-            window_base: 0,
         }
     }
 }
@@ -100,7 +96,7 @@ pub fn run_nested_crash_sweep(
     let mut report = run.capture_and_validate(outer_targets, report, |report, cap, at| {
         explore_outer(&run, report, cap, at, plan);
     });
-    run.confirm(&mut report);
+    confirm(&mut report, run.make, run.scheme, run.cfg);
     report
 }
 
@@ -202,8 +198,7 @@ fn explore_outer(
     report.targeted += targets.len() as u64;
     let (_, _, nested_caps) = track_recovery(&cap.image, &registry, run.scheme, Some(targets));
     for ncap in &nested_caps {
-        let probe =
-            ProbeId::nested(plan.seed, cap.site.id, ncap.site.id, 0).at_window(plan.window_base);
+        let probe = ProbeId::nested(plan.seed, cap.site.id, ncap.site.id, 0);
         run.explore(report, ncap, at, plan.images_per_site, probe);
     }
 }

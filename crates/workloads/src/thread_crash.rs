@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use ffccd::{DefragHeap, ProbeId, Scheme};
 use ffccd_pmem::MaybeSet;
 
-use crate::campaign::{deterministic_pool, fault_defrag, Failure, Replay, Report};
+use crate::campaign::{confirm, deterministic_pool, fault_defrag, Failure, Replay, Report};
 use crate::driver::{
     mt_registry, run_mt_faulted_on, DriverConfig, MtSchedule, PhaseMix, ThreadCrashOutcome,
     ThreadFaultPlan, ThreadKill,
@@ -101,9 +101,11 @@ pub(crate) fn replay_kill(
 ///
 /// Panics only if the *reference* run (no kills) fails — that is an
 /// ordinary mt-driver bug, not a thread-crash finding. Kill-run failures
-/// are shrunk to 1-minimal single-kill probes and returned in the report.
+/// are shrunk to 1-minimal single-kill probes, put in probe order, and the
+/// first eight replayed from their probes ([`crate::campaign::replay`]):
+/// a failure is `reproduced` when its replay fails again.
 pub fn run_thread_crash_campaign(
-    make: &dyn Fn() -> Box<dyn Workload>,
+    make: &(dyn Fn() -> Box<dyn Workload> + Sync),
     scheme: Scheme,
     seed: u64,
     runs: usize,
@@ -172,11 +174,12 @@ pub fn run_thread_crash_campaign(
                         maybe_len: 0,
                         message,
                         minimal,
-                        reproduced: !single && minimal,
+                        reproduced: false,
                     });
                 }
             }
         }
     }
+    confirm(&mut report, make, scheme, &cfg);
     report
 }

@@ -4,9 +4,9 @@
 
 use ffccd::{ProbeId, Scheme};
 use ffccd_pmem::MachineConfig;
-use ffccd_workloads::adversary::{run_adversary_sweep, AdversaryPlan};
 use ffccd_workloads::campaign::replay;
 use ffccd_workloads::driver::{DriverConfig, PhaseMix};
+use ffccd_workloads::faults::{run_crash_site_sweep, CrashPlan};
 use ffccd_workloads::{LinkedList, Workload};
 
 fn adv_cfg(scheme: Scheme, seed: u64) -> DriverConfig {
@@ -30,8 +30,11 @@ fn make_ll() -> Box<dyn Workload> {
 fn adversary_explores_lattices_and_all_subsets_recover() {
     let seed = 0xADF_C0DE;
     let cfg = adv_cfg(Scheme::FfccdFenceFree, seed);
-    let plan = AdversaryPlan::new(seed, 8, 64);
-    let report = run_adversary_sweep(&make_ll, Scheme::FfccdFenceFree, &plan, &cfg);
+    let plan = CrashPlan {
+        images_per_site: 64,
+        ..CrashPlan::new(seed, 8)
+    };
+    let report = run_crash_site_sweep(&make_ll, Scheme::FfccdFenceFree, &plan, &cfg);
     assert!(report.total_sites > 1000, "got {}", report.total_sites);
     assert_eq!(report.targeted, 8);
     assert_eq!(

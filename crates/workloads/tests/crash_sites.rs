@@ -226,47 +226,6 @@ fn pinned_adversarial_triples_replay_byte_identically() {
     }
 }
 
-/// The subset-window base is part of the replay key: a probe found with
-/// the window slid to entry 64 prints `window=64`, parses back to itself,
-/// and replays — with nothing in the environment — to the image whose
-/// mask bits address entries 64.. of the 81-line maybe-set, not 0...
-#[test]
-fn windowed_probe_round_trips_and_replays_from_its_text() {
-    let (scheme, seed, site) = (Scheme::FfccdFenceFree, 0x517e02, 120000);
-    let cfg = sec71_config(scheme, seed);
-    let probe = ProbeId::new(seed, site, 0x1_5a5a).at_window(64);
-    let text = probe.to_string();
-    assert_eq!(
-        text,
-        "(seed=0x517e02, site=120000, subset=0x15a5a, window=64)"
-    );
-    let parsed: ProbeId = text.parse().expect("Display output parses");
-    assert_eq!(parsed, probe);
-    let a = replay(&make_ll, scheme, probe, &cfg).expect("pinned site fires");
-    let b = replay(&make_ll, scheme, parsed, &cfg).expect("pinned site fires again");
-    assert_eq!(a.maybe.len(), 81);
-    assert!(
-        a.outcome.is_ok(),
-        "windowed subset regressed: {:?}",
-        a.outcome
-    );
-    assert_eq!(a.image.media().fingerprint(), b.image.media().fingerprint());
-    let unslid = replay(&make_ll, scheme, ProbeId::new(seed, site, 0x1_5a5a), &cfg)
-        .expect("pinned site fires");
-    assert_ne!(
-        a.image.media().fingerprint(),
-        unslid.image.media().fingerprint(),
-        "the same mask at base 0 selects different lines"
-    );
-    // Bit 17 would address entry 81 of 81: rejected, not silently dropped.
-    let beyond = ProbeId {
-        subset_mask: 1 << 17,
-        ..probe
-    };
-    let r = replay(&make_ll, scheme, beyond, &cfg).expect("pinned site fires");
-    assert!(r.outcome.is_err());
-}
-
 /// The §7.1b sweep is the one-mask lattice `{0}` of the shared explorer.
 /// Its verdict and recovery tallies must be what a base-image sweep counts:
 /// recover each targeted site's base image directly and sum the reports.

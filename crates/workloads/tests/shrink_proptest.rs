@@ -157,11 +157,11 @@ proptest! {
         let stepped = mask | (1u64 << bit);
         prop_assume!(stepped != mask);
         let base = image
-            .with_persisted_subset_at(maybe, mask, 0)
+            .with_persisted_subset(maybe, mask)
             .expect("mask is inside the 64-entry window");
         prop_assume!(recovery_passes(&base));
         let next = image
-            .with_persisted_subset_at(maybe, stepped, 0)
+            .with_persisted_subset(maybe, stepped)
             .expect("stepped mask is inside the window");
         prop_assert!(
             recovery_passes(&next),

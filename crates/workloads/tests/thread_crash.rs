@@ -7,7 +7,11 @@
 //! cycles stay attributed to the context that spent them, and a dead
 //! thread's arena returns to service.
 
-use ffccd::{ProbeId, Scheme};
+use std::collections::BTreeSet;
+
+use ffccd::{DefragHeap, ProbeId, Scheme};
+use ffccd_pmem::Ctx;
+use ffccd_pmop::TypeRegistry;
 use ffccd_workloads::campaign::{replay, Replay};
 use ffccd_workloads::driver::{
     run_mt_faulted, DriverConfig, MtSchedule, PhaseMix, ThreadFaultPlan,
@@ -155,6 +159,82 @@ fn detectable_queue_campaign_cell_is_clean() {
             .collect::<Vec<_>>()
     );
     assert!(report.kills_fired > 0, "smoke cell must fire kills");
+}
+
+/// A `DetectableQueue` that decides every in-flight op the opposite way
+/// from its persistent state: each kill that lands mid-op fails the
+/// checker.
+struct Contrary(DetectableQueue);
+
+impl Workload for Contrary {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn registry(&self) -> TypeRegistry {
+        self.0.registry()
+    }
+
+    fn setup(&mut self, heap: &DefragHeap, ctx: &mut Ctx) {
+        self.0.setup(heap, ctx)
+    }
+
+    fn reopen(&mut self, heap: &DefragHeap, ctx: &mut Ctx) {
+        self.0.reopen(heap, ctx)
+    }
+
+    fn insert(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64, value_size: usize) {
+        self.0.insert(heap, ctx, key, value_size)
+    }
+
+    fn delete(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
+        self.0.delete(heap, ctx, key)
+    }
+
+    fn contains(&mut self, heap: &DefragHeap, ctx: &mut Ctx, key: u64) -> bool {
+        self.0.contains(heap, ctx, key)
+    }
+
+    fn validate(
+        &self,
+        heap: &DefragHeap,
+        ctx: &mut Ctx,
+        expected: &BTreeSet<u64>,
+    ) -> Result<(), String> {
+        self.0.validate(heap, ctx, expected)
+    }
+
+    fn decide_inflight(
+        &mut self,
+        heap: &DefragHeap,
+        ctx: &mut Ctx,
+        key: u64,
+        insert: bool,
+    ) -> Option<bool> {
+        self.0
+            .decide_inflight(heap, ctx, key, insert)
+            .map(|done| !done)
+    }
+}
+
+/// A failing kill is replayed from its probe before it is reported: the
+/// smoke geometry's DQ FFCCD-cl cell (two single-kill runs, both landing
+/// mid-op) fails under a contrary decision, and every failure reads
+/// `reproduced` because its replay fails again.
+#[test]
+fn single_kill_failures_are_confirmed_by_replay() {
+    let contrary = || -> Box<dyn Workload> { Box::new(Contrary(DetectableQueue::new())) };
+    let report = run_thread_crash_campaign(&contrary, Scheme::FfccdCheckLookup, 0x7c4a14, 2, 1);
+    assert_eq!((report.runs, report.kills_fired), (2, 2));
+    assert!(!report.failures.is_empty(), "contrary decisions must fail");
+    for f in &report.failures {
+        assert!(
+            f.minimal,
+            "{}: a single kill is its own minimum",
+            f.triple()
+        );
+        assert!(f.reproduced, "{}: {}", f.triple(), f.message);
+    }
 }
 
 /// Regression (§7.1e campaign find #1): a victim dying inside the summary
