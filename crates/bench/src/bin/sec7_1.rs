@@ -17,6 +17,9 @@
 //! * `--thread-crash` (§7.1e) — K of N mutator *threads* die at sampled
 //!   durability-event ordinals while the survivors drain.
 //!
+//! The sweep, `--adversary` and `--nested` are one function,
+//! `run_crash_site_sweep`, under three `CrashPlan`s.
+//!
 //! `--smoke` selects the CI geometry; `--jobs N` fans the settings of a
 //! campaign out over threads. Each campaign's full and smoke budgets are
 //! constants of its spec, and nothing is read from the environment. Every
@@ -34,7 +37,6 @@ use ffccd_bench::campaign::{campaign_workload, scheme_key, sec71_config, Factory
 use ffccd_bench::{header, jobs, rule, FIG_SCHEMES};
 use ffccd_workloads::campaign::Report;
 use ffccd_workloads::faults::{run_crash_site_sweep, CrashPlan};
-use ffccd_workloads::nested::{run_nested_crash_sweep, NestedPlan};
 use ffccd_workloads::par::parallel_map;
 use ffccd_workloads::thread_crash::run_thread_crash_campaign;
 
@@ -249,8 +251,12 @@ fn nested_spec(smoke: bool) -> CampaignSpec {
         settings: grid(&["LL", "AVL", "pmemkv"], 0x9e57ed),
         run: Box::new(move |s| {
             let cfg = sec71_config(s.scheme, s.seed);
-            let plan = NestedPlan::new(s.seed, outer, sites, images);
-            let r = run_nested_crash_sweep(&*s.make, s.scheme, &plan, &cfg);
+            let plan = CrashPlan {
+                images_per_site: images,
+                recovery_sites: sites,
+                ..CrashPlan::new(s.seed, outer)
+            };
+            let r = run_crash_site_sweep(&*s.make, s.scheme, &plan, &cfg);
             // Every targeted outer site must fire on replay, at least one
             // outer image must yield a non-quiescent recovery (else the
             // campaign explored nothing), and every nested image must pass

@@ -302,9 +302,11 @@ impl DefragHeap {
         }
 
         // Commit point: the persisted cycle header makes the cycle real.
+        // The scheme code goes first: the two words share a line, so any
+        // image holding state 1 also holds the code recovery checks.
         let hdr = inner.meta.cycle_header;
-        engine.write_u64(ctx, hdr, 1);
         engine.write_u64(ctx, hdr + 8, scheme_code(inner.cfg.scheme));
+        engine.write_u64(ctx, hdr, 1);
         engine.persist(ctx, hdr, 16);
 
         // Arm the hardware: the RBB starts empty.
@@ -631,8 +633,8 @@ enum FixupRole {
     Destination,
 }
 
-/// Persistent code identifying the scheme in the cycle header (recovery
-/// sanity check).
+/// Persistent code identifying the scheme in the cycle header; recovery
+/// refuses a cycle whose code is not its own scheme's.
 pub(crate) fn scheme_code(s: crate::Scheme) -> u64 {
     match s {
         crate::Scheme::Baseline => 0,

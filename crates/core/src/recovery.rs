@@ -49,6 +49,7 @@ use ffccd_pmop::{
 };
 
 use crate::config::Scheme;
+use crate::phases::scheme_code;
 use crate::walk::walk_refs;
 
 /// What recovery found and did.
@@ -81,7 +82,8 @@ enum Fate {
 /// # Errors
 ///
 /// Returns [`PoolError::BadPool`] if the media does not hold a pool this
-/// build can open ([`PmPool::layout_of_media`]).
+/// build can open ([`PmPool::layout_of_media`]), or if its cycle header
+/// holds a state above 3 or an in-flight cycle of another scheme.
 pub fn recover(
     engine: &PmEngine,
     registry: &TypeRegistry,
@@ -96,6 +98,15 @@ pub fn recover(
     let entries = pmft.load_all(engine);
     let hdr = meta.cycle_header;
     let state = engine.read_u64(&mut ctx, hdr);
+    // The summary commit writes the scheme's code, then state 1, into one
+    // line, so an image holding state 1 holds the code too. A state
+    // no cycle writes, or another scheme's cycle, is not this recovery's
+    // to tear down: completing it would zero relocation frames' records.
+    if state > 3 || (state != 0 && engine.peek_u64(hdr + 8) != scheme_code(scheme)) {
+        return Err(PoolError::BadPool {
+            reason: "cycle header was not written by this scheme",
+        });
+    }
     if entries.is_empty() && state == 0 {
         report.cycles = ctx.cycles();
         return Ok(report);

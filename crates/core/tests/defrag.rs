@@ -1,7 +1,7 @@
 //! End-to-end defragmentation tests: full cycles, barrier-driven
 //! relocation, crash injection and recovery for every scheme.
 
-use ffccd::{recover, validate_heap, DefragConfig, DefragHeap, Scheme};
+use ffccd::{phase_sites, recover, validate_heap, DefragConfig, DefragHeap, Scheme};
 use ffccd_pmem::{Ctx, MachineConfig};
 use ffccd_pmop::{PmPool, PmPtr, PoolConfig, PoolError, TypeDesc, TypeRegistry, HDR_SHARDS};
 
@@ -706,6 +706,93 @@ fn sharded_media_is_refused_by_pool_open_and_recovery() {
         assert!(!report.had_cycle);
         validate_heap(&heap).expect("consistent");
     }
+}
+
+/// Recovery tears down only a cycle it could have written: a state word
+/// no cycle writes, or a cycle another scheme armed, is refused before
+/// anything is torn down, and the arming scheme still recovers the image.
+#[test]
+fn recovery_refuses_a_cycle_header_it_could_not_have_written() {
+    let scheme = Scheme::FfccdCheckLookup;
+    let (heap, mut ctx, digest) = fragmented_heap(scheme, 35);
+    assert!(heap.defrag_now(&mut ctx), "cycle must start");
+    heap.step_compaction(&mut ctx, 7);
+    let hdr = heap.meta().cycle_header;
+    let image = heap.engine().crash_image();
+    assert_eq!(image.media().read_u64(hdr), 1, "the cycle is armed");
+    let refused = |r: Result<(), PoolError>, who: &str| {
+        assert!(
+            matches!(r, Err(PoolError::BadPool { .. })),
+            "{who} was recovered: {r:?}"
+        );
+    };
+    let engine = image.restart();
+    engine.with_media_mut(|m| m.write_u64(hdr, 7));
+    refused(recover(&engine, &registry(), scheme).map(drop), "state 7");
+    for other in [Scheme::Espresso, Scheme::Sfccd, Scheme::FfccdFenceFree] {
+        refused(
+            recover(&image.restart(), &registry(), other).map(drop),
+            &format!("{scheme}'s cycle as {other}"),
+        );
+    }
+    let (heap2, report) =
+        DefragHeap::open_recovered(&image, registry(), DefragConfig::normal(scheme))
+            .expect("the arming scheme recovers");
+    assert!(report.had_cycle);
+    validate_heap(&heap2).expect("consistent");
+    let mut ctx2 = heap2.ctx();
+    assert_eq!(list_digest(&heap2, &mut ctx2), digest);
+}
+
+/// A pool's first cycle header: at every site between the summary
+/// commit's first store and the cycle-armed mark, the image that persists
+/// every ambiguous line (the header's dirty line included) must recover
+/// as the arming scheme — state 1 never reaches media without its code.
+#[test]
+fn first_cycle_header_recovers_at_every_commit_site() {
+    let scheme = Scheme::FfccdFenceFree;
+    let (heap, mut ctx, _) = fragmented_heap(scheme, 36);
+    heap.engine().site_tracking_enumerate();
+    assert!(heap.defrag_now(&mut ctx), "cycle must start");
+    let marks = heap.engine().site_tracking_stop().phase_marks;
+    let armed = marks
+        .iter()
+        .find(|&&(_, code)| code == phase_sites::CYCLE_ARMED)
+        .expect("the cycle-armed mark fires")
+        .0;
+
+    let (heap, mut ctx, digest) = fragmented_heap(scheme, 36);
+    let hdr = heap.meta().cycle_header;
+    heap.engine()
+        .site_tracking_capture((armed.saturating_sub(24)..armed).collect());
+    assert!(heap.defrag_now(&mut ctx), "cycle must start");
+    let caps = heap.engine().drain_site_captures();
+    heap.engine().site_tracking_stop();
+    assert!(!caps.is_empty());
+
+    let mut unfenced_commit = false;
+    for cap in &caps {
+        let full = cap
+            .image
+            .with_persisted_subset(&cap.maybe, cap.maybe.full_mask())
+            .expect("in-window mask");
+        if full.media().read_u64(hdr) != 1 {
+            continue;
+        }
+        unfenced_commit |= cap.image.media().read_u64(hdr) != 1;
+        let site = cap.site.id;
+        let (heap2, report) =
+            DefragHeap::open_recovered(&full, registry(), DefragConfig::normal(scheme))
+                .unwrap_or_else(|e| panic!("site {site}: the arming scheme recovers: {e:?}"));
+        assert!(report.had_cycle, "site {site}");
+        validate_heap(&heap2).unwrap_or_else(|e| panic!("site {site}: {e:?}"));
+        let mut ctx2 = heap2.ctx();
+        assert_eq!(list_digest(&heap2, &mut ctx2), digest, "site {site}");
+    }
+    assert!(
+        unfenced_commit,
+        "some captured site holds state 1 only in its maybe-persisted set"
+    );
 }
 
 #[test]

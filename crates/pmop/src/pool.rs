@@ -1248,21 +1248,22 @@ impl PmPool {
     /// and only `Free` ones — what lets [`AllocInner::purge`] skip it for
     /// every other kind.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the free list holds a duplicate or a non-`Free` frame.
-    pub fn assert_free_list_sound(&self) {
+    /// Names the first duplicate or non-`Free` frame on the free list.
+    pub fn check_free_list(&self) -> Result<(), String> {
         let inner = self.inner.lock();
         let mut listed = std::collections::HashSet::new();
         for &f in &inner.free_frames {
             let kind = inner.frames[f as usize].kind;
-            assert_eq!(
-                kind,
-                FrameKind::Free,
-                "{kind:?} frame {f} is on the free list"
-            );
-            assert!(listed.insert(f), "frame {f} is on the free list twice");
+            if kind != FrameKind::Free {
+                return Err(format!("{kind:?} frame {f} is on the free list"));
+            }
+            if !listed.insert(f) {
+                return Err(format!("frame {f} is on the free list twice"));
+            }
         }
+        Ok(())
     }
 }
 
@@ -1329,9 +1330,9 @@ mod tests {
             !pool.commit_alloc(&mut a, frame, slot, n, t, 128),
             "the frame left the arena's hands"
         );
-        pool.assert_free_list_sound();
+        pool.check_free_list().unwrap();
         let y = pool.pmalloc(&mut a, t, 128).expect("re-pick");
-        pool.assert_free_list_sound();
+        pool.check_free_list().unwrap();
         assert_eq!(pool.object_header(&mut a, y), (t, 128));
     }
 
@@ -1350,9 +1351,9 @@ mod tests {
         assert_eq!(pool.locate(huge).expect("locate").0, frame, "took the pick");
         assert!(!pool.commit_alloc(&mut a, frame, slot, n, t, 128));
         pool.pfree(&mut b, huge).expect("huge free");
-        pool.assert_free_list_sound();
+        pool.check_free_list().unwrap();
         pool.pmalloc(&mut a, t, 128).expect("re-pick");
-        pool.assert_free_list_sound();
+        pool.check_free_list().unwrap();
     }
 
     #[test]
@@ -1649,7 +1650,7 @@ mod tests {
         let ptrs: Vec<PmPtr> = (0..100)
             .map(|_| pool.pmalloc(&mut ctx, t, 128).expect("alloc"))
             .collect();
-        pool.assert_free_list_sound();
+        pool.check_free_list().unwrap();
 
         // pfree empties the first frame: Active → Free, listed last.
         let first = frame_of(ptrs[0]);
@@ -1659,35 +1660,35 @@ mod tests {
         }
         want.push(first as u32);
         assert_eq!(free_list(&pool), want);
-        pool.assert_free_list_sound();
+        pool.check_free_list().unwrap();
 
         // A populated frame goes Active → Relocation → Free.
         let reloc = frame_of(ptrs[99]);
         pool.set_frame_kind(reloc, FrameKind::Relocation);
         assert_eq!(free_list(&pool), want);
-        pool.assert_free_list_sound();
+        pool.check_free_list().unwrap();
         pool.release_frame(&mut ctx, reloc);
         want.push(reloc as u32);
         assert_eq!(free_list(&pool), want);
-        pool.assert_free_list_sound();
+        pool.check_free_list().unwrap();
 
         // A destination frame is popped, then released unfilled (an
         // aborted cycle): Destination → Free puts it back.
         let dest = pool.take_destination_frame(&HashSet::new()).expect("dest");
         assert_eq!(want.pop(), Some(dest as u32), "LIFO reuse");
         pool.reserve_destination_slots(&mut ctx, dest, 0, 9, 144);
-        pool.assert_free_list_sound();
+        pool.check_free_list().unwrap();
         pool.release_frame(&mut ctx, dest);
         want.push(dest as u32);
         assert_eq!(free_list(&pool), want);
-        pool.assert_free_list_sound();
+        pool.check_free_list().unwrap();
 
         // A frame that *is* listed leaves the list when its kind changes,
         // and its neighbours keep their order.
         let listed = want.remove(want.len() / 2);
         pool.set_frame_kind(listed as u64, FrameKind::Relocation);
         assert_eq!(free_list(&pool), want);
-        pool.assert_free_list_sound();
+        pool.check_free_list().unwrap();
     }
 
     #[test]
@@ -1697,7 +1698,7 @@ mod tests {
         let p = pool.pmalloc(&mut ctx, t, 128).expect("alloc");
         let frame = pool.layout().frame_of(p.offset()).expect("frame") as u32;
         pool.inner.lock().free_frames.push(frame);
-        pool.assert_free_list_sound();
+        pool.check_free_list().unwrap();
     }
 
     #[test]

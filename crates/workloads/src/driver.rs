@@ -883,10 +883,19 @@ fn run_mt_impl(
             }
         }
     }
-    check_slots(make, heap, &mutators, &victims);
+    // Every checker failure names the run it judged: a free-running run
+    // has no replay, so its message is all a flaky failure leaves.
+    let kills: Vec<String> = (plan.iter().flat_map(|p| &p.kills))
+        .map(|k| format!("{}@{}", k.victim, k.kill_site))
+        .collect();
+    let fail =
+        |what: String| -> ! { panic!("{}, kills [{}]: {what}", heap.scheme(), kills.join(", ")) };
+    check_slots(make, heap, &mutators, &victims).unwrap_or_else(|e| fail(e));
     // `AllocInner::purge` skips the free-list scan on the strength of a
     // `debug_assert!`; every mt run audits what that rests on.
-    heap.pool().assert_free_list_sound();
+    heap.pool()
+        .check_free_list()
+        .unwrap_or_else(|e| fail(format!("free-list audit failed: {e}")));
     if plan.is_some() {
         // Full structural validation of the live heap over the orphaned
         // state, then a whole-machine restart: a thread crash must not
@@ -894,16 +903,19 @@ fn run_mt_impl(
         // crash image taken after the survivors drained has to succeed
         // and agree with the same per-slot oracle.
         if let Err(errs) = validate_heap(heap) {
-            panic!("thread-crash live heap validation failed: {errs:?}");
+            fail(format!(
+                "thread-crash live heap validation failed: {errs:?}"
+            ));
         }
         let image = heap.engine().crash_image();
         let (reg, _) = mt_registry(make().registry(), mutators.len());
         let (heap2, _report) = DefragHeap::open_recovered(&image, reg, cfg.defrag)
-            .expect("whole-machine restart after thread crashes");
+            .unwrap_or_else(|e| fail(format!("whole-machine restart after thread crashes: {e}")));
         if let Err(errs) = validate_heap(&heap2) {
-            panic!("post-restart heap validation failed: {errs:?}");
+            fail(format!("post-restart heap validation failed: {errs:?}"));
         }
-        check_slots(make, &heap2, &mutators, &victims);
+        check_slots(make, &heap2, &mutators, &victims)
+            .unwrap_or_else(|e| fail(format!("after restart: {e}")));
     }
     ThreadCrashOutcome {
         result: RunResult::collect(name, heap, &mutators),
@@ -920,7 +932,7 @@ fn run_mt_impl(
 /// each thread's op log into that slot's expected key set, cross-checks
 /// it against the thread's own live set, and judges the persistent
 /// structure with [`check_slot`] through a fresh instance and a context
-/// bound to the slot. Panics on the first divergence — a free-running mt
+/// bound to the slot. Returns the first divergence — a free-running mt
 /// run has no deterministic replay to fall back on, so the checker *is*
 /// its correctness story.
 ///
@@ -933,7 +945,7 @@ fn check_slots(
     heap: &DefragHeap,
     threads: &[Mutator<'_>],
     victims: &[VictimReport],
-) {
+) -> Result<(), String> {
     for (tid, t) in threads.iter().enumerate() {
         let Some(shard) = t.ctx.root_shard() else {
             continue;
@@ -947,17 +959,22 @@ fn check_slots(
             } else {
                 r.found && expected.remove(&r.key)
             };
-            assert!(
-                follows,
-                "thread {tid}: {r:?} contradicts the thread's own op log \
-                 (duplicate insert, or a delete missing or never inserted)"
-            );
+            if !follows {
+                return Err(format!(
+                    "thread {tid}: {r:?} contradicts the thread's own op log \
+                     (duplicate insert, or a delete missing or never inserted)"
+                ));
+            }
         }
-        assert_eq!(
-            expected,
-            t.live.to_btree_set(),
-            "thread {tid}: op log disagrees with the thread's live set"
-        );
+        let live = t.live.to_btree_set();
+        if expected != live {
+            let logged_only: Vec<_> = expected.difference(&live).take(8).collect();
+            let live_only: Vec<_> = live.difference(&expected).take(8).collect();
+            return Err(format!(
+                "thread {tid}: op log disagrees with the thread's live set \
+                 (logged only: {logged_only:?}, live only: {live_only:?})"
+            ));
+        }
         let mut ctx = heap.ctx();
         ctx.set_root_shard(Some(shard));
         let mut w = make();
@@ -974,6 +991,7 @@ fn check_slots(
                 found: false,
             });
         check_slot(&mut *w, heap, &mut ctx, &expected, inflight)
-            .unwrap_or_else(|e| panic!("mt post-run checker, thread {tid}: {e}"));
+            .map_err(|e| format!("mt post-run checker, thread {tid}: {e}"))?;
     }
+    Ok(())
 }

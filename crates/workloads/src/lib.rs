@@ -9,12 +9,11 @@
 //!   (Figure 16);
 //! * the [`driver`] running the paper's insert/delete phase mix while
 //!   pumping concurrent defragmentation and sampling fragmentation;
-//! * the §7.1 crash campaigns, four probe generators over one
-//!   [`campaign`] pipeline: the [`faults`] crash-site sweep, the
-//!   [`adversary`] explorer that enumerates maybe-persisted subsets at
-//!   captured crash sites, the [`nested`] explorer that crashes *recovery
-//!   itself* and demands idempotent re-recovery, and the [`thread_crash`]
-//!   campaign that kills K of N mutator threads.
+//! * the §7.1 crash campaigns, three modules: the [`campaign`] pipeline
+//!   they share; [`faults`], the one machine-crash sweep (§7.1b base
+//!   images, §7.1c maybe-persisted subsets at captured crash sites, §7.1d
+//!   crashes *inside recovery* judged by idempotent re-recovery); and
+//!   [`thread_crash`], which kills K of N mutator threads (§7.1e).
 //!
 //! Every structure is built strictly on the `ffccd::DefragHeap` public API:
 //! typed allocation, persistent pointers through `load_ref`/`store_ref`
@@ -22,11 +21,9 @@
 
 #![warn(missing_docs)]
 
-pub mod adversary;
 pub mod campaign;
 pub mod driver;
 pub mod faults;
-pub mod nested;
 pub mod par;
 pub mod thread_crash;
 pub mod util;

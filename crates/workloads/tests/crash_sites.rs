@@ -311,6 +311,44 @@ fn recovery_outcome_is_restart_seed_invariant() {
     assert!(fired >= 8, "only {fired}/10 sampled sites fired");
 }
 
+/// The §7.1d sweep on a tiny run: every outer site drawn from the GC-cycle
+/// windows fires, some outer image's recovery has sites to crash at, every
+/// nested image passes the idempotent oracle, and the report is a pure
+/// function of the plan.
+#[test]
+fn nested_sweep_crashes_inside_recovery() {
+    let (scheme, seed) = (Scheme::FfccdFenceFree, 0x9E57);
+    let cfg = sweep_cfg(scheme, seed);
+    let plan = CrashPlan {
+        images_per_site: 4,
+        recovery_sites: 2,
+        ..CrashPlan::new(seed, 4)
+    };
+    let a = run_crash_site_sweep(&make_ll, scheme, &plan, &cfg);
+    assert_eq!(a.outer_targeted, 4);
+    assert_eq!(a.outer_captured, a.outer_targeted, "every outer site fires");
+    assert!(
+        a.nested_outer > 0,
+        "no outer image left recovery work: {a:?}"
+    );
+    assert!(a.images >= a.captured, "{a:?}");
+    assert!(a.failures.is_empty(), "{:?}", a.failures);
+    assert_eq!(a, run_crash_site_sweep(&make_ll, scheme, &plan, &cfg));
+}
+
+/// Nested crashes run on the single-thread driver only.
+#[test]
+#[should_panic(expected = "nested crashes run on one thread")]
+fn nested_sweep_refuses_threads() {
+    let (scheme, seed) = (Scheme::FfccdFenceFree, 0x9E57);
+    let plan = CrashPlan {
+        recovery_sites: 1,
+        threads: 2,
+        ..CrashPlan::new(seed, 1)
+    };
+    run_crash_site_sweep(&make_ll, scheme, &plan, &sweep_cfg(scheme, seed));
+}
+
 /// §7.1d regression probes: `(seed, outer_site/recovery_site, phase=recovery,
 /// subset)` nested images pinned byte-for-byte. Each case re-crashes
 /// `recover()` itself at a tracked recovery-phase durability event on a

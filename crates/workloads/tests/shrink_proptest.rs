@@ -11,8 +11,7 @@ use proptest::prelude::*;
 
 use ffccd::{validate_heap, DefragHeap, ProbeId, Scheme};
 use ffccd_pmem::{CrashImage, MaybeSet};
-use ffccd_workloads::adversary::shrink_subset;
-use ffccd_workloads::campaign::{replay, sec71_config};
+use ffccd_workloads::campaign::{replay, sec71_config, shrink_subset};
 use ffccd_workloads::{LinkedList, Workload};
 
 fn make_ll() -> Box<dyn Workload> {

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use ffccd::{DefragHeap, ProbeId, Scheme};
+use ffccd::{DefragHeap, ProbeId, ProbePhase, Scheme};
 use ffccd_pmem::Ctx;
 use ffccd_pmop::TypeRegistry;
 use ffccd_workloads::campaign::{replay, Replay};
@@ -234,6 +234,24 @@ fn single_kill_failures_are_confirmed_by_replay() {
             f.triple()
         );
         assert!(f.reproduced, "{}: {}", f.triple(), f.message);
+    }
+}
+
+/// Every checker failure names the run it judged, the scheme and the
+/// kill plan, ahead of what failed: a free-running run has no probe to
+/// replay, so its panic message is all a failure leaves.
+#[test]
+fn checker_failures_name_the_scheme_and_the_kills() {
+    let contrary = || -> Box<dyn Workload> { Box::new(Contrary(DetectableQueue::new())) };
+    let scheme = Scheme::FfccdCheckLookup;
+    let report = run_thread_crash_campaign(&contrary, scheme, 0x7c4a14, 2, 1);
+    assert!(!report.failures.is_empty(), "contrary decisions must fail");
+    for f in &report.failures {
+        let ProbePhase::ThreadKill { victim } = f.probe.phase else {
+            panic!("{}: not a thread kill", f.triple());
+        };
+        let run = format!("{scheme}, kills [{victim}@{}]: ", f.probe.site_id);
+        assert!(f.message.starts_with(&run), "{run}…? {}", f.message);
     }
 }
 
